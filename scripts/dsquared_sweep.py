@@ -23,7 +23,6 @@ def main(argv=None):
     parser.add_argument("--size", type=int, default=6)
     parser.add_argument("--count", type=int, default=25)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--homology", action="store_true", help="also compute homology of each sample"
     )
@@ -35,7 +34,7 @@ def main(argv=None):
     t0 = time.monotonic()
     for i in range(args.count):
         g = random_grid(args.size, rng)
-        c = build_gc_prime(g, threads=args.threads)
+        c = build_gc_prime(g)
         n_entries = sum(1 for _ in c.entries())
         total_entries += n_entries
         ok = boundary_squares_to_zero(c) and is_homogeneous(c)

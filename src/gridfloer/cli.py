@@ -74,14 +74,11 @@ SUITES = ("curvature", "band-relations", "stab-relations", "commutation", "gradi
 class RunConfig:
     state_cap: int = 8
     output: str = "table"  # "json" | "table"
-    threads: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.state_cap < 2:
             raise ValueError(f"state_cap must be at least 2, got {self.state_cap}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.output not in ("json", "table"):
             raise ValueError(f"output must be json or table, got {self.output!r}")
 
@@ -111,7 +108,7 @@ def cmd_homology(grid_file: str, config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     with open(grid_file) as fh:
         g = parse_grid(fh.read())
-    c = build_gc_prime(g, config.state_cap, config.threads)
+    c = build_gc_prime(g, config.state_cap)
     summary = homology(c)
     if config.output == "json":
         json.dump(
@@ -222,13 +219,13 @@ def _suite_grading(config: RunConfig):
     grids = list(corpus_grids().items())
     grids += [(f"random5-{i}", random_grid(5, rng)) for i in range(5)]
     for name, g in grids:
-        c = build_gc_prime(g, config.state_cap, config.threads)
+        c = build_gc_prime(g, config.state_cap)
         yield f"boundary homogeneity on {name}", g, None, is_homogeneous(c)
 
 
 def _suite_band_relations(config: RunConfig):
     for name, g in corpus_grids().items():
-        c = build_gc_prime(g, config.state_cap, config.threads)
+        c = build_gc_prime(g, config.state_cap)
         for site in find_switch_sites(g):
             f = band_map(c, BandMapChoice(site))  # chain property asserted
             f_back = band_map(f.tgt, BandMapChoice(site))
@@ -247,7 +244,7 @@ def _suite_stab_relations(config: RunConfig):
     for name, g in corpus_grids().items():
         if g.n > 5:
             continue
-        c = build_gc_prime(g, config.state_cap, config.threads)
+        c = build_gc_prime(g, config.state_cap)
         for anchor in range(2 * g.n):
             stab = quasi_stab_map(c, StabModel("quasi", anchor))
             same = compose_chain_maps(
@@ -342,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cap", type=int, default=8, help="state cap (max grid size)")
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--threads", type=int, default=1, help="builder threads")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
     p_hom = sub.add_parser("homology", help="graded homology of a grid file")
@@ -363,7 +359,6 @@ def main(argv=None) -> int:
         config = RunConfig(
             state_cap=args.cap,
             output="json" if args.json else "table",
-            threads=args.threads,
             seed=args.seed,
         )
         if args.command == "homology":

@@ -22,21 +22,22 @@ from .algebra import (
     MonomialComplex,
     ONE,
     PolyF2U,
+    U,
     add_chain_maps,
+    chain_defect,
     chain_map_degree,
     compose_chain_maps,
     homology,
     identity_chain_map,
     induced_map,
-    is_chain_map,
     maps_equal_on_homology,
     present_homology,
-    u_power,
 )
 from .complexes import DEFAULT_STATE_CAP, build_gc_prime
 from .errors import (
     AnchorMismatch,
     BadPermutation,
+    BrokenInvariant,
     ChainMapViolation,
     InvalidSite,
     MoveSequenceInvalid,
@@ -173,7 +174,8 @@ def derived_stab_offsets() -> tuple[int, int]:
     norm3 = {g: (f, tuple(t)) for g, (f, t) in h3.items()}
     norm_split = {g: (f, tuple(t)) for g, (f, t) in h_split.items()}
     quasi = [s for s in range(-6, 7) if merge([norm2, shifted(norm2, s)]) == norm3]
-    assert len(quasi) == 1, f"quasi gap not unique: {quasi}"
+    if len(quasi) != 1:
+        raise BrokenInvariant(f"quasi gap not unique: {quasi}")
     s_v = quasi[0]
     disk = [
         s
@@ -183,7 +185,8 @@ def derived_stab_offsets() -> tuple[int, int]:
         )
         == norm_split
     ]
-    assert len(disk) == 1, f"disk gap not unique: {disk}"
+    if len(disk) != 1:
+        raise BrokenInvariant(f"disk gap not unique: {disk}")
     return s_v, disk[0]
 
 
@@ -244,25 +247,6 @@ def _rewrap(label, depth: int, new_base):
 # band maps
 
 
-def _chain_defect(f: ChainMap):
-    """First generator where the chain condition fails, or None."""
-    from .algebra import _apply_boundary
-
-    for x in f.src.basis.labels():
-        lhs = _apply_boundary(f.tgt, f.entries.get(x, {}))
-        rhs: dict = {}
-        for mid, p in f.src.boundary.get(x, {}).items():
-            for tgt_lab, q in f.entries.get(mid, {}).items():
-                v = rhs.get(tgt_lab, PolyF2U(0)) + p * q
-                if v:
-                    rhs[tgt_lab] = v
-                else:
-                    rhs.pop(tgt_lab, None)
-        if lhs != rhs:
-            return x, lhs, rhs
-    return None
-
-
 def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     """The U-placement map of a switch, without the chain-map assertion."""
     if c.ring != SINGLE or c.grid is None:
@@ -286,7 +270,7 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     for lab in c.basis.labels():
         x = _base_state(lab, depth)
         hit = x[p_col] == p_row
-        entries[lab] = {lab: u_power(1 if hit == u_when_contains else 0)}
+        entries[lab] = {lab: U if hit == u_when_contains else ONE}
     f = ChainMap(c, tgt, entries)
     f.degree = chain_map_degree(f)
     return f
@@ -296,7 +280,7 @@ def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     """Chain map of a band move (switch); fails loudly if the U-placement
     rule does not commute with the boundaries."""
     f = band_map_raw(c, choice)
-    defect = _chain_defect(f)
+    defect = chain_defect(f)
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
@@ -316,7 +300,7 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
     f = band_map_raw(c, BandMapChoice(site, "nu"))
     g = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
     total = add_chain_maps(f, g)
-    defect = _chain_defect(total)
+    defect = chain_defect(total)
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
@@ -517,7 +501,8 @@ def verify_commutation(
     f12 = band_map(f1.tgt, BandMapChoice(site2))
     f2 = band_map(c, BandMapChoice(site2))
     f21 = band_map(f2.tgt, BandMapChoice(site1))
-    assert f12.tgt.grid == f21.tgt.grid
+    if f12.tgt.grid != f21.tgt.grid:
+        raise BrokenInvariant("disjoint switches led to different grids")
     order_a = compose_chain_maps(f12, f1)
     order_b = compose_chain_maps(f21, f2)
     return maps_equal_on_homology(order_a, order_b)

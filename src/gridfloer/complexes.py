@@ -9,7 +9,7 @@ single U.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
 
 from .algebra import (
@@ -28,10 +28,14 @@ DEFAULT_STATE_CAP = 8
 State = tuple[int, ...]
 
 
-def enumerate_states(n: int, cap: int = DEFAULT_STATE_CAP) -> list[State]:
-    """All n! states in lexicographic order; refuses sizes above the cap."""
+def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceeded(f"grid size {n} exceeds the state cap {cap}")
+
+
+def enumerate_states(n: int, cap: int = DEFAULT_STATE_CAP) -> list[State]:
+    """All n! states in lexicographic order; refuses sizes above the cap."""
+    _check_cap(n, cap)
     return list(itertools.permutations(range(n)))
 
 
@@ -67,24 +71,37 @@ def _open_quadrant_pairs(P, Q) -> int:
     return sum(1 for pc, pr in P for qc, qr in Q if qc > pc and qr > pr)
 
 
-def delta_grading(g: GridDiagram, state: State) -> int:
+def _grid_grading_part(g: GridDiagram) -> tuple[list, list, int]:
+    """The state-independent part of `delta_grading`: the doubled O and X
+    coordinates and OO + XX + (n - l) + 2, where OO and XX count marking
+    pairs in open first-quadrant position and l is the component count."""
+    n = g.n
+    Os = [(2 * g.o_col[r] + 1, 2 * r + 1) for r in range(n)]
+    Xs = [(2 * g.x_col[r] + 1, 2 * r + 1) for r in range(n)]
+    l = link_topology(g).component_count
+    const = _open_quadrant_pairs(Os, Os) + _open_quadrant_pairs(Xs, Xs) + (n - l) + 2
+    return Os, Xs, const
+
+
+def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
     """Doubled delta grading of a state.
 
     Computed in doubled coordinates so that lattice points (2c, 2r) and
     markings (2c+1, 2r+1) never share a coordinate line; "first quadrant"
-    is open (strict inequalities).
+    is open (strict inequalities).  `grid_part` is `_grid_grading_part(g)`,
+    passed by callers that grade every state of one grid.
     """
-    n = g.n
-    S = [(2 * c, 2 * state[c]) for c in range(n)]
-    Os = [(2 * g.o_col[r] + 1, 2 * r + 1) for r in range(n)]
-    Xs = [(2 * g.x_col[r] + 1, 2 * r + 1) for r in range(n)]
-    l = link_topology(g).component_count
+    Os, Xs, const = grid_part or _grid_grading_part(g)
+    S = [(2 * c, 2 * state[c]) for c in range(g.n)]
     i_ss = _open_quadrant_pairs(S, S)
-    j_oo = i_ss - _open_quadrant_pairs(S, Os) - _open_quadrant_pairs(Os, S) \
-        + _open_quadrant_pairs(Os, Os)
-    j_xx = i_ss - _open_quadrant_pairs(S, Xs) - _open_quadrant_pairs(Xs, S) \
-        + _open_quadrant_pairs(Xs, Xs)
-    return j_oo + j_xx + (n - l) + 2
+    j_oo = i_ss - _open_quadrant_pairs(S, Os) - _open_quadrant_pairs(Os, S)
+    j_xx = i_ss - _open_quadrant_pairs(S, Xs) - _open_quadrant_pairs(Xs, S)
+    return j_oo + j_xx + const
+
+
+def _graded_basis(g: GridDiagram, states: list[State]) -> GradedBasis:
+    part = _grid_grading_part(g)
+    return GradedBasis(tuple((s, delta_grading(g, s, part)) for s in states))
 
 
 @dataclass(frozen=True)
@@ -154,14 +171,7 @@ def rectangles(g: GridDiagram, x: State, y: State) -> list[Rectangle]:
     return [r for r in candidate_rectangles(g, x, y) if r.interior_points == 0]
 
 
-def _chunks(seq, parts):
-    size = (len(seq) + parts - 1) // parts
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def build_complex(
-    g: GridDiagram, cap: int = DEFAULT_STATE_CAP, threads: int = 1
-) -> MonomialComplex:
+def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The multivariable complex: entries are sets of exponent vectors."""
     states = enumerate_states(g.n, cap)
     n = g.n
@@ -185,21 +195,35 @@ def build_complex(
                     bucket.add(rect.weight)
         return {ty: frozenset(evs) for ty, evs in row.items() if evs}
 
-    rows = _map_states(row_for, states, threads)
-    basis = GradedBasis(tuple((s, delta_grading(g, s)) for s in states))
+    rows = [row_for(x) for x in states]
     boundary = {x: row for x, row in zip(states, rows) if row}
-    return MonomialComplex(basis, boundary, 2 * n, MULTI, grid=g)
+    return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, MULTI, grid=g)
 
 
-def build_gc_prime(
-    g: GridDiagram, cap: int = DEFAULT_STATE_CAP, threads: int = 1
-) -> MonomialComplex:
+# The single-variable complexes alive in this process, by grid.  The values
+# are weak: a complex is reused only while some caller still holds it, so a
+# grid built several times within one computation (a band map's target
+# complex, rebuilt by the reverse move) is built once, and nothing outlives
+# the computation that built it.
+_GC_PRIME_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The single-variable complex: every marking variable set to U.
 
     Equals specialize(build_complex(g), "all") but is built directly with
-    prefix-summed rectangle weights.
+    prefix-summed rectangle weights.  While a complex of an equal grid is
+    still held elsewhere, that same (immutable) complex is returned.
     """
-    states = enumerate_states(g.n, cap)
+    _check_cap(g.n, cap)
+    c = _GC_PRIME_ALIVE.get(g)
+    if c is None:
+        c = _GC_PRIME_ALIVE[g] = _build_gc_prime(g)
+    return c
+
+
+def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
+    states = list(itertools.permutations(range(g.n)))
     n = g.n
     o, x_col = g.o_col, g.x_col
 
@@ -252,20 +276,9 @@ def build_gc_prime(
             row[ty] = u_power(next(iter(wts)))
         return row
 
-    rows = _map_states(row_for, states, threads)
-    basis = GradedBasis(tuple((s, delta_grading(g, s)) for s in states))
+    rows = [row_for(x) for x in states]
     boundary = {x: row for x, row in zip(states, rows) if row}
-    return MonomialComplex(basis, boundary, 2 * n, SINGLE, grid=g)
-
-
-def _map_states(fn, states, threads: int) -> list:
-    """Apply a pure per-state function, optionally sharded across threads;
-    results are assembled in state order either way."""
-    if threads <= 1 or len(states) < 64:
-        return [fn(x) for x in states]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        shards = pool.map(lambda chunk: [fn(x) for x in chunk], _chunks(states, threads))
-        return [row for shard in shards for row in shard]
+    return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, SINGLE, grid=g)
 
 
 def dump_complex(c: MonomialComplex) -> str:

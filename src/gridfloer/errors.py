@@ -49,6 +49,11 @@ class CapExceeded(GridFloerError):
     """Requested state enumeration exceeds the configured cap."""
 
 
+class BrokenInvariant(GridFloerError):
+    """An internal invariant of a computation failed: a defect in the
+    package, not in its input."""
+
+
 # -- cobordism ----------------------------------------------------------------
 
 class ChainMapViolation(GridFloerError):

@@ -205,7 +205,8 @@ def site_markings(g: GridDiagram, s: SwitchSite) -> tuple[int, int]:
     cols = {s.col, (s.col + 1) % g.n}
     seq = g.o_col if s.letter == "O" else g.x_col
     m = tuple(base + r for r in rows if seq[r] in cols)
-    assert len(m) == 2
+    if len(m) != 2:
+        raise InvalidSite(f"block col={s.col} row={s.row} holds {len(m)} {s.letter} markings")
     return m  # type: ignore[return-value]
 
 

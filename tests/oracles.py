@@ -315,3 +315,36 @@ def mod_u_homology_dimension(c) -> int:
         if bits:
             rows.append(bits)
     return len(labels) - 2 * f2_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# chain condition, generator by generator
+
+
+def chain_defect(f):
+    """First source generator x (in basis order) where d(f(x)) != f(d(x)),
+    with both sides as {label: PolyF2U}; None for a chain map.
+
+    Applies the target boundary to f(x) and f to the source boundary of x,
+    for every generator, whatever the shape of the map.
+    """
+    for x in f.src.basis.labels():
+        lhs: dict = {}
+        for mid, p in f.entries.get(x, {}).items():
+            for tgt, q in f.tgt.boundary.get(mid, {}).items():
+                v = lhs.get(tgt, PolyF2U(0)) + p * q
+                if v:
+                    lhs[tgt] = v
+                else:
+                    lhs.pop(tgt, None)
+        rhs: dict = {}
+        for mid, p in f.src.boundary.get(x, {}).items():
+            for tgt, q in f.entries.get(mid, {}).items():
+                v = rhs.get(tgt, PolyF2U(0)) + p * q
+                if v:
+                    rhs[tgt] = v
+                else:
+                    rhs.pop(tgt, None)
+        if lhs != rhs:
+            return x, lhs, rhs
+    return None

@@ -26,7 +26,6 @@ from gridfloer import (
     add_chain_maps,
     boundary_squared,
     boundary_squares_to_zero,
-    build_gc_prime,
     chain_map_degree,
     chain_maps_equal,
     compose_chain_maps,
@@ -45,7 +44,8 @@ from gridfloer import (
     specialize,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE
+from gridfloer.algebra import MULTI, SINGLE, _Reduction
+from gridfloer.complexes import _build_gc_prime
 
 polys = st.builds(PolyF2U, st.integers(min_value=0, max_value=2**12 - 1))
 
@@ -276,11 +276,20 @@ class TestHomology:
             assert homology(c).to_dict() == HOMOLOGY[name], name
 
     def test_deterministic(self, corpus):
+        # two separate builds: build_gc_prime would hand back the corpus
+        # complex that the session's gc_primes fixture keeps alive
         g = corpus["trefoil5"]
-        a = present_homology(build_gc_prime(g))
-        b = present_homology(build_gc_prime(g))
-        assert a.summary == b.summary
-        assert [x.label for x in a.generators] == [x.label for x in b.generators]
+        a = present_homology(_build_gc_prime(g))
+        summary, labels = a.summary, [x.label for x in a.generators]
+        del a
+        b = present_homology(_build_gc_prime(g))
+        assert b.summary == summary
+        assert [x.label for x in b.generators] == labels
+
+    def test_recreated_entry_must_keep_its_exponent(self):
+        red = _Reduction({"a": {"b": 1}}, ["a", "b"], track=False)
+        with pytest.raises(NotHomogeneous, match="re-created"):
+            red._toggle(0, 1, 2)
 
     def test_presentation_consistency(self, gc_primes):
         for name, c in gc_primes.items():

@@ -62,11 +62,11 @@ def movie_file(tmp_path):
 class TestRunConfig:
     def test_defaults(self):
         c = RunConfig()
-        assert (c.state_cap, c.output, c.threads, c.seed) == (8, "table", 1, 0)
+        assert (c.state_cap, c.output, c.seed) == (8, "table", 0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"state_cap": 1}, {"threads": 0}, {"output": "xml"}],
+        [{"state_cap": 1}, {"output": "xml"}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -98,13 +98,6 @@ class TestHomologyCommand:
             assert [str(row["grading_doubled"]), str(row["free_rank"])] in [
                 c[:2] for c in cells
             ]
-
-    def test_threads_flag_stable(self, grid_file, capsys):
-        path = grid_file("trefoil5")
-        main(["--json", "homology", path])
-        one = capsys.readouterr().out
-        main(["--json", "--threads", "3", "homology", path])
-        assert capsys.readouterr().out == one
 
 
 class TestSitesCommand:

@@ -3,14 +3,20 @@ import math
 
 import pytest
 
+import oracles
 from gridfloer import (
+    ONE,
     U,
     ZERO,
     AnchorMismatch,
     BadPermutation,
     BandMapChoice,
     BandSwitch,
+    BrokenInvariant,
+    ChainMap,
     ChainMapViolation,
+    GradedModuleSummary,
+    MonomialComplex,
     DiskDestab,
     DiskStab,
     InvalidSite,
@@ -28,6 +34,7 @@ from gridfloer import (
     band_map,
     band_map_raw,
     band_map_sum,
+    chain_defect,
     chain_map_degree,
     chain_maps_equal,
     classify_band,
@@ -61,6 +68,20 @@ def _u_id(c):
 class TestStabOffsets:
     def test_derived_values(self):
         assert derived_stab_offsets() == (0, 2)
+
+    def test_gap_must_be_unique(self, monkeypatch):
+        from gridfloer import cobordism
+
+        by_size = {2: {0: (1, ())}, 3: {0: (2, ())}, 4: {0: (1, ())}}
+        monkeypatch.setattr(
+            cobordism, "homology",
+            lambda c: GradedModuleSummary.from_dict(by_size[c.grid.n]),
+        )
+        with pytest.raises(BrokenInvariant, match="disk gap not unique"):
+            derived_stab_offsets.__wrapped__()
+        by_size[3] = {0: (3, ())}
+        with pytest.raises(BrokenInvariant, match="quasi gap not unique"):
+            derived_stab_offsets.__wrapped__()
 
     def test_quasi_stab_reproduces_next_unknot(self, gc_primes):
         f = quasi_stab_map(gc_primes["unknot2"], StabModel("quasi", anchor=0))
@@ -187,6 +208,66 @@ class TestBandMaps:
                 assert chain_maps_equal(
                     compose_chain_maps(f, back), _u_id(f.tgt)
                 ), (name, site)
+
+
+def _same_defect(f):
+    """chain_defect agrees with the oracle, down to the first generator and
+    both sides; returns the defect."""
+    got = chain_defect(f)
+    assert got == oracles.chain_defect(f)
+    return got
+
+
+class TestChainDefect:
+    """The entry-by-entry check of diagonal maps against the per-generator
+    oracle, on passing and failing maps."""
+
+    def test_both_flavors_on_every_corpus_site(self, corpus, gc_primes):
+        for name, g in corpus.items():
+            for site in find_switch_sites(g):
+                nu = band_map_raw(gc_primes[name], BandMapChoice(site, "nu"))
+                assert _same_defect(nu) is None, (name, site)
+                tilde = band_map_raw(gc_primes[name], BandMapChoice(site, "nu_tilde"))
+                assert _same_defect(tilde) is not None, (name, site)
+
+    def test_flavor_sum(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        for site in find_switch_sites(c.grid):
+            nu = band_map_raw(c, BandMapChoice(site, "nu"))
+            tilde = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
+            assert _same_defect(add_chain_maps(nu, tilde)) is not None, site
+
+    def test_quasi_stabilized_complex(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        stab = quasi_stab_map(c, StabModel("quasi", anchor=0))
+        assert _same_defect(stab) is None
+        for site in find_switch_sites(c.grid):
+            for flavor in ("nu", "nu_tilde"):
+                f = band_map_raw(stab.tgt, BandMapChoice(site, flavor))
+                assert (_same_defect(f) is None) == (flavor == "nu"), (site, flavor)
+
+    def _band(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        return band_map_raw(c, BandMapChoice(find_switch_sites(c.grid)[0], "nu"))
+
+    def test_one_flipped_u_placement(self, gc_primes):
+        band = self._band(gc_primes)
+        for f in (band, identity_chain_map(band.src)):
+            for x in list(f.src.boundary)[::17]:
+                (p,) = f.entries[x].values()
+                entries = {**f.entries, x: {x: U if p == ONE else ONE}}
+                assert _same_defect(ChainMap(f.src, f.tgt, entries)) is not None, x
+
+    def test_one_target_boundary_entry_dropped(self, gc_primes):
+        f = self._band(gc_primes)
+        for x in list(f.tgt.boundary)[::17]:
+            row = dict(f.tgt.boundary[x])
+            row.pop(next(iter(row)))
+            d = MonomialComplex(
+                f.tgt.basis, {**f.tgt.boundary, x: row}, f.tgt.marking_count,
+                f.tgt.ring, f.tgt.grid,
+            )
+            assert _same_defect(ChainMap(f.src, d, f.entries)) is not None, x
 
 
 class TestQuasiStabilization:

@@ -1,13 +1,18 @@
 """State enumeration, gradings, rectangles, and the two boundary builders."""
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gridfloer
 from gridfloer import (
     DEFAULT_STATE_CAP,
     CapExceeded,
@@ -28,8 +33,10 @@ from gridfloer import (
     random_grid,
     rectangles,
     specialize,
+    validate,
     verify_curvature,
 )
+from gridfloer.complexes import _GC_PRIME_ALIVE
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
 TREFOIL5_GRADINGS = {0: 20, 2: 82, 4: 16, 6: 2}
@@ -87,6 +94,13 @@ class TestGrading:
         g = corpus_grid("trefoil5")
         got = Counter(delta_grading(g, s) for s in enumerate_states(5))
         assert dict(got) == TREFOIL5_GRADINGS
+
+    def test_builders_grade_by_the_closed_form(self, corpus, gc_primes, multi_complexes):
+        for name, g in corpus.items():
+            want = tuple((s, delta_grading(g, s)) for s in enumerate_states(g.n))
+            assert gc_primes[name].basis.elements == want, name
+            if name in multi_complexes:
+                assert multi_complexes[name].basis.elements == want, name
 
     def test_doubled_values_are_even_when_homology_is(self, gc_primes):
         # every corpus entry lands in even doubled gradings
@@ -207,15 +221,6 @@ class TestBuilders:
         with pytest.raises(CapExceeded):
             build_complex(corpus_grid("trefoil5"), cap=4)
 
-    def test_threads_do_not_change_output(self, corpus):
-        g = corpus["trefoil5"]
-        one = build_gc_prime(g, threads=1)
-        four = build_gc_prime(g, threads=4)
-        assert one.basis == four.basis and one.boundary == four.boundary
-        m1 = build_complex(g, threads=1)
-        m4 = build_complex(g, threads=4)
-        assert m1.basis == m4.basis and m1.boundary == m4.boundary
-
     def test_multivariable_uses_all_markings(self, multi_complexes, corpus):
         for name, c in multi_complexes.items():
             n = corpus[name].n
@@ -278,3 +283,54 @@ class TestDump:
     def test_multivariable_dump_smoke(self, multi_complexes):
         out = dump_complex(multi_complexes["unknot3"])
         assert "u" in out and "^" in out
+
+
+# A 3x3 grid that is not in the corpus, so no session fixture holds it.
+_UNHELD = ((0, 1, 2), (2, 0, 1))
+
+
+class TestComplexCache:
+    def test_same_object_while_held(self):
+        g = validate(*_UNHELD)
+        assert g not in _GC_PRIME_ALIVE
+        a = build_gc_prime(g)
+        assert build_gc_prime(g) is a
+        assert build_gc_prime(validate(*_UNHELD)) is a  # equal grid, new object
+
+    def test_fresh_build_after_release(self):
+        g = validate(*_UNHELD)
+        a = build_gc_prime(g)
+        basis, boundary = a.basis, a.boundary
+        gone = weakref.ref(a)
+        del a
+        assert gone() is None and g not in _GC_PRIME_ALIVE
+        b = build_gc_prime(g)
+        assert b.basis == basis and b.boundary == boundary
+        assert b.boundary is not boundary
+
+    def test_cap_checked_on_a_hit(self):
+        g = validate(*_UNHELD)
+        a = build_gc_prime(g)
+        with pytest.raises(CapExceeded, match="grid size 3 exceeds the state cap 2"):
+            build_gc_prime(g, cap=2)
+        assert build_gc_prime(g, cap=3) is a
+
+    def test_cli_command_leaves_no_complex_alive(self):
+        # In a fresh process with the cycle collector off, so a complex kept
+        # alive by a reference cycle would still be in the dictionary.
+        script = (
+            "import contextlib, gc, io\n"
+            "gc.disable()\n"
+            "from gridfloer import cli, complexes\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['--json', 'verify', 'band-relations'])\n"
+            "print(rc, len(complexes._GC_PRIME_ALIVE))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(gridfloer.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        ).stdout
+        assert out.split() == ["0", "0"]
