@@ -66,7 +66,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"state_cap": 1}, {"output": "xml"}],
+        [{"state_cap": 1}, {"state_cap": 0}, {"output": "xml"}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
