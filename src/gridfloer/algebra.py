@@ -424,8 +424,14 @@ class _Reduction:
     k; the induced update on the survivors is
     D[w][z] += U^{e_w + e_z - k} for every w -> tgt and src -> z.  A pivot
     with k >= 1 leaves a torsion summand F2[U]/(U^k) at the target's grading.
-    With `track`, representatives of the homology generators and projection
-    rows (original basis -> final coordinates) are maintained.
+
+    With `track`, representatives of the homology generators (`rep`) and
+    projection rows from the original basis to final coordinates (`proj`)
+    are maintained as bitsets over original basis indices.  Homogeneity
+    makes each of their coefficients a single monomial whose exponent the
+    doubled gradings g imply: U^((g(j) - g(i))/2) on basis element j in
+    rep[i], U^((g(i) - g(j))/2) in proj[i].  Every change of basis is then
+    an XOR, and the shifts U^{e - k} of the cancellation need no code.
     """
 
     def __init__(self, D: dict, labels: list, track: bool):
@@ -443,9 +449,10 @@ class _Reduction:
         self.torsion: list[tuple[int, int]] = []  # (target index, exponent)
         self.track = track
         if track:
-            self.rep: list[dict] = [{i: ONE} for i in range(m)]
-            self.proj: list[dict] = [{i: ONE} for i in range(m)]
-            self.torsion_data: list[tuple[int, int, dict, dict]] = []
+            self.rep: list[int] = [1 << i for i in range(m)]
+            self.proj: list[int] = list(self.rep)
+            # (target index, exponent, rep bitset, proj bitset)
+            self.torsion_data: list[tuple[int, int, int, int]] = []
 
     def _add(self, s: int, t: int, k: int) -> None:
         self.cols[s][t] = k
@@ -488,6 +495,8 @@ class _Reduction:
         return s, t, kmin
 
     def run(self) -> None:
+        rep = self.rep if self.track else None
+        proj = self.proj if self.track else None
         while self.buckets:
             a, b, k = self._pick_pivot()
             in_b = {w: e for w, e in self.rows[b].items() if w != a}
@@ -500,16 +509,15 @@ class _Reduction:
                 self._remove(b, z)
             for w in list(self.rows[a]):  # entries into a vanish by d^2 = 0
                 self._remove(w, a)
-            if self.track:
+            if rep is not None:
                 # target change first: b := b + sum U^{e_z - k} z
-                rep_b = self.rep[b]
-                for z, ez in out_a.items():
-                    self._vec_add(rep_b, self.rep[z], ez - k)
-                    self._vec_add(self.proj[z], self.proj[b], ez - k)
+                for z in out_a:
+                    rep[b] ^= rep[z]
+                    proj[z] ^= proj[b]
                 # then source changes: w := w + U^{e_w - k} a
-                for w, ew in in_b.items():
-                    self._vec_add(self.rep[w], self.rep[a], ew - k)
-                    self._vec_add(self.proj[a], self.proj[w], ew - k)
+                for w in in_b:
+                    rep[w] ^= rep[a]
+                    proj[a] ^= proj[w]
             for w, ew in in_b.items():
                 for z, ez in out_a.items():
                     self._toggle(w, z, ew + ez - k)
@@ -517,25 +525,10 @@ class _Reduction:
             self.alive.discard(b)
             if k >= 1:
                 self.torsion.append((b, k))
-                if self.track:
-                    self.torsion_data.append(
-                        (b, k, dict(self.rep[b]), dict(self.proj[b]))
-                    )
-            if self.track:
-                self.rep[a] = {}
-                self.proj[a] = {}
-                self.rep[b] = {}
-                if k < 1:
-                    self.proj[b] = {}
-
-    @staticmethod
-    def _vec_add(target: dict, source: dict, shift: int) -> None:
-        for i, p in source.items():
-            v = target.get(i, ZERO) + p.shifted(shift)
-            if v:
-                target[i] = v
-            else:
-                target.pop(i, None)
+                if rep is not None:
+                    self.torsion_data.append((b, k, rep[b], proj[b]))
+            if rep is not None:
+                rep[a] = proj[a] = rep[b] = proj[b] = 0
 
 
 def _summary_from_reduction(red: _Reduction, grading: dict) -> GradedModuleSummary:
@@ -595,6 +588,26 @@ class HomologyPresentation:
         return tuple(out)
 
 
+def _implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) -> dict:
+    """The vector {labels[j]: U^e} over the set bits j of `bits`, where
+    e = sign * (gradings[j] - gradings[i]) / 2: sign +1 for a representative
+    of i, -1 for projection row i.  An odd or negative exponent means the
+    gradings do not fit the bitset."""
+    out = {}
+    digits = bin(bits)[:1:-1]  # digits[j] is bit j
+    j = digits.find("1")
+    while j >= 0:
+        gap = sign * (gradings[j] - gradings[i])
+        if gap < 0 or gap & 1:
+            raise BrokenInvariant(
+                f"basis element {labels[j]} sits at doubled grading {gradings[j]}, "
+                f"an odd or negative gap from generator {labels[i]} at {gradings[i]}"
+            )
+        out[labels[j]] = PolyF2U(1 << (gap >> 1))
+        j = digits.find("1", j + 1)
+    return out
+
+
 def present_homology(c: MonomialComplex) -> HomologyPresentation:
     D = _int_exponents(c)
     _check_squares_to_zero(D)
@@ -602,30 +615,18 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
     red = _Reduction(D, labels, track=True)
     red.run()
     grading = c.basis.to_dict()
+    gradings = [grading[lab] for lab in labels]
+    parts = [(i, None, red.rep[i], red.proj[i]) for i in sorted(red.alive)]
+    parts += red.torsion_data
     gens = []
     rows = []
-    for i in sorted(red.alive):
-        lab = labels[i]
+    for i, k, rep, proj in parts:
         gens.append(
             HomologyGenerator(
-                lab,
-                grading[lab],
-                None,
-                {labels[j]: p for j, p in red.rep[i].items()},
+                labels[i], gradings[i], k, _implied_vector(rep, labels, gradings, i, 1)
             )
         )
-        rows.append({labels[j]: p for j, p in red.proj[i].items()})
-    for t, k, rep, proj in red.torsion_data:
-        lab = labels[t]
-        gens.append(
-            HomologyGenerator(
-                lab,
-                grading[lab],
-                k,
-                {labels[j]: p for j, p in rep.items()},
-            )
-        )
-        rows.append({labels[j]: p for j, p in proj.items()})
+        rows.append(_implied_vector(proj, labels, gradings, i, -1))
     return HomologyPresentation(
         c, _summary_from_reduction(red, grading), tuple(gens), tuple(rows)
     )
@@ -844,7 +845,7 @@ def maps_equal_on_homology(
     if src_pres is None:
         src_pres = present_homology(f.src)
     if tgt_pres is None:
-        tgt_pres = present_homology(f.tgt)
+        tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)
     diff = add_chain_maps(f, g)
     for gen in src_pres.generators:
         image = diff.apply(gen.representative)

@@ -431,6 +431,15 @@ def renumber_map(c: MonomialComplex, perm) -> ChainMap:
 
 @dataclass(eq=False)
 class MovieResult:
+    """The composed chain map of a movie and its matrix on homology.
+
+    When the movie ends on the complex it started from (`final is
+    total.src`), `src_presentation` and `tgt_presentation` are one and the
+    same object.  That holds for every movie that returns to its start grid
+    with no stabilization left, since `build_gc_prime` hands back the start
+    complex while it is held.
+    """
+
     total: ChainMap
     final: MonomialComplex
     final_grid: GridDiagram
@@ -474,7 +483,8 @@ def compose_movie(movie: Movie, cap: int = DEFAULT_STATE_CAP) -> MovieResult:
         total = compose_chain_maps(f, total)
         current = f.tgt
     src_pres = present_homology(src)
-    tgt_pres = present_homology(current)
+    # a closed movie ends on the very complex it started from
+    tgt_pres = src_pres if current is src else present_homology(current)
     matrix = induced_map(total, src_pres, tgt_pres)
     return MovieResult(total, current, current.grid, matrix, src_pres, tgt_pres)
 
@@ -516,11 +526,14 @@ _ANCHOR_RE = re.compile(r"^([OX])([0-9]+)$")
 
 def _parse_anchor(token: str, n: int, lineno: int) -> int:
     m = _ANCHOR_RE.match(token)
-    if not m or not 1 <= int(m.group(2)) <= n:
+    try:
+        row = int(m.group(2)) - 1 if m else -1
+    except ValueError:  # more digits than int() converts
+        row = -1
+    if not 0 <= row < n:
         raise ParseError(
             f"line {lineno}: anchor {token!r} is not O<row> or X<row> with row in 1..{n}"
         )
-    row = int(m.group(2)) - 1
     return row if m.group(1) == "O" else n + row
 
 

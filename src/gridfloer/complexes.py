@@ -52,20 +52,6 @@ def lehmer_rank(state: State) -> int:
     return rank
 
 
-def lehmer_unrank(n: int, rank: int) -> State:
-    pool = list(range(n))
-    fact = 1
-    for i in range(2, n):
-        fact *= i
-    out = []
-    for i in range(n - 1, -1, -1):
-        q, rank = divmod(rank, fact)
-        out.append(pool.pop(q))
-        if i > 1:
-            fact //= i
-    return tuple(out)
-
-
 def _open_quadrant_pairs(P, Q) -> int:
     """Pairs (p, q) with q strictly up and to the right of p."""
     return sum(1 for pc, pr in P for qc, qr in Q if qc > pc and qr > pr)

@@ -8,7 +8,6 @@ Marking ids: the O in row r has id r, the X in row r has id n + r.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -45,15 +44,6 @@ class GridDiagram:
         if marking < self.n:
             return f"O{marking + 1}"
         return f"X{marking - self.n + 1}"
-
-    def transpose(self) -> "GridDiagram":
-        """Swap the roles of rows and columns."""
-        o_t = [0] * self.n
-        x_t = [0] * self.n
-        for r in range(self.n):
-            o_t[self.o_col[r]] = r
-            x_t[self.x_col[r]] = r
-        return GridDiagram(self.n, tuple(o_t), tuple(x_t))
 
 
 @dataclass(frozen=True)
@@ -127,16 +117,6 @@ def link_topology(g: GridDiagram) -> LinkTopology:
     return LinkTopology(len(cycles), comp, tuple(cycles))
 
 
-def marking_successor(g: GridDiagram, marking: int) -> int:
-    """Next marking along the link through `marking`."""
-    topo = link_topology(g)
-    for cyc in topo.arcs:
-        if marking in cyc:
-            i = cyc.index(marking)
-            return cyc[(i + 1) % len(cyc)]
-    raise ValueError(f"marking {marking} not found")
-
-
 def same_letter_neighbors(g: GridDiagram, marking: int) -> tuple[int, int]:
     """The two same-letter markings nearest to `marking` along its component
     (two steps away in the alternating marking cycle)."""
@@ -147,25 +127,6 @@ def same_letter_neighbors(g: GridDiagram, marking: int) -> tuple[int, int]:
             k = len(cyc)
             return (cyc[(i + 2) % k], cyc[(i - 2) % k])
     raise ValueError(f"marking {marking} not found")
-
-
-def alternating_colorings(g: GridDiagram) -> list[dict[int, int]]:
-    """All assignments marking -> +-1 alternating along every component.
-
-    Each component's marking cycle has even length, so there are exactly two
-    alternating sign patterns per component: 2^l colorings in total.
-    """
-    topo = link_topology(g)
-    out = []
-    for signs in itertools.product((1, -1), repeat=topo.component_count):
-        coloring = {}
-        for cyc, first in zip(topo.arcs, signs):
-            s = first
-            for m in cyc:
-                coloring[m] = s
-                s = -s
-        out.append(coloring)
-    return out
 
 
 def _letter_positions(g: GridDiagram, letter: str) -> set[tuple[int, int]]:
@@ -351,11 +312,20 @@ def _parse_grid_json(text: str) -> GridDiagram:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: bad JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # e.g. an integer too long to convert
+        raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or not {"n", "o", "x"} <= set(obj):
         raise ParseError('JSON grid needs keys "n", "o", "x"')
+    # exact ints only: validate() would truncate 1.9, False or "1" silently
+    if type(obj["n"]) is not int:
+        raise ParseError(f'JSON "n" must be an integer, got {obj["n"]!r:.40}')
+    for key in ("o", "x"):
+        seq = obj[key]
+        if type(seq) is not list or any(type(v) is not int for v in seq):
+            raise ParseError(f'JSON "{key}" must be a list of integers, got {seq!r:.40}')
     try:
         g = validate(obj["o"], obj["x"])
-    except (NonPermutation, MarkingCollision, SizeTooSmall, TypeError, ValueError) as exc:
+    except (NonPermutation, MarkingCollision, SizeTooSmall) as exc:
         raise ParseError(f"invalid grid: {exc}") from exc
     if g.n != obj["n"]:
         raise ParseError(f'JSON "n"={obj["n"]} does not match sequence length {g.n}')

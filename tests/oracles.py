@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against textbook
 definitions: polynomial arithmetic on raw bitmasks, a naive dense Smith
 reduction, determinantal divisors, winding-number determinants, and plain
-GF(2) rank.  None of it shares reduction logic with the package.
+GF(2) rank.  None of it shares reduction logic with the package, except
+`tracked_presentation`, which reuses the package's pivot rule so that its
+representatives can be compared one for one.
 """
 from __future__ import annotations
 
@@ -348,3 +350,77 @@ def chain_defect(f):
         if lhs != rhs:
             return x, lhs, rhs
     return None
+
+
+# ---------------------------------------------------------------------------
+# tracked reduction on PolyF2U vectors
+
+
+def _vec_add(target: dict, source: dict, shift: int) -> None:
+    """target += U^shift * source, over {index: PolyF2U}."""
+    for i, p in source.items():
+        v = target.get(i, PolyF2U(0)) + p.shifted(shift)
+        if v:
+            target[i] = v
+        else:
+            target.pop(i, None)
+
+
+def tracked_presentation(c):
+    """(generators, projection rows) of c as `present_homology` builds them,
+    with representatives and projection rows kept as {index: PolyF2U}
+    vectors and every change of basis shifted by U^(e - k) explicitly.
+
+    Uses the package's pivot rule (the `_Reduction` bookkeeping untracked),
+    because the representatives depend on the pivot sequence; only the
+    tracking arithmetic is independent.
+    """
+    from gridfloer import HomologyGenerator
+    from gridfloer.algebra import _check_squares_to_zero, _int_exponents, _Reduction
+
+    D = _int_exponents(c)
+    _check_squares_to_zero(D)
+    labels = list(c.basis.labels())
+    red = _Reduction(D, labels, track=False)
+    one = PolyF2U(1)
+    rep = [{i: one} for i in range(len(labels))]
+    proj = [{i: one} for i in range(len(labels))]
+    torsion = []
+    while red.buckets:
+        a, b, k = red._pick_pivot()
+        in_b = {w: e for w, e in red.rows[b].items() if w != a}
+        out_a = {z: e for z, e in red.cols[a].items() if z != b}
+        for w in list(red.rows[b]):
+            red._remove(w, b)
+        for z in list(red.cols[a]):
+            red._remove(a, z)
+        for z in list(red.cols[b]):
+            red._remove(b, z)
+        for w in list(red.rows[a]):
+            red._remove(w, a)
+        for z, ez in out_a.items():
+            _vec_add(rep[b], rep[z], ez - k)
+            _vec_add(proj[z], proj[b], ez - k)
+        for w, ew in in_b.items():
+            _vec_add(rep[w], rep[a], ew - k)
+            _vec_add(proj[a], proj[w], ew - k)
+        for w, ew in in_b.items():
+            for z, ez in out_a.items():
+                red._toggle(w, z, ew + ez - k)
+        red.alive.discard(a)
+        red.alive.discard(b)
+        if k >= 1:
+            torsion.append((b, k, dict(rep[b]), dict(proj[b])))
+        rep[a], proj[a], rep[b] = {}, {}, {}
+        if k < 1:
+            proj[b] = {}
+    grading = c.basis.to_dict()
+    parts = [(i, None, rep[i], proj[i]) for i in sorted(red.alive)] + torsion
+    gens = tuple(
+        HomologyGenerator(
+            labels[i], grading[labels[i]], k, {labels[j]: p for j, p in r.items()}
+        )
+        for i, k, r, _ in parts
+    )
+    rows = tuple({labels[j]: p for j, p in pr.items()} for _, _, _, pr in parts)
+    return gens, rows

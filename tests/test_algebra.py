@@ -13,6 +13,7 @@ from gridfloer import (
     U,
     ZERO,
     BadPolicy,
+    BrokenInvariant,
     ChainMap,
     ExponentVector,
     GradedBasis,
@@ -23,13 +24,16 @@ from gridfloer import (
     NotChainMap,
     NotHomogeneous,
     PolyF2U,
+    StabModel,
     add_chain_maps,
     boundary_squared,
     boundary_squares_to_zero,
+    build_gc_prime,
     chain_map_degree,
     chain_maps_equal,
     compose_chain_maps,
     corpus_grid,
+    disk_stab_map,
     homology,
     identity_chain_map,
     induced_map,
@@ -38,13 +42,15 @@ from gridfloer import (
     maps_equal_on_homology,
     poly_divmod,
     present_homology,
+    quasi_stab_map,
+    random_grid,
     scale_chain_map,
     smith_reduce,
     solve_linear,
     specialize,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE, _Reduction
+from gridfloer.algebra import MULTI, SINGLE, _implied_vector, _Reduction
 from gridfloer.complexes import _build_gc_prime
 
 polys = st.builds(PolyF2U, st.integers(min_value=0, max_value=2**12 - 1))
@@ -334,6 +340,46 @@ class TestHomology:
                         assert mat[i][j] == ZERO
                     else:
                         assert mat[i][j] == U
+
+
+def _assert_matches_tracked_oracle(c, name):
+    pres = present_homology(c)
+    gens, rows = oracles.tracked_presentation(c)
+    assert len(pres.generators) == len(gens), name
+    for got, want in zip(pres.generators, gens):
+        assert got.label == want.label, name
+        assert (got.grading, got.torsion_exp) == (want.grading, want.torsion_exp), name
+        assert got.representative == want.representative, (name, got.label)
+    assert len(pres._proj_rows) == len(rows), name
+    for got_row, want_row in zip(pres._proj_rows, rows):
+        assert got_row == want_row, name
+
+
+class TestPresentationOracle:
+    """Bitset tracking against the PolyF2U-vector tracked reduction."""
+
+    def test_corpus(self, gc_primes):
+        for name, c in gc_primes.items():
+            _assert_matches_tracked_oracle(c, name)
+
+    def test_seeded_grids_and_their_stabilizations(self):
+        # tensor-stack labels and the quasi and disk gap gradings
+        rng = random.Random(20260814)
+        for i in range(6):
+            c = build_gc_prime(random_grid(6, rng))
+            _assert_matches_tracked_oracle(c, i)
+            quasi = quasi_stab_map(c, StabModel("quasi", anchor=0)).tgt
+            _assert_matches_tracked_oracle(quasi, (i, "quasi"))
+            _assert_matches_tracked_oracle(disk_stab_map(c).tgt, (i, "disk"))
+
+    def test_inconsistent_grading_is_a_broken_invariant(self):
+        labels = ["a", "b"]
+        assert _implied_vector(0b11, labels, [0, 2], 0, 1) == {"a": ONE, "b": U}
+        assert _implied_vector(0b11, labels, [2, 0], 0, -1) == {"a": ONE, "b": U}
+        with pytest.raises(BrokenInvariant):
+            _implied_vector(0b11, labels, [0, 1], 0, 1)  # odd gap
+        with pytest.raises(BrokenInvariant):
+            _implied_vector(0b11, labels, [0, 2], 0, -1)  # negative exponent
 
 
 def _boundary_matrix(c):

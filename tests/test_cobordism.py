@@ -529,6 +529,69 @@ class TestMovies:
             )
 
 
+def _count_presentations(monkeypatch, module):
+    """Count calls of `module.present_homology` through a wrapper."""
+    calls = []
+    real = module.present_homology
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(module, "present_homology", counting)
+    return calls
+
+
+class TestPresentationReuse:
+    def test_closed_movie_presents_once(self, corpus, monkeypatch):
+        from gridfloer import cobordism
+
+        g = corpus["unknot4_sites"]
+        site = find_switch_sites(g)[0]
+        a = 2
+        b = same_letter_neighbors(g, a)[0]
+        movie = Movie(
+            g,
+            (
+                BandSwitch(BandMapChoice(site, "nu", "forward")),
+                QuasiStab(StabModel("quasi", anchor=a)),
+                BandSwitch(BandMapChoice(site, "nu", "inverse")),
+                QuasiDestab(StabModel("quasi", anchor=b)),
+            ),
+        )
+        calls = _count_presentations(monkeypatch, cobordism)
+        res = compose_movie(movie)
+        assert res.final is res.total.src
+        assert res.src_presentation is res.tgt_presentation
+        assert len(calls) == 1
+
+    def test_open_movie_presents_both_ends(self, corpus, monkeypatch):
+        from gridfloer import cobordism
+
+        g = corpus["unknot4_sites"]
+        site = find_switch_sites(g)[0]
+        calls = _count_presentations(monkeypatch, cobordism)
+        # a stabilized end keeps the start grid but is another complex
+        for move, final_grid in (
+            (BandSwitch(BandMapChoice(site, "nu")), apply_switch(g, site)),
+            (QuasiStab(StabModel("quasi", anchor=0)), g),
+        ):
+            calls.clear()
+            res = compose_movie(Movie(g, (move,)))
+            assert res.final_grid == final_grid
+            assert res.src_presentation is not res.tgt_presentation
+            assert len(calls) == 2
+            assert res.tgt_summary == homology(res.final)
+
+    def test_maps_equal_on_homology_presents_once(self, gc_primes, monkeypatch):
+        from gridfloer import algebra
+
+        ident = identity_chain_map(gc_primes["trefoil5"])
+        calls = _count_presentations(monkeypatch, algebra)
+        assert maps_equal_on_homology(ident, ident)
+        assert len(calls) == 1
+
+
 MOVIE_SCRIPT = """\
 # a full tour of the move vocabulary
 switch col=1 row=1 letter=O flavor=nu dir=fwd
