@@ -116,6 +116,16 @@ class TestValidate:
         with pytest.raises(ValueError):
             g.marking_position(2 * g.n)
 
+    def test_transpose_involution(self, corpus):
+        for g in corpus.values():
+            t = _transpose(g)
+            assert _transpose(t) == g
+            # markings land at transposed positions
+            markers = {t.marking_position(k) for k in range(2 * t.n)}
+            for m in range(2 * g.n):
+                c, r = g.marking_position(m)
+                assert (r, c) in markers
+
 
 class TestTopology:
     def test_component_counts(self, corpus):
@@ -124,13 +134,9 @@ class TestTopology:
 
     def test_transpose_preserves_components(self, corpus):
         for name, g in corpus.items():
-            t = _transpose(g)
-            # markings land at transposed positions
-            markers = {t.marking_position(k) for k in range(2 * t.n)}
-            for m in range(2 * g.n):
-                c, r = g.marking_position(m)
-                assert (r, c) in markers
-            assert link_topology(t).component_count == COMPONENTS[name], name
+            assert (
+                link_topology(_transpose(g)).component_count == COMPONENTS[name]
+            ), name
 
     def test_arcs_partition_markings(self, corpus):
         for g in corpus.values():
