@@ -161,12 +161,12 @@ class ExponentVector:
         return ExponentVector.make((perm.get(i, i), e) for i, e in self.exps)
 
 
-def _xor_ev(acc: set, ev: ExponentVector) -> None:
+def _toggle(acc: set, item) -> None:
     # F2 set semantics: adding a monomial twice cancels it
-    if ev in acc:
-        acc.remove(ev)
+    if item in acc:
+        acc.remove(item)
     else:
-        acc.add(ev)
+        acc.add(item)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
             for tgt, evs in row.items():
                 acc: set = set()
                 for ev in evs:
-                    _xor_ev(acc, ev.collapse(keep))
+                    _toggle(acc, ev.collapse(keep))
                 if acc:
                     new_row[tgt] = frozenset(acc)
             if new_row:
@@ -322,19 +322,50 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
     raise BadPolicy(f"unrecognized policy {policy!r}")
 
 
+def _monomial_packing(c: MonomialComplex):
+    """Pack the exponent vectors of a multivariable complex into ints.
+
+    Each variable that occurs gets a field wide enough for twice the largest
+    exponent, so the product of two packed monomials is their int sum, with
+    no carry between fields.  Returns the codes by exponent vector and a
+    memoized decoder for sums of two codes.
+    """
+    evs = {ev for _, _, entry in c.entries() for ev in entry}
+    variables = sorted({i for ev in evs for i, _ in ev.exps})
+    width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
+    shift = {v: k * width for k, v in enumerate(variables)}
+    code = {ev: sum(e << shift[i] for i, e in ev.exps) for ev in evs}
+    field = (1 << width) - 1
+    decoded: dict[int, ExponentVector] = {}
+
+    def decode(p: int) -> ExponentVector:
+        ev = decoded.get(p)
+        if ev is None:
+            exps = tuple((v, p >> shift[v] & field) for v in variables)
+            ev = decoded[p] = ExponentVector(tuple((v, e) for v, e in exps if e))
+        return ev
+
+    return code, decode
+
+
 def boundary_squared(c: MonomialComplex) -> dict:
     """The composition of the boundary with itself, column-sparse."""
     out: dict = {}
     if c.ring == MULTI:
-        for src, row in c.boundary.items():
+        code, decode = _monomial_packing(c)
+        packed = {
+            src: {tgt: [code[ev] for ev in evs] for tgt, evs in row.items()}
+            for src, row in c.boundary.items()
+        }
+        for src, row in packed.items():
             acc: dict[object, set] = {}
-            for mid, evs1 in row.items():
-                for tgt, evs2 in c.boundary.get(mid, {}).items():
+            for mid, codes1 in row.items():
+                for tgt, codes2 in packed.get(mid, {}).items():
                     bucket = acc.setdefault(tgt, set())
-                    for ev1 in evs1:
-                        for ev2 in evs2:
-                            _xor_ev(bucket, ev1 * ev2)
-            cleaned = {tgt: frozenset(s) for tgt, s in acc.items() if s}
+                    for p1 in codes1:
+                        for p2 in codes2:
+                            _toggle(bucket, p1 + p2)
+            cleaned = {tgt: frozenset(map(decode, s)) for tgt, s in acc.items() if s}
             if cleaned:
                 out[src] = cleaned
     else:

@@ -5,12 +5,22 @@ point in column c.  The boundary counts empty toroidal rectangles between
 states differing in exactly two columns; coefficients record the markings a
 rectangle covers, either as one variable per marking or specialized to a
 single U.
+
+Markings are numbered as the variables of `ExponentVector`: the O in row r
+is marking r and the X in row r is marking n + r.  Both builders read one
+rectangle walk, `_empty_rectangles`, which gives each empty rectangle's
+covered markings as a mask with bit i set for marking i.
+`build_complex` turns a mask into the exponent vector of those variables,
+and `build_gc_prime` into U to the power of its bit count.
+`candidate_rectangles` and `rectangles` are the reference walk, one column
+pair at a time, with an explicit `Rectangle` per candidate.
 """
 from __future__ import annotations
 
 import itertools
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import (
     MULTI,
@@ -18,6 +28,7 @@ from .algebra import (
     ExponentVector,
     GradedBasis,
     MonomialComplex,
+    _toggle,
     u_power,
 )
 from .errors import CapExceeded, NotHomogeneous
@@ -52,37 +63,52 @@ def lehmer_rank(state: State) -> int:
     return rank
 
 
-def _open_quadrant_pairs(P, Q) -> int:
-    """Pairs (p, q) with q strictly up and to the right of p."""
-    return sum(1 for pc, pr in P for qc, qr in Q if qc > pc and qr > pr)
+def _grid_grading_part(g: GridDiagram) -> tuple[list[list[int]], int]:
+    """The state-independent part of `delta_grading`.
 
-
-def _grid_grading_part(g: GridDiagram) -> tuple[list, list, int]:
-    """The state-independent part of `delta_grading`: the doubled O and X
-    coordinates and OO + XX + (n - l) + 2, where OO and XX count marking
-    pairs in open first-quadrant position and l is the component count."""
+    Returns a table and a constant.  table[c][r] counts the markings (O and
+    X) in open first-quadrant position from the lattice point (c, r) plus
+    the markings from which (c, r) is in open first-quadrant position.  The
+    constant is OO + XX + (n - l) + 2, where OO and XX count marking pairs
+    in open first-quadrant position and l is the component count.
+    """
     n = g.n
-    Os = [(2 * g.o_col[r] + 1, 2 * r + 1) for r in range(n)]
-    Xs = [(2 * g.x_col[r] + 1, 2 * r + 1) for r in range(n)]
+    # in doubled coordinates a marking (2m+1) is right of / above a lattice
+    # line (2c) iff m >= c, and left of / below it iff m < c
+    marks = [(g.o_col[r], r) for r in range(n)] + [(g.x_col[r], r) for r in range(n)]
+    table = [
+        [
+            sum(1 for mc, mr in marks if (mc >= c and mr >= r) or (mc < c and mr < r))
+            for r in range(n)
+        ]
+        for c in range(n)
+    ]
+
+    def ordered_pairs(cols: tuple[int, ...]) -> int:
+        # marking pairs (p, q), q strictly up and to the right of p; the
+        # markings of one kind sit one per row and one per column
+        return sum(1 for r, s in itertools.combinations(range(n), 2) if cols[s] > cols[r])
+
     l = link_topology(g).component_count
-    const = _open_quadrant_pairs(Os, Os) + _open_quadrant_pairs(Xs, Xs) + (n - l) + 2
-    return Os, Xs, const
+    return table, ordered_pairs(g.o_col) + ordered_pairs(g.x_col) + (n - l) + 2
 
 
 def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
     """Doubled delta grading of a state.
 
-    Computed in doubled coordinates so that lattice points (2c, 2r) and
-    markings (2c+1, 2r+1) never share a coordinate line; "first quadrant"
-    is open (strict inequalities).  `grid_part` is `_grid_grading_part(g)`,
-    passed by callers that grade every state of one grid.
+    In doubled coordinates lattice points (2c, 2r) and markings (2c+1, 2r+1)
+    never share a coordinate line, and "first quadrant" is open (strict
+    inequalities).  With I(P, Q) the pairs p in P, q in Q with q up and to
+    the right of p, and x the state's points, the grading is
+    J(x-O, x-O) + J(x-X, x-X) + (n - l) + 2, which expands to
+    2 I(x, x) - sum over the points of x of `table[c][x[c]]` + const, with
+    (table, const) = `_grid_grading_part(g)`.  Callers that grade every
+    state of one grid pass that as `grid_part`.
     """
-    Os, Xs, const = grid_part or _grid_grading_part(g)
-    S = [(2 * c, 2 * state[c]) for c in range(g.n)]
-    i_ss = _open_quadrant_pairs(S, S)
-    j_oo = i_ss - _open_quadrant_pairs(S, Os) - _open_quadrant_pairs(Os, S)
-    j_xx = i_ss - _open_quadrant_pairs(S, Xs) - _open_quadrant_pairs(Xs, S)
-    return j_oo + j_xx + const
+    table, const = grid_part or _grid_grading_part(g)
+    n = g.n
+    i_ss = sum(1 for c, d in itertools.combinations(range(n), 2) if state[d] > state[c])
+    return 2 * i_ss - sum(table[c][state[c]] for c in range(n)) + const
 
 
 def _graded_basis(g: GridDiagram, states: list[State]) -> GradedBasis:
@@ -157,32 +183,82 @@ def rectangles(g: GridDiagram, x: State, y: State) -> list[Rectangle]:
     return [r for r in candidate_rectangles(g, x, y) if r.interior_points == 0]
 
 
+def _marking_prefix(g: GridDiagram) -> list[list[int]]:
+    """2n x 2n prefix sums over the doubled torus in which each marking
+    contributes its own bit: O in row r is bit r, X in row r is bit n + r
+    (the variable indices of `ExponentVector`).  A rectangle narrower and
+    shorter than n covers each marking at most once, so inclusion-exclusion
+    on it gives exactly the mask of the markings it covers."""
+    n = g.n
+    cell = [[0] * n for _ in range(n)]  # cell[c][r]
+    for r in range(n):
+        cell[g.o_col[r]][r] |= 1 << r
+        cell[g.x_col[r]][r] |= 1 << (n + r)
+    m = 2 * n
+    pref = [[0] * (m + 1) for _ in range(m + 1)]
+    for c in range(m):
+        col_bits = cell[c % n]
+        pc, pc1 = pref[c], pref[c + 1]
+        for r in range(m):
+            pc1[r + 1] = col_bits[r % n] + pc1[r] + pc[r + 1] - pc[r]
+    return pref
+
+
+def _empty_rectangles(n: int, pref: list[list[int]], x: State) -> list[tuple[State, int]]:
+    """The empty rectangles out of state x, as (target, covered-marking mask).
+
+    A rectangle has its lower-left corner at the point (a, x[a]) and its
+    upper-right corner at (b, x[b]).  Walking right from column a, the
+    rectangle to column b is empty iff its height (x[b] - x[a]) mod n is
+    below every height passed on the way (the running ceiling), and no
+    later rectangle can be empty once the ceiling is 1.  Targets come in
+    the order of the column pairs c1 < c2, lexicographic, with the c1 -> c2
+    rectangle first, as `candidate_rectangles` lists them.
+    """
+    found = []
+    xx = x + x
+    for a in range(n):
+        s = x[a]
+        ceiling = n
+        for b in range(a + 1, a + n):
+            h = (xx[b] - s) % n
+            if h < ceiling:
+                ceiling = h
+                c = b % n
+                y = list(x)
+                y[a], y[c] = y[c], s
+                t = s + h
+                mask = pref[b][t] - pref[a][t] - pref[b][s] + pref[a][s]
+                found.append((a * n + c if a < c else c * n + a, tuple(y), mask))
+                if h == 1:
+                    break
+    found.sort(key=itemgetter(0))  # stable: c1 -> c2 is found first
+    return [(y, mask) for _, y, mask in found]
+
+
 def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The multivariable complex: entries are sets of exponent vectors."""
     states = enumerate_states(g.n, cap)
     n = g.n
-    pairs = list(itertools.combinations(range(n), 2))
+    pref = _marking_prefix(g)
+    monomials: dict[int, ExponentVector] = {}
 
-    def row_for(x: State) -> dict:
-        row: dict = {}
-        for c1, c2 in pairs:
-            r1, r2 = x[c1], x[c2]
-            y = list(x)
-            y[c1], y[c2] = r2, r1
-            ty = tuple(y)
-            for a, b, s, t in ((c1, c2, r1, r2), (c2, c1, r2, r1)):
-                rect = _make_rectangle(g, x, a, s, (b - a) % n, (t - s) % n)
-                if rect.interior_points:
-                    continue
-                bucket = row.setdefault(ty, set())
-                if rect.weight in bucket:
-                    bucket.remove(rect.weight)
-                else:
-                    bucket.add(rect.weight)
-        return {ty: frozenset(evs) for ty, evs in row.items() if evs}
+    def monomial(mask: int) -> ExponentVector:
+        ev = monomials.get(mask)
+        if ev is None:
+            ev = monomials[mask] = ExponentVector(
+                tuple((i, 1) for i in range(2 * n) if mask >> i & 1)
+            )
+        return ev
 
-    rows = [row_for(x) for x in states]
-    boundary = {x: row for x, row in zip(states, rows) if row}
+    boundary: dict = {}
+    for x in states:
+        masks: dict = {}
+        for y, mask in _empty_rectangles(n, pref, x):
+            _toggle(masks.setdefault(y, set()), mask)
+        row = {y: frozenset(map(monomial, ms)) for y, ms in masks.items() if ms}
+        if row:
+            boundary[x] = row
     return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, MULTI, grid=g)
 
 
@@ -197,9 +273,10 @@ _GC_PRIME_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The single-variable complex: every marking variable set to U.
 
-    Equals specialize(build_complex(g), "all") but is built directly with
-    prefix-summed rectangle weights.  While a complex of an equal grid is
-    still held elsewhere, that same (immutable) complex is returned.
+    Equals specialize(build_complex(g), "all"), built from the same
+    rectangle walk with each rectangle weighted by its marking count.
+    While a complex of an equal grid is still held elsewhere, that same
+    (immutable) complex is returned.
     """
     _check_cap(g.n, cap)
     c = _GC_PRIME_ALIVE.get(g)
@@ -211,59 +288,24 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
     states = list(itertools.permutations(range(g.n)))
     n = g.n
-    o, x_col = g.o_col, g.x_col
-
-    # 2n x 2n prefix sums of marking counts for O(1) rectangle weights
-    cell = [[0] * n for _ in range(n)]  # cell[c][r]
-    for r in range(n):
-        cell[o[r]][r] += 1
-        cell[x_col[r]][r] += 1
-    m = 2 * n
-    pref = [[0] * (m + 1) for _ in range(m + 1)]
-    for c in range(m):
-        col_counts = cell[c % n]
-        pc, pc1 = pref[c], pref[c + 1]
-        for r in range(m):
-            pc1[r + 1] = col_counts[r % n] + pc1[r] + pc[r + 1] - pc[r]
-
-    pairs = list(itertools.combinations(range(n), 2))
-
-    def row_for(x: State) -> dict:
-        per_target: dict = {}
-        for c1, c2 in pairs:
-            r1, r2 = x[c1], x[c2]
-            y = list(x)
-            y[c1], y[c2] = r2, r1
-            ty = tuple(y)
-            for a, b, s, t in ((c1, c2, r1, r2), (c2, c1, r2, r1)):
-                w = (b - a) % n
-                h = (t - s) % n
-                clear = True
-                for dc in range(1, w):
-                    if 0 < (x[(a + dc) % n] - s) % n < h:
-                        clear = False
-                        break
-                if not clear:
-                    continue
-                wt = pref[a + w][s + h] - pref[a][s + h] - pref[a + w][s] + pref[a][s]
-                bucket = per_target.setdefault(ty, set())
-                if wt in bucket:
-                    bucket.remove(wt)
-                else:
-                    bucket.add(wt)
-        row: dict = {}
-        for ty, wts in per_target.items():
+    pref = _marking_prefix(g)
+    powers = [u_power(k) for k in range(2 * n + 1)]
+    boundary: dict = {}
+    for x in states:
+        weights: dict = {}
+        for y, mask in _empty_rectangles(n, pref, x):
+            _toggle(weights.setdefault(y, set()), mask.bit_count())
+        row = {}
+        for y, wts in weights.items():
             if not wts:
                 continue
             if len(wts) > 1:
                 raise NotHomogeneous(
-                    f"surviving rectangles {x} -> {ty} have mixed weights {sorted(wts)}"
+                    f"surviving rectangles {x} -> {y} have mixed weights {sorted(wts)}"
                 )
-            row[ty] = u_power(next(iter(wts)))
-        return row
-
-    rows = [row_for(x) for x in states]
-    boundary = {x: row for x, row in zip(states, rows) if row}
+            row[y] = powers[next(iter(wts))]
+        if row:
+            boundary[x] = row
     return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, SINGLE, grid=g)
 
 

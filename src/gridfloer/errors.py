@@ -65,12 +65,12 @@ class AnchorMismatch(GridFloerError):
     adjacent to it."""
 
 
-class BadPermutation(GridFloerError):
-    """Marking renumbering is not a permutation of the marking set."""
-
-
 class MoveSequenceInvalid(GridFloerError):
     """A movie move's precondition fails against the running state."""
+
+
+class BadPermutation(MoveSequenceInvalid):
+    """Marking renumbering is not a permutation of the running marking set."""
 
 
 class SitesNotDisjoint(GridFloerError):

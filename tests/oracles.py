@@ -5,14 +5,16 @@ definitions: polynomial arithmetic on raw bitmasks, a naive dense Smith
 reduction, determinantal divisors, winding-number determinants, and plain
 GF(2) rank.  None of it shares reduction logic with the package, except
 `tracked_presentation`, which reuses the package's pivot rule so that its
-representatives can be compared one for one.
+representatives can be compared one for one, and `rectangle_boundary`,
+which reads the package's reference rectangle walk (`rectangles`, one
+candidate pair at a time) to check the builders' running-ceiling walk.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from gridfloer import PolyF2U
+from gridfloer import PolyF2U, link_topology, rectangles
 
 # ---------------------------------------------------------------------------
 # raw F2[U] arithmetic on int bitmasks (bit k = coefficient of U^k)
@@ -424,3 +426,78 @@ def tracked_presentation(c):
     )
     rows = tuple({labels[j]: p for j, p in pr.items()} for _, _, _, pr in parts)
     return gens, rows
+
+
+# ---------------------------------------------------------------------------
+# the boundary and the grading, pair by pair
+
+
+def rectangle_boundary(g) -> dict:
+    """The multivariable boundary of g, column-sparse, from the reference
+    rectangle walk: for every state x and every column pair c1 < c2 in
+    lexicographic order, the empty rectangles from `rectangles(g, x, y)`
+    to the state y with columns c1 and c2 swapped, their exponent vectors
+    cancelled over F2.  Each emptiness test is O(n), so a state costs
+    O(n^3)."""
+    n = g.n
+    boundary = {}
+    for x in itertools.permutations(range(n)):
+        row = {}
+        for c1, c2 in itertools.combinations(range(n), 2):
+            y = list(x)
+            y[c1], y[c2] = y[c2], y[c1]
+            y = tuple(y)
+            acc = set()
+            for rect in rectangles(g, x, y):
+                acc.symmetric_difference_update({rect.weight})
+            if acc:
+                row[y] = frozenset(acc)
+        if row:
+            boundary[x] = row
+    return boundary
+
+
+def _open_quadrant_pairs(P, Q) -> int:
+    """Pairs (p, q) with q strictly up and to the right of p."""
+    return sum(1 for pc, pr in P for qc, qr in Q if qc > pc and qr > pr)
+
+
+def delta_grading_pairs(g, state) -> int:
+    """Doubled delta grading J(x-O, x-O) + J(x-X, x-X) + (n - l) + 2 from
+    the four-term expansion of J, every term an explicit pair count over
+    doubled coordinates (lattice points even, markings odd)."""
+    n = g.n
+    S = [(2 * c, 2 * state[c]) for c in range(n)]
+    Os = [(2 * g.o_col[r] + 1, 2 * r + 1) for r in range(n)]
+    Xs = [(2 * g.x_col[r] + 1, 2 * r + 1) for r in range(n)]
+
+    def J(P, Q):
+        return (
+            _open_quadrant_pairs(P, P) - _open_quadrant_pairs(P, Q)
+            - _open_quadrant_pairs(Q, P) + _open_quadrant_pairs(Q, Q)
+        )
+
+    l = link_topology(g).component_count
+    return J(S, Os) + J(S, Xs) + (n - l) + 2
+
+
+# ---------------------------------------------------------------------------
+# the squared multivariable boundary, monomial by monomial
+
+
+def boundary_squared_multi(c) -> dict:
+    """d o d of a multivariable complex, column-sparse: every two-step path
+    contributes the product of its exponent vectors, cancelled over F2."""
+    out = {}
+    for src, row in c.boundary.items():
+        acc = {}
+        for mid, evs1 in row.items():
+            for tgt, evs2 in c.boundary.get(mid, {}).items():
+                bucket = acc.setdefault(tgt, set())
+                for ev1 in evs1:
+                    for ev2 in evs2:
+                        bucket.symmetric_difference_update({ev1 * ev2})
+        cleaned = {tgt: frozenset(s) for tgt, s in acc.items() if s}
+        if cleaned:
+            out[src] = cleaned
+    return out

@@ -200,6 +200,22 @@ def _tiny_multi():
     )
 
 
+def _cubic_multi():
+    """Two-step complex with exponents up to 3 and the common variable; the
+    paths through y and w both give u0^3 u1^3, which cancels."""
+    ev = ExponentVector.make
+    basis = GradedBasis((("x", 0), ("y", -2), ("w", -2), ("z", -4)))
+    boundary = {
+        "x": {
+            "y": frozenset({ev({0: 3, 1: 1}), ev({1: 3})}),
+            "w": frozenset({ev({0: 3})}),
+        },
+        "y": {"z": frozenset({ev({0: 3}), ev({1: 2, COMMON_VARIABLE: 1})})},
+        "w": {"z": frozenset({ev({1: 3})})},
+    }
+    return MonomialComplex(basis, boundary, marking_count=2, ring=MULTI)
+
+
 class TestSpecialize:
     def test_all_policy_cancels_pairs(self):
         c = specialize(_tiny_multi(), "all")
@@ -243,6 +259,31 @@ class TestComplexChecks:
         assert evs == frozenset(
             {ExponentVector.make({0: 2}), ExponentVector.make({1: 2})}
         )
+
+    def test_packed_square_matches_the_oracle(self, multi_complexes, corpus):
+        cases = [("tiny", _tiny_multi()), ("cubes", _cubic_multi())]
+        for name, c in multi_complexes.items():
+            n = corpus[name].n
+            cases.append((name, c))
+            for p in ((0, 1), (0, n), (1, 2 * n - 1)):
+                cases.append(((name, p), specialize(c, p)))
+        for name, c in cases:
+            assert boundary_squared(c) == oracles.boundary_squared_multi(c), name
+
+    def test_packed_square_needs_the_widest_field(self):
+        # exponents up to 3 multiply to 6, three bits per variable
+        ev = ExponentVector.make
+        assert boundary_squared(_cubic_multi()) == {
+            "x": {
+                "z": frozenset(
+                    {
+                        ev({0: 6, 1: 1}),
+                        ev({COMMON_VARIABLE: 1, 0: 3, 1: 3}),
+                        ev({COMMON_VARIABLE: 1, 1: 5}),
+                    }
+                )
+            }
+        }
 
     def test_squares_to_zero_on_corpus(self, gc_primes):
         for name, c in gc_primes.items():

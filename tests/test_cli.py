@@ -179,6 +179,15 @@ class TestExitCodes:
             == EXIT_MOVE
         )
 
+    def test_renumber_of_the_wrong_length(self, grid_file, movie_file, capsys):
+        # unknot2 has four markings; the script permutes two
+        assert (
+            main(["movie", grid_file("unknot2"), movie_file("renumber 2 1\n")])
+            == EXIT_MOVE
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "everything"]) == EXIT_SUITE
         assert "unknown suite" in capsys.readouterr().err

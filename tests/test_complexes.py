@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gridfloer
+import oracles
 from gridfloer import (
     DEFAULT_STATE_CAP,
     CapExceeded,
@@ -35,7 +36,8 @@ from gridfloer import (
     validate,
     verify_curvature,
 )
-from gridfloer.complexes import _GC_PRIME_ALIVE
+from gridfloer.algebra import MULTI, MonomialComplex
+from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
 TREFOIL5_GRADINGS = {0: 20, 2: 82, 4: 16, 6: 2}
@@ -95,7 +97,9 @@ class TestGrading:
 
     def test_builders_grade_by_the_closed_form(self, corpus, gc_primes, multi_complexes):
         for name, g in corpus.items():
-            want = tuple((s, delta_grading(g, s)) for s in enumerate_states(g.n))
+            want = tuple(
+                (s, oracles.delta_grading_pairs(g, s)) for s in enumerate_states(g.n)
+            )
             assert gc_primes[name].basis.elements == want, name
             if name in multi_complexes:
                 assert multi_complexes[name].basis.elements == want, name
@@ -185,7 +189,8 @@ class TestBuilders:
     def test_direct_build_matches_specialized_multivariable(
         self, corpus, gc_primes, multi_complexes
     ):
-        # two independent routes to the same single-variable boundary
+        # both builders read one rectangle walk, so this checks the two
+        # coefficient rules on it; the walk itself is checked by TestWalkOracle
         for name, multi in multi_complexes.items():
             direct = gc_primes[name]
             via = specialize(multi, "all")
@@ -227,6 +232,48 @@ class TestBuilders:
                 for ev in evs:
                     seen.update(ev.variables())
             assert seen <= set(range(2 * n))
+
+
+def _row_orders(boundary):
+    return [(src, list(row)) for src, row in boundary.items()]
+
+
+@pytest.fixture(scope="module")
+def walk_cases(corpus):
+    """(name, grid, oracle boundary, oracle basis) on the corpus up to
+    n = 5 and six seeded n = 6 grids."""
+    grids = [(name, g) for name, g in corpus.items() if g.n <= 5]
+    rng = random.Random(20260814)
+    grids += [(("seeded", i), random_grid(6, rng)) for i in range(6)]
+    return [
+        (
+            name,
+            g,
+            oracles.rectangle_boundary(g),
+            tuple((s, oracles.delta_grading_pairs(g, s)) for s in enumerate_states(g.n)),
+        )
+        for name, g in grids
+    ]
+
+
+class TestWalkOracle:
+    """Both builders against the reference walk, one candidate pair at a
+    time, including the order of every row's targets."""
+
+    def test_multivariable_build(self, walk_cases):
+        for name, g, want, graded in walk_cases:
+            c = build_complex(g)
+            assert c.boundary == want, name
+            assert _row_orders(c.boundary) == _row_orders(want), name
+            assert c.basis.elements == graded, name
+
+    def test_single_variable_build(self, walk_cases):
+        for name, g, want, graded in walk_cases:
+            c = _build_gc_prime(g)
+            via = specialize(MonomialComplex(c.basis, want, 2 * g.n, MULTI), "all")
+            assert c.boundary == via.boundary, name
+            assert _row_orders(c.boundary) == _row_orders(via.boundary), name
+            assert c.basis.elements == graded, name
 
 
 class TestCurvature:
