@@ -87,10 +87,6 @@ def _poly_str(p: PolyF2U) -> str:
     return repr(p).replace(" ", "")
 
 
-def _summary_rows(summary: GradedModuleSummary) -> list[dict]:
-    return summary.to_json_rows()
-
-
 def _print_summary_table(summary: GradedModuleSummary, out) -> None:
     print(f"{'grading':>8} {'free':>6}  torsion", file=out)
     for row in summary.to_json_rows():
@@ -112,7 +108,7 @@ def cmd_homology(grid_file: str, config: RunConfig, out=None) -> int:
     summary = homology(c)
     if config.output == "json":
         json.dump(
-            {"n": g.n, "generators": len(c.basis), "homology": _summary_rows(summary)},
+            {"n": g.n, "generators": len(c.basis), "homology": summary.to_json_rows()},
             out,
             indent=2,
         )
@@ -139,8 +135,8 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> i
             {
                 "final_grid": _grid_json(result.final_grid),
                 "degree": degree,
-                "source_homology": _summary_rows(result.src_summary),
-                "target_homology": _summary_rows(result.tgt_summary),
+                "source_homology": result.src_summary.to_json_rows(),
+                "target_homology": result.tgt_summary.to_json_rows(),
                 "induced": matrix,
             },
             out,

@@ -276,18 +276,24 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     return f
 
 
-def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
-    """Chain map of a band move (switch); fails loudly if the U-placement
-    rule does not commute with the boundaries."""
-    f = band_map_raw(c, choice)
+def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
+    """Raise ChainMapViolation naming the site and the first generator
+    where f does not commute with the boundaries."""
     defect = chain_defect(f)
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
-            f"flavor {choice.flavor} at col={choice.site.col + 1} "
-            f"row={choice.site.row + 1} letter={choice.site.letter}: boundaries "
-            f"disagree at generator {x}: d(f(x))={lhs} but f(d(x))={rhs}"
+            f"flavor {flavor} at col={site.col + 1} row={site.row + 1} "
+            f"letter={site.letter}: boundaries disagree at generator {x}: "
+            f"d(f(x))={lhs} but f(d(x))={rhs}"
         )
+
+
+def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
+    """Chain map of a band move (switch); fails loudly if the U-placement
+    rule does not commute with the boundaries."""
+    f = band_map_raw(c, choice)
+    _require_band_chain_map(f, choice.flavor, choice.site)
     return f
 
 
@@ -300,14 +306,7 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
     f = band_map_raw(c, BandMapChoice(site, "nu"))
     g = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
     total = add_chain_maps(f, g)
-    defect = chain_defect(total)
-    if defect is not None:
-        x, lhs, rhs = defect
-        raise ChainMapViolation(
-            f"flavor sum at col={site.col + 1} row={site.row + 1} "
-            f"letter={site.letter}: "
-            f"boundaries disagree at generator {x}: d(f(x))={lhs} but f(d(x))={rhs}"
-        )
+    _require_band_chain_map(total, "sum", site)
     return total
 
 

@@ -2,19 +2,20 @@
 
 Everything here is deliberately written from scratch against textbook
 definitions: polynomial arithmetic on raw bitmasks, a naive dense Smith
-reduction, determinantal divisors, winding-number determinants, and plain
-GF(2) rank.  None of it shares reduction logic with the package, except
-`tracked_presentation`, which reuses the package's pivot rule so that its
-representatives can be compared one for one, and `rectangle_boundary`,
-which reads the package's reference rectangle walk (`rectangles`, one
-candidate pair at a time) to check the builders' running-ceiling walk.
+reduction, determinantal divisors, winding-number determinants, plain
+GF(2) rank, and the pivot cancellation (`_Reduction`) that computed
+homology before the column reduction, with its presentation tracked in
+`PolyF2U` arithmetic.  None of it shares reduction logic with the package.
+`rectangle_boundary` reads the package's reference rectangle walk
+(`rectangles`, one candidate pair at a time) to check the builders'
+running-ceiling walk.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from gridfloer import PolyF2U, link_topology, rectangles
+from gridfloer import NotHomogeneous, PolyF2U, link_topology, rectangles
 
 # ---------------------------------------------------------------------------
 # raw F2[U] arithmetic on int bitmasks (bit k = coefficient of U^k)
@@ -368,49 +369,142 @@ def _vec_add(target: dict, source: dict, shift: int) -> None:
             target.pop(i, None)
 
 
-def tracked_presentation(c):
-    """(generators, projection rows) of c as `present_homology` builds them,
-    with representatives and projection rows kept as {index: PolyF2U}
-    vectors and every change of basis shifted by U^(e - k) explicitly.
+class _Reduction:
+    """Cancellation of a homogeneous monomial differential, the pivot
+    engine that `homology` ran before the column reduction.
 
-    Uses the package's pivot rule (the `_Reduction` bookkeeping untracked),
-    because the representatives depend on the pivot sequence; only the
-    tracking arithmetic is independent.
+    Repeatedly cancels a pivot entry src -> tgt of globally minimal exponent
+    k; the induced update on the survivors is
+    D[w][z] += U^{e_w + e_z - k} for every w -> tgt and src -> z.  A pivot
+    with k >= 1 leaves a torsion summand F2[U]/(U^k) at the target's grading.
     """
-    from gridfloer import HomologyGenerator
-    from gridfloer.algebra import _check_squares_to_zero, _int_exponents, _Reduction
 
-    D = _int_exponents(c)
-    _check_squares_to_zero(D)
+    def __init__(self, D: dict, labels: list):
+        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.labels = labels
+        m = len(labels)
+        self.cols: list[dict] = [dict() for _ in range(m)]  # src -> {tgt: k}
+        self.rows: list[dict] = [dict() for _ in range(m)]  # tgt -> {src: k}
+        self.buckets: dict[int, dict] = {}
+        for src, row in D.items():
+            si = self.index[src]
+            for tgt, k in row.items():
+                self._add(si, self.index[tgt], k)
+        self.alive = set(range(m))
+        self.torsion: list[tuple[int, int]] = []  # (target index, exponent)
+
+    def _add(self, s: int, t: int, k: int) -> None:
+        self.cols[s][t] = k
+        self.rows[t][s] = k
+        self.buckets.setdefault(k, {})[(s, t)] = None
+
+    def _remove(self, s: int, t: int) -> None:
+        k = self.cols[s].pop(t)
+        del self.rows[t][s]
+        del self.buckets[k][(s, t)]
+        if not self.buckets[k]:
+            del self.buckets[k]
+
+    def _toggle(self, s: int, t: int, k: int) -> None:
+        if t in self.cols[s]:
+            # homogeneity: a re-created entry must carry the same exponent
+            if self.cols[s][t] != k:
+                raise NotHomogeneous(
+                    f"entry {self.labels[s]}->{self.labels[t]} re-created as U^{k}, "
+                    f"not U^{self.cols[s][t]}"
+                )
+            self._remove(s, t)
+        else:
+            self._add(s, t, k)
+
+    def _pick_pivot(self) -> tuple[int, int, int]:
+        kmin = min(self.buckets)
+        best = None
+        for (s, t) in itertools.islice(self.buckets[kmin], 48):
+            fill = (len(self.rows[t]) - 1) * (len(self.cols[s]) - 1)
+            cand = (fill, s, t)
+            if best is None or cand < best:
+                best = cand
+                if fill == 0:
+                    break
+        _, s, t = best
+        return s, t, kmin
+
+    def cancel(self) -> tuple[int, int, int, dict, dict]:
+        """Cancel one pivot a -> b of exponent k; returns (a, b, k, in_b,
+        out_a), where in_b = {w: e_w} and out_a = {z: e_z} are the other
+        entries into b and out of a before the cancellation."""
+        a, b, k = self._pick_pivot()
+        in_b = {w: e for w, e in self.rows[b].items() if w != a}
+        out_a = {z: e for z, e in self.cols[a].items() if z != b}
+        for w in list(self.rows[b]):
+            self._remove(w, b)
+        for z in list(self.cols[a]):
+            self._remove(a, z)
+        for z in list(self.cols[b]):  # boundary of b dies with the pair
+            self._remove(b, z)
+        for w in list(self.rows[a]):  # entries into a vanish by d^2 = 0
+            self._remove(w, a)
+        for w, ew in in_b.items():
+            for z, ez in out_a.items():
+                self._toggle(w, z, ew + ez - k)
+        self.alive.discard(a)
+        self.alive.discard(b)
+        if k >= 1:
+            self.torsion.append((b, k))
+        return a, b, k, in_b, out_a
+
+
+def _exponents(c) -> dict:
+    """The boundary of a homogeneous single-variable complex as
+    {src: {tgt: k}} for its entries U^k."""
+    return {
+        src: {tgt: p.degree() for tgt, p in row.items() if p}
+        for src, row in c.boundary.items()
+    }
+
+
+def _summary(red: _Reduction, c):
+    from gridfloer import GradedModuleSummary
+
+    grading = c.basis.to_dict()
+    acc: dict = {}  # grading -> [free rank, torsion exponents]
+    for i in red.alive:
+        acc.setdefault(grading[red.labels[i]], [0, []])[0] += 1
+    for t, k in red.torsion:
+        acc.setdefault(grading[red.labels[t]], [0, []])[1].append(k)
+    return GradedModuleSummary.from_dict(acc)
+
+
+def reduction_summary(c):
+    """The homology summary of c by pivot cancellation."""
+    red = _Reduction(_exponents(c), list(c.basis.labels()))
+    while red.buckets:
+        red.cancel()
+    return _summary(red, c)
+
+
+def tracked_presentation(c):
+    """The homology presentation of c by pivot cancellation, with
+    representatives and projection rows kept as {index: PolyF2U} vectors
+    and every change of basis shifted by U^(e - k) explicitly.  Free towers
+    come first, then torsion summands in pivot order."""
+    from gridfloer import HomologyGenerator, HomologyPresentation
+
     labels = list(c.basis.labels())
-    red = _Reduction(D, labels, track=False)
+    red = _Reduction(_exponents(c), labels)
     one = PolyF2U(1)
     rep = [{i: one} for i in range(len(labels))]
     proj = [{i: one} for i in range(len(labels))]
     torsion = []
     while red.buckets:
-        a, b, k = red._pick_pivot()
-        in_b = {w: e for w, e in red.rows[b].items() if w != a}
-        out_a = {z: e for z, e in red.cols[a].items() if z != b}
-        for w in list(red.rows[b]):
-            red._remove(w, b)
-        for z in list(red.cols[a]):
-            red._remove(a, z)
-        for z in list(red.cols[b]):
-            red._remove(b, z)
-        for w in list(red.rows[a]):
-            red._remove(w, a)
+        a, b, k, in_b, out_a = red.cancel()
         for z, ez in out_a.items():
             _vec_add(rep[b], rep[z], ez - k)
             _vec_add(proj[z], proj[b], ez - k)
         for w, ew in in_b.items():
             _vec_add(rep[w], rep[a], ew - k)
             _vec_add(proj[a], proj[w], ew - k)
-        for w, ew in in_b.items():
-            for z, ez in out_a.items():
-                red._toggle(w, z, ew + ez - k)
-        red.alive.discard(a)
-        red.alive.discard(b)
         if k >= 1:
             torsion.append((b, k, dict(rep[b]), dict(proj[b])))
         rep[a], proj[a], rep[b] = {}, {}, {}
@@ -425,7 +519,7 @@ def tracked_presentation(c):
         for i, k, r, _ in parts
     )
     rows = tuple({labels[j]: p for j, p in pr.items()} for _, _, _, pr in parts)
-    return gens, rows
+    return HomologyPresentation(c, _summary(red, c), gens, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from gridfloer import (
     specialize,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE, _implied_vector, _Reduction
+from gridfloer.algebra import MULTI, SINGLE, _apply_columns, _implied_vector
 from gridfloer.complexes import _build_gc_prime
 
 polys = st.builds(PolyF2U, st.integers(min_value=0, max_value=2**12 - 1))
@@ -333,11 +333,6 @@ class TestHomology:
         assert b.summary == summary
         assert [x.label for x in b.generators] == labels
 
-    def test_recreated_entry_must_keep_its_exponent(self):
-        red = _Reduction({"a": {"b": 1}}, ["a", "b"], track=False)
-        with pytest.raises(NotHomogeneous, match="re-created"):
-            red._toggle(0, 1, 2)
-
     def test_presentation_consistency(self, gc_primes):
         for name, c in gc_primes.items():
             pres = present_homology(c)
@@ -349,22 +344,18 @@ class TestHomology:
                 assert coords == want, (name, i)
 
     def test_representatives_are_cycles(self, gc_primes):
-        from gridfloer.algebra import _apply_boundary
-
         for name, c in gc_primes.items():
             for gen in present_homology(c).generators:
-                assert _apply_boundary(c, gen.representative) == {}, name
+                assert _apply_columns(c.boundary, gen.representative) == {}, name
 
     def test_boundaries_project_to_zero(self, gc_primes, rng):
-        from gridfloer.algebra import _apply_boundary
-
         for name, c in gc_primes.items():
             pres = present_homology(c)
             labels = c.basis.labels()
             for _ in range(5):
                 picks = rng.sample(labels, min(3, len(labels)))
                 vec = {lab: u_power(rng.randint(0, 2)) for lab in picks}
-                img = _apply_boundary(c, vec)
+                img = _apply_columns(c.boundary, vec)
                 assert not any(pres.project(img)), name
 
     def test_u_action_on_homology(self, gc_primes):
@@ -382,22 +373,90 @@ class TestHomology:
                     else:
                         assert mat[i][j] == U
 
+    def test_total_rank_matches_mod_u_dimension(self, gc_primes):
+        # setting U = 0 keeps each free tower and splits each torsion
+        # summand into two F2s
+        for name, c in gc_primes.items():
+            s = homology(c)
+            dim = s.total_free() + 2 * len(s.torsion_multiset())
+            assert dim == oracles.mod_u_homology_dimension(c), name
+
+    def test_matches_smith_form_of_the_dense_boundary(self, corpus, gc_primes):
+        for name, c in gc_primes.items():
+            if corpus[name].n > 5:
+                continue
+            diagonal = [p for p in smith_reduce(_boundary_matrix(c)[0]).diagonal if p]
+            s = homology(c)
+            assert s.total_free() == len(c.basis) - 2 * len(diagonal), name
+            assert s.torsion_multiset() == tuple(
+                sorted(p.degree() for p in diagonal if p.degree() > 0)
+            ), name
+
+    # hand-built complexes on which one wrong step of the column reduction
+    # changes the answer
+
+    def test_earlier_column_is_added_into_the_later(self):
+        # dx = t, dy = U t: y + U x is the cycle; adding y into x instead
+        # would need U^-1, and pairs y with t as torsion
+        basis = GradedBasis((("x", 2), ("y", 0), ("t", 0)))
+        c = MonomialComplex(basis, {"x": {"t": ONE}, "y": {"t": U}}, 1, SINGLE)
+        pres = present_homology(c)
+        assert pres.summary.to_dict() == {0: (1, ())}
+        assert [g.representative for g in pres.generators] == [{"y": ONE, "x": U}]
+
+    def test_low_is_the_lowest_graded_target(self):
+        # dx = s + U t: x cancels against s, its U^0 entry, and t survives
+        basis = GradedBasis((("x", 2), ("s", 0), ("t", 2)))
+        c = MonomialComplex(basis, {"x": {"s": ONE, "t": U}}, 1, SINGLE)
+        assert homology(c).to_dict() == {2: (1, ())}
+        assert homology(c) == oracles.reduction_summary(c)
+
+    def test_only_a_low_is_cleared(self):
+        # dx = s + U t, dt = r, ds = U r: t is a target of x but not its
+        # low, and its own column pairs it with r
+        basis = GradedBasis((("x", 2), ("t", 2), ("s", 0), ("r", 0)))
+        boundary = {"x": {"s": ONE, "t": U}, "t": {"r": ONE}, "s": {"r": U}}
+        c = MonomialComplex(basis, boundary, 1, SINGLE)
+        assert homology(c).to_dict() == {}
+        assert homology(c) == oracles.reduction_summary(c)
+
+
+def _mat_mul(A, B):
+    out = [[ZERO] * len(B[0]) for _ in A]
+    for i, row in enumerate(A):
+        for k, a in enumerate(row):
+            if a:
+                for j, b in enumerate(B[k]):
+                    if b:
+                        out[i][j] += a * b
+    return out
+
 
 def _assert_matches_tracked_oracle(c, name):
-    pres = present_homology(c)
-    gens, rows = oracles.tracked_presentation(c)
-    assert len(pres.generators) == len(gens), name
-    for got, want in zip(pres.generators, gens):
-        assert got.label == want.label, name
-        assert (got.grading, got.torsion_exp) == (want.grading, want.torsion_exp), name
-        assert got.representative == want.representative, (name, got.label)
-    assert len(pres._proj_rows) == len(rows), name
-    for got_row, want_row in zip(pres._proj_rows, rows):
-        assert got_row == want_row, name
+    """The column reduction against the pivot-cancellation oracle, without
+    reference to either basis: equal summaries, identity maps between the
+    two presentations that compose to the identity (torsion coordinates
+    taken mod U^k), and every representative projecting to its unit
+    vector."""
+    new = present_homology(c)
+    old = oracles.tracked_presentation(c)
+    assert new.summary == old.summary, name
+    ident = identity_chain_map(c)
+    there = induced_map(ident, old, new)
+    back = induced_map(ident, new, old)
+    for pres, product in ((old, _mat_mul(back, there)), (new, _mat_mul(there, back))):
+        for i, gen in enumerate(pres.generators):
+            for j, p in enumerate(product[i]):
+                if gen.torsion_exp is not None:
+                    p = p.truncated(gen.torsion_exp)
+                assert p == (ONE if i == j else ZERO), (name, i, j)
+    for i, gen in enumerate(new.generators):
+        coords = new.project(gen.representative)
+        assert coords == tuple(ONE if j == i else ZERO for j in range(len(coords))), (name, i)
 
 
 class TestPresentationOracle:
-    """Bitset tracking against the PolyF2U-vector tracked reduction."""
+    """The column reduction against the pivot cancellation it replaced."""
 
     def test_corpus(self, gc_primes):
         for name, c in gc_primes.items():
@@ -412,6 +471,12 @@ class TestPresentationOracle:
             quasi = quasi_stab_map(c, StabModel("quasi", anchor=0)).tgt
             _assert_matches_tracked_oracle(quasi, (i, "quasi"))
             _assert_matches_tracked_oracle(disk_stab_map(c).tgt, (i, "disk"))
+
+    def test_seeded_n7_summaries(self):
+        rng = random.Random(20260814)
+        for i in range(2):
+            c = build_gc_prime(random_grid(7, rng))
+            assert homology(c) == oracles.reduction_summary(c), i
 
     def test_inconsistent_grading_is_a_broken_invariant(self):
         labels = ["a", "b"]
