@@ -355,33 +355,25 @@ def _monomial_packing(c: MonomialComplex):
 
 def boundary_squared(c: MonomialComplex) -> dict:
     """The composition of the boundary with itself, column-sparse."""
+    if c.ring != MULTI:
+        return _compose_columns(c.boundary, c.boundary)
     out: dict = {}
-    if c.ring == MULTI:
-        code, decode = _monomial_packing(c)
-        packed = {
-            src: {tgt: [code[ev] for ev in evs] for tgt, evs in row.items()}
-            for src, row in c.boundary.items()
-        }
-        for src, row in packed.items():
-            acc: dict[object, set] = {}
-            for mid, codes1 in row.items():
-                for tgt, codes2 in packed.get(mid, {}).items():
-                    bucket = acc.setdefault(tgt, set())
-                    for p1 in codes1:
-                        for p2 in codes2:
-                            _toggle(bucket, p1 + p2)
-            cleaned = {tgt: frozenset(map(decode, s)) for tgt, s in acc.items() if s}
-            if cleaned:
-                out[src] = cleaned
-    else:
-        for src, row in c.boundary.items():
-            acc2: dict[object, PolyF2U] = {}
-            for mid, p1 in row.items():
-                for tgt, p2 in c.boundary.get(mid, {}).items():
-                    acc2[tgt] = acc2.get(tgt, ZERO) + p1 * p2
-            cleaned2 = {tgt: p for tgt, p in acc2.items() if p}
-            if cleaned2:
-                out[src] = cleaned2
+    code, decode = _monomial_packing(c)
+    packed = {
+        src: {tgt: [code[ev] for ev in evs] for tgt, evs in row.items()}
+        for src, row in c.boundary.items()
+    }
+    for src, row in packed.items():
+        acc: dict[object, set] = {}
+        for mid, codes1 in row.items():
+            for tgt, codes2 in packed.get(mid, {}).items():
+                bucket = acc.setdefault(tgt, set())
+                for p1 in codes1:
+                    for p2 in codes2:
+                        _toggle(bucket, p1 + p2)
+        cleaned = {tgt: frozenset(map(decode, s)) for tgt, s in acc.items() if s}
+        if cleaned:
+            out[src] = cleaned
     return out
 
 
@@ -653,6 +645,17 @@ def _apply_columns(columns: dict, vec: dict) -> dict:
     return out
 
 
+def _compose_columns(first: dict, then: dict) -> dict:
+    """The column-sparse product `then` after `first`, with empty columns
+    dropped."""
+    out: dict = {}
+    for src, row in first.items():
+        col = _apply_columns(then, row)
+        if col:
+            out[src] = col
+    return out
+
+
 def _diagonal_shifts(f: ChainMap) -> dict | None:
     """{x: k} when f sends every source generator x to U^k x, else None."""
     shifts = {}
@@ -767,18 +770,7 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
     if f.tgt.basis != g.src.basis:
         raise NotChainMap("composition endpoints do not match")
-    entries: dict = {}
-    for src, row in f.entries.items():
-        acc: dict = {}
-        for mid, p in row.items():
-            for tgt, q in g.entries.get(mid, {}).items():
-                v = acc.get(tgt, ZERO) + p * q
-                if v:
-                    acc[tgt] = v
-                else:
-                    acc.pop(tgt, None)
-        if acc:
-            entries[src] = acc
+    entries = _compose_columns(f.entries, g.entries)
     deg = None
     if f.degree is not None and g.degree is not None:
         deg = f.degree + g.degree

@@ -38,7 +38,7 @@ from .cobordism import (
     serialize_movie,
     verify_commutation,
 )
-from .complexes import build_gc_prime, verify_curvature
+from .complexes import DEFAULT_STATE_CAP, build_gc_prime, verify_curvature
 from .corpus import corpus_grids
 from .errors import (
     CapExceeded,
@@ -67,12 +67,10 @@ EXIT_CAP = 3
 EXIT_MOVE = 4
 EXIT_SUITE = 5
 
-SUITES = ("curvature", "band-relations", "stab-relations", "commutation", "grading")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    state_cap: int = 8
+    state_cap: int = DEFAULT_STATE_CAP
     output: str = "table"  # "json" | "table"
     seed: int = 0
 
@@ -100,10 +98,14 @@ def _grid_json(g: GridDiagram) -> dict:
     return {"n": g.n, "o": list(g.o_col), "x": list(g.x_col)}
 
 
+def _read_grid(path: str) -> GridDiagram:
+    with open(path) as fh:
+        return parse_grid(fh.read())
+
+
 def cmd_homology(grid_file: str, config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    with open(grid_file) as fh:
-        g = parse_grid(fh.read())
+    g = _read_grid(grid_file)
     c = build_gc_prime(g, config.state_cap)
     summary = homology(c)
     if config.output == "json":
@@ -121,8 +123,7 @@ def cmd_homology(grid_file: str, config: RunConfig, out=None) -> int:
 
 def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    with open(grid_file) as fh:
-        g = parse_grid(fh.read())
+    g = _read_grid(grid_file)
     with open(movie_file) as fh:
         movie = parse_movie(fh.read(), g)
     result = compose_movie(movie, config.state_cap)
@@ -172,8 +173,7 @@ def _site_record(g: GridDiagram, site: SwitchSite) -> dict:
 
 def cmd_sites(grid_file: str, config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    with open(grid_file) as fh:
-        g = parse_grid(fh.read())
+    g = _read_grid(grid_file)
     records = [_site_record(g, s) for s in find_switch_sites(g)]
     if config.output == "json":
         json.dump({"n": g.n, "sites": records}, out, indent=2)
@@ -282,11 +282,12 @@ def _suite_commutation(config: RunConfig):
 
 _SUITE_RUNNERS = {
     "curvature": _suite_curvature,
-    "grading": _suite_grading,
     "band-relations": _suite_band_relations,
     "stab-relations": _suite_stab_relations,
     "commutation": _suite_commutation,
+    "grading": _suite_grading,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def cmd_verify(suite: str, config: RunConfig, out=None) -> int:
@@ -333,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gridfloer",
         description="Unoriented grid homology and link-cobordism maps.",
     )
-    parser.add_argument("--cap", type=int, default=8, help="state cap (max grid size)")
+    parser.add_argument(
+        "--cap", type=int, default=DEFAULT_STATE_CAP, help="state cap (max grid size)"
+    )
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)

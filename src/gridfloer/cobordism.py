@@ -6,6 +6,10 @@ by U according to the distinguished-point rule.  Quasi- and disk
 stabilizations act algebraically: the complex is tensored with a rank-2
 free module with zero differential, and destabilizations project back.
 Every constructed map is asserted to commute with the boundaries.
+
+Each stabilization appends one entry to `MonomialComplex.tensor_stack`:
+`("quasi", anchor, side, tags)` or `("disk", tags)`, where `tags` names
+the two generators of the rank-2 module, the upper one first.
 """
 from __future__ import annotations
 
@@ -50,7 +54,6 @@ from .grids import (
     apply_switch,
     same_letter_neighbors,
     site_diagonal,
-    site_exists,
     validate,
 )
 
@@ -159,32 +162,20 @@ def derived_stab_offsets() -> tuple[int, int]:
         build_gc_prime(validate((0, 1, 2, 3), (1, 0, 3, 2)))
     ).to_dict()
 
-    def merge(parts):
+    def copies(*shifts):
+        """H(2x2 unknot) summed over copies shifted down by each of shifts."""
         acc: dict = {}
-        for part in parts:
-            for g, (free, tors) in part.items():
-                f0, t0 = acc.get(g, (0, ()))
-                acc[g] = (f0 + free, tuple(sorted(t0 + tuple(tors))))
-        return {g: (f, tuple(sorted(t))) for g, (f, t) in acc.items() if f or t}
+        for d in shifts:
+            for g, (free, tors) in h2.items():
+                f0, t0 = acc.get(g - d, (0, ()))
+                acc[g - d] = (f0 + free, tuple(sorted(t0 + tors)))
+        return acc
 
-    def shifted(h, d):
-        return {g - d: (f, tuple(t)) for g, (f, t) in h.items()}
-
-    norm2 = {g: (f, tuple(t)) for g, (f, t) in h2.items()}
-    norm3 = {g: (f, tuple(t)) for g, (f, t) in h3.items()}
-    norm_split = {g: (f, tuple(t)) for g, (f, t) in h_split.items()}
-    quasi = [s for s in range(-6, 7) if merge([norm2, shifted(norm2, s)]) == norm3]
+    quasi = [s for s in range(-6, 7) if copies(0, s) == h3]
     if len(quasi) != 1:
         raise BrokenInvariant(f"quasi gap not unique: {quasi}")
     s_v = quasi[0]
-    disk = [
-        s
-        for s in range(-6, 7)
-        if merge(
-            [norm2, shifted(norm2, s_v), shifted(norm2, s), shifted(norm2, s + s_v)]
-        )
-        == norm_split
-    ]
+    disk = [s for s in range(-6, 7) if copies(0, s_v, s, s + s_v) == h_split]
     if len(disk) != 1:
         raise BrokenInvariant(f"disk gap not unique: {disk}")
     return s_v, disk[0]
@@ -194,12 +185,13 @@ def derived_stab_offsets() -> tuple[int, int]:
 # tensor bookkeeping
 
 
-def _tensor_rank2(
-    c: MonomialComplex, tags: tuple[str, str], gap: int, stack_entry: tuple
-) -> MonomialComplex:
-    """c tensored with a rank-2 free module with zero differential; the
-    second generator sits `gap` doubled-grading units below the first."""
+def _tensor_rank2(c: MonomialComplex, entry: tuple) -> MonomialComplex:
+    """c tensored with a stack entry's rank-2 free module, zero differential;
+    the second tag sits the gap of the entry's kind below the first."""
+    tags = entry[-1]
     plus, minus = tags
+    s_v, s_w = derived_stab_offsets()
+    gap = s_v if entry[0] == "quasi" else s_w
     elements = []
     for lab, d in c.basis.elements:
         elements.append(((lab, plus), d))
@@ -214,19 +206,15 @@ def _tensor_rank2(
         c.marking_count + 2,
         c.ring,
         c.grid,
-        c.tensor_stack + (stack_entry,),
+        c.tensor_stack + (entry,),
     )
 
 
-def _apply_stack(c: MonomialComplex, stack: tuple) -> MonomialComplex:
-    s_v, s_w = derived_stab_offsets() if stack else (0, 0)
+def _stacked_complex(g: GridDiagram, stack: tuple) -> MonomialComplex:
+    """The base complex of g with each stack entry tensored on in order."""
+    c = build_gc_prime(g, g.n)
     for entry in stack:
-        if entry[0] == "quasi":
-            _, anchor, side, tags = entry
-            c = _tensor_rank2(c, tags, s_v, entry)
-        else:
-            _, tags = entry
-            c = _tensor_rank2(c, tags, s_w, entry)
+        c = _tensor_rank2(c, entry)
     return c
 
 
@@ -236,11 +224,11 @@ def _base_state(label, depth: int):
     return label
 
 
-def _rewrap(label, depth: int, new_base):
-    """Replace the innermost base state of a nested tensor label."""
-    if depth == 0:
-        return new_base
-    return (_rewrap(label[0], depth - 1, new_base), label[1])
+def _move_map(src: MonomialComplex, tgt: MonomialComplex, entries: dict) -> ChainMap:
+    """The chain map of one move, with its degree recorded."""
+    f = ChainMap(src, tgt, entries)
+    f.degree = chain_map_degree(f)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +241,6 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
         raise InvalidSite("band maps act on single-variable grid complexes")
     g = c.grid
     site = choice.site
-    if not site_exists(g, site):
-        raise InvalidSite(
-            f"no {site.letter} diagonal pair in block col={site.col} row={site.row}"
-        )
     g2 = apply_switch(g, site)
     kind = site_diagonal(g, site)
     # U multiplies the generators containing the distinguished point exactly
@@ -264,16 +248,14 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     u_when_contains = (kind == "main") == (choice.flavor == "nu")
     n = g.n
     p_col, p_row = (site.col + 1) % n, (site.row + 1) % n
-    tgt = _apply_stack(build_gc_prime(g2, g2.n), c.tensor_stack)
+    tgt = _stacked_complex(g2, c.tensor_stack)
     depth = len(c.tensor_stack)
     entries: dict = {}
     for lab in c.basis.labels():
         x = _base_state(lab, depth)
         hit = x[p_col] == p_row
         entries[lab] = {lab: U if hit == u_when_contains else ONE}
-    f = ChainMap(c, tgt, entries)
-    f.degree = chain_map_degree(f)
-    return f
+    return _move_map(c, tgt, entries)
 
 
 def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
@@ -314,20 +296,28 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 # stabilization maps
 
 
+def _include(c: MonomialComplex, entry: tuple) -> ChainMap:
+    """x -> x tensor (first tag), into c tensored with the entry's rank-2 module."""
+    plus = entry[-1][0]
+    entries = {lab: {(lab, plus): ONE} for lab in c.basis.labels()}
+    return _move_map(c, _tensor_rank2(c, entry), entries)
+
+
+def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
+    """Project c onto the complex under its stack minus the top entry:
+    x tensor keep_tag -> x, and the other tag dies."""
+    tgt = _stacked_complex(c.grid, c.tensor_stack[:-1])
+    entries = {(lab, keep_tag): {lab: ONE} for lab in tgt.basis.labels()}
+    return _move_map(c, tgt, entries)
+
+
 def quasi_stab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
     """x -> x tensor plus_gen into c tensor V."""
     if m.kind != "quasi":
         raise ValueError("quasi_stab_map needs a quasi StabModel")
     if c.grid is None or not 0 <= m.anchor < 2 * c.grid.n:
         raise AnchorMismatch(f"anchor {m.anchor} is not a marking of the base grid")
-    s_v, _ = derived_stab_offsets()
-    entry = ("quasi", m.anchor, m.side, m.v_basis)
-    tgt = _tensor_rank2(c, m.v_basis, s_v, entry)
-    plus = m.v_basis[0]
-    entries = {lab: {(lab, plus): ONE} for lab in c.basis.labels()}
-    f = ChainMap(c, tgt, entries)
-    f.degree = chain_map_degree(f)
-    return f
+    return _include(c, ("quasi", m.anchor, m.side, m.v_basis))
 
 
 def quasi_destab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
@@ -341,55 +331,29 @@ def quasi_destab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
         raise ValueError("quasi_destab_map needs a quasi StabModel")
     if not c.tensor_stack or c.tensor_stack[-1][0] != "quasi":
         raise AnchorMismatch("complex is not a quasi-stabilization target")
-    _, stab_anchor, _side, tags = c.tensor_stack[-1]
+    _, stab_anchor, _side, (plus, minus) = c.tensor_stack[-1]
     if m.anchor == stab_anchor:
-        kill_tag, keep_tag = tags  # plus dies, minus projects
-    elif m.anchor in same_letter_neighbors(c.grid, stab_anchor):
-        keep_tag, kill_tag = tags  # adjacent basepoint: roles swap
-    else:
-        raise AnchorMismatch(
-            f"destabilization anchor {m.anchor} is neither the stabilization "
-            f"anchor {stab_anchor} nor adjacent to it along the link"
-        )
-    tgt = _strip_top_factor(c)
-    entries: dict = {}
-    for lab in tgt.basis.labels():
-        entries[(lab, keep_tag)] = {lab: ONE}
-        entries[(lab, kill_tag)] = {}
-    f = ChainMap(c, tgt, entries)
-    f.degree = chain_map_degree(f)
-    return f
-
-
-def _strip_top_factor(c: MonomialComplex) -> MonomialComplex:
-    base = build_gc_prime(c.grid, c.grid.n)
-    return _apply_stack(base, c.tensor_stack[:-1])
+        return _project(c, minus)
+    if m.anchor in same_letter_neighbors(c.grid, stab_anchor):
+        return _project(c, plus)
+    name = c.grid.marking_name
+    raise AnchorMismatch(
+        f"destabilization anchor {name(m.anchor)} is neither the stabilization "
+        f"anchor {name(stab_anchor)} nor adjacent to it along the link"
+    )
 
 
 def disk_stab_map(c: MonomialComplex, tags: tuple[str, str] = ("plus", "minus")) -> ChainMap:
     """x -> x tensor plus_gen into c tensor W (a split two-basepoint unknot)."""
-    _, s_w = derived_stab_offsets()
-    entry = ("disk", tags)
-    tgt = _tensor_rank2(c, tags, s_w, entry)
-    entries = {lab: {(lab, tags[0]): ONE} for lab in c.basis.labels()}
-    f = ChainMap(c, tgt, entries)
-    f.degree = chain_map_degree(f)
-    return f
+    return _include(c, ("disk", tags))
 
 
 def disk_destab_map(c: MonomialComplex) -> ChainMap:
     """Project c tensor W back to c: plus -> 0, minus -> x."""
     if not c.tensor_stack or c.tensor_stack[-1][0] != "disk":
         raise MoveSequenceInvalid("complex is not a disk-stabilization target")
-    _, tags = c.tensor_stack[-1]
-    tgt = _strip_top_factor(c)
-    entries: dict = {}
-    for lab in tgt.basis.labels():
-        entries[(lab, tags[0])] = {}
-        entries[(lab, tags[1])] = {lab: ONE}
-    f = ChainMap(c, tgt, entries)
-    f.degree = chain_map_degree(f)
-    return f
+    _, (plus, minus) = c.tensor_stack[-1]
+    return _project(c, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +500,6 @@ def _parse_anchor(token: str, n: int, lineno: int) -> int:
     return row if m.group(1) == "O" else n + row
 
 
-def _anchor_name(anchor: int, n: int) -> str:
-    return f"O{anchor + 1}" if anchor < n else f"X{anchor - n + 1}"
-
-
 def _kv_fields(tokens: list[str], lineno: int) -> dict[str, str]:
     out = {}
     for tok in tokens:
@@ -634,7 +594,7 @@ def parse_movie(text: str, start: GridDiagram) -> Movie:
 
 
 def serialize_movie(movie: Movie) -> str:
-    n = movie.start.n
+    name = movie.start.marking_name
     lines = []
     for move in movie.moves:
         if isinstance(move, BandSwitch):
@@ -646,11 +606,11 @@ def serialize_movie(movie: Movie) -> str:
             )
         elif isinstance(move, QuasiStab):
             lines.append(
-                f"quasistab anchor={_anchor_name(move.model.anchor, n)} "
+                f"quasistab anchor={name(move.model.anchor)} "
                 f"side={move.model.side}"
             )
         elif isinstance(move, QuasiDestab):
-            lines.append(f"quasidestab anchor={_anchor_name(move.model.anchor, n)}")
+            lines.append(f"quasidestab anchor={name(move.model.anchor)}")
         elif isinstance(move, DiskStab):
             lines.append("diskstab")
         elif isinstance(move, DiskDestab):

@@ -60,13 +60,14 @@ class ChainMapViolation(GridFloerError):
     """A constructed move map failed the chain-map assertion."""
 
 
-class AnchorMismatch(GridFloerError):
-    """De-stabilization anchor is neither the stabilization anchor nor
-    adjacent to it."""
-
-
 class MoveSequenceInvalid(GridFloerError):
     """A movie move's precondition fails against the running state."""
+
+
+class AnchorMismatch(MoveSequenceInvalid):
+    """A quasi-stabilization anchor that is not a marking of the base grid,
+    or a de-stabilization whose anchor is neither the stabilization anchor
+    nor adjacent to it, or whose complex has no quasi-stabilization on top."""
 
 
 class BadPermutation(MoveSequenceInvalid):

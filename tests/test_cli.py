@@ -179,6 +179,27 @@ class TestExitCodes:
             == EXIT_MOVE
         )
 
+    @pytest.mark.parametrize(
+        "grid, script, fragment",
+        [
+            ("unknot2", "quasidestab anchor=O1\n", "not a quasi-stabilization"),
+            ("unknot2", "diskstab\nquasidestab anchor=O1\n", "not a quasi-stabilization"),
+            # trefoil5: the same-letter neighbors of O1 are O3 and O4
+            (
+                "trefoil5",
+                "quasistab anchor=O1\nquasidestab anchor=O2\n",
+                "anchor O2 is neither the stabilization anchor O1 nor adjacent",
+            ),
+        ],
+        ids=["nothing-stacked", "disk-on-top", "non-adjacent"],
+    )
+    def test_mismatched_destabilization(
+        self, grid_file, movie_file, capsys, grid, script, fragment
+    ):
+        assert main(["movie", grid_file(grid), movie_file(script)]) == EXIT_MOVE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+
     def test_renumber_of_the_wrong_length(self, grid_file, movie_file, capsys):
         # unknot2 has four markings; the script permutes two
         assert (

@@ -387,6 +387,22 @@ class TestBandOnStabilizedComplex:
         back = band_map(f.tgt, BandMapChoice(site, "nu", "inverse"))
         assert chain_maps_equal(compose_chain_maps(back, f), _u_id(stab.tgt))
 
+    def test_disk_stacks_keep_the_band_map(self, gc_primes):
+        # the target is rebuilt under the source's stack, so a disk entry
+        # must bring back the disk gap, not the quasi one
+        c = gc_primes["unknot4_sites"]
+        site = find_switch_sites(c.grid)[0]
+        plain = band_map(c, BandMapChoice(site, "nu"))
+        assert chain_map_degree(plain) == -2
+        disk = disk_stab_map(c).tgt
+        disk_then_quasi = quasi_stab_map(disk, StabModel("quasi", anchor=0)).tgt
+        for stacked in (disk, disk_then_quasi):
+            f = band_map(stacked, BandMapChoice(site, "nu"))
+            assert chain_map_degree(f) == chain_map_degree(plain)
+            assert f.tgt.tensor_stack == stacked.tensor_stack
+            back = band_map(f.tgt, BandMapChoice(site, "nu", "inverse"))
+            assert chain_maps_equal(compose_chain_maps(back, f), _u_id(stacked))
+
 
 class TestRenumber:
     def test_single_variable_identity(self, gc_primes):
