@@ -12,10 +12,16 @@ order over int bitsets (`_reduce`): homogeneity implies every coefficient
 from the gradings, so the reduction is F2 work on the boundary's pattern.
 `smith_reduce` and `solve_linear` are the dense tools for membership
 questions and the tests' oracle.
+
+The square of a multivariable boundary (`boundary_squared`) is a parity
+count per source over packed (target, monomial) int keys: one key per
+two-step path, and the keys counted an odd number of times are its terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import (
     BadPolicy,
@@ -327,53 +333,54 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
     raise BadPolicy(f"unrecognized policy {policy!r}")
 
 
-def _monomial_packing(c: MonomialComplex):
-    """Pack the exponent vectors of a multivariable complex into ints.
+def boundary_squared(c: MonomialComplex) -> dict:
+    """The composition of the boundary with itself, column-sparse.
 
-    Each variable that occurs gets a field wide enough for twice the largest
-    exponent, so the product of two packed monomials is their int sum, with
-    no carry between fields.  Returns the codes by exponent vector and a
-    memoized decoder for sums of two codes.
+    On a multivariable complex this is a parity count per source over
+    packed (target, monomial) keys.  Each distinct exponent vector is packed
+    once into an int code: every variable that occurs gets a field wide
+    enough for twice the largest exponent, so the product of two monomials
+    is the sum of their codes, with no carry between fields.  With S the
+    width of all fields, a monomial of the entry src -> tgt becomes the key
+    (t << S) + code, t the basis position of tgt.  A two-step path
+    src -> mid -> tgt is then k2 + (k1 & M), where k1 is a key of src's row,
+    k2 a key of mid's row and M = 2^S - 1, and a key counted an odd number
+    of times is a term of d^2.
     """
-    evs = {ev for _, _, entry in c.entries() for ev in entry}
+    if c.ring != MULTI:
+        return _compose_columns(c.boundary, c.boundary)
+    labels = c.basis.labels()
+    position = {lab: i for i, lab in enumerate(labels)}
+    entries = {entry for row in c.boundary.values() for entry in row.values()}
+    evs = {ev for entry in entries for ev in entry}
     variables = sorted({i for ev in evs for i, _ in ev.exps})
     width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
     shift = {v: k * width for k, v in enumerate(variables)}
     code = {ev: sum(e << shift[i] for i, e in ev.exps) for ev in evs}
-    field = (1 << width) - 1
+    entry_codes = {entry: [code[ev] for ev in entry] for entry in entries}
+    S = width * len(variables)
+    M = (1 << S) - 1
+    rows: list = [()] * len(labels)
+    for src, row in c.boundary.items():
+        rows[position[src]] = [
+            (position[tgt] << S) + p for tgt, entry in row.items() for p in entry_codes[entry]
+        ]
+    ones = (1 << width) - 1
     decoded: dict[int, ExponentVector] = {}
-
-    def decode(p: int) -> ExponentVector:
-        ev = decoded.get(p)
-        if ev is None:
-            exps = tuple((v, p >> shift[v] & field) for v in variables)
-            ev = decoded[p] = ExponentVector(tuple((v, e) for v, e in exps if e))
-        return ev
-
-    return code, decode
-
-
-def boundary_squared(c: MonomialComplex) -> dict:
-    """The composition of the boundary with itself, column-sparse."""
-    if c.ring != MULTI:
-        return _compose_columns(c.boundary, c.boundary)
     out: dict = {}
-    code, decode = _monomial_packing(c)
-    packed = {
-        src: {tgt: [code[ev] for ev in evs] for tgt, evs in row.items()}
-        for src, row in c.boundary.items()
-    }
-    for src, row in packed.items():
-        acc: dict[object, set] = {}
-        for mid, codes1 in row.items():
-            for tgt, codes2 in packed.get(mid, {}).items():
-                bucket = acc.setdefault(tgt, set())
-                for p1 in codes1:
-                    for p2 in codes2:
-                        _toggle(bucket, p1 + p2)
-        cleaned = {tgt: frozenset(map(decode, s)) for tgt, s in acc.items() if s}
-        if cleaned:
-            out[src] = cleaned
+    for src in c.boundary:
+        counts = Counter([k2 + (k1 & M) for k1 in rows[position[src]] for k2 in rows[k1 >> S]])
+        acc: dict = {}
+        for key, count in counts.items():
+            if count & 1:
+                p = key & M
+                ev = decoded.get(p)
+                if ev is None:
+                    exps = ((v, p >> shift[v] & ones) for v in variables)
+                    ev = decoded[p] = ExponentVector(tuple((v, e) for v, e in exps if e))
+                acc.setdefault(labels[key >> S], []).append(ev)
+        if acc:
+            out[src] = {tgt: frozenset(evs) for tgt, evs in acc.items()}
     return out
 
 
@@ -582,15 +589,21 @@ def _implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) 
     return out
 
 
-def _inverse_row(basis: list[int], p: int) -> int:
-    """Row p of the inverse of the unitriangular matrix with columns
+def _inverse_rows(basis: list[int], ps) -> list[int]:
+    """Rows ps of the inverse of the unitriangular matrix with columns
     `basis`, by back-substitution: bit q is the parity of the row so far
-    against column q."""
-    row = 1 << p
-    for q in range(p + 1, len(basis)):
-        if (row & basis[q]).bit_count() & 1:
-            row |= 1 << q
-    return row
+    against column q.  A column equal to 1 << q cannot set bit q, which is
+    still 0 when q is reached, so only the other columns are visited."""
+    cols = [(q, col) for q, col in enumerate(basis) if col != 1 << q]
+    starts = [q for q, _ in cols]
+    rows = []
+    for p in ps:
+        row = 1 << p
+        for q, col in cols[bisect_right(starts, p):]:
+            if (row & col).bit_count() & 1:
+                row |= 1 << q
+        rows.append(row)
+    return rows
 
 
 def present_homology(c: MonomialComplex) -> HomologyPresentation:
@@ -605,7 +618,8 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
         for i, k in parts
     )
     rows = tuple(
-        _implied_vector(_inverse_row(basis, i), labels, gradings, i, -1) for i, _ in parts
+        _implied_vector(row, labels, gradings, i, -1)
+        for (i, _), row in zip(parts, _inverse_rows(basis, [i for i, _ in parts]))
     )
     return HomologyPresentation(c, _summary(gradings, free, torsion), gens, rows)
 

@@ -241,22 +241,24 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
     states = enumerate_states(g.n, cap)
     n = g.n
     pref = _marking_prefix(g)
-    monomials: dict[int, ExponentVector] = {}
+    entries: dict[frozenset, frozenset] = {}  # one shared entry per mask set
 
-    def monomial(mask: int) -> ExponentVector:
-        ev = monomials.get(mask)
-        if ev is None:
-            ev = monomials[mask] = ExponentVector(
-                tuple((i, 1) for i in range(2 * n) if mask >> i & 1)
+    def entry(masks: set) -> frozenset:
+        key = frozenset(masks)
+        evs = entries.get(key)
+        if evs is None:
+            evs = entries[key] = frozenset(
+                ExponentVector(tuple((i, 1) for i in range(2 * n) if mask >> i & 1))
+                for mask in masks
             )
-        return ev
+        return evs
 
     boundary: dict = {}
     for x in states:
         masks: dict = {}
         for y, mask in _empty_rectangles(n, pref, x):
             _toggle(masks.setdefault(y, set()), mask)
-        row = {y: frozenset(map(monomial, ms)) for y, ms in masks.items() if ms}
+        row = {y: entry(ms) for y, ms in masks.items() if ms}
         if row:
             boundary[x] = row
     return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, MULTI, grid=g)

@@ -28,6 +28,7 @@ from gridfloer import (
     add_chain_maps,
     boundary_squared,
     boundary_squares_to_zero,
+    build_complex,
     build_gc_prime,
     chain_map_degree,
     chain_maps_equal,
@@ -50,7 +51,14 @@ from gridfloer import (
     specialize,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE, _apply_columns, _implied_vector
+from gridfloer.algebra import (
+    MULTI,
+    SINGLE,
+    _apply_columns,
+    _implied_vector,
+    _inverse_rows,
+    _reduce,
+)
 from gridfloer.complexes import _build_gc_prime
 
 polys = st.builds(PolyF2U, st.integers(min_value=0, max_value=2**12 - 1))
@@ -285,6 +293,30 @@ class TestComplexChecks:
             }
         }
 
+    def test_packed_square_matches_the_oracle_on_seeded_6x6_grids(self):
+        rng = random.Random(20260814)
+        for i in range(2):
+            c = build_complex(random_grid(6, rng))
+            assert boundary_squared(c) == oracles.boundary_squared_multi(c), i
+
+    def test_packed_square_keeps_off_diagonal_survivors(self, multi_complexes):
+        c = multi_complexes["hopf4"]
+        boundary = {src: dict(row) for src, row in c.boundary.items()}
+        src = next(iter(boundary))
+        del boundary[src][next(iter(boundary[src]))]
+        broken = MonomialComplex(c.basis, boundary, c.marking_count, MULTI)
+        sq = boundary_squared(broken)
+        assert any(tgt != x for x, row in sq.items() for tgt in row)
+        assert sq == oracles.boundary_squared_multi(broken)
+
+    def test_packed_square_of_constant_entries(self):
+        # no variable occurs, so every field, and the monomial code, is empty
+        one = frozenset({ExponentVector(())})
+        basis = GradedBasis((("x", 0), ("y", -2), ("w", -2), ("z", -4), ("v", -4)))
+        boundary = {"x": {"y": one, "w": one}, "y": {"z": one, "v": one}, "w": {"z": one}}
+        c = MonomialComplex(basis, boundary, marking_count=0, ring=MULTI)
+        assert boundary_squared(c) == {"x": {"v": one}} == oracles.boundary_squared_multi(c)
+
     def test_squares_to_zero_on_corpus(self, gc_primes):
         for name, c in gc_primes.items():
             assert boundary_squares_to_zero(c), name
@@ -477,6 +509,24 @@ class TestPresentationOracle:
         for i in range(2):
             c = build_gc_prime(random_grid(7, rng))
             assert homology(c) == oracles.reduction_summary(c), i
+
+    def test_projection_rows_invert_the_basis(self):
+        # parity(r_p & basis[q]) = [p == q] for every column q, for every
+        # row and for the rows present_homology returns
+        c = build_gc_prime(random_grid(6, random.Random(20260814)))
+        labels, _, _, _, basis = _reduce(c)
+        everything = range(len(basis))
+
+        def assert_row_inverts(row, p):
+            parities = [(row & col).bit_count() & 1 for col in basis]
+            assert parities == [int(q == p) for q in everything], p
+
+        for p, row in zip(everything, _inverse_rows(basis, everything)):
+            assert_row_inverts(row, p)
+        position = {lab: i for i, lab in enumerate(labels)}
+        pres = present_homology(c)
+        for gen, proj in zip(pres.generators, pres._proj_rows):
+            assert_row_inverts(sum(1 << position[lab] for lab in proj), position[gen.label])
 
     def test_inconsistent_grading_is_a_broken_invariant(self):
         labels = ["a", "b"]
