@@ -172,14 +172,6 @@ class ExponentVector:
         return ExponentVector.make((perm.get(i, i), e) for i, e in self.exps)
 
 
-def _toggle(acc: set, item) -> None:
-    # F2 set semantics: adding a monomial twice cancels it
-    if item in acc:
-        acc.remove(item)
-    else:
-        acc.add(item)
-
-
 # ---------------------------------------------------------------------------
 # graded bases and complexes
 
@@ -230,11 +222,8 @@ class MonomialComplex:
         return self.basis.to_dict()[label]
 
     def entry(self, src, tgt):
-        row = self.boundary.get(src)
-        if not row:
-            return frozenset() if self.ring == MULTI else ZERO
         default = frozenset() if self.ring == MULTI else ZERO
-        return row.get(tgt, default)
+        return self.boundary.get(src, {}).get(tgt, default)
 
     def entries(self):
         for src, row in self.boundary.items():
@@ -322,7 +311,7 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
             for tgt, evs in row.items():
                 acc: set = set()
                 for ev in evs:
-                    _toggle(acc, ev.collapse(keep))
+                    acc ^= {ev.collapse(keep)}  # F2: a monomial met twice cancels
                 if acc:
                     new_row[tgt] = frozenset(acc)
             if new_row:

@@ -372,8 +372,7 @@ def renumber_map(c: MonomialComplex, perm) -> ChainMap:
             f"{perm} is not a permutation of 0..{c.marking_count - 1}"
         )
     if c.ring == SINGLE:
-        f = identity_chain_map(c)
-        return f
+        return identity_chain_map(c)
     mapping = {i: p for i, p in enumerate(perm)}
     boundary: dict = {}
     for src, row in c.boundary.items():
@@ -500,16 +499,60 @@ def _parse_anchor(token: str, n: int, lineno: int) -> int:
     return row if m.group(1) == "O" else n + row
 
 
-def _kv_fields(tokens: list[str], lineno: int) -> dict[str, str]:
+# Each keyword's key=value fields with their defaults; a field whose default
+# is None is required.
+_FIELDS: dict[str, dict[str, str | None]] = {
+    "switch": dict.fromkeys(("col", "row", "letter", "flavor", "dir")),
+    "quasistab": {"anchor": None, "side": "beta"},
+    "quasidestab": {"anchor": None},
+    "diskstab": {},
+    "diskdestab": {},
+}
+_DIRECTIONS = {"fwd": "forward", "inv": "inverse"}
+
+
+def _kv_fields(kind: str, tokens: list[str], lineno: int) -> dict[str, str]:
+    """The fields of a `kind` line, defaults filled in."""
+    spec = _FIELDS[kind]
+    if tokens and not spec:
+        raise ParseError(f"line {lineno}: {kind} takes no arguments")
     out = {}
     for tok in tokens:
-        if "=" not in tok:
+        k, eq, v = tok.partition("=")
+        if not eq:
             raise ParseError(f"line {lineno}: expected key=value, got {tok!r}")
-        k, _, v = tok.partition("=")
         if k in out:
             raise ParseError(f"line {lineno}: duplicate field {k!r}")
+        if k not in spec:
+            raise ParseError(f"line {lineno}: {kind} has no field {k!r}")
         out[k] = v
-    return out
+    missing = sorted(k for k, default in spec.items() if default is None and k not in out)
+    if missing:
+        raise ParseError(f"line {lineno}: {kind} is missing {missing}")
+    return {**spec, **out}
+
+
+def _move(kind: str, fields: dict[str, str], n: int, lineno: int):
+    """The move of a `kind` line; BandMapChoice and StabModel check flavor and side."""
+    if kind == "switch":
+        try:
+            col, row = int(fields["col"]) - 1, int(fields["row"]) - 1
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer col/row") from exc
+        if not (0 <= col < n and 0 <= row < n):
+            raise ParseError(f"line {lineno}: col/row outside 1..{n}")
+        if fields["letter"] not in ("O", "X"):
+            raise ParseError(f"line {lineno}: letter must be O or X")
+        if fields["dir"] not in _DIRECTIONS:
+            raise ParseError(f"line {lineno}: dir must be fwd or inv")
+        site = SwitchSite(col, row, fields["letter"])
+        return BandSwitch(BandMapChoice(site, fields["flavor"], _DIRECTIONS[fields["dir"]]))
+    if kind == "quasistab":
+        anchor = _parse_anchor(fields["anchor"], n, lineno)
+        return QuasiStab(StabModel("quasi", anchor, fields["side"]))
+    if kind == "quasidestab":
+        return QuasiDestab(StabModel("quasi", _parse_anchor(fields["anchor"], n, lineno)))
+    return DiskStab() if kind == "diskstab" else DiskDestab()
 
 
 def parse_movie(text: str, start: GridDiagram) -> Movie:
@@ -523,64 +566,8 @@ def parse_movie(text: str, start: GridDiagram) -> Movie:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "switch":
-            fields = _kv_fields(args, lineno)
-            missing = {"col", "row", "letter", "flavor", "dir"} - set(fields)
-            if missing:
-                raise ParseError(f"line {lineno}: switch is missing {sorted(missing)}")
-            try:
-                col, row = int(fields["col"]) - 1, int(fields["row"]) - 1
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer col/row") from exc
-            if not (0 <= col < n and 0 <= row < n):
-                raise ParseError(f"line {lineno}: col/row outside 1..{n}")
-            if fields["letter"] not in ("O", "X"):
-                raise ParseError(f"line {lineno}: letter must be O or X")
-            if fields["flavor"] not in ("nu", "nu_tilde"):
-                raise ParseError(f"line {lineno}: flavor must be nu or nu_tilde")
-            if fields["dir"] not in ("fwd", "inv"):
-                raise ParseError(f"line {lineno}: dir must be fwd or inv")
-            moves.append(
-                BandSwitch(
-                    BandMapChoice(
-                        SwitchSite(col, row, fields["letter"]),
-                        fields["flavor"],
-                        "forward" if fields["dir"] == "fwd" else "inverse",
-                    )
-                )
-            )
-        elif kind == "quasistab":
-            fields = _kv_fields(args, lineno)
-            if "anchor" not in fields:
-                raise ParseError(f"line {lineno}: quasistab needs anchor=")
-            side = fields.get("side", "beta")
-            if side not in ("alpha", "beta"):
-                raise ParseError(f"line {lineno}: side must be alpha or beta")
-            moves.append(
-                QuasiStab(
-                    StabModel("quasi", _parse_anchor(fields["anchor"], n, lineno), side)
-                )
-            )
-        elif kind == "quasidestab":
-            fields = _kv_fields(args, lineno)
-            if "anchor" not in fields:
-                raise ParseError(f"line {lineno}: quasidestab needs anchor=")
-            moves.append(
-                QuasiDestab(
-                    StabModel("quasi", _parse_anchor(fields["anchor"], n, lineno))
-                )
-            )
-        elif kind == "diskstab":
-            if args:
-                raise ParseError(f"line {lineno}: diskstab takes no arguments")
-            moves.append(DiskStab())
-        elif kind == "diskdestab":
-            if args:
-                raise ParseError(f"line {lineno}: diskdestab takes no arguments")
-            moves.append(DiskDestab())
-        elif kind == "renumber":
+        kind, *args = line.split()
+        if kind == "renumber":
             try:
                 perm = tuple(int(tok) - 1 for tok in args)
             except ValueError as exc:
@@ -588,6 +575,12 @@ def parse_movie(text: str, start: GridDiagram) -> Movie:
             if sorted(perm) != list(range(len(perm))):
                 raise ParseError(f"line {lineno}: renumber is not a permutation")
             moves.append(Renumber(perm))
+        elif kind in _FIELDS:
+            fields = _kv_fields(kind, args, lineno)
+            try:
+                moves.append(_move(kind, fields, n, lineno))
+            except ValueError as exc:  # a flavor or side the move refuses
+                raise ParseError(f"line {lineno}: {exc}") from exc
         else:
             raise ParseError(f"line {lineno}: unknown move {kind!r}")
     return Movie(start, tuple(moves))

@@ -9,15 +9,18 @@ single U.
 Markings are numbered as the variables of `ExponentVector`: the O in row r
 is marking r and the X in row r is marking n + r.  Both builders read one
 rectangle walk, `_empty_rectangles`, which gives each empty rectangle's
-covered markings as a mask with bit i set for marking i.
-`build_complex` turns a mask into the exponent vector of those variables,
-and `build_gc_prime` into U to the power of its bit count.
+target, the enumerated state object itself, and its covered markings as a
+mask with bit i set for marking i.  A target's two rectangles are adjacent,
+so each builder makes a row in one pass over the walk.  `build_complex`
+turns a mask into the exponent vector of those variables, and
+`build_gc_prime` into U to the power of its bit count.
 `candidate_rectangles` and `rectangles` are the reference walk, one column
 pair at a time, with an explicit `Rectangle` per candidate.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
@@ -28,7 +31,6 @@ from .algebra import (
     ExponentVector,
     GradedBasis,
     MonomialComplex,
-    _toggle,
     u_power,
 )
 from .errors import CapExceeded, NotHomogeneous
@@ -54,12 +56,8 @@ def lehmer_rank(state: State) -> int:
     """Rank of a permutation in lexicographic order."""
     n = len(state)
     rank = 0
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
     for i, v in enumerate(state):
-        fact //= n - i if n - i else 1
-        rank += fact * sum(1 for u in state[i + 1 :] if u < v)
+        rank += math.factorial(n - 1 - i) * sum(1 for u in state[i + 1 :] if u < v)
     return rank
 
 
@@ -204,7 +202,9 @@ def _marking_prefix(g: GridDiagram) -> list[list[int]]:
     return pref
 
 
-def _empty_rectangles(n: int, pref: list[list[int]], x: State) -> list[tuple[State, int]]:
+def _empty_rectangles(
+    n: int, pref: list[list[int]], label: dict[State, State], x: State
+) -> list[tuple[State, int]]:
     """The empty rectangles out of state x, as (target, covered-marking mask).
 
     A rectangle has its lower-left corner at the point (a, x[a]) and its
@@ -213,7 +213,9 @@ def _empty_rectangles(n: int, pref: list[list[int]], x: State) -> list[tuple[Sta
     below every height passed on the way (the running ceiling), and no
     later rectangle can be empty once the ceiling is 1.  Targets come in
     the order of the column pairs c1 < c2, lexicographic, with the c1 -> c2
-    rectangle first, as `candidate_rectangles` lists them.
+    rectangle first, as `candidate_rectangles` lists them, so a target's
+    two rectangles are adjacent.  Targets are looked up in `label`, which
+    maps each state to the enumerated state object.
     """
     found = []
     xx = x + x
@@ -229,7 +231,7 @@ def _empty_rectangles(n: int, pref: list[list[int]], x: State) -> list[tuple[Sta
                 y[a], y[c] = y[c], s
                 t = s + h
                 mask = pref[b][t] - pref[a][t] - pref[b][s] + pref[a][s]
-                found.append((a * n + c if a < c else c * n + a, tuple(y), mask))
+                found.append((a * n + c if a < c else c * n + a, label[tuple(y)], mask))
                 if h == 1:
                     break
     found.sort(key=itemgetter(0))  # stable: c1 -> c2 is found first
@@ -237,28 +239,28 @@ def _empty_rectangles(n: int, pref: list[list[int]], x: State) -> list[tuple[Sta
 
 
 def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
-    """The multivariable complex: entries are sets of exponent vectors."""
+    """The multivariable complex: entries are sets of exponent vectors, one
+    frozenset shared per set of masks."""
     states = enumerate_states(g.n, cap)
     n = g.n
     pref = _marking_prefix(g)
-    entries: dict[frozenset, frozenset] = {}  # one shared entry per mask set
-
-    def entry(masks: set) -> frozenset:
-        key = frozenset(masks)
-        evs = entries.get(key)
-        if evs is None:
-            evs = entries[key] = frozenset(
-                ExponentVector(tuple((i, 1) for i in range(2 * n) if mask >> i & 1))
-                for mask in masks
-            )
-        return evs
-
+    label = {x: x for x in states}
+    singles: dict[int, frozenset] = {}
+    pairs: dict[frozenset, frozenset] = {}
     boundary: dict = {}
     for x in states:
-        masks: dict = {}
-        for y, mask in _empty_rectangles(n, pref, x):
-            _toggle(masks.setdefault(y, set()), mask)
-        row = {y: entry(ms) for y, ms in masks.items() if ms}
+        row = {}
+        for y, mask in _empty_rectangles(n, pref, label, x):
+            first = row.pop(y, None)
+            evs = singles.get(mask)
+            if evs is None:
+                ev = ExponentVector(tuple((i, 1) for i in range(2 * n) if mask >> i & 1))
+                evs = singles[mask] = frozenset((ev,))
+            if first is None:
+                row[y] = evs
+            elif first is not evs:  # the same mask again shares `evs`: they cancel
+                both = first | evs
+                row[y] = pairs.setdefault(both, both)
         if row:
             boundary[x] = row
     return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, MULTI, grid=g)
@@ -288,24 +290,24 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
-    states = list(itertools.permutations(range(g.n)))
+    states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
     n = g.n
     pref = _marking_prefix(g)
+    label = {x: x for x in states}
     powers = [u_power(k) for k in range(2 * n + 1)]
     boundary: dict = {}
     for x in states:
-        weights: dict = {}
-        for y, mask in _empty_rectangles(n, pref, x):
-            _toggle(weights.setdefault(y, set()), mask.bit_count())
         row = {}
-        for y, wts in weights.items():
-            if not wts:
-                continue
-            if len(wts) > 1:
+        for y, mask in _empty_rectangles(n, pref, label, x):
+            p = powers[mask.bit_count()]
+            first = row.pop(y, None)
+            if first is None:
+                row[y] = p
+            elif first != p:
+                weights = sorted((first.degree(), p.degree()))
                 raise NotHomogeneous(
-                    f"surviving rectangles {x} -> {y} have mixed weights {sorted(wts)}"
+                    f"surviving rectangles {x} -> {y} have mixed weights {weights}"
                 )
-            row[y] = powers[next(iter(wts))]
         if row:
             boundary[x] = row
     return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, SINGLE, grid=g)
@@ -358,10 +360,11 @@ def verify_curvature(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> bool:
     from .algebra import boundary_squared
 
     c = build_complex(g, cap)
-    expected = expected_curvature(g)
+    # exponent tuples compare in C, with no dataclass __eq__ or __hash__ call
+    expected = {ev.exps for ev in expected_curvature(g)}
     sq = boundary_squared(c)
     for state in c.basis.labels():
         row = sq.get(state, {})
-        if set(row) != {state} or row[state] != expected:
+        if set(row) != {state} or {ev.exps for ev in row[state]} != expected:
             return False
     return True

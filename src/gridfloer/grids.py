@@ -129,46 +129,42 @@ def same_letter_neighbors(g: GridDiagram, marking: int) -> tuple[int, int]:
     raise ValueError(f"marking {marking} not found")
 
 
-def _letter_positions(g: GridDiagram, letter: str) -> set[tuple[int, int]]:
-    cols = g.o_col if letter == "O" else g.x_col
-    return {(cols[r], r) for r in range(g.n)}
+def _site_kind(g: GridDiagram, s: SwitchSite) -> str | None:
+    """'main' when the block's two `s.letter` markings sit at (col, row) and
+    (col+1, row+1), 'anti' when at (col+1, row) and (col, row+1), else None.
+    A col or row outside 0..n-1 gives None."""
+    n = g.n
+    if s.letter not in ("O", "X") or not (0 <= s.col < n and 0 <= s.row < n):
+        return None
+    cols = g.o_col if s.letter == "O" else g.x_col
+    low, high = cols[s.row], cols[(s.row + 1) % n]
+    right = (s.col + 1) % n
+    if (low, high) == (s.col, right):
+        return "main"
+    if (low, high) == (right, s.col):
+        return "anti"
+    return None
 
 
 def site_exists(g: GridDiagram, s: SwitchSite) -> bool:
     """True when the block holds two same-letter markings on a diagonal."""
-    if s.letter not in ("O", "X"):
-        return False
-    n = g.n
-    pos = _letter_positions(g, s.letter)
-    c2, r2 = (s.col + 1) % n, (s.row + 1) % n
-    main = (s.col, s.row) in pos and (c2, r2) in pos
-    anti = (c2, s.row) in pos and (s.col, r2) in pos
-    return main or anti
+    return _site_kind(g, s) is not None
 
 
 def site_diagonal(g: GridDiagram, s: SwitchSite) -> str:
-    """'main' when the markings sit at (col,row),(col+1,row+1); else 'anti'."""
-    if not site_exists(g, s):
+    """'main' when the markings sit at (col,row),(col+1,row+1); else 'anti'.
+    Raises InvalidSite when the block holds no such pair."""
+    kind = _site_kind(g, s)
+    if kind is None:
         raise InvalidSite(f"no {s.letter} diagonal pair in block col={s.col} row={s.row}")
-    n = g.n
-    pos = _letter_positions(g, s.letter)
-    if (s.col, s.row) in pos and ((s.col + 1) % n, (s.row + 1) % n) in pos:
-        return "main"
-    return "anti"
+    return kind
 
 
 def site_markings(g: GridDiagram, s: SwitchSite) -> tuple[int, int]:
     """The two marking ids occupying the site's diagonal."""
-    if not site_exists(g, s):
-        raise InvalidSite(f"no {s.letter} diagonal pair in block col={s.col} row={s.row}")
+    site_diagonal(g, s)  # raises InvalidSite when the block holds no pair
     base = 0 if s.letter == "O" else g.n
-    rows = (s.row, (s.row + 1) % g.n)
-    cols = {s.col, (s.col + 1) % g.n}
-    seq = g.o_col if s.letter == "O" else g.x_col
-    m = tuple(base + r for r in rows if seq[r] in cols)
-    if len(m) != 2:
-        raise InvalidSite(f"block col={s.col} row={s.row} holds {len(m)} {s.letter} markings")
-    return m  # type: ignore[return-value]
+    return (base + s.row, base + (s.row + 1) % g.n)
 
 
 def _switched_sequences(g: GridDiagram, s: SwitchSite) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -181,8 +177,7 @@ def _switched_sequences(g: GridDiagram, s: SwitchSite) -> tuple[tuple[int, ...],
 
 def apply_switch(g: GridDiagram, s: SwitchSite) -> GridDiagram:
     """Swap the rows of the site's two markings.  Involution at a fixed site."""
-    if not site_exists(g, s):
-        raise InvalidSite(f"no {s.letter} diagonal pair in block col={s.col} row={s.row}")
+    site_diagonal(g, s)  # raises InvalidSite when the block holds no pair
     o2, x2 = _switched_sequences(g, s)
     try:
         return validate(o2, x2)
@@ -194,7 +189,8 @@ def scan_diagonal_blocks(g: GridDiagram, letter: str) -> list[SwitchSite]:
     """All 2x2 blocks whose diagonal holds two `letter` markings, with no
     validity filtering of the switched grid."""
     n = g.n
-    pos = _letter_positions(g, letter)
+    cols = g.o_col if letter == "O" else g.x_col
+    pos = {(cols[r], r) for r in range(n)}
     out = []
     for (c0, r0) in pos:
         r1 = (r0 + 1) % n
@@ -211,13 +207,12 @@ def find_switch_sites(g: GridDiagram) -> list[SwitchSite]:
     seen = set()
     for letter in ("O", "X"):
         for s in scan_diagonal_blocks(g, letter):
-            key = (s.letter, _switched_sequences(g, s))
-            if key in seen:
+            seqs = _switched_sequences(g, s)
+            if (s.letter, seqs) in seen:
                 continue
-            seen.add(key)
-            o2, x2 = _switched_sequences(g, s)
+            seen.add((s.letter, seqs))
             try:
-                validate(o2, x2)
+                validate(*seqs)
             except (NonPermutation, MarkingCollision, SizeTooSmall):
                 continue
             out.append(s)

@@ -170,6 +170,11 @@ class TestExitCodes:
             == EXIT_PARSE
         )
 
+    def test_unknown_movie_field(self, grid_file, movie_file, capsys):
+        script = "quasistab anchor=O1 sid=alpha\n"
+        assert main(["movie", grid_file("unknot2"), movie_file(script)]) == EXIT_PARSE
+        assert "line 1: quasistab has no field 'sid'" in capsys.readouterr().err
+
     def test_cap_exceeded(self, grid_file):
         assert main(["--cap", "4", "homology", grid_file("trefoil5")]) == EXIT_CAP
 

@@ -1,5 +1,6 @@
 """Cobordism chain maps: bands, stabilizations, renumbering, movies."""
 import math
+from pathlib import Path
 
 import pytest
 
@@ -619,6 +620,9 @@ renumber 2 3 1 4 5 6 7 8
 """
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestMovieScripts:
     def test_parse_round_trip(self, corpus):
         g = corpus["unknot4_sites"]
@@ -633,6 +637,18 @@ class TestMovieScripts:
             "DiskDestab",
             "Renumber",
         ]
+        assert parse_movie(serialize_movie(movie), g) == movie
+
+    def test_readme_tour_round_trips(self, corpus):
+        # the README's script must parse, use every move and serialize back
+        blocks = README.read_text().split("```")[1::2]
+        (script,) = [b for b in blocks if "# a full tour of the move vocabulary" in b]
+        g = corpus["unknot4_sites"]
+        movie = parse_movie(script, g)
+        kinds = {type(m) for m in movie.moves}
+        assert kinds == {BandSwitch, QuasiStab, QuasiDestab, DiskStab, DiskDestab, Renumber}
+        moves = [line for line in script.splitlines() if line and not line.startswith("#")]
+        assert serialize_movie(movie).splitlines() == moves
         assert parse_movie(serialize_movie(movie), g) == movie
 
     def test_one_indexing(self, corpus):
@@ -675,6 +691,39 @@ class TestMovieScripts:
     def test_parse_errors(self, corpus, line, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_movie(line + "\n", corpus["unknot4_sites"])
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            (
+                "switch col=1 row=1 letter=O flavor=nu dir=fwd extra=2",
+                "switch has no field 'extra'",
+            ),
+            ("quasistab anchor=O1 sid=alpha", "quasistab has no field 'sid'"),
+            ("quasidestab anchor=O1 side=alpha", "quasidestab has no field 'side'"),
+            ("diskstab side=alpha", "diskstab takes no arguments"),
+            ("diskdestab anchor=O1", "diskdestab takes no arguments"),
+        ],
+        ids=["switch", "quasistab", "quasidestab", "diskstab", "diskdestab"],
+    )
+    def test_unknown_fields_are_refused(self, corpus, line, fragment):
+        with pytest.raises(ParseError, match=f"line 2: {fragment}"):
+            parse_movie("# the move under test\n" + line + "\n", corpus["unknot4_sites"])
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ("switch col=1 row=1 letter=O flavor=zeta dir=fwd", "unknown flavor 'zeta'"),
+            ("quasistab anchor=O1 side=left", "unknown side 'left'"),
+        ],
+    )
+    def test_move_value_errors_carry_the_line(self, corpus, line, fragment):
+        with pytest.raises(ParseError, match=f"line 3: {fragment}"):
+            parse_movie("diskstab\ndiskdestab\n" + line + "\n", corpus["unknot4_sites"])
+
+    def test_fields_take_their_defaults(self, corpus):
+        (move,) = parse_movie("quasistab anchor=O1\n", corpus["unknot4_sites"]).moves
+        assert move.model.side == "beta"
 
     def test_parse_error_line_numbers(self, corpus):
         text = "# fine\ndiskstab\nwobble\n"

@@ -36,8 +36,10 @@ from gridfloer import (
     validate,
     verify_curvature,
 )
+from gridfloer import complexes
 from gridfloer.algebra import MULTI, MonomialComplex
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
+from gridfloer.errors import NotHomogeneous
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
 TREFOIL5_GRADINGS = {0: 20, 2: 82, 4: 16, 6: 2}
@@ -274,6 +276,70 @@ class TestWalkOracle:
             assert c.boundary == via.boundary, name
             assert _row_orders(c.boundary) == _row_orders(via.boundary), name
             assert c.basis.elements == graded, name
+
+
+def _walk_edited_at(monkeypatch, x0, edit):
+    """Let `edit` change the walk's list of (target, mask) out of state x0."""
+    walk = complexes._empty_rectangles
+
+    def edited(n, pref, label, x):
+        found = walk(n, pref, label, x)
+        return edit(found) if x == x0 else found
+
+    monkeypatch.setattr(complexes, "_empty_rectangles", edited)
+
+
+def _one_rectangle_entry(c):
+    """The first (source, target) whose entry comes from one rectangle."""
+    return next((x, y) for x, y, e in c.entries() if c.ring != MULTI or len(e) == 1)
+
+
+class TestOnePassRows:
+    """Each row is made in one pass over the walk, keyed by basis labels."""
+
+    BUILDERS = {"single": _build_gc_prime, "multi": build_complex}
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_keys_are_basis_labels(self, corpus, builder):
+        grids = list(corpus.values()) + [random_grid(6, random.Random(20260814))]
+        for g in grids:
+            c = self.BUILDERS[builder](g)
+            labels = {id(lab) for lab in c.basis.labels()}
+            for src, tgt, _ in c.entries():
+                assert id(src) in labels and id(tgt) in labels, (g, src, tgt)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_repeated_rectangle_cancels(self, monkeypatch, builder):
+        g = corpus_grid("trefoil5")
+        build = self.BUILDERS[builder]
+        c = build(g)
+        want = c.boundary
+        x0, y0 = _one_rectangle_entry(c)
+
+        def repeat(found):
+            i = next(i for i, (y, _) in enumerate(found) if y == y0)
+            return found[: i + 1] + found[i:]
+
+        _walk_edited_at(monkeypatch, x0, repeat)
+        got = build(g).boundary
+        assert y0 not in got.get(x0, {})
+        want[x0] = {y: e for y, e in want[x0].items() if y != y0}
+        assert got == {x: row for x, row in want.items() if row}
+
+    def test_mixed_weights_raise(self, monkeypatch):
+        g = corpus_grid("trefoil5")
+        c = _build_gc_prime(g)
+        x0, y0 = _one_rectangle_entry(c)
+        (k,) = c.boundary[x0][y0].terms
+
+        def add_heavier(found):
+            i = next(i for i, (y, _) in enumerate(found) if y == y0)
+            mask = found[i][1]  # plus its lowest unset bit: one more marking
+            return found[: i + 1] + [(y0, mask | (~mask & (mask + 1)))] + found[i + 1 :]
+
+        _walk_edited_at(monkeypatch, x0, add_heavier)
+        with pytest.raises(NotHomogeneous, match=rf"mixed weights \[{k}, {k + 1}\]"):
+            _build_gc_prime(g)
 
 
 class TestCurvature:

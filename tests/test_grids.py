@@ -30,6 +30,7 @@ from gridfloer import (
     site_markings,
     validate,
 )
+from gridfloer.grids import _site_kind
 
 # component count of every corpus entry
 COMPONENTS = {
@@ -211,6 +212,35 @@ class TestSwitchSites:
             with pytest.raises(InvalidSite):
                 fn(g, bad)
         assert not site_exists(g, SwitchSite(col=0, row=0, letter="Q"))
+
+    def test_site_lookup_matches_marking_positions(self, corpus):
+        # the block's diagonal read off two rows against the set of positions
+        for name, g in corpus.items():
+            n = g.n
+            for letter, cols in (("O", g.o_col), ("X", g.x_col)):
+                pos = {(cols[r], r) for r in range(n)}
+                for c in range(n):
+                    for r in range(n):
+                        c2, r2 = (c + 1) % n, (r + 1) % n
+                        main = (c, r) in pos and (c2, r2) in pos
+                        anti = (c2, r) in pos and (c, r2) in pos
+                        want = "main" if main else "anti" if anti else None
+                        s = SwitchSite(c, r, letter)
+                        assert _site_kind(g, s) == want, (name, s)
+                        assert site_exists(g, s) == (want is not None)
+
+    def test_out_of_range_blocks_are_invalid(self, corpus):
+        # no wrap-around for -1 or n, even next to a real site
+        for name, g in corpus.items():
+            n = g.n
+            for letter in ("O", "X"):
+                for i in range(n):
+                    for col, row in ((-1, i), (n, i), (i, -1), (i, n)):
+                        s = SwitchSite(col, row, letter)
+                        assert not site_exists(g, s), (name, s)
+                        for fn in (site_diagonal, site_markings, apply_switch):
+                            with pytest.raises(InvalidSite):
+                                fn(g, s)
 
     def test_switch_is_involution(self, corpus):
         for name, g in corpus.items():
