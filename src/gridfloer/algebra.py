@@ -334,10 +334,11 @@ def boundary_squared(c: MonomialComplex) -> dict:
     (t << S) + code, t the basis position of tgt.  A two-step path
     src -> mid -> tgt is then k2 + (k1 & M), where k1 is a key of src's row,
     k2 a key of mid's row and M = 2^S - 1, and a key counted an odd number
-    of times is a term of d^2.
+    of times is a term of d^2.  A single-variable complex is checked by
+    `boundary_squares_to_zero` instead.
     """
     if c.ring != MULTI:
-        return _compose_columns(c.boundary, c.boundary)
+        raise NotHomogeneous("complex is single-variable; boundary_squared needs multivariable")
     labels = c.basis.labels()
     position = {lab: i for i, lab in enumerate(labels)}
     entries = {entry for row in c.boundary.values() for entry in row.values()}
@@ -619,16 +620,13 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
 
 @dataclass(eq=False)
 class ChainMap:
-    """A map of single-variable complexes, column-sparse like a boundary.
-
-    entries[src][tgt] is a PolyF2U; degree is the doubled grading shift,
-    recorded when homogeneous.
-    """
+    """A map of single-variable complexes: its matrix, column-sparse like a
+    boundary, with entries[src][tgt] a PolyF2U.  `chain_map_degree` reads
+    its grading shift off the entries."""
 
     src: MonomialComplex
     tgt: MonomialComplex
     entries: dict
-    degree: int | None = None
 
     def apply(self, vec: dict) -> dict:
         return _apply_columns(self.entries, vec)
@@ -645,17 +643,6 @@ def _apply_columns(columns: dict, vec: dict) -> dict:
                 out[tgt_lab] = v
             else:
                 out.pop(tgt_lab, None)
-    return out
-
-
-def _compose_columns(first: dict, then: dict) -> dict:
-    """The column-sparse product `then` after `first`, with empty columns
-    dropped."""
-    out: dict = {}
-    for src, row in first.items():
-        col = _apply_columns(then, row)
-        if col:
-            out[src] = col
     return out
 
 
@@ -737,7 +724,7 @@ def chain_map_degree(f: ChainMap) -> int | None:
 
 def identity_chain_map(c: MonomialComplex) -> ChainMap:
     entries = {lab: {lab: ONE} for lab in c.basis.labels()}
-    return ChainMap(c, c, entries, degree=0)
+    return ChainMap(c, c, entries)
 
 
 def scale_chain_map(f: ChainMap, p: PolyF2U) -> ChainMap:
@@ -746,10 +733,7 @@ def scale_chain_map(f: ChainMap, p: PolyF2U) -> ChainMap:
         new_row = {tgt: q * p for tgt, q in row.items() if q * p}
         if new_row:
             entries[src] = new_row
-    deg = None
-    if f.degree is not None and p.is_monomial():
-        deg = f.degree - 2 * p.degree()
-    return ChainMap(f.src, f.tgt, entries, degree=deg)
+    return ChainMap(f.src, f.tgt, entries)
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -765,19 +749,19 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
                 row[tgt] = v
         if row:
             entries[src] = row
-    deg = f.degree if f.degree == g.degree else None
-    return ChainMap(f.src, f.tgt, entries, degree=deg)
+    return ChainMap(f.src, f.tgt, entries)
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f."""
+    """g after f, with empty columns dropped."""
     if f.tgt.basis != g.src.basis:
         raise NotChainMap("composition endpoints do not match")
-    entries = _compose_columns(f.entries, g.entries)
-    deg = None
-    if f.degree is not None and g.degree is not None:
-        deg = f.degree + g.degree
-    return ChainMap(f.src, g.tgt, entries, deg)
+    entries: dict = {}
+    for src, row in f.entries.items():
+        col = g.apply(row)
+        if col:
+            entries[src] = col
+    return ChainMap(f.src, g.tgt, entries)
 
 
 def chain_maps_equal(f: ChainMap, g: ChainMap) -> bool:
@@ -806,27 +790,15 @@ def induced_map(
     ]
 
 
-def maps_equal_on_homology(
-    f: ChainMap,
-    g: ChainMap,
-    src_pres: HomologyPresentation | None = None,
-    tgt_pres: HomologyPresentation | None = None,
-) -> bool:
-    """True iff (f - g)(z) is a boundary for every homology representative z."""
-    require_chain_map(f)
-    require_chain_map(g)
+def maps_equal_on_homology(f: ChainMap, g: ChainMap) -> bool:
+    """True iff f and g induce the same matrix on homology, that is iff
+    (f - g)(z) is a boundary for every homology representative z: the
+    projection, truncation mod U^k included, is F2[U]-linear."""
     if f.src.basis != g.src.basis or f.tgt.basis != g.tgt.basis:
         raise NotChainMap("maps do not share endpoints")
-    if src_pres is None:
-        src_pres = present_homology(f.src)
-    if tgt_pres is None:
-        tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)
-    diff = add_chain_maps(f, g)
-    for gen in src_pres.generators:
-        image = diff.apply(gen.representative)
-        if any(tgt_pres.project(image)):
-            return False
-    return True
+    src_pres = present_homology(f.src)
+    tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)
+    return induced_map(f, src_pres, tgt_pres) == induced_map(g, src_pres, tgt_pres)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .algebra import (
     GradedModuleSummary,
     PolyF2U,
     U,
-    chain_map_degree,
     chain_maps_equal,
     compose_chain_maps,
     homology,
@@ -127,9 +126,7 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> i
     with open(movie_file) as fh:
         movie = parse_movie(fh.read(), g)
     result = compose_movie(movie, config.state_cap)
-    degree = result.total.degree
-    if degree is None:
-        degree = chain_map_degree(result.total)
+    degree = result.degree
     matrix = [[_poly_str(p) for p in row] for row in result.induced]
     if config.output == "json":
         json.dump(
@@ -222,10 +219,10 @@ def _suite_grading(config: RunConfig):
 def _suite_band_relations(config: RunConfig):
     for name, g in corpus_grids().items():
         c = build_gc_prime(g, config.state_cap)
+        u_src = scale_chain_map(identity_chain_map(c), U)
         for site in find_switch_sites(g):
             f = band_map(c, BandMapChoice(site))  # chain property asserted
             f_back = band_map(f.tgt, BandMapChoice(site))
-            u_src = scale_chain_map(identity_chain_map(c), U)
             u_mid = scale_chain_map(identity_chain_map(f.tgt), U)
             first = chain_maps_equal(compose_chain_maps(f_back, f), u_src)
             f_again = band_map(f_back.tgt, BandMapChoice(site))
@@ -242,14 +239,14 @@ def _suite_stab_relations(config: RunConfig):
             continue
         c = build_gc_prime(g, config.state_cap)
         for anchor in range(2 * g.n):
-            stab = quasi_stab_map(c, StabModel("quasi", anchor))
+            stab = quasi_stab_map(c, StabModel(anchor))
             same = compose_chain_maps(
-                quasi_destab_map(stab.tgt, StabModel("quasi", anchor)), stab
+                quasi_destab_map(stab.tgt, StabModel(anchor)), stab
             )
             zero_ok = all(not row for row in same.entries.values())
             adj = same_letter_neighbors(g, anchor)[0]
             ident = compose_chain_maps(
-                quasi_destab_map(stab.tgt, StabModel("quasi", adj)), stab
+                quasi_destab_map(stab.tgt, StabModel(adj)), stab
             )
             id_ok = chain_maps_equal(ident, identity_chain_map(c))
             label = g.marking_name(anchor)

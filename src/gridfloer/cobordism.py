@@ -5,11 +5,13 @@ grid, which share one generator set; the map multiplies selected generators
 by U according to the distinguished-point rule.  Quasi- and disk
 stabilizations act algebraically: the complex is tensored with a rank-2
 free module with zero differential, and destabilizations project back.
-Every constructed map is asserted to commute with the boundaries.
+Band maps are checked to commute with the boundaries when they are built;
+stabilization, destabilization and renumbering maps are chain maps by
+construction, and a movie's composite is checked once, in `induced_map`.
 
 Each stabilization appends one entry to `MonomialComplex.tensor_stack`:
-`("quasi", anchor, side, tags)` or `("disk", tags)`, where `tags` names
-the two generators of the rank-2 module, the upper one first.
+`("quasi", anchor)` or `("disk",)`.  The rank-2 module's two generators
+are tagged `_TAGS`, the upper one first.
 """
 from __future__ import annotations
 
@@ -85,26 +87,19 @@ class BandMapChoice:
 
 @dataclass(frozen=True)
 class StabModel:
-    """A (de)stabilization: tensoring with a rank-2 free module.
+    """A quasi-(de)stabilization: tensoring with a rank-2 free module.
 
-    kind "quasi" attaches the new basepoint pair next to `anchor` (a marking
-    id of the base grid); kind "disk" adds a split two-basepoint unknot and
-    takes no anchor.  The two new generators carry doubled-grading offsets
-    (0, -gap) with the gap derived from small-grid homologies.
+    The new basepoint pair sits next to `anchor`, a marking id of the base
+    grid.  The two new generators carry doubled-grading offsets (0, -gap)
+    with the gap derived from small-grid homologies.
     """
 
-    kind: str                    # "quasi" | "disk"
-    anchor: int | None = None
+    anchor: int
     side: str = "beta"           # "alpha" | "beta"
-    v_basis: tuple[str, str] = ("plus", "minus")
 
     def __post_init__(self):
-        if self.kind not in ("quasi", "disk"):
-            raise ValueError(f"unknown stabilization kind {self.kind!r}")
         if self.side not in ("alpha", "beta"):
             raise ValueError(f"unknown side {self.side!r}")
-        if self.kind == "quasi" and self.anchor is None:
-            raise ValueError("quasi-stabilization needs an anchor marking")
 
 
 @dataclass(frozen=True)
@@ -184,12 +179,13 @@ def derived_stab_offsets() -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # tensor bookkeeping
 
+_TAGS = ("plus", "minus")
+
 
 def _tensor_rank2(c: MonomialComplex, entry: tuple) -> MonomialComplex:
     """c tensored with a stack entry's rank-2 free module, zero differential;
     the second tag sits the gap of the entry's kind below the first."""
-    tags = entry[-1]
-    plus, minus = tags
+    plus, minus = _TAGS
     s_v, s_w = derived_stab_offsets()
     gap = s_v if entry[0] == "quasi" else s_w
     elements = []
@@ -198,7 +194,7 @@ def _tensor_rank2(c: MonomialComplex, entry: tuple) -> MonomialComplex:
         elements.append(((lab, minus), d - gap))
     boundary: dict = {}
     for src, row in c.boundary.items():
-        for tag in tags:
+        for tag in _TAGS:
             boundary[(src, tag)] = {(tgt, tag): p for tgt, p in row.items()}
     return MonomialComplex(
         GradedBasis(tuple(elements)),
@@ -222,13 +218,6 @@ def _base_state(label, depth: int):
     for _ in range(depth):
         label = label[0]
     return label
-
-
-def _move_map(src: MonomialComplex, tgt: MonomialComplex, entries: dict) -> ChainMap:
-    """The chain map of one move, with its degree recorded."""
-    f = ChainMap(src, tgt, entries)
-    f.degree = chain_map_degree(f)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +244,7 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
         x = _base_state(lab, depth)
         hit = x[p_col] == p_row
         entries[lab] = {lab: U if hit == u_when_contains else ONE}
-    return _move_map(c, tgt, entries)
+    return ChainMap(c, tgt, entries)
 
 
 def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
@@ -297,10 +286,9 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 
 
 def _include(c: MonomialComplex, entry: tuple) -> ChainMap:
-    """x -> x tensor (first tag), into c tensored with the entry's rank-2 module."""
-    plus = entry[-1][0]
-    entries = {lab: {(lab, plus): ONE} for lab in c.basis.labels()}
-    return _move_map(c, _tensor_rank2(c, entry), entries)
+    """x -> x tensor plus, into c tensored with the entry's rank-2 module."""
+    entries = {lab: {(lab, _TAGS[0]): ONE} for lab in c.basis.labels()}
+    return ChainMap(c, _tensor_rank2(c, entry), entries)
 
 
 def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
@@ -308,16 +296,14 @@ def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
     x tensor keep_tag -> x, and the other tag dies."""
     tgt = _stacked_complex(c.grid, c.tensor_stack[:-1])
     entries = {(lab, keep_tag): {lab: ONE} for lab in tgt.basis.labels()}
-    return _move_map(c, tgt, entries)
+    return ChainMap(c, tgt, entries)
 
 
 def quasi_stab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
-    """x -> x tensor plus_gen into c tensor V."""
-    if m.kind != "quasi":
-        raise ValueError("quasi_stab_map needs a quasi StabModel")
+    """x -> x tensor plus into c tensor V."""
     if c.grid is None or not 0 <= m.anchor < 2 * c.grid.n:
         raise AnchorMismatch(f"anchor {m.anchor} is not a marking of the base grid")
-    return _include(c, ("quasi", m.anchor, m.side, m.v_basis))
+    return _include(c, ("quasi", m.anchor))
 
 
 def quasi_destab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
@@ -327,11 +313,10 @@ def quasi_destab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
     adjacent along the link (the nearest same-letter marking, two steps away
     in the alternating marking cycle), the roles swap: plus -> x, minus -> 0.
     """
-    if m.kind != "quasi":
-        raise ValueError("quasi_destab_map needs a quasi StabModel")
     if not c.tensor_stack or c.tensor_stack[-1][0] != "quasi":
         raise AnchorMismatch("complex is not a quasi-stabilization target")
-    _, stab_anchor, _side, (plus, minus) = c.tensor_stack[-1]
+    _, stab_anchor = c.tensor_stack[-1]
+    plus, minus = _TAGS
     if m.anchor == stab_anchor:
         return _project(c, minus)
     if m.anchor in same_letter_neighbors(c.grid, stab_anchor):
@@ -343,17 +328,16 @@ def quasi_destab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
     )
 
 
-def disk_stab_map(c: MonomialComplex, tags: tuple[str, str] = ("plus", "minus")) -> ChainMap:
-    """x -> x tensor plus_gen into c tensor W (a split two-basepoint unknot)."""
-    return _include(c, ("disk", tags))
+def disk_stab_map(c: MonomialComplex) -> ChainMap:
+    """x -> x tensor plus into c tensor W (a split two-basepoint unknot)."""
+    return _include(c, ("disk",))
 
 
 def disk_destab_map(c: MonomialComplex) -> ChainMap:
     """Project c tensor W back to c: plus -> 0, minus -> x."""
     if not c.tensor_stack or c.tensor_stack[-1][0] != "disk":
         raise MoveSequenceInvalid("complex is not a disk-stabilization target")
-    _, (plus, minus) = c.tensor_stack[-1]
-    return _project(c, minus)
+    return _project(c, _TAGS[1])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +368,7 @@ def renumber_map(c: MonomialComplex, perm) -> ChainMap:
         c.basis, boundary, c.marking_count, c.ring, c.grid, c.tensor_stack
     )
     entries = {lab: {lab: ONE} for lab in c.basis.labels()}
-    return ChainMap(c, tgt_c, entries, degree=0)
+    return ChainMap(c, tgt_c, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +377,19 @@ def renumber_map(c: MonomialComplex, perm) -> ChainMap:
 
 @dataclass(eq=False)
 class MovieResult:
-    """The composed chain map of a movie and its matrix on homology.
+    """The composed chain map of a movie, its doubled grading shift and its
+    matrix on homology.
 
-    When the movie ends on the complex it started from (`final is
-    total.src`), `src_presentation` and `tgt_presentation` are one and the
-    same object.  That holds for every movie that returns to its start grid
-    with no stabilization left, since `build_gc_prime` hands back the start
-    complex while it is held.
+    `degree` is the sum of the moves' `chain_map_degree`s, or the degree of
+    the composite when some move has none.  When the movie ends on the
+    complex it started from (`final is total.src`), `src_presentation` and
+    `tgt_presentation` are one and the same object.  That holds for every
+    movie that returns to its start grid with no stabilization left, since
+    `build_gc_prime` hands back the start complex while it is held.
     """
 
     total: ChainMap
+    degree: int | None
     final: MonomialComplex
     final_grid: GridDiagram
     induced: list[list[PolyF2U]]
@@ -440,15 +427,18 @@ def compose_movie(movie: Movie, cap: int = DEFAULT_STATE_CAP) -> MovieResult:
     src = build_gc_prime(movie.start, cap)
     current = src
     total = identity_chain_map(src)
+    degrees = []
     for move in movie.moves:
         f = move_map(current, move)
+        degrees.append(chain_map_degree(f))
         total = compose_chain_maps(f, total)
         current = f.tgt
+    degree = chain_map_degree(total) if None in degrees else sum(degrees)
     src_pres = present_homology(src)
     # a closed movie ends on the very complex it started from
     tgt_pres = src_pres if current is src else present_homology(current)
     matrix = induced_map(total, src_pres, tgt_pres)
-    return MovieResult(total, current, current.grid, matrix, src_pres, tgt_pres)
+    return MovieResult(total, degree, current, current.grid, matrix, src_pres, tgt_pres)
 
 
 def verify_commutation(
@@ -549,9 +539,9 @@ def _move(kind: str, fields: dict[str, str], n: int, lineno: int):
         return BandSwitch(BandMapChoice(site, fields["flavor"], _DIRECTIONS[fields["dir"]]))
     if kind == "quasistab":
         anchor = _parse_anchor(fields["anchor"], n, lineno)
-        return QuasiStab(StabModel("quasi", anchor, fields["side"]))
+        return QuasiStab(StabModel(anchor, fields["side"]))
     if kind == "quasidestab":
-        return QuasiDestab(StabModel("quasi", _parse_anchor(fields["anchor"], n, lineno)))
+        return QuasiDestab(StabModel(_parse_anchor(fields["anchor"], n, lineno)))
     return DiskStab() if kind == "diskstab" else DiskDestab()
 
 

@@ -228,12 +228,12 @@ def classify_band(g: GridDiagram, s: SwitchSite) -> BandClass:
     Type II when they lie on two different components.
     """
     g2 = apply_switch(g, s)  # raises InvalidSite for bad sites
-    l_before = link_topology(g).component_count
+    before = link_topology(g)
     l_after = link_topology(g2).component_count
     m1, m2 = site_markings(g, s)
-    comp = link_topology(g).component_of
+    comp = before.component_of
     band_type = "I" if comp[m1] == comp[m2] else "II"
-    return BandClass(oriented=l_before != l_after, band_type=band_type)
+    return BandClass(oriented=before.component_count != l_after, band_type=band_type)
 
 
 def random_grid(n: int, rng) -> GridDiagram:

@@ -208,14 +208,14 @@ def test_criterion_09_destab_stab_relations_on_homology():
             [ONE if i == j else ZERO for j in range(n_gen)] for i in range(n_gen)
         ]
         for anchor in range(2 * g.n):
-            stab = quasi_stab_map(c, StabModel("quasi", anchor=anchor))
+            stab = quasi_stab_map(c, StabModel(anchor=anchor))
             same = compose_chain_maps(
-                quasi_destab_map(stab.tgt, StabModel("quasi", anchor=anchor)), stab
+                quasi_destab_map(stab.tgt, StabModel(anchor=anchor)), stab
             )
             assert induced_map(same, pres, pres) == zero_mat, (name, anchor)
             for adj in set(same_letter_neighbors(g, anchor)):
                 near = compose_chain_maps(
-                    quasi_destab_map(stab.tgt, StabModel("quasi", anchor=adj)), stab
+                    quasi_destab_map(stab.tgt, StabModel(anchor=adj)), stab
                 )
                 assert induced_map(near, pres, pres) == id_mat, (name, anchor, adj)
         ds = disk_stab_map(c)

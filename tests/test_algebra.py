@@ -268,6 +268,11 @@ class TestComplexChecks:
             {ExponentVector.make({0: 2}), ExponentVector.make({1: 2})}
         )
 
+    def test_boundary_squared_refuses_single_variable(self, gc_primes):
+        # the single-variable check is boundary_squares_to_zero
+        with pytest.raises(NotHomogeneous, match="single-variable"):
+            boundary_squared(gc_primes["unknot3"])
+
     def test_packed_square_matches_the_oracle(self, multi_complexes, corpus):
         cases = [("tiny", _tiny_multi()), ("cubes", _cubic_multi())]
         for name, c in multi_complexes.items():
@@ -500,7 +505,7 @@ class TestPresentationOracle:
         for i in range(6):
             c = build_gc_prime(random_grid(6, rng))
             _assert_matches_tracked_oracle(c, i)
-            quasi = quasi_stab_map(c, StabModel("quasi", anchor=0)).tgt
+            quasi = quasi_stab_map(c, StabModel(anchor=0)).tgt
             _assert_matches_tracked_oracle(quasi, (i, "quasi"))
             _assert_matches_tracked_oracle(disk_stab_map(c).tgt, (i, "disk"))
 
@@ -558,7 +563,7 @@ def _random_homotopy(c, rng, density=0.4):
             for k in (0, 1):
                 if g2d[y] == g2d[x] + 2 + 2 * k and rng.random() < density:
                     entries.setdefault(x, {})[y] = u_power(k)
-    return ChainMap(c, c, entries, degree=2)
+    return ChainMap(c, c, entries)
 
 
 class TestChainMaps:
@@ -583,7 +588,7 @@ class TestChainMaps:
 
     def test_boundary_is_chain_map(self, gc_primes):
         c = gc_primes["split2x2_2x2"]
-        dmap = ChainMap(c, c, c.boundary, degree=-2)
+        dmap = ChainMap(c, c, c.boundary)
         assert is_chain_map(dmap)
         assert chain_map_degree(dmap) == -2
 
@@ -591,7 +596,7 @@ class TestChainMaps:
         basis = GradedBasis((("x", 0), ("y", -2)))
         c = MonomialComplex(basis, {"x": {"y": ONE}}, 1, SINGLE)
         # d f(x) = y but f d(x) = 0
-        broken = ChainMap(c, c, {"x": {"x": ONE}}, None)
+        broken = ChainMap(c, c, {"x": {"x": ONE}})
         assert not is_chain_map(broken)
         pres = present_homology(c)
         with pytest.raises(NotChainMap):
@@ -602,12 +607,12 @@ class TestChainMaps:
         labs = sorted(c.basis.labels(), key=c.grading)
         entries = {labs[0]: {labs[0]: ONE}, labs[-1]: {labs[0]: ONE}}
         assert c.grading(labs[0]) != c.grading(labs[-1])
-        assert chain_map_degree(ChainMap(c, c, entries, None)) is None
+        assert chain_map_degree(ChainMap(c, c, entries)) is None
 
     def test_homotopic_maps_agree_on_homology(self, gc_primes, rng):
         # g = id + d h + h d is pointwise different but homologous to id
         c = gc_primes["split2x2_2x2"]
-        dmap = ChainMap(c, c, c.boundary, degree=-2)
+        dmap = ChainMap(c, c, c.boundary)
         h = _random_homotopy(c, rng)
         term = add_chain_maps(
             compose_chain_maps(dmap, h), compose_chain_maps(h, dmap)
@@ -622,7 +627,7 @@ class TestChainMaps:
     def test_homology_equality_matches_linear_membership(self, gc_primes, rng):
         # dual route: (f - g) applied to any generator must be in im(d)
         c = gc_primes["split2x2_2x2"]
-        dmap = ChainMap(c, c, c.boundary, degree=-2)
+        dmap = ChainMap(c, c, c.boundary)
         h = _random_homotopy(c, rng)
         term = add_chain_maps(
             compose_chain_maps(dmap, h), compose_chain_maps(h, dmap)

@@ -147,6 +147,8 @@ class TestMovieCommand:
         main(["--json", "movie", grid_file("unknot2"), movie_file(script)])
         data = json.loads(capsys.readouterr().out)
         assert data["induced"] == [["0", "0"], ["0", "0"]]
+        # the zero composite has no degree of its own; the moves' sum is reported
+        assert data["degree"] == 0
 
     def test_table_output(self, grid_file, movie_file, capsys):
         script = "quasistab anchor=O1\nquasidestab anchor=O2\n"

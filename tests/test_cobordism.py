@@ -85,7 +85,7 @@ class TestStabOffsets:
             derived_stab_offsets.__wrapped__()
 
     def test_quasi_stab_reproduces_next_unknot(self, gc_primes):
-        f = quasi_stab_map(gc_primes["unknot2"], StabModel("quasi", anchor=0))
+        f = quasi_stab_map(gc_primes["unknot2"], StabModel(anchor=0))
         assert homology(f.tgt).to_dict() == homology(gc_primes["unknot3"]).to_dict()
 
     def test_disk_stab_reproduces_split_union(self, gc_primes):
@@ -112,11 +112,9 @@ class TestMoveValidation:
 
     def test_stab_model_fields(self):
         with pytest.raises(ValueError):
-            StabModel("half")
-        with pytest.raises(ValueError):
-            StabModel("quasi", anchor=0, side="gamma")
-        with pytest.raises(ValueError):
-            StabModel("quasi")  # anchor required
+            StabModel(anchor=0, side="gamma")
+        with pytest.raises(TypeError):
+            StabModel()  # anchor required
 
     def test_band_map_requires_site(self, gc_primes):
         with pytest.raises(InvalidSite):
@@ -240,7 +238,7 @@ class TestChainDefect:
 
     def test_quasi_stabilized_complex(self, gc_primes):
         c = gc_primes["trefoil5"]
-        stab = quasi_stab_map(c, StabModel("quasi", anchor=0))
+        stab = quasi_stab_map(c, StabModel(anchor=0))
         assert _same_defect(stab) is None
         for site in find_switch_sites(c.grid):
             for flavor in ("nu", "nu_tilde"):
@@ -280,14 +278,14 @@ class TestQuasiStabilization:
                 continue
             c = gc_primes[name]
             for anchor in range(2 * g.n):
-                stab = quasi_stab_map(c, StabModel("quasi", anchor=anchor))
-                same = quasi_destab_map(stab.tgt, StabModel("quasi", anchor=anchor))
+                stab = quasi_stab_map(c, StabModel(anchor=anchor))
+                same = quasi_destab_map(stab.tgt, StabModel(anchor=anchor))
                 zero = compose_chain_maps(same, stab)
                 assert all(
                     not p for row in zero.entries.values() for p in row.values()
                 ), (name, anchor)
                 for adj in set(same_letter_neighbors(g, anchor)):
-                    near = quasi_destab_map(stab.tgt, StabModel("quasi", anchor=adj))
+                    near = quasi_destab_map(stab.tgt, StabModel(anchor=adj))
                     ident = compose_chain_maps(near, stab)
                     assert chain_maps_equal(ident, identity_chain_map(c)), (
                         name,
@@ -297,7 +295,7 @@ class TestQuasiStabilization:
 
     def test_grading_offsets(self, gc_primes):
         c = gc_primes["unknot3"]
-        stab = quasi_stab_map(c, StabModel("quasi", anchor=2))
+        stab = quasi_stab_map(c, StabModel(anchor=2))
         assert chain_map_degree(stab) == 0
         base = c.basis.to_dict()
         stacked = stab.tgt.basis.to_dict()
@@ -308,42 +306,42 @@ class TestQuasiStabilization:
 
     def test_marking_count_grows(self, gc_primes):
         c = gc_primes["unknot2"]
-        stab = quasi_stab_map(c, StabModel("quasi", anchor=1))
+        stab = quasi_stab_map(c, StabModel(anchor=1))
         assert stab.tgt.marking_count == c.marking_count + 2
         assert stab.tgt.tensor_stack[-1][0] == "quasi"
 
     def test_bad_anchor(self, gc_primes):
         c = gc_primes["unknot2"]
         with pytest.raises(AnchorMismatch):
-            quasi_stab_map(c, StabModel("quasi", anchor=4))
+            quasi_stab_map(c, StabModel(anchor=4))
         with pytest.raises(AnchorMismatch):
-            quasi_destab_map(c, StabModel("quasi", anchor=0))
+            quasi_destab_map(c, StabModel(anchor=0))
 
     def test_non_adjacent_destab_rejected(self, gc_primes):
         # trefoil5 neighbors of O1 are O4 and O3; O2 is neither
         c = gc_primes["trefoil5"]
-        stab = quasi_stab_map(c, StabModel("quasi", anchor=0))
+        stab = quasi_stab_map(c, StabModel(anchor=0))
         assert set(same_letter_neighbors(c.grid, 0)) == {3, 2}
         with pytest.raises(AnchorMismatch, match="neither"):
-            quasi_destab_map(stab.tgt, StabModel("quasi", anchor=1))
+            quasi_destab_map(stab.tgt, StabModel(anchor=1))
 
     def test_custom_tags_and_sides(self, gc_primes):
         c = gc_primes["unknot2"]
-        m = StabModel("quasi", anchor=0, side="alpha", v_basis=("top", "bot"))
-        stab = quasi_stab_map(c, m)
+        stab = quasi_stab_map(c, StabModel(anchor=0, side="alpha"))
         labs = stab.tgt.basis.labels()
-        assert all(tag in ("top", "bot") for _, tag in labs)
-        same = quasi_destab_map(stab.tgt, StabModel("quasi", anchor=0))
+        assert {tag for _, tag in labs} == {"plus", "minus"}
+        assert stab.tgt.tensor_stack == (("quasi", 0),)
+        same = quasi_destab_map(stab.tgt, StabModel(anchor=0))
         assert all(not p for row in compose_chain_maps(same, stab).entries.values()
                    for p in row.values())
 
     def test_nested_stabilizations_unwind_in_order(self, gc_primes):
         c = gc_primes["unknot2"]
-        s1 = quasi_stab_map(c, StabModel("quasi", anchor=0))
-        s2 = quasi_stab_map(s1.tgt, StabModel("quasi", anchor=1))
+        s1 = quasi_stab_map(c, StabModel(anchor=0))
+        s2 = quasi_stab_map(s1.tgt, StabModel(anchor=1))
         assert len(s2.tgt.tensor_stack) == 2
-        d2 = quasi_destab_map(s2.tgt, StabModel("quasi", anchor=0))  # adjacent
-        d1 = quasi_destab_map(d2.tgt, StabModel("quasi", anchor=1))  # adjacent
+        d2 = quasi_destab_map(s2.tgt, StabModel(anchor=0))  # adjacent
+        d1 = quasi_destab_map(d2.tgt, StabModel(anchor=1))  # adjacent
         total = compose_chain_maps(
             d1, compose_chain_maps(d2, compose_chain_maps(s2, s1))
         )
@@ -370,18 +368,18 @@ class TestDiskStabilization:
         c = gc_primes["unknot2"]
         with pytest.raises(MoveSequenceInvalid):
             disk_destab_map(c)
-        quasi = quasi_stab_map(c, StabModel("quasi", anchor=0))
+        quasi = quasi_stab_map(c, StabModel(anchor=0))
         with pytest.raises(MoveSequenceInvalid):
             disk_destab_map(quasi.tgt)
         disk = disk_stab_map(c)
         with pytest.raises(AnchorMismatch):
-            quasi_destab_map(disk.tgt, StabModel("quasi", anchor=0))
+            quasi_destab_map(disk.tgt, StabModel(anchor=0))
 
 
 class TestBandOnStabilizedComplex:
     def test_relations_survive_tensoring(self, gc_primes):
         c = gc_primes["unknot4_sites"]
-        stab = quasi_stab_map(c, StabModel("quasi", anchor=0))
+        stab = quasi_stab_map(c, StabModel(anchor=0))
         site = find_switch_sites(c.grid)[0]
         f = band_map(stab.tgt, BandMapChoice(site, "nu"))
         assert f.tgt.tensor_stack == stab.tgt.tensor_stack
@@ -396,7 +394,7 @@ class TestBandOnStabilizedComplex:
         plain = band_map(c, BandMapChoice(site, "nu"))
         assert chain_map_degree(plain) == -2
         disk = disk_stab_map(c).tgt
-        disk_then_quasi = quasi_stab_map(disk, StabModel("quasi", anchor=0)).tgt
+        disk_then_quasi = quasi_stab_map(disk, StabModel(anchor=0)).tgt
         for stacked in (disk, disk_then_quasi):
             f = band_map(stacked, BandMapChoice(site, "nu"))
             assert chain_map_degree(f) == chain_map_degree(plain)
@@ -490,8 +488,8 @@ class TestMovies:
         same = Movie(
             g,
             (
-                QuasiStab(StabModel("quasi", anchor=0)),
-                QuasiDestab(StabModel("quasi", anchor=0)),
+                QuasiStab(StabModel(anchor=0)),
+                QuasiDestab(StabModel(anchor=0)),
             ),
         )
         res = compose_movie(same)
@@ -499,8 +497,8 @@ class TestMovies:
         adjacent = Movie(
             g,
             (
-                QuasiStab(StabModel("quasi", anchor=0)),
-                QuasiDestab(StabModel("quasi", anchor=1)),
+                QuasiStab(StabModel(anchor=0)),
+                QuasiDestab(StabModel(anchor=1)),
             ),
         )
         res2 = compose_movie(adjacent)
@@ -518,9 +516,9 @@ class TestMovies:
         g = corpus["unknot4_sites"]
         site = find_switch_sites(g)[0]
         moves = (
-            QuasiStab(StabModel("quasi", anchor=2)),
+            QuasiStab(StabModel(anchor=2)),
             BandSwitch(BandMapChoice(site, "nu")),
-            QuasiDestab(StabModel("quasi", anchor=2)),
+            QuasiDestab(StabModel(anchor=2)),
         )
         res = compose_movie(Movie(g, moves))
         c = res.total.src
@@ -571,9 +569,9 @@ class TestPresentationReuse:
             g,
             (
                 BandSwitch(BandMapChoice(site, "nu", "forward")),
-                QuasiStab(StabModel("quasi", anchor=a)),
+                QuasiStab(StabModel(anchor=a)),
                 BandSwitch(BandMapChoice(site, "nu", "inverse")),
-                QuasiDestab(StabModel("quasi", anchor=b)),
+                QuasiDestab(StabModel(anchor=b)),
             ),
         )
         calls = _count_presentations(monkeypatch, cobordism)
@@ -591,7 +589,7 @@ class TestPresentationReuse:
         # a stabilized end keeps the start grid but is another complex
         for move, final_grid in (
             (BandSwitch(BandMapChoice(site, "nu")), apply_switch(g, site)),
-            (QuasiStab(StabModel("quasi", anchor=0)), g),
+            (QuasiStab(StabModel(anchor=0)), g),
         ):
             calls.clear()
             res = compose_movie(Movie(g, (move,)))

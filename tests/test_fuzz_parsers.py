@@ -159,7 +159,7 @@ def legal_movies(draw):
         elif kind == "quasistab":
             anchor = draw(st.integers(min_value=0, max_value=2 * n - 1))
             side = draw(st.sampled_from(["alpha", "beta"]))
-            moves.append(QuasiStab(StabModel("quasi", anchor, side)))
+            moves.append(QuasiStab(StabModel(anchor, side)))
             stack.append(anchor)
         elif kind == "diskstab":
             moves.append(DiskStab())
@@ -170,7 +170,7 @@ def legal_movies(draw):
                 moves.append(DiskDestab())
             else:
                 anchors = [top, *same_letter_neighbors(grid, top)]
-                moves.append(QuasiDestab(StabModel("quasi", draw(st.sampled_from(anchors)))))
+                moves.append(QuasiDestab(StabModel(draw(st.sampled_from(anchors)))))
         else:
             count = 2 * n + 2 * len(stack)
             moves.append(Renumber(tuple(draw(st.permutations(range(count))))))
