@@ -26,7 +26,6 @@ from .algebra import (
 from .cobordism import (
     BandMapChoice,
     Movie,
-    StabModel,
     band_map,
     compose_movie,
     disk_destab_map,
@@ -49,10 +48,8 @@ from .errors import (
 from .grids import (
     GridDiagram,
     SwitchSite,
-    apply_switch,
     classify_band,
     find_switch_sites,
-    link_topology,
     parse_grid,
     random_grid,
     same_letter_neighbors,
@@ -65,6 +62,14 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_MOVE = 4
 EXIT_SUITE = 5
+# an error exits with the code of its nearest listed class (AnchorMismatch
+# with EXIT_MOVE), any other with EXIT_FAIL
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    CapExceeded: EXIT_CAP,
+    MoveSequenceInvalid: EXIT_MOVE,
+    UnknownSuite: EXIT_SUITE,
+}
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> i
     if config.output == "json":
         json.dump(
             {
-                "final_grid": _grid_json(result.final_grid),
+                "final_grid": _grid_json(result.total.tgt.grid),
                 "degree": degree,
                 "source_homology": result.src_summary.to_json_rows(),
                 "target_homology": result.tgt_summary.to_json_rows(),
@@ -143,7 +148,7 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> i
         print(file=out)
     else:
         print("final diagram:", file=out)
-        print(serialize_grid(result.final_grid), end="", file=out)
+        print(serialize_grid(result.total.tgt.grid), end="", file=out)
         print(f"total map degree: {degree}", file=out)
         print("source homology:", file=out)
         _print_summary_table(result.src_summary, out)
@@ -157,14 +162,13 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> i
 
 def _site_record(g: GridDiagram, site: SwitchSite) -> dict:
     band = classify_band(g, site)
-    after = link_topology(apply_switch(g, site)).component_count
     return {
         "col": site.col + 1,
         "row": site.row + 1,
         "letter": site.letter,
         "oriented": band.oriented,
         "band_type": band.band_type,
-        "components_after": after,
+        "components_after": band.components_after,
     }
 
 
@@ -225,8 +229,7 @@ def _suite_band_relations(config: RunConfig):
             f_back = band_map(f.tgt, BandMapChoice(site))
             u_mid = scale_chain_map(identity_chain_map(f.tgt), U)
             first = chain_maps_equal(compose_chain_maps(f_back, f), u_src)
-            f_again = band_map(f_back.tgt, BandMapChoice(site))
-            second = chain_maps_equal(compose_chain_maps(f_again, f_back), u_mid)
+            second = chain_maps_equal(compose_chain_maps(f, f_back), u_mid)
             label = f"col={site.col + 1} row={site.row + 1} letter={site.letter}"
             yield f"switch compositions equal U on {name} ({label})", g, None, (
                 first and second
@@ -239,15 +242,11 @@ def _suite_stab_relations(config: RunConfig):
             continue
         c = build_gc_prime(g, config.state_cap)
         for anchor in range(2 * g.n):
-            stab = quasi_stab_map(c, StabModel(anchor))
-            same = compose_chain_maps(
-                quasi_destab_map(stab.tgt, StabModel(anchor)), stab
-            )
+            stab = quasi_stab_map(c, anchor)
+            same = compose_chain_maps(quasi_destab_map(stab.tgt, anchor), stab)
             zero_ok = all(not row for row in same.entries.values())
             adj = same_letter_neighbors(g, anchor)[0]
-            ident = compose_chain_maps(
-                quasi_destab_map(stab.tgt, StabModel(adj)), stab
-            )
+            ident = compose_chain_maps(quasi_destab_map(stab.tgt, adj), stab)
             id_ok = chain_maps_equal(ident, identity_chain_map(c))
             label = g.marking_name(anchor)
             yield f"destab-stab relations on {name} at {label}", g, None, (
@@ -364,21 +363,11 @@ def main(argv=None) -> int:
         if args.command == "sites":
             return cmd_sites(args.grid, config)
         return cmd_verify(args.suite, config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except MoveSequenceInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MOVE
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUITE
     except (GridFloerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(
+            (_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES), EXIT_FAIL
+        )
 
 
 if __name__ == "__main__":

@@ -9,9 +9,11 @@ Band maps are checked to commute with the boundaries when they are built;
 stabilization, destabilization and renumbering maps are chain maps by
 construction, and a movie's composite is checked once, in `induced_map`.
 
-Each stabilization appends one entry to `MonomialComplex.tensor_stack`:
-`("quasi", anchor)` or `("disk",)`.  The rank-2 module's two generators
-are tagged `_TAGS`, the upper one first.
+A movie move is plain data: the switch move is its `BandMapChoice`, a
+quasi-(de)stabilization carries its anchor marking, and the disk moves
+carry nothing.  Each stabilization appends the move that made it,
+`QuasiStab(anchor)` or `DiskStab()`, to `MonomialComplex.tensor_stack`.
+The rank-2 module's two generators are tagged `_TAGS`, the upper one first.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ from .grids import (
 
 @dataclass(frozen=True)
 class BandMapChoice:
-    """A switch site with the flavor and direction of the band map.
+    """The switch move: a site with the flavor and direction of its band map.
 
     flavor selects which generators pick up the factor U: `nu` uses the
     distinguished-point rule, `nu_tilde` its complement.  direction is
@@ -86,8 +88,8 @@ class BandMapChoice:
 
 
 @dataclass(frozen=True)
-class StabModel:
-    """A quasi-(de)stabilization: tensoring with a rank-2 free module.
+class QuasiStab:
+    """A quasi-stabilization: tensoring with a rank-2 free module.
 
     The new basepoint pair sits next to `anchor`, a marking id of the base
     grid.  The two new generators carry doubled-grading offsets (0, -gap)
@@ -95,26 +97,14 @@ class StabModel:
     """
 
     anchor: int
-    side: str = "beta"           # "alpha" | "beta"
-
-    def __post_init__(self):
-        if self.side not in ("alpha", "beta"):
-            raise ValueError(f"unknown side {self.side!r}")
-
-
-@dataclass(frozen=True)
-class BandSwitch:
-    choice: BandMapChoice
-
-
-@dataclass(frozen=True)
-class QuasiStab:
-    model: StabModel
 
 
 @dataclass(frozen=True)
 class QuasiDestab:
-    model: StabModel
+    """Projection off the latest quasi-stabilization, named by its anchor or
+    a same-letter neighbor of it."""
+
+    anchor: int
 
 
 @dataclass(frozen=True)
@@ -182,12 +172,12 @@ def derived_stab_offsets() -> tuple[int, int]:
 _TAGS = ("plus", "minus")
 
 
-def _tensor_rank2(c: MonomialComplex, entry: tuple) -> MonomialComplex:
-    """c tensored with a stack entry's rank-2 free module, zero differential;
-    the second tag sits the gap of the entry's kind below the first."""
+def _tensor_rank2(c: MonomialComplex, stab: QuasiStab | DiskStab) -> MonomialComplex:
+    """c tensored with the rank-2 free module of a QuasiStab or DiskStab,
+    zero differential; the second tag sits the move's gap below the first."""
     plus, minus = _TAGS
     s_v, s_w = derived_stab_offsets()
-    gap = s_v if entry[0] == "quasi" else s_w
+    gap = s_v if isinstance(stab, QuasiStab) else s_w
     elements = []
     for lab, d in c.basis.elements:
         elements.append(((lab, plus), d))
@@ -202,15 +192,15 @@ def _tensor_rank2(c: MonomialComplex, entry: tuple) -> MonomialComplex:
         c.marking_count + 2,
         c.ring,
         c.grid,
-        c.tensor_stack + (entry,),
+        c.tensor_stack + (stab,),
     )
 
 
 def _stacked_complex(g: GridDiagram, stack: tuple) -> MonomialComplex:
-    """The base complex of g with each stack entry tensored on in order."""
+    """The base complex of g with each stabilization tensored on in order."""
     c = build_gc_prime(g, g.n)
-    for entry in stack:
-        c = _tensor_rank2(c, entry)
+    for stab in stack:
+        c = _tensor_rank2(c, stab)
     return c
 
 
@@ -285,57 +275,57 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 # stabilization maps
 
 
-def _include(c: MonomialComplex, entry: tuple) -> ChainMap:
-    """x -> x tensor plus, into c tensored with the entry's rank-2 module."""
+def _include(c: MonomialComplex, stab: QuasiStab | DiskStab) -> ChainMap:
+    """x -> x tensor plus, into c tensored with the move's rank-2 module."""
     entries = {lab: {(lab, _TAGS[0]): ONE} for lab in c.basis.labels()}
-    return ChainMap(c, _tensor_rank2(c, entry), entries)
+    return ChainMap(c, _tensor_rank2(c, stab), entries)
 
 
 def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
-    """Project c onto the complex under its stack minus the top entry:
+    """Project c onto the complex under its stack minus the top move:
     x tensor keep_tag -> x, and the other tag dies."""
     tgt = _stacked_complex(c.grid, c.tensor_stack[:-1])
     entries = {(lab, keep_tag): {lab: ONE} for lab in tgt.basis.labels()}
     return ChainMap(c, tgt, entries)
 
 
-def quasi_stab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
+def quasi_stab_map(c: MonomialComplex, anchor: int) -> ChainMap:
     """x -> x tensor plus into c tensor V."""
-    if c.grid is None or not 0 <= m.anchor < 2 * c.grid.n:
-        raise AnchorMismatch(f"anchor {m.anchor} is not a marking of the base grid")
-    return _include(c, ("quasi", m.anchor))
+    if c.grid is None or not 0 <= anchor < 2 * c.grid.n:
+        raise AnchorMismatch(f"anchor {anchor} is not a marking of the base grid")
+    return _include(c, QuasiStab(anchor))
 
 
-def quasi_destab_map(c: MonomialComplex, m: StabModel) -> ChainMap:
+def quasi_destab_map(c: MonomialComplex, anchor: int) -> ChainMap:
     """Project c tensor V back to c.
 
     At the stabilization's own anchor: plus -> 0, minus -> x.  At an anchor
     adjacent along the link (the nearest same-letter marking, two steps away
     in the alternating marking cycle), the roles swap: plus -> x, minus -> 0.
     """
-    if not c.tensor_stack or c.tensor_stack[-1][0] != "quasi":
+    top = c.tensor_stack[-1] if c.tensor_stack else None
+    if not isinstance(top, QuasiStab):
         raise AnchorMismatch("complex is not a quasi-stabilization target")
-    _, stab_anchor = c.tensor_stack[-1]
     plus, minus = _TAGS
-    if m.anchor == stab_anchor:
+    if anchor == top.anchor:
         return _project(c, minus)
-    if m.anchor in same_letter_neighbors(c.grid, stab_anchor):
+    if anchor in same_letter_neighbors(c.grid, top.anchor):
         return _project(c, plus)
     name = c.grid.marking_name
     raise AnchorMismatch(
-        f"destabilization anchor {name(m.anchor)} is neither the stabilization "
-        f"anchor {name(stab_anchor)} nor adjacent to it along the link"
+        f"destabilization anchor {name(anchor)} is neither the stabilization "
+        f"anchor {name(top.anchor)} nor adjacent to it along the link"
     )
 
 
 def disk_stab_map(c: MonomialComplex) -> ChainMap:
     """x -> x tensor plus into c tensor W (a split two-basepoint unknot)."""
-    return _include(c, ("disk",))
+    return _include(c, DiskStab())
 
 
 def disk_destab_map(c: MonomialComplex) -> ChainMap:
     """Project c tensor W back to c: plus -> 0, minus -> x."""
-    if not c.tensor_stack or c.tensor_stack[-1][0] != "disk":
+    if c.tensor_stack[-1:] != (DiskStab(),):
         raise MoveSequenceInvalid("complex is not a disk-stabilization target")
     return _project(c, _TAGS[1])
 
@@ -381,8 +371,9 @@ class MovieResult:
     matrix on homology.
 
     `degree` is the sum of the moves' `chain_map_degree`s, or the degree of
-    the composite when some move has none.  When the movie ends on the
-    complex it started from (`final is total.src`), `src_presentation` and
+    the composite when some move has none.  The movie ends on `total.tgt`.
+    When that is the complex it started from (`total.tgt is total.src`),
+    `src_presentation` and
     `tgt_presentation` are one and the same object.  That holds for every
     movie that returns to its start grid with no stabilization left, since
     `build_gc_prime` hands back the start complex while it is held.
@@ -390,8 +381,6 @@ class MovieResult:
 
     total: ChainMap
     degree: int | None
-    final: MonomialComplex
-    final_grid: GridDiagram
     induced: list[list[PolyF2U]]
     src_presentation: HomologyPresentation
     tgt_presentation: HomologyPresentation
@@ -407,12 +396,12 @@ class MovieResult:
 
 def move_map(c: MonomialComplex, move) -> ChainMap:
     """The chain map of one movie move applied to the running complex."""
-    if isinstance(move, BandSwitch):
-        return band_map(c, move.choice)
+    if isinstance(move, BandMapChoice):
+        return band_map(c, move)
     if isinstance(move, QuasiStab):
-        return quasi_stab_map(c, move.model)
+        return quasi_stab_map(c, move.anchor)
     if isinstance(move, QuasiDestab):
-        return quasi_destab_map(c, move.model)
+        return quasi_destab_map(c, move.anchor)
     if isinstance(move, DiskStab):
         return disk_stab_map(c)
     if isinstance(move, DiskDestab):
@@ -425,20 +414,18 @@ def move_map(c: MonomialComplex, move) -> ChainMap:
 def compose_movie(movie: Movie, cap: int = DEFAULT_STATE_CAP) -> MovieResult:
     """Compose the moves in order and compute the induced map on homology."""
     src = build_gc_prime(movie.start, cap)
-    current = src
     total = identity_chain_map(src)
     degrees = []
     for move in movie.moves:
-        f = move_map(current, move)
+        f = move_map(total.tgt, move)
         degrees.append(chain_map_degree(f))
         total = compose_chain_maps(f, total)
-        current = f.tgt
     degree = chain_map_degree(total) if None in degrees else sum(degrees)
     src_pres = present_homology(src)
     # a closed movie ends on the very complex it started from
-    tgt_pres = src_pres if current is src else present_homology(current)
+    tgt_pres = src_pres if total.tgt is src else present_homology(total.tgt)
     matrix = induced_map(total, src_pres, tgt_pres)
-    return MovieResult(total, degree, current, current.grid, matrix, src_pres, tgt_pres)
+    return MovieResult(total, degree, matrix, src_pres, tgt_pres)
 
 
 def verify_commutation(
@@ -489,20 +476,19 @@ def _parse_anchor(token: str, n: int, lineno: int) -> int:
     return row if m.group(1) == "O" else n + row
 
 
-# Each keyword's key=value fields with their defaults; a field whose default
-# is None is required.
-_FIELDS: dict[str, dict[str, str | None]] = {
-    "switch": dict.fromkeys(("col", "row", "letter", "flavor", "dir")),
-    "quasistab": {"anchor": None, "side": "beta"},
-    "quasidestab": {"anchor": None},
-    "diskstab": {},
-    "diskdestab": {},
+# Each keyword's key=value fields, all of them required.
+_FIELDS: dict[str, tuple[str, ...]] = {
+    "switch": ("col", "row", "letter", "flavor", "dir"),
+    "quasistab": ("anchor",),
+    "quasidestab": ("anchor",),
+    "diskstab": (),
+    "diskdestab": (),
 }
 _DIRECTIONS = {"fwd": "forward", "inv": "inverse"}
 
 
 def _kv_fields(kind: str, tokens: list[str], lineno: int) -> dict[str, str]:
-    """The fields of a `kind` line, defaults filled in."""
+    """The fields of a `kind` line."""
     spec = _FIELDS[kind]
     if tokens and not spec:
         raise ParseError(f"line {lineno}: {kind} takes no arguments")
@@ -516,14 +502,14 @@ def _kv_fields(kind: str, tokens: list[str], lineno: int) -> dict[str, str]:
         if k not in spec:
             raise ParseError(f"line {lineno}: {kind} has no field {k!r}")
         out[k] = v
-    missing = sorted(k for k, default in spec.items() if default is None and k not in out)
+    missing = sorted(k for k in spec if k not in out)
     if missing:
         raise ParseError(f"line {lineno}: {kind} is missing {missing}")
-    return {**spec, **out}
+    return out
 
 
 def _move(kind: str, fields: dict[str, str], n: int, lineno: int):
-    """The move of a `kind` line; BandMapChoice and StabModel check flavor and side."""
+    """The move of a `kind` line; BandMapChoice checks the flavor."""
     if kind == "switch":
         try:
             col, row = int(fields["col"]) - 1, int(fields["row"]) - 1
@@ -536,12 +522,11 @@ def _move(kind: str, fields: dict[str, str], n: int, lineno: int):
         if fields["dir"] not in _DIRECTIONS:
             raise ParseError(f"line {lineno}: dir must be fwd or inv")
         site = SwitchSite(col, row, fields["letter"])
-        return BandSwitch(BandMapChoice(site, fields["flavor"], _DIRECTIONS[fields["dir"]]))
+        return BandMapChoice(site, fields["flavor"], _DIRECTIONS[fields["dir"]])
     if kind == "quasistab":
-        anchor = _parse_anchor(fields["anchor"], n, lineno)
-        return QuasiStab(StabModel(anchor, fields["side"]))
+        return QuasiStab(_parse_anchor(fields["anchor"], n, lineno))
     if kind == "quasidestab":
-        return QuasiDestab(StabModel(_parse_anchor(fields["anchor"], n, lineno)))
+        return QuasiDestab(_parse_anchor(fields["anchor"], n, lineno))
     return DiskStab() if kind == "diskstab" else DiskDestab()
 
 
@@ -569,7 +554,7 @@ def parse_movie(text: str, start: GridDiagram) -> Movie:
             fields = _kv_fields(kind, args, lineno)
             try:
                 moves.append(_move(kind, fields, n, lineno))
-            except ValueError as exc:  # a flavor or side the move refuses
+            except ValueError as exc:  # a flavor the move refuses
                 raise ParseError(f"line {lineno}: {exc}") from exc
         else:
             raise ParseError(f"line {lineno}: unknown move {kind!r}")
@@ -580,20 +565,16 @@ def serialize_movie(movie: Movie) -> str:
     name = movie.start.marking_name
     lines = []
     for move in movie.moves:
-        if isinstance(move, BandSwitch):
-            ch = move.choice
-            d = "fwd" if ch.direction == "forward" else "inv"
+        if isinstance(move, BandMapChoice):
+            d = "fwd" if move.direction == "forward" else "inv"
             lines.append(
-                f"switch col={ch.site.col + 1} row={ch.site.row + 1} "
-                f"letter={ch.site.letter} flavor={ch.flavor} dir={d}"
+                f"switch col={move.site.col + 1} row={move.site.row + 1} "
+                f"letter={move.site.letter} flavor={move.flavor} dir={d}"
             )
         elif isinstance(move, QuasiStab):
-            lines.append(
-                f"quasistab anchor={name(move.model.anchor)} "
-                f"side={move.model.side}"
-            )
+            lines.append(f"quasistab anchor={name(move.anchor)}")
         elif isinstance(move, QuasiDestab):
-            lines.append(f"quasidestab anchor={name(move.model.anchor)}")
+            lines.append(f"quasidestab anchor={name(move.anchor)}")
         elif isinstance(move, DiskStab):
             lines.append("diskstab")
         elif isinstance(move, DiskDestab):

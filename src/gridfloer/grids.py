@@ -69,6 +69,7 @@ class BandClass:
 
     oriented: bool      # component count changes under the switch
     band_type: str      # "I" (both feet on one component) or "II"
+    components_after: int  # component count of the switched link
 
 
 def validate(o_seq, x_seq) -> GridDiagram:
@@ -233,7 +234,7 @@ def classify_band(g: GridDiagram, s: SwitchSite) -> BandClass:
     m1, m2 = site_markings(g, s)
     comp = before.component_of
     band_type = "I" if comp[m1] == comp[m2] else "II"
-    return BandClass(oriented=before.component_count != l_after, band_type=band_type)
+    return BandClass(before.component_count != l_after, band_type, l_after)
 
 
 def random_grid(n: int, rng) -> GridDiagram:

@@ -24,7 +24,6 @@ from gridfloer import (
     NotChainMap,
     NotHomogeneous,
     PolyF2U,
-    StabModel,
     add_chain_maps,
     boundary_squared,
     boundary_squares_to_zero,
@@ -505,7 +504,7 @@ class TestPresentationOracle:
         for i in range(6):
             c = build_gc_prime(random_grid(6, rng))
             _assert_matches_tracked_oracle(c, i)
-            quasi = quasi_stab_map(c, StabModel(anchor=0)).tgt
+            quasi = quasi_stab_map(c, 0).tgt
             _assert_matches_tracked_oracle(quasi, (i, "quasi"))
             _assert_matches_tracked_oracle(disk_stab_map(c).tgt, (i, "disk"))
 

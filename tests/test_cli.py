@@ -125,6 +125,23 @@ class TestSitesCommand:
         main(["--json", "sites", grid_file("unknot2")])
         assert json.loads(capsys.readouterr().out)["sites"] == []
 
+    def test_each_switched_grid_is_traced_once(self, grid_file, monkeypatch, capsys):
+        # classify_band traces the grid and its switch; the record reuses
+        # that count, so 4 sites make 8 traces
+        calls = []
+        real = gridfloer.grids.link_topology
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gridfloer") and getattr(module, "link_topology", None) is real:
+                monkeypatch.setattr(module, "link_topology", counting)
+        assert main(["sites", grid_file("unknot4_sites")]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert len(calls) == 8
+
 
 class TestMovieCommand:
     def test_u_round_trip(self, grid_file, movie_file, capsys):
@@ -242,6 +259,19 @@ class TestVerifySuites:
         assert data["passed"] is True
         assert len(data["checks"]) == SUITE_SIZES[suite]
         assert all(c["passed"] for c in data["checks"])
+
+    def test_band_relations_build_two_maps_per_site(self, monkeypatch, capsys):
+        calls = []
+        real = cli.band_map
+
+        def counting(c, choice):
+            calls.append(choice)
+            return real(c, choice)
+
+        monkeypatch.setattr(cli, "band_map", counting)
+        assert main(["verify", "band-relations"]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 2 * SUITE_SIZES["band-relations"] == 86
 
     def test_table_summary_line(self, capsys):
         main(["verify", "curvature"])

@@ -12,7 +12,6 @@ from gridfloer import (
     AnchorMismatch,
     BadPermutation,
     BandMapChoice,
-    BandSwitch,
     BrokenInvariant,
     ChainMap,
     ChainMapViolation,
@@ -28,7 +27,6 @@ from gridfloer import (
     QuasiStab,
     Renumber,
     SitesNotDisjoint,
-    StabModel,
     SwitchSite,
     add_chain_maps,
     apply_switch,
@@ -85,7 +83,7 @@ class TestStabOffsets:
             derived_stab_offsets.__wrapped__()
 
     def test_quasi_stab_reproduces_next_unknot(self, gc_primes):
-        f = quasi_stab_map(gc_primes["unknot2"], StabModel(anchor=0))
+        f = quasi_stab_map(gc_primes["unknot2"], 0)
         assert homology(f.tgt).to_dict() == homology(gc_primes["unknot3"]).to_dict()
 
     def test_disk_stab_reproduces_split_union(self, gc_primes):
@@ -111,10 +109,9 @@ class TestMoveValidation:
             BandMapChoice(site, direction="sideways")
 
     def test_stab_model_fields(self):
-        with pytest.raises(ValueError):
-            StabModel(anchor=0, side="gamma")
-        with pytest.raises(TypeError):
-            StabModel()  # anchor required
+        for move in (QuasiStab, QuasiDestab):
+            with pytest.raises(TypeError):
+                move()  # anchor required
 
     def test_band_map_requires_site(self, gc_primes):
         with pytest.raises(InvalidSite):
@@ -238,7 +235,7 @@ class TestChainDefect:
 
     def test_quasi_stabilized_complex(self, gc_primes):
         c = gc_primes["trefoil5"]
-        stab = quasi_stab_map(c, StabModel(anchor=0))
+        stab = quasi_stab_map(c, 0)
         assert _same_defect(stab) is None
         for site in find_switch_sites(c.grid):
             for flavor in ("nu", "nu_tilde"):
@@ -278,14 +275,14 @@ class TestQuasiStabilization:
                 continue
             c = gc_primes[name]
             for anchor in range(2 * g.n):
-                stab = quasi_stab_map(c, StabModel(anchor=anchor))
-                same = quasi_destab_map(stab.tgt, StabModel(anchor=anchor))
+                stab = quasi_stab_map(c, anchor)
+                same = quasi_destab_map(stab.tgt, anchor)
                 zero = compose_chain_maps(same, stab)
                 assert all(
                     not p for row in zero.entries.values() for p in row.values()
                 ), (name, anchor)
                 for adj in set(same_letter_neighbors(g, anchor)):
-                    near = quasi_destab_map(stab.tgt, StabModel(anchor=adj))
+                    near = quasi_destab_map(stab.tgt, adj)
                     ident = compose_chain_maps(near, stab)
                     assert chain_maps_equal(ident, identity_chain_map(c)), (
                         name,
@@ -295,7 +292,7 @@ class TestQuasiStabilization:
 
     def test_grading_offsets(self, gc_primes):
         c = gc_primes["unknot3"]
-        stab = quasi_stab_map(c, StabModel(anchor=2))
+        stab = quasi_stab_map(c, 2)
         assert chain_map_degree(stab) == 0
         base = c.basis.to_dict()
         stacked = stab.tgt.basis.to_dict()
@@ -306,42 +303,42 @@ class TestQuasiStabilization:
 
     def test_marking_count_grows(self, gc_primes):
         c = gc_primes["unknot2"]
-        stab = quasi_stab_map(c, StabModel(anchor=1))
+        stab = quasi_stab_map(c, 1)
         assert stab.tgt.marking_count == c.marking_count + 2
-        assert stab.tgt.tensor_stack[-1][0] == "quasi"
+        assert stab.tgt.tensor_stack == (QuasiStab(1),)
 
     def test_bad_anchor(self, gc_primes):
         c = gc_primes["unknot2"]
         with pytest.raises(AnchorMismatch):
-            quasi_stab_map(c, StabModel(anchor=4))
+            quasi_stab_map(c, 4)
         with pytest.raises(AnchorMismatch):
-            quasi_destab_map(c, StabModel(anchor=0))
+            quasi_destab_map(c, 0)
 
     def test_non_adjacent_destab_rejected(self, gc_primes):
         # trefoil5 neighbors of O1 are O4 and O3; O2 is neither
         c = gc_primes["trefoil5"]
-        stab = quasi_stab_map(c, StabModel(anchor=0))
+        stab = quasi_stab_map(c, 0)
         assert set(same_letter_neighbors(c.grid, 0)) == {3, 2}
         with pytest.raises(AnchorMismatch, match="neither"):
-            quasi_destab_map(stab.tgt, StabModel(anchor=1))
+            quasi_destab_map(stab.tgt, 1)
 
     def test_custom_tags_and_sides(self, gc_primes):
         c = gc_primes["unknot2"]
-        stab = quasi_stab_map(c, StabModel(anchor=0, side="alpha"))
+        stab = quasi_stab_map(c, 0)
         labs = stab.tgt.basis.labels()
         assert {tag for _, tag in labs} == {"plus", "minus"}
-        assert stab.tgt.tensor_stack == (("quasi", 0),)
-        same = quasi_destab_map(stab.tgt, StabModel(anchor=0))
+        assert stab.tgt.tensor_stack == (QuasiStab(0),)
+        same = quasi_destab_map(stab.tgt, 0)
         assert all(not p for row in compose_chain_maps(same, stab).entries.values()
                    for p in row.values())
 
     def test_nested_stabilizations_unwind_in_order(self, gc_primes):
         c = gc_primes["unknot2"]
-        s1 = quasi_stab_map(c, StabModel(anchor=0))
-        s2 = quasi_stab_map(s1.tgt, StabModel(anchor=1))
-        assert len(s2.tgt.tensor_stack) == 2
-        d2 = quasi_destab_map(s2.tgt, StabModel(anchor=0))  # adjacent
-        d1 = quasi_destab_map(d2.tgt, StabModel(anchor=1))  # adjacent
+        s1 = quasi_stab_map(c, 0)
+        s2 = quasi_stab_map(s1.tgt, 1)
+        assert s2.tgt.tensor_stack == (QuasiStab(0), QuasiStab(1))
+        d2 = quasi_destab_map(s2.tgt, 0)  # adjacent
+        d1 = quasi_destab_map(d2.tgt, 1)  # adjacent
         total = compose_chain_maps(
             d1, compose_chain_maps(d2, compose_chain_maps(s2, s1))
         )
@@ -368,18 +365,18 @@ class TestDiskStabilization:
         c = gc_primes["unknot2"]
         with pytest.raises(MoveSequenceInvalid):
             disk_destab_map(c)
-        quasi = quasi_stab_map(c, StabModel(anchor=0))
+        quasi = quasi_stab_map(c, 0)
         with pytest.raises(MoveSequenceInvalid):
             disk_destab_map(quasi.tgt)
         disk = disk_stab_map(c)
         with pytest.raises(AnchorMismatch):
-            quasi_destab_map(disk.tgt, StabModel(anchor=0))
+            quasi_destab_map(disk.tgt, 0)
 
 
 class TestBandOnStabilizedComplex:
     def test_relations_survive_tensoring(self, gc_primes):
         c = gc_primes["unknot4_sites"]
-        stab = quasi_stab_map(c, StabModel(anchor=0))
+        stab = quasi_stab_map(c, 0)
         site = find_switch_sites(c.grid)[0]
         f = band_map(stab.tgt, BandMapChoice(site, "nu"))
         assert f.tgt.tensor_stack == stab.tgt.tensor_stack
@@ -394,7 +391,8 @@ class TestBandOnStabilizedComplex:
         plain = band_map(c, BandMapChoice(site, "nu"))
         assert chain_map_degree(plain) == -2
         disk = disk_stab_map(c).tgt
-        disk_then_quasi = quasi_stab_map(disk, StabModel(anchor=0)).tgt
+        disk_then_quasi = quasi_stab_map(disk, 0).tgt
+        assert disk_then_quasi.tensor_stack == (DiskStab(), QuasiStab(0))
         for stacked in (disk, disk_then_quasi):
             f = band_map(stacked, BandMapChoice(site, "nu"))
             assert chain_map_degree(f) == chain_map_degree(plain)
@@ -458,7 +456,7 @@ class TestCommutation:
 class TestMovies:
     def test_empty_movie_is_identity(self, corpus):
         res = compose_movie(Movie(corpus["unknot3"]))
-        assert res.final_grid == corpus["unknot3"]
+        assert res.total.tgt.grid == corpus["unknot3"]
         assert res.src_summary == res.tgt_summary
         n_gen = len(res.src_presentation.generators)
         for i in range(n_gen):
@@ -472,12 +470,12 @@ class TestMovies:
         movie = Movie(
             g,
             (
-                BandSwitch(BandMapChoice(site, "nu", "forward")),
-                BandSwitch(BandMapChoice(site, "nu", "inverse")),
+                BandMapChoice(site, "nu", "forward"),
+                BandMapChoice(site, "nu", "inverse"),
             ),
         )
         res = compose_movie(movie)
-        assert res.final_grid == g
+        assert res.total.tgt.grid == g
         expected = induced_map(
             _u_id(res.total.src), res.src_presentation, res.tgt_presentation
         )
@@ -488,8 +486,8 @@ class TestMovies:
         same = Movie(
             g,
             (
-                QuasiStab(StabModel(anchor=0)),
-                QuasiDestab(StabModel(anchor=0)),
+                QuasiStab(0),
+                QuasiDestab(0),
             ),
         )
         res = compose_movie(same)
@@ -497,8 +495,8 @@ class TestMovies:
         adjacent = Movie(
             g,
             (
-                QuasiStab(StabModel(anchor=0)),
-                QuasiDestab(StabModel(anchor=1)),
+                QuasiStab(0),
+                QuasiDestab(1),
             ),
         )
         res2 = compose_movie(adjacent)
@@ -516,9 +514,9 @@ class TestMovies:
         g = corpus["unknot4_sites"]
         site = find_switch_sites(g)[0]
         moves = (
-            QuasiStab(StabModel(anchor=2)),
-            BandSwitch(BandMapChoice(site, "nu")),
-            QuasiDestab(StabModel(anchor=2)),
+            QuasiStab(2),
+            BandMapChoice(site, "nu"),
+            QuasiDestab(2),
         )
         res = compose_movie(Movie(g, moves))
         c = res.total.src
@@ -536,9 +534,7 @@ class TestMovies:
                 Movie(
                     corpus["trefoil5"],
                     (
-                        BandSwitch(
-                            BandMapChoice(SwitchSite(0, 0, "O"), "nu_tilde")
-                        ),
+                        BandMapChoice(SwitchSite(0, 0, "O"), "nu_tilde"),
                     ),
                 )
             )
@@ -568,15 +564,15 @@ class TestPresentationReuse:
         movie = Movie(
             g,
             (
-                BandSwitch(BandMapChoice(site, "nu", "forward")),
-                QuasiStab(StabModel(anchor=a)),
-                BandSwitch(BandMapChoice(site, "nu", "inverse")),
-                QuasiDestab(StabModel(anchor=b)),
+                BandMapChoice(site, "nu", "forward"),
+                QuasiStab(a),
+                BandMapChoice(site, "nu", "inverse"),
+                QuasiDestab(b),
             ),
         )
         calls = _count_presentations(monkeypatch, cobordism)
         res = compose_movie(movie)
-        assert res.final is res.total.src
+        assert res.total.tgt is res.total.src
         assert res.src_presentation is res.tgt_presentation
         assert len(calls) == 1
 
@@ -588,15 +584,15 @@ class TestPresentationReuse:
         calls = _count_presentations(monkeypatch, cobordism)
         # a stabilized end keeps the start grid but is another complex
         for move, final_grid in (
-            (BandSwitch(BandMapChoice(site, "nu")), apply_switch(g, site)),
-            (QuasiStab(StabModel(anchor=0)), g),
+            (BandMapChoice(site, "nu"), apply_switch(g, site)),
+            (QuasiStab(0), g),
         ):
             calls.clear()
             res = compose_movie(Movie(g, (move,)))
-            assert res.final_grid == final_grid
+            assert res.total.tgt.grid == final_grid
             assert res.src_presentation is not res.tgt_presentation
             assert len(calls) == 2
-            assert res.tgt_summary == homology(res.final)
+            assert res.tgt_summary == homology(res.total.tgt)
 
     def test_maps_equal_on_homology_presents_once(self, gc_primes, monkeypatch):
         from gridfloer import algebra
@@ -610,7 +606,7 @@ class TestPresentationReuse:
 MOVIE_SCRIPT = """\
 # a full tour of the move vocabulary
 switch col=1 row=1 letter=O flavor=nu dir=fwd
-quasistab anchor=O2 side=alpha
+quasistab anchor=O2
 quasidestab anchor=O2
 diskstab
 diskdestab
@@ -628,7 +624,7 @@ class TestMovieScripts:
         assert movie.start == g
         kinds = [type(m).__name__ for m in movie.moves]
         assert kinds == [
-            "BandSwitch",
+            "BandMapChoice",
             "QuasiStab",
             "QuasiDestab",
             "DiskStab",
@@ -644,7 +640,7 @@ class TestMovieScripts:
         g = corpus["unknot4_sites"]
         movie = parse_movie(script, g)
         kinds = {type(m) for m in movie.moves}
-        assert kinds == {BandSwitch, QuasiStab, QuasiDestab, DiskStab, DiskDestab, Renumber}
+        assert kinds == {BandMapChoice, QuasiStab, QuasiDestab, DiskStab, DiskDestab, Renumber}
         moves = [line for line in script.splitlines() if line and not line.startswith("#")]
         assert serialize_movie(movie).splitlines() == moves
         assert parse_movie(serialize_movie(movie), g) == movie
@@ -654,11 +650,11 @@ class TestMovieScripts:
             "switch col=1 row=1 letter=O flavor=nu dir=fwd\n",
             corpus["unknot4_sites"],
         )
-        choice = movie.moves[0].choice
+        (choice,) = movie.moves
         assert (choice.site.col, choice.site.row) == (0, 0)
         assert choice.direction == "forward"
         stab = parse_movie("quasistab anchor=X3\n", corpus["unknot4_sites"])
-        assert stab.moves[0].model.anchor == 4 + 2
+        assert stab.moves[0] == QuasiStab(4 + 2)
 
     def test_serialize_empty(self, corpus):
         assert serialize_movie(Movie(corpus["unknot2"])) == ""
@@ -675,7 +671,7 @@ class TestMovieScripts:
             ("switch col=a row=1 letter=O flavor=nu dir=fwd", "non-integer"),
             ("switch col=1 col=2 row=1 letter=O flavor=nu dir=fwd", "duplicate"),
             ("switch col", "key=value"),
-            ("quasistab side=beta", "anchor"),
+            ("quasistab side=beta", "has no field 'side'"),
             ("quasistab anchor=Q1", "anchor"),
             ("quasistab anchor=O9", "anchor"),
             ("quasistab anchor=O1 side=left", "side"),
@@ -712,16 +708,12 @@ class TestMovieScripts:
         "line, fragment",
         [
             ("switch col=1 row=1 letter=O flavor=zeta dir=fwd", "unknown flavor 'zeta'"),
-            ("quasistab anchor=O1 side=left", "unknown side 'left'"),
+            ("quasistab anchor=O1 side=left", "quasistab has no field 'side'"),
         ],
     )
     def test_move_value_errors_carry_the_line(self, corpus, line, fragment):
         with pytest.raises(ParseError, match=f"line 3: {fragment}"):
             parse_movie("diskstab\ndiskdestab\n" + line + "\n", corpus["unknot4_sites"])
-
-    def test_fields_take_their_defaults(self, corpus):
-        (move,) = parse_movie("quasistab anchor=O1\n", corpus["unknot4_sites"]).moves
-        assert move.model.side == "beta"
 
     def test_parse_error_line_numbers(self, corpus):
         text = "# fine\ndiskstab\nwobble\n"

@@ -17,17 +17,21 @@ import oracles
 from gridfloer import (
     DEFAULT_STATE_CAP,
     CapExceeded,
+    GradedBasis,
     GridDiagram,
+    U,
     boundary_squared,
     boundary_squares_to_zero,
     build_complex,
     build_gc_prime,
     candidate_rectangles,
     corpus_grid,
+    corpus_grids,
     delta_grading,
     dump_complex,
     enumerate_states,
     expected_curvature,
+    homology,
     is_homogeneous,
     lehmer_rank,
     random_grid,
@@ -145,6 +149,73 @@ def _brute_interior(x, rect):
         if 0 < dc < rect.width and 0 < (x[c] - rect.r1) % n < rect.height:
             count += 1
     assert rect.interior_points == count
+
+
+def _euler_cases():
+    """The corpus, then three grids each at n = 5, 6, 7 drawn in order from
+    one seeded generator."""
+    rng = random.Random(20260814)
+    cases = list(corpus_grids().items())
+    for n in (5, 6, 7):
+        cases += [(f"random{n}-{i}", random_grid(n, rng)) for i in range(3)]
+    return cases
+
+
+def _states_euler(c) -> int:
+    """sum over generators of (-1)^(grading/2), gradings doubled"""
+    return sum((-1) ** (d // 2 % 2) for _, d in c.basis.elements)
+
+
+def _summary_euler(summary) -> int:
+    """The same signed count read off the homology: a tower at g brings
+    (-1)^(g/2); a U^k summand at t is a generator at t and one at t - 2k + 2
+    whose boundary is U^k times it, so it brings (-1)^(t/2) (1 + (-1)^(k-1))."""
+    total = 0
+    for g, (free, torsion) in summary.to_dict().items():
+        sign = (-1) ** (g // 2 % 2)
+        total += sign * free
+        total += sum(sign * (1 + (-1) ** (k - 1)) for k in torsion)
+    return total
+
+
+class TestEulerCharacteristic:
+    """The graded Euler characteristic at t = -1 against the grid matrix.
+
+    By Manolescu-Ozsvath-Sarkar the Euler characteristic of the grid
+    complex is the Alexander polynomial times a power of (1 - t), read off
+    the n x n matrix of t^(winding number).  At t = -1 only the winding
+    number mod 2 matters, so the count is orientation-free:
+    |sum_x (-1)^(delta(x)/2)| = |det A(-1)| = det(L) 2^(n-1).
+    """
+
+    def test_states_sum_is_the_winding_determinant(self):
+        for name, g in _euler_cases():
+            got = _states_euler(build_gc_prime(g))
+            assert abs(got) == oracles.winding_determinant_at_minus_one(g), name
+
+    def test_homology_keeps_the_states_sum(self):
+        for name, g in _euler_cases():
+            c = build_gc_prime(g)
+            assert _summary_euler(homology(c)) == _states_euler(c), name
+
+    def test_even_torsion_cancels(self):
+        # d z = U^2 y: one U^2 summand at the grading of y, whose two
+        # generators carry opposite signs
+        c = MonomialComplex(
+            GradedBasis((("y", 4), ("z", 2))), {"z": {"y": U * U}}, 2
+        )
+        assert homology(c).to_dict() == {4: (0, (2,))}
+        assert _summary_euler(homology(c)) == _states_euler(c) == 0
+
+    def test_link_determinants(self, corpus):
+        # |det A(-1)| = det(L) 2^(n-1)
+        dets = {
+            "unknot2": 1, "unknot3": 1, "unknot4": 1, "unknot4_sites": 1,
+            "trefoil5": 3, "trefoil6": 3, "fig8_6": 5, "hopf4": 2,
+            "split2x2_2x2": 0, "split4x4_2x2": 0,
+        }
+        got = {n: oracles.winding_determinant_at_minus_one(g) for n, g in corpus.items()}
+        assert got == {n: d * 2 ** (corpus[n].n - 1) for n, d in dets.items()}
 
 
 class TestRectangles:

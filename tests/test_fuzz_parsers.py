@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gridfloer import (
     BandMapChoice,
-    BandSwitch,
     DiskDestab,
     DiskStab,
     Movie,
@@ -19,7 +18,6 @@ from gridfloer import (
     QuasiDestab,
     QuasiStab,
     Renumber,
-    StabModel,
     apply_switch,
     corpus_grid,
     find_switch_sites,
@@ -154,12 +152,11 @@ def legal_movies(draw):
             site = draw(st.sampled_from(find_switch_sites(grid)))
             flavor = draw(st.sampled_from(["nu", "nu_tilde"]))
             direction = draw(st.sampled_from(["forward", "inverse"]))
-            moves.append(BandSwitch(BandMapChoice(site, flavor, direction)))
+            moves.append(BandMapChoice(site, flavor, direction))
             grid = apply_switch(grid, site)
         elif kind == "quasistab":
             anchor = draw(st.integers(min_value=0, max_value=2 * n - 1))
-            side = draw(st.sampled_from(["alpha", "beta"]))
-            moves.append(QuasiStab(StabModel(anchor, side)))
+            moves.append(QuasiStab(anchor))
             stack.append(anchor)
         elif kind == "diskstab":
             moves.append(DiskStab())
@@ -170,7 +167,7 @@ def legal_movies(draw):
                 moves.append(DiskDestab())
             else:
                 anchors = [top, *same_letter_neighbors(grid, top)]
-                moves.append(QuasiDestab(StabModel(draw(st.sampled_from(anchors)))))
+                moves.append(QuasiDestab(draw(st.sampled_from(anchors))))
         else:
             count = 2 * n + 2 * len(stack)
             moves.append(Renumber(tuple(draw(st.permutations(range(count))))))
