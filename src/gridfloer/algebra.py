@@ -10,6 +10,8 @@ whose exponent matches the grading gap.
 Homology of a single-variable complex is a column reduction in grading
 order over int bitsets (`_reduce`): homogeneity implies every coefficient
 from the gradings, so the reduction is F2 work on the boundary's pattern.
+A built grid complex carries its columns from the build, and its
+label-keyed `boundary` is made from them when first read.
 `smith_reduce` and `solve_linear` are the dense tools for membership
 questions and the tests' oracle.
 
@@ -19,7 +21,6 @@ two-step path, and the keys counted an odd number of times are its terms.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -207,16 +208,36 @@ class MonomialComplex:
 
     ring == "multi": boundary entries are frozensets of ExponentVector.
     ring == "single": entries are PolyF2U (monomials, by homogeneity).
-    `boundary` is column-sparse: boundary[src][tgt] = entry.  Instances are
-    treated as immutable after construction.
+    `boundary` is column-sparse: boundary[src][tgt] = entry.  A built grid
+    complex is given the `columns` that `_columns` returns in its place.
+    Instances are treated as immutable after construction.
     """
 
     basis: GradedBasis
-    boundary: dict
+    _boundary: dict | None
     marking_count: int
     ring: str = SINGLE
     grid: object = None          # originating GridDiagram, when applicable
     tensor_stack: tuple = ()     # stabilization bookkeeping, newest last
+    columns: tuple | None = None  # (labels, gradings, cols) in grading order
+
+    @property
+    def boundary(self) -> dict:
+        """Made from `columns` when first read, then kept: bit i of column j
+        is the entry U^((2 - g_j + g_i) / 2)."""
+        if self._boundary is None:
+            labels, gradings, cols = self.columns
+            powers = [u_power(k) for k in range((gradings[0] - gradings[-1]) // 2 + 2)]
+            boundary = self._boundary = {}
+            for j, col in enumerate(cols):
+                if col:
+                    row = boundary[labels[j]] = {}
+                    top = 2 - gradings[j]
+                    while col:
+                        i = col.bit_length() - 1
+                        row[labels[i]] = powers[(top + gradings[i]) >> 1]
+                        col ^= 1 << i
+        return self._boundary
 
     def grading(self, label) -> int:
         return self.basis.to_dict()[label]
@@ -385,8 +406,12 @@ def _columns(c: MonomialComplex) -> tuple[list, list, list[int]]:
     order.  Returns the sorted labels, their doubled gradings and one column
     per element, with bit i set when labels[i] is a target.  Every entry
     must be a monomial U^k with 2d(src) - 2d(tgt) = 2 - 2k, so the columns
-    and the gradings determine the boundary.
+    and the gradings determine the boundary.  A built grid complex carries
+    them, checked in the build; `_reduce` overwrites the fresh list returned.
     """
+    if c.columns is not None:
+        labels, gradings, cols = c.columns
+        return labels, gradings, list(cols)
     if c.ring != SINGLE:
         raise NotHomogeneous("complex is not single-variable; specialize first")
     elements = sorted(c.basis.elements, key=lambda e: -e[1])
@@ -581,18 +606,25 @@ def _implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) 
 
 def _inverse_rows(basis: list[int], ps) -> list[int]:
     """Rows ps of the inverse of the unitriangular matrix with columns
-    `basis`, by back-substitution: bit q is the parity of the row so far
-    against column q.  A column equal to 1 << q cannot set bit q, which is
-    still 0 when q is reached, so only the other columns are visited."""
-    cols = [(q, col) for q, col in enumerate(basis) if col != 1 << q]
-    starts = [q for q, _ in cols]
-    rows = []
-    for p in ps:
-        row = 1 << p
-        for q, col in cols[bisect_right(starts, p):]:
-            if (row & col).bit_count() & 1:
-                row |= 1 << q
-        rows.append(row)
+    `basis`, in one transposed pass.  Bit q of a row is the parity of its
+    bits below q against column q, so with masks[i] the rows (bit k for
+    ps[k]) that have bit i, column q in increasing order sets masks[q] ^=
+    masks[i] for each of its bits i < q.  The masks are read back as rows."""
+    masks = [0] * len(basis)
+    for k, p in enumerate(ps):
+        masks[p] |= 1 << k
+    for q, col in enumerate(basis):
+        col ^= 1 << q
+        while col:
+            i = col.bit_length() - 1
+            masks[q] ^= masks[i]
+            col ^= 1 << i
+    rows = [0] * len(ps)
+    for i, m in enumerate(masks):
+        while m:
+            k = m.bit_length() - 1
+            rows[k] |= 1 << i
+            m ^= 1 << k
     return rows
 
 

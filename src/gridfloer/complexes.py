@@ -8,22 +8,24 @@ single U.
 
 Markings are numbered as the variables of `ExponentVector`: the O in row r
 is marking r and the X in row r is marking n + r.  Both builders read one
-rectangle walk, `_empty_rectangles`, which gives each empty rectangle's
-target, the enumerated state object itself, and its covered markings as a
-mask with bit i set for marking i.  A target's two rectangles are adjacent,
-so each builder makes a row in one pass over the walk.  `build_complex`
-turns a mask into the exponent vector of those variables, and
-`build_gc_prime` into U to the power of its bit count.
+rectangle walk, `_empty_rectangles`, which gives a state's row: each empty
+rectangle's target, found by an integer code, and its covered markings as
+a mask with bit i set for marking i.  Equal masks to one target cancel;
+two different masks reach the builder as a pair; no row order is read.
+`build_complex` turns a mask into the exponent vector of those variables.
+`build_gc_prime` checks U to the power of its bit count against the
+gradings and sets one bit of a grading-ordered column.
 `candidate_rectangles` and `rectangles` are the reference walk, one column
 pair at a time, with an explicit `Rectangle` per candidate.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import getitem, lt, mul
 
 from .algebra import (
     MULTI,
@@ -31,7 +33,6 @@ from .algebra import (
     ExponentVector,
     GradedBasis,
     MonomialComplex,
-    u_power,
 )
 from .errors import CapExceeded, NotHomogeneous
 from .grids import GridDiagram, link_topology
@@ -104,9 +105,8 @@ def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
     state of one grid pass that as `grid_part`.
     """
     table, const = grid_part or _grid_grading_part(g)
-    n = g.n
-    i_ss = sum(1 for c, d in itertools.combinations(range(n), 2) if state[d] > state[c])
-    return 2 * i_ss - sum(table[c][state[c]] for c in range(n)) + const
+    i_ss = sum(itertools.starmap(lt, itertools.combinations(state, 2)))
+    return 2 * i_ss - sum(map(getitem, table, state)) + const
 
 
 def _graded_basis(g: GridDiagram, states: list[State]) -> GradedBasis:
@@ -203,39 +203,49 @@ def _marking_prefix(g: GridDiagram) -> list[list[int]]:
 
 
 def _empty_rectangles(
-    n: int, pref: list[list[int]], label: dict[State, State], x: State
-) -> list[tuple[State, int]]:
-    """The empty rectangles out of state x, as (target, covered-marking mask).
+    n: int, pref: list[list[int]], place: list[int], key: dict, x: State, code: int
+) -> dict:
+    """The empty rectangles out of state x, as one row {target key: mask}.
 
     A rectangle has its lower-left corner at the point (a, x[a]) and its
     upper-right corner at (b, x[b]).  Walking right from column a, the
     rectangle to column b is empty iff its height (x[b] - x[a]) mod n is
     below every height passed on the way (the running ceiling), and no
-    later rectangle can be empty once the ceiling is 1.  Targets come in
-    the order of the column pairs c1 < c2, lexicographic, with the c1 -> c2
-    rectangle first, as `candidate_rectangles` lists them, so a target's
-    two rectangles are adjacent.  Targets are looked up in `label`, which
-    maps each state to the enumerated state object.
+    later rectangle can be empty once the ceiling is 1.  With code(x) =
+    sum of x[i] n^i (`place[b]` = n^(b mod n)), swapping columns a and c
+    gives code(y) = code(x) + (x[c] - x[a]) (n^a - n^c), and `key` maps a
+    code to the builder's key for that state.  Two rectangles to one target
+    cancel if their masks are equal, and else stay as the pair (first,
+    second) for the builder.  Nothing reads the order of the row.
     """
-    found = []
+    row: dict = {}
     xx = x + x
     for a in range(n):
         s = x[a]
+        pa = place[a]
+        pref_a = pref[a]
         ceiling = n
         for b in range(a + 1, a + n):
-            h = (xx[b] - s) % n
+            d = xx[b] - s
+            h = d % n
             if h < ceiling:
                 ceiling = h
-                c = b % n
-                y = list(x)
-                y[a], y[c] = y[c], s
                 t = s + h
-                mask = pref[b][t] - pref[a][t] - pref[b][s] + pref[a][s]
-                found.append((a * n + c if a < c else c * n + a, label[tuple(y)], mask))
+                pref_b = pref[b]
+                mask = pref_b[t] - pref_a[t] - pref_b[s] + pref_a[s]
+                y = key[code + d * (pa - place[b])]
+                first = row.pop(y, None)
+                if first != mask:  # a second, equal mask cancels the first
+                    row[y] = mask if first is None else (first, mask)
                 if h == 1:
                     break
-    found.sort(key=itemgetter(0))  # stable: c1 -> c2 is found first
-    return [(y, mask) for _, y, mask in found]
+    return row
+
+
+def _codes(n: int, states: list[State]) -> tuple[list[int], list[int]]:
+    """`place` for the walk, and each state's code."""
+    place = [n ** (i % n) for i in range(2 * n)]
+    return place, [sum(map(mul, x, place)) for x in states]
 
 
 def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
@@ -244,23 +254,25 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
     states = enumerate_states(g.n, cap)
     n = g.n
     pref = _marking_prefix(g)
-    label = {x: x for x in states}
-    singles: dict[int, frozenset] = {}
+    place, codes = _codes(n, states)
+    key = dict(zip(codes, states))
+
+    @functools.cache
+    def single(mask: int) -> frozenset:
+        ev = ExponentVector(tuple((i, 1) for i in range(2 * n) if mask >> i & 1))
+        return frozenset((ev,))
+
     pairs: dict[frozenset, frozenset] = {}
     boundary: dict = {}
-    for x in states:
+    for x, code in zip(states, codes):
         row = {}
-        for y, mask in _empty_rectangles(n, pref, label, x):
-            first = row.pop(y, None)
-            evs = singles.get(mask)
-            if evs is None:
-                ev = ExponentVector(tuple((i, 1) for i in range(2 * n) if mask >> i & 1))
-                evs = singles[mask] = frozenset((ev,))
-            if first is None:
-                row[y] = evs
-            elif first is not evs:  # the same mask again shares `evs`: they cancel
-                both = first | evs
-                row[y] = pairs.setdefault(both, both)
+        for y, mask in _empty_rectangles(n, pref, place, key, x, code).items():
+            if type(mask) is int:
+                row[y] = single(mask)
+            else:  # two rectangles: the F2 sum of their monomials
+                both = single(mask[0]) ^ single(mask[1])
+                if both:
+                    row[y] = pairs.setdefault(both, both)
         if row:
             boundary[x] = row
     return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, MULTI, grid=g)
@@ -290,27 +302,36 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
+    """The single-variable complex as the grading-ordered columns that
+    `_columns` returns, each entry checked against the gradings."""
     states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
     n = g.n
+    basis = _graded_basis(g, states)
+    labels, gradings = map(list, zip(*sorted(basis.elements, key=lambda e: -e[1])))
+    place, codes = _codes(n, labels)
+    position = {code: j for j, code in enumerate(codes)}
     pref = _marking_prefix(g)
-    label = {x: x for x in states}
-    powers = [u_power(k) for k in range(2 * n + 1)]
-    boundary: dict = {}
-    for x in states:
-        row = {}
-        for y, mask in _empty_rectangles(n, pref, label, x):
-            p = powers[mask.bit_count()]
-            first = row.pop(y, None)
-            if first is None:
-                row[y] = p
-            elif first != p:
-                weights = sorted((first.degree(), p.degree()))
+    cols = [0] * len(states)
+    for j, x in enumerate(labels):
+        col = 0
+        low = gradings[j] - 2  # U^k reaches gradings[j] - 2 + 2k
+        for t, mask in _empty_rectangles(n, pref, place, position, x, codes[j]).items():
+            if type(mask) is not int:  # two rectangles: U^k + U^k cancels
+                weights = sorted((mask[0].bit_count(), mask[1].bit_count()))
+                if weights[0] == weights[1]:
+                    continue
                 raise NotHomogeneous(
-                    f"surviving rectangles {x} -> {y} have mixed weights {weights}"
+                    f"surviving rectangles {x} -> {labels[t]} have mixed weights {weights}"
                 )
-        if row:
-            boundary[x] = row
-    return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, SINGLE, grid=g)
+            k = mask.bit_count()
+            if gradings[t] - 2 * k != low:
+                raise NotHomogeneous(
+                    f"entry {x}->{labels[t]} = U^{k} breaks grading: "
+                    f"{gradings[j]} - {gradings[t]} != {2 - 2 * k}"
+                )
+            col |= 1 << t
+        cols[j] = col
+    return MonomialComplex(basis, None, 2 * n, SINGLE, g, columns=(labels, gradings, cols))
 
 
 def dump_complex(c: MonomialComplex) -> str:

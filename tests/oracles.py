@@ -8,11 +8,15 @@ homology before the column reduction, with its presentation tracked in
 `PolyF2U` arithmetic.  None of it shares reduction logic with the package.
 `rectangle_boundary` reads the package's reference rectangle walk
 (`rectangles`, one candidate pair at a time) to check the builders'
-running-ceiling walk.
+running-ceiling walk.  Two replaced fast paths are kept here as oracles
+for the ones that replaced them: `label_row_gc_prime`, the builder of
+label-keyed `PolyF2U` rows, and `back_substituted_rows`, the projection
+rows one row at a time.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 from gridfloer import NotHomogeneous, PolyF2U, link_topology, rectangles
@@ -522,6 +526,24 @@ def tracked_presentation(c):
     return HomologyPresentation(c, _summary(red, c), gens, rows)
 
 
+def back_substituted_rows(basis: list[int], ps) -> list[int]:
+    """Rows ps of the inverse of the unitriangular matrix with columns
+    `basis`, one row at a time by back-substitution: bit q is the parity of
+    the row so far against column q.  A column equal to 1 << q cannot set
+    bit q, which is still 0 when q is reached, so only the other columns
+    are visited."""
+    cols = [(q, col) for q, col in enumerate(basis) if col != 1 << q]
+    starts = [q for q, _ in cols]
+    rows = []
+    for p in ps:
+        row = 1 << p
+        for q, col in cols[bisect_right(starts, p):]:
+            if (row & col).bit_count() & 1:
+                row |= 1 << q
+        rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # the boundary and the grading, pair by pair
 
@@ -549,6 +571,64 @@ def rectangle_boundary(g) -> dict:
         if row:
             boundary[x] = row
     return boundary
+
+
+def _sorted_walk(n, pref, label, x):
+    """The empty rectangles out of x as (target, mask), in the order of the
+    column pairs c1 < c2, the c1 -> c2 rectangle first, with each target
+    looked up by hashing the swapped tuple in `label`: the walk that
+    `label_row_gc_prime` reads."""
+    found = []
+    xx = x + x
+    for a in range(n):
+        s = x[a]
+        ceiling = n
+        for b in range(a + 1, a + n):
+            h = (xx[b] - s) % n
+            if h < ceiling:
+                ceiling = h
+                c = b % n
+                y = list(x)
+                y[a], y[c] = y[c], s
+                t = s + h
+                mask = pref[b][t] - pref[a][t] - pref[b][s] + pref[a][s]
+                found.append((a * n + c if a < c else c * n + a, label[tuple(y)], mask))
+                if h == 1:
+                    break
+    found.sort(key=lambda e: e[0])  # stable: c1 -> c2 is found first
+    return [(y, mask) for _, y, mask in found]
+
+
+def label_row_gc_prime(g):
+    """The single-variable complex of g as label-keyed PolyF2U rows, each
+    made in one pass over `_sorted_walk`: the builder that the
+    grading-ordered columns replaced.  It carries no columns, so `_columns`
+    derives them from its boundary and checks homogeneity on the way."""
+    from gridfloer import MonomialComplex, u_power
+    from gridfloer.algebra import SINGLE
+    from gridfloer.complexes import _graded_basis, _marking_prefix, enumerate_states
+
+    n = g.n
+    states = enumerate_states(n, n)
+    pref = _marking_prefix(g)
+    label = {x: x for x in states}
+    powers = [u_power(k) for k in range(2 * n + 1)]
+    boundary = {}
+    for x in states:
+        row = {}
+        for y, mask in _sorted_walk(n, pref, label, x):
+            p = powers[mask.bit_count()]
+            first = row.pop(y, None)
+            if first is None:
+                row[y] = p
+            elif first != p:
+                weights = sorted((first.degree(), p.degree()))
+                raise NotHomogeneous(
+                    f"surviving rectangles {x} -> {y} have mixed weights {weights}"
+                )
+        if row:
+            boundary[x] = row
+    return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, SINGLE, grid=g)
 
 
 def _open_quadrant_pairs(P, Q) -> int:

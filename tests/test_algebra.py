@@ -532,6 +532,16 @@ class TestPresentationOracle:
         for gen, proj in zip(pres.generators, pres._proj_rows):
             assert_row_inverts(sum(1 << position[lab] for lab in proj), position[gen.label])
 
+    def test_projection_rows_match_back_substitution(self, gc_primes):
+        # every row on the corpus and at n = 6; the presented rows at n = 7
+        rng = random.Random(20260814)
+        cases = list(gc_primes.items())
+        cases += [((n, i), build_gc_prime(random_grid(n, rng))) for n in (6, 7) for i in (0, 1)]
+        for name, c in cases:
+            _, _, free, torsion, basis = _reduce(c)
+            ps = range(len(basis)) if len(basis) <= 720 else free + [t for _, t in torsion]
+            assert _inverse_rows(basis, ps) == oracles.back_substituted_rows(basis, ps), name
+
     def test_inconsistent_grading_is_a_broken_invariant(self):
         labels = ["a", "b"]
         assert _implied_vector(0b11, labels, [0, 2], 0, 1) == {"a": ONE, "b": U}

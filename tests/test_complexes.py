@@ -28,12 +28,14 @@ from gridfloer import (
     corpus_grid,
     corpus_grids,
     delta_grading,
+    disk_stab_map,
     dump_complex,
     enumerate_states,
     expected_curvature,
     homology,
     is_homogeneous,
     lehmer_rank,
+    quasi_stab_map,
     random_grid,
     rectangles,
     specialize,
@@ -41,7 +43,7 @@ from gridfloer import (
     verify_curvature,
 )
 from gridfloer import complexes
-from gridfloer.algebra import MULTI, MonomialComplex
+from gridfloer.algebra import MULTI, MonomialComplex, _columns
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
 from gridfloer.errors import NotHomogeneous
 
@@ -198,6 +200,17 @@ class TestEulerCharacteristic:
             c = build_gc_prime(g)
             assert _summary_euler(homology(c)) == _states_euler(c), name
 
+    def test_stabilized_complexes_keep_the_states_sum(self, corpus):
+        # the quasi summand doubles the count; the disk summand's two
+        # generators carry opposite signs
+        for name, g in corpus.items():
+            c = build_gc_prime(g)
+            quasi = quasi_stab_map(c, 0).tgt
+            disk = disk_stab_map(c).tgt
+            assert _summary_euler(homology(quasi)) == _states_euler(quasi), name
+            assert _states_euler(quasi) == 2 * _states_euler(c), name
+            assert _summary_euler(homology(disk)) == _states_euler(disk) == 0, name
+
     def test_even_torsion_cancels(self):
         # d z = U^2 y: one U^2 summand at the grading of y, whose two
         # generators carry opposite signs
@@ -306,9 +319,23 @@ class TestBuilders:
                     seen.update(ev.variables())
             assert seen <= set(range(2 * n))
 
+    def test_columns_are_a_fresh_copy(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        first = homology(c)
+        assert _columns(c)[2] is not _columns(c)[2]
+        assert homology(c) == first
 
-def _row_orders(boundary):
-    return [(src, list(row)) for src, row in boundary.items()]
+    def test_grading_off_by_two_breaks_grading(self, monkeypatch):
+        g = corpus_grid("trefoil5")
+        x0 = next(x for x, _, _ in _build_gc_prime(g).entries())
+        graded = complexes.delta_grading
+
+        def off_at_x0(g, state, grid_part=None):
+            return graded(g, state, grid_part) + (2 if state == x0 else 0)
+
+        monkeypatch.setattr(complexes, "delta_grading", off_at_x0)
+        with pytest.raises(NotHomogeneous, match="breaks grading"):
+            _build_gc_prime(g)
 
 
 @pytest.fixture(scope="module")
@@ -331,13 +358,12 @@ def walk_cases(corpus):
 
 class TestWalkOracle:
     """Both builders against the reference walk, one candidate pair at a
-    time, including the order of every row's targets."""
+    time."""
 
     def test_multivariable_build(self, walk_cases):
         for name, g, want, graded in walk_cases:
             c = build_complex(g)
             assert c.boundary == want, name
-            assert _row_orders(c.boundary) == _row_orders(want), name
             assert c.basis.elements == graded, name
 
     def test_single_variable_build(self, walk_cases):
@@ -345,17 +371,42 @@ class TestWalkOracle:
             c = _build_gc_prime(g)
             via = specialize(MonomialComplex(c.basis, want, 2 * g.n, MULTI), "all")
             assert c.boundary == via.boundary, name
-            assert _row_orders(c.boundary) == _row_orders(via.boundary), name
             assert c.basis.elements == graded, name
 
 
-def _walk_edited_at(monkeypatch, x0, edit):
-    """Let `edit` change the walk's list of (target, mask) out of state x0."""
+def _oracle_cases(corpus):
+    """The corpus, then six n = 6 and two n = 7 grids drawn in order from
+    one seeded generator."""
+    rng = random.Random(20260814)
+    cases = list(corpus.items())
+    cases += [(("seeded", 6, i), random_grid(6, rng)) for i in range(6)]
+    cases += [(("seeded", 7, i), random_grid(7, rng)) for i in range(2)]
+    return cases
+
+
+class TestLabelRowOracle:
+    """The grading-ordered columns against the label-row builder they
+    replaced, which `_columns` converts and checks entry by entry."""
+
+    def test_columns_boundary_and_homology(self, corpus):
+        for name, g in _oracle_cases(corpus):
+            c = _build_gc_prime(g)
+            want = oracles.label_row_gc_prime(g)
+            assert _columns(c) == _columns(want), name
+            assert c.boundary == want.boundary, name
+            assert homology(c) == homology(want), name
+
+
+def _walk_edited_at(monkeypatch, x0, y0, edit):
+    """Let `edit(row, k)` change the walk's row out of state x0, where k is
+    the row's key for the target y0."""
     walk = complexes._empty_rectangles
 
-    def edited(n, pref, label, x):
-        found = walk(n, pref, label, x)
-        return edit(found) if x == x0 else found
+    def edited(n, pref, place, key, x, code):
+        row = walk(n, pref, place, key, x, code)
+        if x == x0:
+            edit(row, key[sum(v * p for v, p in zip(y0, place))])
+        return row
 
     monkeypatch.setattr(complexes, "_empty_rectangles", edited)
 
@@ -366,7 +417,8 @@ def _one_rectangle_entry(c):
 
 
 class TestOnePassRows:
-    """Each row is made in one pass over the walk, keyed by basis labels."""
+    """Each row is made in one pass over the walk, keyed by basis labels;
+    a target the walk reaches twice is resolved by the builder."""
 
     BUILDERS = {"single": _build_gc_prime, "multi": build_complex}
 
@@ -387,11 +439,10 @@ class TestOnePassRows:
         want = c.boundary
         x0, y0 = _one_rectangle_entry(c)
 
-        def repeat(found):
-            i = next(i for i, (y, _) in enumerate(found) if y == y0)
-            return found[: i + 1] + found[i:]
+        def repeat(row, key):
+            row[key] = (row[key], row[key])
 
-        _walk_edited_at(monkeypatch, x0, repeat)
+        _walk_edited_at(monkeypatch, x0, y0, repeat)
         got = build(g).boundary
         assert y0 not in got.get(x0, {})
         want[x0] = {y: e for y, e in want[x0].items() if y != y0}
@@ -403,12 +454,11 @@ class TestOnePassRows:
         x0, y0 = _one_rectangle_entry(c)
         (k,) = c.boundary[x0][y0].terms
 
-        def add_heavier(found):
-            i = next(i for i, (y, _) in enumerate(found) if y == y0)
-            mask = found[i][1]  # plus its lowest unset bit: one more marking
-            return found[: i + 1] + [(y0, mask | (~mask & (mask + 1)))] + found[i + 1 :]
+        def add_heavier(row, key):
+            mask = row[key]  # plus its lowest unset bit: one more marking
+            row[key] = (mask, mask | (~mask & (mask + 1)))
 
-        _walk_edited_at(monkeypatch, x0, add_heavier)
+        _walk_edited_at(monkeypatch, x0, y0, add_heavier)
         with pytest.raises(NotHomogeneous, match=rf"mixed weights \[{k}, {k + 1}\]"):
             _build_gc_prime(g)
 
