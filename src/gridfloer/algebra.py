@@ -12,8 +12,6 @@ order over int bitsets (`_reduce`): homogeneity implies every coefficient
 from the gradings, so the reduction is F2 work on the boundary's pattern.
 A built grid complex carries its columns from the build, and its
 label-keyed `boundary` is made from them when first read.
-`smith_reduce` and `solve_linear` are the dense tools for membership
-questions and the tests' oracle.
 
 The square of a multivariable boundary (`boundary_squared`) is a parity
 count per source over packed (target, monomial) int keys: one key per
@@ -25,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
-    BadPolicy,
     BrokenInvariant,
     NonHomogeneousEntry,
     NotAComplex,
@@ -107,22 +104,8 @@ def u_power(k: int) -> PolyF2U:
     return PolyF2U(1 << k)
 
 
-def poly_divmod(a: PolyF2U, b: PolyF2U) -> tuple[PolyF2U, PolyF2U]:
-    """Long division in F2[U]: a = q*b + r with deg r < deg b."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q, r, db = 0, a.bits, b.bits.bit_length() - 1
-    while r.bit_length() - 1 >= db:
-        shift = r.bit_length() - 1 - db
-        r ^= b.bits << shift
-        q ^= 1 << shift
-    return PolyF2U(q), PolyF2U(r)
-
-
 # ---------------------------------------------------------------------------
 # exponent vectors (multivariable monomials)
-
-COMMON_VARIABLE = -1  # index of the identified variable after specialization
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,17 +143,6 @@ class ExponentVector:
 
     def variables(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.exps)
-
-    def collapse(self, keep: tuple[int, ...]) -> "ExponentVector":
-        """Send every variable outside `keep` to the common identified one."""
-        acc: dict[int, int] = {}
-        for i, e in self.exps:
-            j = i if i in keep else COMMON_VARIABLE
-            acc[j] = acc.get(j, 0) + e
-        return ExponentVector(tuple(sorted(acc.items())))
-
-    def relabel(self, perm: dict[int, int]) -> "ExponentVector":
-        return ExponentVector.make((perm.get(i, i), e) for i, e in self.exps)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +211,6 @@ class MonomialComplex:
                         col ^= 1 << i
         return self._boundary
 
-    def grading(self, label) -> int:
-        return self.basis.to_dict()[label]
-
     def entry(self, src, tgt):
         default = frozenset() if self.ring == MULTI else ZERO
         return self.boundary.get(src, {}).get(tgt, default)
@@ -288,59 +257,7 @@ class GradedModuleSummary:
 
 
 # ---------------------------------------------------------------------------
-# specialization and curvature
-
-
-def specialize(c: MonomialComplex, policy) -> MonomialComplex:
-    """Quotient the coefficient ring.
-
-    policy "all": identify every marking variable with U; entries become
-    single-variable (each a monomial or zero by F2 cancellation).
-    policy (i, j): keep markings i and j distinct, identify the rest.
-    """
-    if policy == "all":
-        if c.ring == SINGLE:
-            return c
-        new_boundary: dict = {}
-        for src, row in c.boundary.items():
-            new_row = {}
-            for tgt, evs in row.items():
-                p = ZERO
-                for ev in evs:
-                    p = p + u_power(ev.total())
-                if p:
-                    new_row[tgt] = p
-            if new_row:
-                new_boundary[src] = new_row
-        return MonomialComplex(
-            c.basis, new_boundary, c.marking_count, SINGLE, c.grid, c.tensor_stack
-        )
-    if (
-        isinstance(policy, tuple)
-        and len(policy) == 2
-        and all(isinstance(i, int) for i in policy)
-    ):
-        i, j = policy
-        if i == j or not (0 <= i < c.marking_count and 0 <= j < c.marking_count):
-            raise BadPolicy(f"markings {policy} invalid for marking_count={c.marking_count}")
-        if c.ring != MULTI:
-            raise BadPolicy("keep-two specialization needs a multivariable complex")
-        keep = (i, j)
-        new_boundary = {}
-        for src, row in c.boundary.items():
-            new_row = {}
-            for tgt, evs in row.items():
-                acc: set = set()
-                for ev in evs:
-                    acc ^= {ev.collapse(keep)}  # F2: a monomial met twice cancels
-                if acc:
-                    new_row[tgt] = frozenset(acc)
-            if new_row:
-                new_boundary[src] = new_row
-        return MonomialComplex(
-            c.basis, new_boundary, c.marking_count, MULTI, c.grid, c.tensor_stack
-        )
-    raise BadPolicy(f"unrecognized policy {policy!r}")
+# curvature
 
 
 def boundary_squared(c: MonomialComplex) -> dict:
@@ -413,7 +330,7 @@ def _columns(c: MonomialComplex) -> tuple[list, list, list[int]]:
         labels, gradings, cols = c.columns
         return labels, gradings, list(cols)
     if c.ring != SINGLE:
-        raise NotHomogeneous("complex is not single-variable; specialize first")
+        raise NotHomogeneous("complex is not single-variable")
     elements = sorted(c.basis.elements, key=lambda e: -e[1])
     labels = [lab for lab, _ in elements]
     gradings = [g for _, g in elements]
@@ -451,7 +368,10 @@ def _check_squares_to_zero(labels: list, cols: list[int]) -> None:
 
 
 def is_homogeneous(c: MonomialComplex) -> bool:
-    """True iff every boundary entry is a monomial matching the grading gap."""
+    """True iff every boundary entry is a monomial matching the grading gap.
+
+    A built grid complex is checked entry by entry in the build, which
+    raises NotHomogeneous on a fault, so on one this is always True."""
     try:
         _columns(c)
     except (NonHomogeneousEntry, NotHomogeneous):
@@ -832,154 +752,3 @@ def maps_equal_on_homology(f: ChainMap, g: ChainMap) -> bool:
     tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)
     return induced_map(f, src_pres, tgt_pres) == induced_map(g, src_pres, tgt_pres)
 
-
-# ---------------------------------------------------------------------------
-# Smith normal form over F2[U]
-
-
-@dataclass(frozen=True)
-class SmithResult:
-    """P @ M @ Q == D with P, Q invertible over F2[U] and D diagonal with
-    each entry dividing the next."""
-
-    diagonal: tuple[PolyF2U, ...]
-    row_transform: tuple[tuple[PolyF2U, ...], ...]  # P, rows x rows
-    col_transform: tuple[tuple[PolyF2U, ...], ...]  # Q, cols x cols
-
-
-def _mat_identity(m: int) -> list[list[PolyF2U]]:
-    return [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-
-
-def smith_reduce(matrix) -> SmithResult:
-    """Diagonalize a monomial matrix over F2[U] with recorded transforms.
-
-    Entries must each be a single monomial or zero (NonHomogeneousEntry
-    otherwise); intermediate arithmetic is carried out in full F2[U].
-    """
-    M = [[entry for entry in row] for row in matrix]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    for row in M:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        for entry in row:
-            if entry and not entry.is_monomial():
-                raise NonHomogeneousEntry(f"entry {entry} is not a monomial")
-    P = _mat_identity(nrows)
-    Q = _mat_identity(ncols)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in Q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q: PolyF2U):
-        # row_dst += q * row_src
-        for c in range(ncols):
-            M[dst][c] = M[dst][c] + q * M[src][c]
-        for c in range(nrows):
-            P[dst][c] = P[dst][c] + q * P[src][c]
-
-    def add_col(dst, src, q: PolyF2U):
-        for r in range(nrows):
-            M[r][dst] = M[r][dst] + q * M[r][src]
-        for r in range(ncols):
-            Q[r][dst] = Q[r][dst] + q * Q[r][src]
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # locate a nonzero entry of minimal degree in the trailing block
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if M[i][j]:
-                    d = M[i][j].degree()
-                    if pivot is None or d < pivot[0]:
-                        pivot = (d, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        dirty = False
-        for i in range(t + 1, nrows):
-            if M[i][t]:
-                q, r = poly_divmod(M[i][t], M[t][t])
-                add_row(i, t, q)
-                if r:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if M[t][j]:
-                q, r = poly_divmod(M[t][j], M[t][t])
-                add_col(j, t, q)
-                if r:
-                    dirty = True
-        if dirty:
-            continue  # a smaller-degree remainder appeared; re-pivot
-        # pivot now divides its cleared row and column; enforce divisibility
-        # against the rest of the block
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if M[i][j]:
-                    _, r = poly_divmod(M[i][j], M[t][t])
-                    if r:
-                        offender = i
-                        break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, ONE)
-            continue
-        t += 1
-    diag = tuple(M[i][i] if i < ncols else ZERO for i in range(min(nrows, ncols)))
-    return SmithResult(
-        diag,
-        tuple(tuple(row) for row in P),
-        tuple(tuple(row) for row in Q),
-    )
-
-
-def solve_linear(matrix, rhs) -> list[PolyF2U] | None:
-    """One solution v of (matrix) v = rhs over F2[U], or None.
-
-    matrix is a list of rows of PolyF2U; rhs a list of PolyF2U.
-    """
-    res = smith_reduce(matrix)
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    # transformed right-hand side: P @ rhs
-    pb = []
-    for i in range(nrows):
-        acc = ZERO
-        for j in range(nrows):
-            acc = acc + res.row_transform[i][j] * rhs[j]
-        pb.append(acc)
-    w = [ZERO] * ncols
-    for i in range(nrows):
-        d = res.diagonal[i] if i < len(res.diagonal) else ZERO
-        if d:
-            q, r = poly_divmod(pb[i], d)
-            if r:
-                return None
-            if i < ncols:
-                w[i] = q
-        elif pb[i]:
-            return None
-    # v = Q @ w
-    v = []
-    for i in range(ncols):
-        acc = ZERO
-        for j in range(ncols):
-            acc = acc + res.col_transform[i][j] * w[j]
-        v.append(acc)
-    return v

@@ -246,8 +246,14 @@ def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
         raise ChainMapViolation(
             f"flavor {flavor} at col={site.col + 1} row={site.row + 1} "
             f"letter={site.letter}: boundaries disagree at generator {x}: "
-            f"d(f(x))={lhs} but f(d(x))={rhs}"
+            f"d(f(x))={_by_label(lhs)} but f(d(x))={_by_label(rhs)}"
         )
+
+
+def _by_label(vec: dict) -> dict:
+    """vec with its terms in label order, which for states is `lehmer_rank`
+    order, so a message does not depend on how boundary rows are stored."""
+    return dict(sorted(vec.items(), key=lambda term: term[0]))
 
 
 def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
@@ -335,30 +341,16 @@ def disk_destab_map(c: MonomialComplex) -> ChainMap:
 
 
 def renumber_map(c: MonomialComplex, perm) -> ChainMap:
-    """Relabel marking variables; the identity on generators.
-
-    On single-variable complexes all markings are already identified and the
-    map is the identity matrix onto the same complex.
-    """
+    """Relabel marking variables: on a single-variable complex every marking
+    is already U, so this is the identity onto the same complex."""
+    if c.ring != SINGLE:
+        raise MoveSequenceInvalid("renumbering acts on single-variable complexes")
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(c.marking_count)):
         raise BadPermutation(
             f"{perm} is not a permutation of 0..{c.marking_count - 1}"
         )
-    if c.ring == SINGLE:
-        return identity_chain_map(c)
-    mapping = {i: p for i, p in enumerate(perm)}
-    boundary: dict = {}
-    for src, row in c.boundary.items():
-        boundary[src] = {
-            tgt: frozenset(ev.relabel(mapping) for ev in evs)
-            for tgt, evs in row.items()
-        }
-    tgt_c = MonomialComplex(
-        c.basis, boundary, c.marking_count, c.ring, c.grid, c.tensor_stack
-    )
-    entries = {lab: {lab: ONE} for lab in c.basis.labels()}
-    return ChainMap(c, tgt_c, entries)
+    return identity_chain_map(c)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ two different masks reach the builder as a pair; no row order is read.
 `build_complex` turns a mask into the exponent vector of those variables.
 `build_gc_prime` checks U to the power of its bit count against the
 gradings and sets one bit of a grading-ordered column.
-`candidate_rectangles` and `rectangles` are the reference walk, one column
-pair at a time, with an explicit `Rectangle` per candidate.
 """
 from __future__ import annotations
 
@@ -24,7 +22,6 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
 from operator import getitem, lt, mul
 
 from .algebra import (
@@ -112,73 +109,6 @@ def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
 def _graded_basis(g: GridDiagram, states: list[State]) -> GradedBasis:
     part = _grid_grading_part(g)
     return GradedBasis(tuple((s, delta_grading(g, s, part)) for s in states))
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """A toroidal rectangle spanning columns [c1, c2) and rows [r1, r2),
-    both wrapping mod n, with its covered-marking monomial and the number
-    of state points strictly inside."""
-
-    n: int
-    c1: int
-    r1: int
-    c2: int
-    r2: int
-    weight: ExponentVector
-    interior_points: int
-
-    @property
-    def width(self) -> int:
-        return (self.c2 - self.c1) % self.n
-
-    @property
-    def height(self) -> int:
-        return (self.r2 - self.r1) % self.n
-
-    def contains_cell(self, c: int, r: int) -> bool:
-        """True when the marking cell (c, r) lies under the rectangle."""
-        return (c - self.c1) % self.n < self.width and (r - self.r1) % self.n < self.height
-
-
-def _make_rectangle(g: GridDiagram, x: State, a: int, s: int, w: int, h: int) -> Rectangle:
-    n = g.n
-    interior = 0
-    for dc in range(1, w):
-        if 0 < (x[(a + dc) % n] - s) % n < h:
-            interior += 1
-    exps = []
-    for r in range(n):
-        if (g.o_col[r] - a) % n < w and (r - s) % n < h:
-            exps.append((r, 1))
-        if (g.x_col[r] - a) % n < w and (r - s) % n < h:
-            exps.append((n + r, 1))
-    return Rectangle(
-        n, a, s, (a + w) % n, (s + h) % n, ExponentVector.make(exps), interior
-    )
-
-
-def candidate_rectangles(g: GridDiagram, x: State, y: State) -> list[Rectangle]:
-    """The toroidal rectangles connecting x to y before the emptiness filter:
-    two complementary candidates when the states differ in exactly two
-    columns, none otherwise."""
-    n = g.n
-    diff = [c for c in range(n) if x[c] != y[c]]
-    if len(diff) != 2:
-        return []
-    c1, c2 = diff
-    if y[c1] != x[c2] or y[c2] != x[c1]:
-        return []
-    r1, r2 = x[c1], x[c2]
-    return [
-        _make_rectangle(g, x, a, s, (b - a) % n, (t - s) % n)
-        for a, b, s, t in ((c1, c2, r1, r2), (c2, c1, r2, r1))
-    ]
-
-
-def rectangles(g: GridDiagram, x: State, y: State) -> list[Rectangle]:
-    """The empty rectangles connecting x to y (no state point inside)."""
-    return [r for r in candidate_rectangles(g, x, y) if r.interior_points == 0]
 
 
 def _marking_prefix(g: GridDiagram) -> list[list[int]]:
@@ -289,8 +219,9 @@ _GC_PRIME_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The single-variable complex: every marking variable set to U.
 
-    Equals specialize(build_complex(g), "all"), built from the same
-    rectangle walk with each rectangle weighted by its marking count.
+    Equals `build_complex(g)` with every variable of each exponent vector
+    sent to U and equal monomials cancelled, built from the same rectangle
+    walk with each rectangle weighted by its marking count.
     While a complex of an equal grid is still held elsewhere, that same
     (immutable) complex is returned.
     """

@@ -25,10 +25,6 @@ class InvalidSite(GridFloerError):
 
 # -- algebra ------------------------------------------------------------------
 
-class BadPolicy(GridFloerError):
-    """Specialization policy is malformed or names invalid markings."""
-
-
 class NonHomogeneousEntry(GridFloerError):
     """A matrix entry is not a single monomial."""
 

@@ -30,15 +30,6 @@ class GridDiagram:
     o_col: tuple[int, ...]
     x_col: tuple[int, ...]
 
-    def marking_position(self, marking: int) -> tuple[int, int]:
-        """(column, row) of a marking id."""
-        if 0 <= marking < self.n:
-            return (self.o_col[marking], marking)
-        if self.n <= marking < 2 * self.n:
-            r = marking - self.n
-            return (self.x_col[r], r)
-        raise ValueError(f"marking id {marking} out of range for n={self.n}")
-
     def marking_name(self, marking: int) -> str:
         """Human-readable 1-indexed name, O<row> or X<row>."""
         if marking < self.n:

