@@ -13,6 +13,11 @@ from the gradings, so the reduction is F2 work on the boundary's pattern.
 A built grid complex carries its columns from the build, and its
 label-keyed `boundary` is made from them when first read.
 
+A homogeneous chain map is likewise its degree and its bitset columns
+(`ChainMap`), with label-keyed `entries` made when first read.  The
+gradings fix every exponent, so its chain-map check (`chain_defect`),
+compositions and equality are F2 work on the columns.
+
 The square of a multivariable boundary (`boundary_squared`) is a parity
 count per source over packed (target, monomial) int keys: one key per
 two-step path, and the keys counted an odd number of times are its terms.
@@ -198,17 +203,7 @@ class MonomialComplex:
         """Made from `columns` when first read, then kept: bit i of column j
         is the entry U^((2 - g_j + g_i) / 2)."""
         if self._boundary is None:
-            labels, gradings, cols = self.columns
-            powers = [u_power(k) for k in range((gradings[0] - gradings[-1]) // 2 + 2)]
-            boundary = self._boundary = {}
-            for j, col in enumerate(cols):
-                if col:
-                    row = boundary[labels[j]] = {}
-                    top = 2 - gradings[j]
-                    while col:
-                        i = col.bit_length() - 1
-                        row[labels[i]] = powers[(top + gradings[i]) >> 1]
-                        col ^= 1 << i
+            self._boundary = _label_rows(self.columns, self.columns, -2, self.columns[2])
         return self._boundary
 
     def entry(self, src, tgt):
@@ -334,34 +329,52 @@ def _columns(c: MonomialComplex) -> tuple[list, list, list[int]]:
     elements = sorted(c.basis.elements, key=lambda e: -e[1])
     labels = [lab for lab, _ in elements]
     gradings = [g for _, g in elements]
-    position = {lab: i for i, lab in enumerate(labels)}
-    cols = [0] * len(labels)
-    for src, row in c.boundary.items():
-        j = position[src]
-        for tgt, p in row.items():
+    _, cols = _bit_columns(c.boundary, (labels, gradings), (labels, gradings), -2)
+    return labels, gradings, cols
+
+
+def _bit_columns(rows: dict, src: tuple, tgt: tuple, degree: int | None) -> tuple:
+    """(degree, bitset columns) of label-keyed rows between two ends given
+    as (labels, gradings, ...) in grading order.  Each entry is a monomial
+    U^k with g_tgt - g_src - 2k = degree, or the first entry's if None."""
+    (labels, gradings, *_), (tgt_labels, tgt_gradings, *_) = src, tgt
+    position = {lab: i for i, lab in enumerate(tgt_labels)}
+    cols = []
+    for lab, g in zip(labels, gradings):
+        col = 0
+        for tgt_lab, p in rows.get(lab, {}).items():
             if not p:
                 continue
             if not p.is_monomial():
-                raise NonHomogeneousEntry(f"entry {src}->{tgt} = {p} is not a monomial")
-            k = p.degree()
-            i = position[tgt]
-            if gradings[j] - gradings[i] != 2 - 2 * k:
+                raise NonHomogeneousEntry(f"entry {lab}->{tgt_lab} = {p} is not a monomial")
+            k, i = p.degree(), position[tgt_lab]
+            if degree is None:
+                degree = tgt_gradings[i] - 2 * k - g
+            if tgt_gradings[i] - 2 * k - g != degree:
                 raise NotHomogeneous(
-                    f"entry {src}->{tgt} = U^{k} breaks grading: "
-                    f"{gradings[j]} - {gradings[i]} != {2 - 2 * k}"
+                    f"entry {lab}->{tgt_lab} = U^{k} breaks grading: "
+                    f"{g} - {tgt_gradings[i]} != {-degree - 2 * k}"
                 )
-            cols[j] |= 1 << i
-    return labels, gradings, cols
+            col |= 1 << i
+        cols.append(col)
+    return degree or 0, cols
+
+
+def _apply_bits(cols: list[int], col: int) -> int:
+    """A bitset matrix applied to a column over F2: the XOR of cols[i] over
+    the set bits i of col."""
+    acc = 0
+    while col:
+        i = col.bit_length() - 1
+        acc ^= cols[i]
+        col ^= 1 << i
+    return acc
 
 
 def _check_squares_to_zero(labels: list, cols: list[int]) -> None:
     # parity of two-step path counts; homogeneity pins the exponents
     for j, col in enumerate(cols):
-        acc = 0
-        while col:
-            i = col.bit_length() - 1
-            acc ^= cols[i]
-            col ^= 1 << i
+        acc = _apply_bits(cols, col)
         if acc:
             tgt = labels[acc.bit_length() - 1]
             raise NotAComplex(f"boundary squared has an odd path count {labels[j]} -> {tgt}")
@@ -572,16 +585,53 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
 
 @dataclass(eq=False)
 class ChainMap:
-    """A map of single-variable complexes: its matrix, column-sparse like a
-    boundary, with entries[src][tgt] a PolyF2U.  `chain_map_degree` reads
-    its grading shift off the entries."""
+    """A map of single-variable complexes.
+
+    A homogeneous map is `columns = (degree, cols)`: one int per source
+    generator j in the source's grading order (`_columns`), whose bit i is
+    the entry U^((g_tgt(i) - g_src(j) - degree) / 2) at the i-th target
+    generator in the target's.  The gradings fix every exponent, so
+    products with such maps are F2 products of columns (see `chain_defect`).
+    `entries`, column-sparse like a boundary (entries[src][tgt] a PolyF2U),
+    is made from the columns when first read, then kept; a hand-built map
+    gives its entries, and `_map_columns` derives its columns.
+    """
 
     src: MonomialComplex
     tgt: MonomialComplex
-    entries: dict
+    _entries: dict | None = None
+    columns: tuple | None = None
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            self._entries = _label_rows(_ordered(self.src), _ordered(self.tgt), *self.columns)
+        return self._entries
 
     def apply(self, vec: dict) -> dict:
         return _apply_columns(self.entries, vec)
+
+
+def _label_rows(src: tuple, tgt: tuple, degree: int, cols: list[int]) -> dict:
+    """The inverse of `_bit_columns`: bit i of column j is the entry
+    U^((g_tgt(i) - g_src(j) - degree) / 2)."""
+    (labels, gradings, *_), (tgt_labels, tgt_gradings, *_) = src, tgt
+    powers = [u_power(k) for k in range((tgt_gradings[0] - gradings[-1] - degree) // 2 + 1)]
+    rows: dict = {}
+    for lab, g, col in zip(labels, gradings, cols):
+        if col:
+            row = rows[lab] = {}
+            while col:
+                i = col.bit_length() - 1
+                row[tgt_labels[i]] = powers[(tgt_gradings[i] - g - degree) >> 1]
+                col ^= 1 << i
+    return rows
+
+
+def _ordered(c: MonomialComplex) -> tuple:
+    """The labels, gradings and columns of c in grading order: the stored
+    ones, not copied, else those `_columns` derives."""
+    return c.columns or _columns(c)
 
 
 def _apply_columns(columns: dict, vec: dict) -> dict:
@@ -598,30 +648,15 @@ def _apply_columns(columns: dict, vec: dict) -> dict:
     return out
 
 
-def _diagonal_shifts(f: ChainMap) -> dict | None:
-    """{x: k} when f sends every source generator x to U^k x, else None."""
-    shifts = {}
-    for x in f.src.basis.labels():
-        row = f.entries.get(x, {})
-        p = row.get(x)
-        if len(row) != 1 or p is None or not p.is_monomial():
-            return None
-        shifts[x] = p.degree()
-    return shifts
-
-
-def _diagonal_commutes(ds: dict, dt: dict, k: int, shifts: dict) -> bool:
-    """Whether d_tgt[x][y] U^k == d_src[x][y] U^shifts[y] for every y, where
-    ds and dt are the source and target boundary rows of x and U^k x = f(x):
-    one comparison per boundary entry."""
-    for y, q in dt.items():
-        p = ds.get(y)
-        if q.bits << k != (p.bits << shifts[y] if p is not None else 0):
-            return False
-    for y, p in ds.items():
-        if y not in dt and p:
-            return False
-    return True
+def _map_columns(f: ChainMap) -> tuple | None:
+    """(degree, cols) of f, stored or derived from its entries; None when
+    f, or an end of it, is not homogeneous."""
+    if f.columns is not None:
+        return f.columns
+    try:
+        return _bit_columns(f.entries, _ordered(f.src), _ordered(f.tgt), None)
+    except (NonHomogeneousEntry, NotHomogeneous):
+        return None
 
 
 def chain_defect(f: ChainMap):
@@ -629,17 +664,20 @@ def chain_defect(f: ChainMap):
     d_tgt(f(x)) != f(d_src(x)), as (x, d_tgt(f(x)), f(d_src(x))); None when
     f is a chain map.
 
-    A map x -> U^k x is compared boundary entry by boundary entry; any other
-    map, or a generator where that comparison fails, has both sides of the
-    chain condition computed in full.
+    A map with a column form is checked as F D_src == D_tgt F over F2,
+    which is exact: every entry of D (degree -2) or F (degree deg) is the
+    monomial fixed by the gradings of its ends, so along any path j -> m ->
+    t the exponents add to (g_t - g_j - deg + 2) / 2, and each side's entry
+    is its path count mod 2 times that monomial.  Only a map that fails
+    there, or has no column form, is scanned generator by generator.
     """
-    shifts = _diagonal_shifts(f)
+    form = _map_columns(f)
+    if form is not None:
+        ds, dt, cols = _ordered(f.src)[2], _ordered(f.tgt)[2], form[1]
+        if all(_apply_bits(dt, col) == _apply_bits(cols, d) for col, d in zip(cols, ds)):
+            return None
     src_b, tgt_b = f.src.boundary, f.tgt.boundary
     for x in f.src.basis.labels():
-        if shifts is not None and _diagonal_commutes(
-            src_b.get(x, {}), tgt_b.get(x, {}), shifts[x], shifts
-        ):
-            continue
         lhs = _apply_columns(tgt_b, f.entries.get(x, {}))
         rhs = f.apply(src_b.get(x, {}))
         if lhs != rhs:
@@ -648,7 +686,7 @@ def chain_defect(f: ChainMap):
 
 
 def is_chain_map(f: ChainMap) -> bool:
-    """Exact check of d_tgt . f == f . d_src, entry by entry."""
+    """Exact check of d_tgt . f == f . d_src."""
     return chain_defect(f) is None
 
 
@@ -658,34 +696,22 @@ def require_chain_map(f: ChainMap) -> None:
 
 
 def chain_map_degree(f: ChainMap) -> int | None:
-    """The common doubled-grading shift of all entries, or None if mixed."""
-    src_g = f.src.basis.to_dict()
-    tgt_g = f.tgt.basis.to_dict()
-    degs = set()
-    for src, row in f.entries.items():
-        for tgt, p in row.items():
-            if not p:
-                continue
-            if not p.is_monomial():
-                return None
-            degs.add(tgt_g[tgt] - 2 * p.degree() - src_g[src])
-    if len(degs) != 1:
-        return None
-    return degs.pop()
+    """The doubled-grading shift of f; None for a zero map and for a map
+    with no column form (mixed)."""
+    form = _map_columns(f)
+    return form[0] if form is not None and any(form[1]) else None
 
 
 def identity_chain_map(c: MonomialComplex) -> ChainMap:
-    entries = {lab: {lab: ONE} for lab in c.basis.labels()}
-    return ChainMap(c, c, entries)
+    return ChainMap(c, c, columns=(0, [1 << j for j in range(len(c.basis))]))
 
 
 def scale_chain_map(f: ChainMap, p: PolyF2U) -> ChainMap:
-    entries: dict = {}
-    for src, row in f.entries.items():
-        new_row = {tgt: q * p for tgt, q in row.items() if q * p}
-        if new_row:
-            entries[src] = new_row
-    return ChainMap(f.src, f.tgt, entries)
+    """U^k f for a homogeneous f and p = U^k: the degree drops by 2k."""
+    form = _map_columns(f)
+    if form is None or not p.is_monomial():
+        raise NotChainMap(f"cannot scale a map with no column form, or by {p}")
+    return ChainMap(f.src, f.tgt, columns=(form[0] - 2 * p.degree(), form[1]))
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -705,19 +731,23 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f, with empty columns dropped."""
+    """g after f, of homogeneous maps: an F2 product of their columns, and
+    the degrees add."""
     if f.tgt.basis != g.src.basis:
         raise NotChainMap("composition endpoints do not match")
-    entries: dict = {}
-    for src, row in f.entries.items():
-        col = g.apply(row)
-        if col:
-            entries[src] = col
-    return ChainMap(f.src, g.tgt, entries)
+    ff, gf = _map_columns(f), _map_columns(g)
+    if ff is None or gf is None:
+        raise NotChainMap("only maps with a column form compose")
+    cols = [_apply_bits(gf[1], col) for col in ff[1]]
+    return ChainMap(f.src, g.tgt, columns=(ff[0] + gf[0], cols))
 
 
 def chain_maps_equal(f: ChainMap, g: ChainMap) -> bool:
-    """Matrix equality (pointwise, not just on homology)."""
+    """Matrix equality (pointwise, not just on homology): equal columns,
+    and equal degrees unless the maps are zero."""
+    ff, gf = _map_columns(f), _map_columns(g)
+    if ff and gf and (f.src.basis, f.tgt.basis) == (g.src.basis, g.tgt.basis):
+        return ff[1] == gf[1] and (ff[0] == gf[0] or not any(ff[1]))
     keys = set(f.entries) | set(g.entries)
     for src in keys:
         if f.entries.get(src, {}) != g.entries.get(src, {}):

@@ -5,9 +5,10 @@ grid, which share one generator set; the map multiplies selected generators
 by U according to the distinguished-point rule.  Quasi- and disk
 stabilizations act algebraically: the complex is tensored with a rank-2
 free module with zero differential, and destabilizations project back.
-Band maps are checked to commute with the boundaries when they are built;
-stabilization, destabilization and renumbering maps are chain maps by
-construction, and a movie's composite is checked once, in `induced_map`.
+Maps are built as bitset columns (`ChainMap`).  A band map is checked
+over F2 on them when it is built (a mixed placement has no columns and is
+read entry by entry); the other maps are chain maps by construction, and
+a movie's composite is checked once, in `induced_map`.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves
@@ -31,6 +32,7 @@ from .algebra import (
     ONE,
     PolyF2U,
     U,
+    _ordered,
     add_chain_maps,
     chain_defect,
     chain_map_degree,
@@ -174,7 +176,9 @@ _TAGS = ("plus", "minus")
 
 def _tensor_rank2(c: MonomialComplex, stab: QuasiStab | DiskStab) -> MonomialComplex:
     """c tensored with the rank-2 free module of a QuasiStab or DiskStab,
-    zero differential; the second tag sits the move's gap below the first."""
+    zero differential; the second tag sits the move's gap below the first.
+    Its columns are sorted as `_columns` sorts, stably by grading; the
+    copies with one tag keep c's order, so c's columns copy onto them."""
     plus, minus = _TAGS
     s_v, s_w = derived_stab_offsets()
     gap = s_v if isinstance(stab, QuasiStab) else s_w
@@ -182,17 +186,28 @@ def _tensor_rank2(c: MonomialComplex, stab: QuasiStab | DiskStab) -> MonomialCom
     for lab, d in c.basis.elements:
         elements.append(((lab, plus), d))
         elements.append(((lab, minus), d - gap))
-    boundary: dict = {}
-    for src, row in c.boundary.items():
-        for tag in _TAGS:
-            boundary[(src, tag)] = {(tgt, tag): p for tgt, p in row.items()}
+    order = sorted(range(len(elements)), key=lambda t: -elements[t][1])
+    copies: tuple = ([], [])  # the positions of the plus and of the minus copies
+    for q, t in enumerate(order):
+        copies[t & 1].append(q)
+    base, cols = _ordered(c)[2], [0] * len(elements)
+    for where in copies:
+        for q, col in zip(where, base):
+            bits = 0
+            while col:
+                i = col.bit_length() - 1
+                bits |= 1 << where[i]
+                col ^= 1 << i
+            cols[q] = bits
+    labels, gradings = zip(*(elements[t] for t in order))
     return MonomialComplex(
         GradedBasis(tuple(elements)),
-        boundary,
+        None,
         c.marking_count + 2,
         c.ring,
         c.grid,
         c.tensor_stack + (stab,),
+        columns=(list(labels), list(gradings), cols),
     )
 
 
@@ -229,12 +244,15 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     p_col, p_row = (site.col + 1) % n, (site.row + 1) % n
     tgt = _stacked_complex(g2, c.tensor_stack)
     depth = len(c.tensor_stack)
-    entries: dict = {}
-    for lab in c.basis.labels():
-        x = _base_state(lab, depth)
-        hit = x[p_col] == p_row
-        entries[lab] = {lab: U if hit == u_when_contains else ONE}
-    return ChainMap(c, tgt, entries)
+    labels, gradings, _ = _ordered(c)
+    tgt_labels, tgt_gradings, _ = _ordered(tgt)
+    position = {lab: i for i, lab in enumerate(tgt_labels)}
+    targets = [position[lab] for lab in labels]
+    ks = [(_base_state(lab, depth)[p_col] == p_row) == u_when_contains for lab in labels]
+    degrees = {tgt_gradings[i] - 2 * k - g for i, k, g in zip(targets, ks, gradings)}
+    if len(degrees) == 1:
+        return ChainMap(c, tgt, columns=(degrees.pop(), [1 << i for i in targets]))
+    return ChainMap(c, tgt, {lab: {lab: U if k else ONE} for lab, k in zip(labels, ks)})
 
 
 def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
@@ -282,17 +300,24 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 
 
 def _include(c: MonomialComplex, stab: QuasiStab | DiskStab) -> ChainMap:
-    """x -> x tensor plus, into c tensored with the move's rank-2 module."""
-    entries = {lab: {(lab, _TAGS[0]): ONE} for lab in c.basis.labels()}
-    return ChainMap(c, _tensor_rank2(c, stab), entries)
+    """x -> x tensor plus, into c tensored with the move's rank-2 module;
+    the plus copies sit in c's grading order (`_tensor_rank2`)."""
+    tgt = _tensor_rank2(c, stab)
+    plus = [1 << q for q, (_, tag) in enumerate(_ordered(tgt)[0]) if tag == _TAGS[0]]
+    return ChainMap(c, tgt, columns=(0, plus))
 
 
 def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
     """Project c onto the complex under its stack minus the top move:
     x tensor keep_tag -> x, and the other tag dies."""
     tgt = _stacked_complex(c.grid, c.tensor_stack[:-1])
-    entries = {(lab, keep_tag): {lab: ONE} for lab in tgt.basis.labels()}
-    return ChainMap(c, tgt, entries)
+    labels, gradings, _ = _ordered(c)
+    kept = [q for q, (_, tag) in enumerate(labels) if tag == keep_tag]
+    cols = [0] * len(labels)
+    for p, q in enumerate(kept):
+        cols[q] = 1 << p
+    degree = _ordered(tgt)[1][0] - gradings[kept[0]]  # g(x) - g(x tensor keep_tag)
+    return ChainMap(c, tgt, columns=(degree, cols))
 
 
 def quasi_stab_map(c: MonomialComplex, anchor: int) -> ChainMap:

@@ -20,7 +20,9 @@ The package computes each result one way; the second ways live here:
   policy raises ValueError;
 - `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, and
   `back_substituted_rows`, the projection rows one row at a time: replaced
-  fast paths kept as oracles for the ones that replaced them.
+  fast paths kept as oracles for the ones that replaced them;
+- `chain_defect` and `entry_degree`, the chain condition and the degree of
+  a map read off its label-keyed entries, for the column form of maps.
 """
 from __future__ import annotations
 
@@ -542,6 +544,22 @@ def chain_defect(f):
         if lhs != rhs:
             return x, lhs, rhs
     return None
+
+
+def entry_degree(f):
+    """The common doubled-grading shift of f's entries, read entry by
+    entry; None for a zero map and for a mixed one."""
+    src_g = f.src.basis.to_dict()
+    tgt_g = f.tgt.basis.to_dict()
+    degs = set()
+    for src, row in f.entries.items():
+        for tgt, p in row.items():
+            if not p:
+                continue
+            if not p.is_monomial():
+                return None
+            degs.add(tgt_g[tgt] - 2 * p.degree() - src_g[src])
+    return degs.pop() if len(degs) == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ from gridfloer import (
     NotChainMap,
     NotHomogeneous,
     PolyF2U,
+    BandMapChoice,
     add_chain_maps,
+    band_map,
+    band_map_raw,
     boundary_squared,
     boundary_squares_to_zero,
     build_complex,
@@ -31,7 +34,10 @@ from gridfloer import (
     chain_maps_equal,
     compose_chain_maps,
     corpus_grid,
+    derived_stab_offsets,
+    disk_destab_map,
     disk_stab_map,
+    find_switch_sites,
     homology,
     identity_chain_map,
     induced_map,
@@ -39,8 +45,11 @@ from gridfloer import (
     is_homogeneous,
     maps_equal_on_homology,
     present_homology,
+    quasi_destab_map,
     quasi_stab_map,
     random_grid,
+    renumber_map,
+    same_letter_neighbors,
     scale_chain_map,
     u_power,
 )
@@ -48,6 +57,7 @@ from gridfloer.algebra import (
     MULTI,
     SINGLE,
     _apply_columns,
+    _columns,
     _implied_vector,
     _inverse_rows,
     _reduce,
@@ -672,6 +682,105 @@ class TestChainMaps:
         b = identity_chain_map(gc_primes["unknot3"])
         with pytest.raises(NotChainMap):
             maps_equal_on_homology(a, b)
+
+
+def _label_tensor(c, stacked, gap):
+    """c tensored with a rank-2 module as label rows, with no columns: the
+    tensor step that the stored columns of `stacked` replace."""
+    tags = tuple(zip(("plus", "minus"), (0, gap)))
+    elements = tuple(((lab, tag), d - s) for lab, d in c.basis.elements for tag, s in tags)
+    boundary = {
+        (src, tag): {(tgt, tag): p for tgt, p in row.items()}
+        for src, row in c.boundary.items()
+        for tag, _ in tags
+    }
+    return MonomialComplex(
+        GradedBasis(elements), boundary, c.marking_count + 2, SINGLE, c.grid,
+        stacked.tensor_stack,
+    )
+
+
+class TestMapColumns:
+    """The column form of chain maps and of stacked complexes."""
+
+    def test_stacked_columns_match_the_label_tensor(self, gc_primes):
+        s_v, s_w = derived_stab_offsets()
+        for name, c in gc_primes.items():
+            quasi = quasi_stab_map(c, 0).tgt
+            stacks = (
+                (c, quasi, s_v),
+                (c, disk_stab_map(c).tgt, s_w),
+                (quasi, disk_stab_map(quasi).tgt, s_w),
+            )
+            for base, stacked, gap in stacks:
+                copy = MonomialComplex(
+                    stacked.basis, stacked.boundary, stacked.marking_count, SINGLE,
+                    stacked.grid, stacked.tensor_stack,
+                )
+                want = _label_tensor(base, stacked, gap)
+                assert stacked.basis == want.basis, (name, stacked.tensor_stack)
+                assert _columns(stacked) == _columns(copy) == _columns(want), (
+                    name, stacked.tensor_stack,
+                )
+
+    def test_degree_matches_the_entry_oracle(self, corpus, gc_primes):
+        for name, g in corpus.items():
+            c = gc_primes[name]
+            maps = [identity_chain_map(c), renumber_map(c, range(c.marking_count))]
+            for site in find_switch_sites(g):
+                maps.append(band_map(c, BandMapChoice(site)))
+                maps.append(band_map_raw(c, BandMapChoice(site, "nu_tilde")))
+            for anchor in range(2 * g.n):
+                stab = quasi_stab_map(c, anchor)
+                for near in (anchor, same_letter_neighbors(g, anchor)[0]):
+                    destab = quasi_destab_map(stab.tgt, near)
+                    maps += [stab, destab, compose_chain_maps(destab, stab)]
+            disk = disk_stab_map(c)
+            destab = disk_destab_map(disk.tgt)
+            maps += [disk, destab, compose_chain_maps(destab, disk)]
+            for f in maps:
+                assert chain_map_degree(f) == oracles.entry_degree(f), (name, f.tgt.tensor_stack)
+
+    def test_mixed_and_zero_maps_have_no_degree(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        site = find_switch_sites(c.grid)[0]
+        assert chain_map_degree(band_map_raw(c, BandMapChoice(site, "nu_tilde"))) is None
+        stab = quasi_stab_map(c, 0)  # anchor O1
+        assert chain_map_degree(compose_chain_maps(quasi_destab_map(stab.tgt, 0), stab)) is None
+
+    def test_defect_in_the_last_column_only(self):
+        # f(q) = b with d b = c, and q, the last source column, is a cycle
+        src = MonomialComplex(GradedBasis((("p", 2), ("q", 0))), {}, 1, SINGLE)
+        basis = GradedBasis((("a", 2), ("b", 0), ("c", -2)))
+        tgt = MonomialComplex(basis, {"b": {"c": ONE}}, 1, SINGLE)
+        f = ChainMap(src, tgt, {"p": {"a": ONE}, "q": {"b": ONE}})
+        assert chain_map_degree(f) == 0
+        assert not is_chain_map(f)
+        assert oracles.chain_defect(f) == ("q", {"c": ONE}, {})
+
+    def test_maps_with_no_column_form(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        site = find_switch_sites(c.grid)[0]
+        tilde = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
+        back = band_map(tilde.tgt, BandMapChoice(site))
+        for make in (
+            lambda: compose_chain_maps(back, tilde),
+            lambda: scale_chain_map(tilde, U),
+            lambda: scale_chain_map(identity_chain_map(c), ONE + U),
+        ):
+            with pytest.raises(NotChainMap):
+                make()
+        # equality still reads such maps entry by entry
+        assert chain_maps_equal(tilde, band_map_raw(c, BandMapChoice(site, "nu_tilde")))
+        assert not chain_maps_equal(tilde, band_map_raw(c, BandMapChoice(site)))
+
+    def test_zero_maps_of_different_degrees_are_equal(self, gc_primes):
+        c = gc_primes["unknot3"]
+        zeros = [0] * len(c.basis)
+        zero, shifted = ChainMap(c, c, columns=(0, zeros)), ChainMap(c, c, columns=(-2, zeros))
+        assert chain_maps_equal(zero, shifted)
+        ident = identity_chain_map(c)
+        assert not chain_maps_equal(ident, scale_chain_map(ident, U))
 
 
 class TestSmith:

@@ -1,5 +1,8 @@
 """Cobordism chain maps: bands, stabilizations, renumbering, movies."""
+import functools
 import math
+import operator
+import random
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ from gridfloer import (
     band_map,
     band_map_raw,
     band_map_sum,
+    build_gc_prime,
     chain_defect,
     chain_map_degree,
     chain_maps_equal,
@@ -53,12 +57,14 @@ from gridfloer import (
     parse_movie,
     quasi_destab_map,
     quasi_stab_map,
+    random_grid,
     renumber_map,
     same_letter_neighbors,
     scale_chain_map,
     serialize_movie,
     verify_commutation,
 )
+from gridfloer.algebra import _columns
 
 def _u_id(c):
     return scale_chain_map(identity_chain_map(c), U)
@@ -264,6 +270,41 @@ class TestChainDefect:
                 f.tgt.ring, f.tgt.grid,
             )
             assert _same_defect(ChainMap(f.src, d, f.entries)) is not None, x
+
+    def test_both_flavors_on_stacked_complexes(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        quasi = quasi_stab_map(c, 0).tgt
+        stacks = (quasi, disk_stab_map(c).tgt, disk_stab_map(quasi).tgt)
+        for stacked in stacks:
+            for site in find_switch_sites(c.grid):
+                for flavor in ("nu", "nu_tilde"):
+                    f = band_map_raw(stacked, BandMapChoice(site, flavor))
+                    want = flavor == "nu"
+                    assert (_same_defect(f) is None) == want, (stacked.tensor_stack, site)
+
+    def test_both_flavors_on_seeded_grids(self):
+        rng = random.Random(20260814)
+        for _ in range(2):
+            c = build_gc_prime(random_grid(6, rng))
+            for site in find_switch_sites(c.grid):
+                for flavor in ("nu", "nu_tilde"):
+                    f = band_map_raw(c, BandMapChoice(site, flavor))
+                    assert (_same_defect(f) is None) == (flavor == "nu"), (c.grid, site)
+
+    def test_one_stored_column_bit_flipped(self, gc_primes):
+        # clear column j of f, where j is in d(x) for some x: then f(d(x))
+        # loses the term that d(f(x)) keeps
+        f = self._band(gc_primes)
+        degree, cols = f.columns
+        _, _, d_cols = _columns(f.src)
+        reached = functools.reduce(operator.or_, d_cols)
+        hits = [j for j in range(len(cols)) if reached >> j & 1][::17]
+        assert hits
+        for j in hits:
+            flipped = list(cols)
+            flipped[j] ^= cols[j]
+            g = ChainMap(f.src, f.tgt, columns=(degree, flipped))
+            assert _same_defect(g) is not None, j
 
 
 class TestQuasiStabilization:

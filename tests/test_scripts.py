@@ -34,3 +34,26 @@ def test_script_runs(script):
     assert "Traceback" not in proc.stdout + proc.stderr
     if "--json" in CASES[script]:
         json.loads(proc.stdout)
+
+
+def test_sweep_counts_a_grading_fault(monkeypatch, capsys):
+    # the build raises NotHomogeneous; the sweep counts it and goes on
+    import importlib.util
+    import weakref
+
+    from gridfloer import complexes
+
+    spec = importlib.util.spec_from_file_location(
+        "dsquared_sweep", ROOT / "scripts" / "dsquared_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    graded = complexes.delta_grading
+
+    def off(grid, state, grid_part=None):
+        return graded(grid, state, grid_part) + (2 if state == (1, 0, 2, 3) else 0)
+
+    monkeypatch.setattr(complexes, "delta_grading", off)
+    monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+    assert sweep.main(["--size", "4", "--count", "2"]) == 1
+    assert "FAILED" in capsys.readouterr().out
