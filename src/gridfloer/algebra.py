@@ -14,9 +14,12 @@ A built grid complex carries its columns from the build, and its
 label-keyed `boundary` is made from them when first read.
 
 A homogeneous chain map is likewise its degree and its bitset columns
-(`ChainMap`), with label-keyed `entries` made when first read.  The
-gradings fix every exponent, so its chain-map check (`chain_defect`),
-compositions and equality are F2 work on the columns.
+(`ChainMap`), with label-keyed `entries` made when first read.  A homology
+presentation keeps each generator's representative and projection row as
+the bitsets `_reduce` and `_inverse_rows` produce.  The gradings fix every
+exponent, so the chain-map check (`chain_defect`), compositions, equality
+and the matrix a map induces on homology (`induced_map`) are F2 work on
+the columns.
 
 The square of a multivariable boundary (`boundary_squared`) is a parity
 count per source over packed (target, monomial) int keys: one key per
@@ -488,53 +491,21 @@ class HomologyGenerator:
     label: object            # basis element the generator is read at
     grading: int             # doubled
     torsion_exp: int | None  # None for a free tower, else k in F2[U]/(U^k)
-    representative: dict     # cycle over the original basis, label -> PolyF2U
 
 
 @dataclass(eq=False)
 class HomologyPresentation:
-    """Homology generators with fixed representatives and a projector from
-    cycles (over the original basis) to final homology coordinates."""
+    """Homology generators of `complex`, each with a representative cycle
+    and a projection row, both bitsets over the positions of
+    `_ordered(complex)`.  For a generator at doubled grading g, bit p of its
+    representative is the term U^((g_p - g)/2) x_p, and bit p of its row
+    the coefficient U^((g - g_p)/2) of x_p in its homology coordinate."""
 
     complex: MonomialComplex
     summary: GradedModuleSummary
     generators: tuple[HomologyGenerator, ...]
-    _proj_rows: tuple[dict, ...]
-
-    def project(self, vec: dict) -> tuple[PolyF2U, ...]:
-        """Coordinates of a cycle on the homology generators; torsion
-        coordinates are reduced modulo U^k."""
-        out = []
-        for gen, row in zip(self.generators, self._proj_rows):
-            acc = ZERO
-            for lab, coeff in vec.items():
-                r = row.get(lab)
-                if r is not None and coeff:
-                    acc = acc + coeff * r
-            if gen.torsion_exp is not None:
-                acc = acc.truncated(gen.torsion_exp)
-            out.append(acc)
-        return tuple(out)
-
-
-def _implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) -> dict:
-    """The vector {labels[j]: U^e} over the set bits j of `bits`, where
-    e = sign * (gradings[j] - gradings[i]) / 2: sign +1 for a representative
-    of i, -1 for projection row i.  An odd or negative exponent means the
-    gradings do not fit the bitset."""
-    out = {}
-    digits = bin(bits)[:1:-1]  # digits[j] is bit j
-    j = digits.find("1")
-    while j >= 0:
-        gap = sign * (gradings[j] - gradings[i])
-        if gap < 0 or gap & 1:
-            raise BrokenInvariant(
-                f"basis element {labels[j]} sits at doubled grading {gradings[j]}, "
-                f"an odd or negative gap from generator {labels[i]} at {gradings[i]}"
-            )
-        out[labels[j]] = PolyF2U(1 << (gap >> 1))
-        j = digits.find("1", j + 1)
-    return out
+    representatives: tuple[int, ...]
+    rows: tuple[int, ...]
 
 
 def _inverse_rows(basis: list[int], ps) -> list[int]:
@@ -566,17 +537,14 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
     rows: free towers first, then torsion summands by exponent."""
     labels, gradings, free, torsion, basis = _reduce(c)
     parts = [(j, None) for j in free] + [(t, k) for k, t in torsion]
-    gens = tuple(
-        HomologyGenerator(
-            labels[i], gradings[i], k, _implied_vector(basis[i], labels, gradings, i, 1)
-        )
-        for i, k in parts
+    ps = [i for i, _ in parts]
+    return HomologyPresentation(
+        c,
+        _summary(gradings, free, torsion),
+        tuple(HomologyGenerator(labels[i], gradings[i], k) for i, k in parts),
+        tuple(basis[i] for i in ps),
+        tuple(_inverse_rows(basis, ps)),
     )
-    rows = tuple(
-        _implied_vector(row, labels, gradings, i, -1)
-        for (i, _), row in zip(parts, _inverse_rows(basis, [i for i, _ in parts]))
-    )
-    return HomologyPresentation(c, _summary(gradings, free, torsion), gens, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +575,6 @@ class ChainMap:
         if self._entries is None:
             self._entries = _label_rows(_ordered(self.src), _ordered(self.tgt), *self.columns)
         return self._entries
-
-    def apply(self, vec: dict) -> dict:
-        return _apply_columns(self.entries, vec)
 
 
 def _label_rows(src: tuple, tgt: tuple, degree: int, cols: list[int]) -> dict:
@@ -679,7 +644,7 @@ def chain_defect(f: ChainMap):
     src_b, tgt_b = f.src.boundary, f.tgt.boundary
     for x in f.src.basis.labels():
         lhs = _apply_columns(tgt_b, f.entries.get(x, {}))
-        rhs = f.apply(src_b.get(x, {}))
+        rhs = _apply_columns(f.entries, src_b.get(x, {}))
         if lhs != rhs:
             return x, lhs, rhs
     return None
@@ -761,15 +726,40 @@ def induced_map(
     tgt_pres: HomologyPresentation,
 ) -> list[list[PolyF2U]]:
     """Matrix of f on homology generators: rows = target generators,
-    columns = source generators."""
+    columns = source generators.
+
+    Computed over F2 on the bitsets, which is exact for the same reason as
+    `chain_defect`: the gradings fix every exponent.  With deg the degree
+    of f, a source generator j at g_j and a target generator i at g_i, a
+    term of j's representative at p (U^((g_p - g_j)/2)), f's entry p -> q
+    (U^((g_q - g_p - deg)/2)) and i's row at q (U^((g_i - g_q)/2)) multiply
+    to U^e with e = (g_i - g_j - deg)/2 along every path.  So entry (i, j)
+    is parity(row_i & f(rep_j)) U^e, zero when i is a summand F2[U]/(U^k)
+    with e >= k.  A nonzero parity with an odd or negative e means the
+    gradings do not fit the bitsets, and raises BrokenInvariant.
+    """
+    for c, pres in ((f.src, src_pres), (f.tgt, tgt_pres)):
+        if c is not pres.complex and _ordered(c)[0] != _ordered(pres.complex)[0]:
+            raise NotChainMap("map and presentation do not share their ends")
+    form = _map_columns(f)
+    if form is None:
+        raise NotChainMap("only maps with a column form induce a map on homology")
     require_chain_map(f)
-    cols = []
-    for gen in src_pres.generators:
-        cols.append(tgt_pres.project(f.apply(gen.representative)))
-    return [
-        [cols[j][i] for j in range(len(src_pres.generators))]
-        for i in range(len(tgt_pres.generators))
-    ]
+    degree, cols = form
+    images = [_apply_bits(cols, rep) for rep in src_pres.representatives]
+    matrix = [[ZERO] * len(images) for _ in tgt_pres.rows]
+    for i, (gen, row) in enumerate(zip(tgt_pres.generators, tgt_pres.rows)):
+        for j, (src_gen, image) in enumerate(zip(src_pres.generators, images)):
+            if (row & image).bit_count() & 1:
+                gap = gen.grading - src_gen.grading - degree
+                if gap < 0 or gap & 1:
+                    raise BrokenInvariant(
+                        f"generators {src_gen.label} at doubled grading {src_gen.grading} and "
+                        f"{gen.label} at {gen.grading}: odd or negative gap for degree {degree}"
+                    )
+                if gen.torsion_exp is None or gap >> 1 < gen.torsion_exp:
+                    matrix[i][j] = u_power(gap >> 1)
+    return matrix
 
 
 def maps_equal_on_homology(f: ChainMap, g: ChainMap) -> bool:

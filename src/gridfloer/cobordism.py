@@ -8,7 +8,8 @@ free module with zero differential, and destabilizations project back.
 Maps are built as bitset columns (`ChainMap`).  A band map is checked
 over F2 on them when it is built (a mixed placement has no columns and is
 read entry by entry); the other maps are chain maps by construction, and
-a movie's composite is checked once, in `induced_map`.
+a movie's composite is checked once, over F2 on its columns, when
+`induced_map` reads its matrix on homology off the presentations' bitsets.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves

@@ -22,7 +22,11 @@ The package computes each result one way; the second ways live here:
   `back_substituted_rows`, the projection rows one row at a time: replaced
   fast paths kept as oracles for the ones that replaced them;
 - `chain_defect` and `entry_degree`, the chain condition and the degree of
-  a map read off its label-keyed entries, for the column form of maps.
+  a map read off its label-keyed entries, for the column form of maps;
+- `LabelPresentation`, `label_presentation` (the package's bitset
+  presentation read through `implied_vector`), `project` and
+  `induced_map`: homology presentations and induced maps as label-keyed
+  `PolyF2U` vectors, the form the package's F2 `induced_map` replaced.
 """
 from __future__ import annotations
 
@@ -34,8 +38,10 @@ from fractions import Fraction
 from gridfloer import (
     ONE,
     ZERO,
+    BrokenInvariant,
     ExponentVector,
     GridDiagram,
+    HomologyGenerator,
     MonomialComplex,
     NonHomogeneousEntry,
     NotHomogeneous,
@@ -43,7 +49,7 @@ from gridfloer import (
     link_topology,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE
+from gridfloer.algebra import MULTI, SINGLE, _ordered
 from gridfloer.complexes import State
 
 # ---------------------------------------------------------------------------
@@ -696,8 +702,6 @@ def tracked_presentation(c):
     representatives and projection rows kept as {index: PolyF2U} vectors
     and every change of basis shifted by U^(e - k) explicitly.  Free towers
     come first, then torsion summands in pivot order."""
-    from gridfloer import HomologyGenerator, HomologyPresentation
-
     labels = list(c.basis.labels())
     red = _Reduction(_exponents(c), labels)
     one = PolyF2U(1)
@@ -719,14 +723,88 @@ def tracked_presentation(c):
             proj[b] = {}
     grading = c.basis.to_dict()
     parts = [(i, None, rep[i], proj[i]) for i in sorted(red.alive)] + torsion
-    gens = tuple(
-        HomologyGenerator(
-            labels[i], grading[labels[i]], k, {labels[j]: p for j, p in r.items()}
-        )
-        for i, k, r, _ in parts
+    return LabelPresentation(
+        _summary(red, c),
+        tuple(HomologyGenerator(labels[i], grading[labels[i]], k) for i, k, _, _ in parts),
+        tuple({labels[j]: p for j, p in r.items()} for _, _, r, _ in parts),
+        tuple({labels[j]: p for j, p in pr.items()} for _, _, _, pr in parts),
     )
-    rows = tuple({labels[j]: p for j, p in pr.items()} for _, _, _, pr in parts)
-    return HomologyPresentation(c, _summary(red, c), gens, rows)
+
+
+# ---------------------------------------------------------------------------
+# homology presentations and induced maps as label-keyed vectors
+
+
+@dataclass(frozen=True)
+class LabelPresentation:
+    """A homology presentation with each generator's representative and
+    projection row as a {label: PolyF2U} vector."""
+
+    summary: object
+    generators: tuple
+    representatives: tuple[dict, ...]
+    rows: tuple[dict, ...]
+
+
+def implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) -> dict:
+    """The vector {labels[j]: U^e} over the set bits j of `bits`, where
+    e = sign * (gradings[j] - gradings[i]) / 2: sign +1 for a representative
+    of i, -1 for projection row i.  An odd or negative exponent means the
+    gradings do not fit the bitset."""
+    out = {}
+    digits = bin(bits)[:1:-1]  # digits[j] is bit j
+    j = digits.find("1")
+    while j >= 0:
+        gap = sign * (gradings[j] - gradings[i])
+        if gap < 0 or gap & 1:
+            raise BrokenInvariant(
+                f"basis element {labels[j]} sits at doubled grading {gradings[j]}, "
+                f"an odd or negative gap from generator {labels[i]} at {gradings[i]}"
+            )
+        out[labels[j]] = PolyF2U(1 << (gap >> 1))
+        j = digits.find("1", j + 1)
+    return out
+
+
+def label_presentation(pres) -> LabelPresentation:
+    """The package's bitset presentation read as label-keyed vectors."""
+    labels, gradings = _ordered(pres.complex)[:2]
+    position = {lab: i for i, lab in enumerate(labels)}
+    at = [position[gen.label] for gen in pres.generators]
+    return LabelPresentation(
+        pres.summary,
+        pres.generators,
+        tuple(implied_vector(b, labels, gradings, i, 1) for b, i in zip(pres.representatives, at)),
+        tuple(implied_vector(b, labels, gradings, i, -1) for b, i in zip(pres.rows, at)),
+    )
+
+
+def apply(entries: dict, vec: dict) -> dict:
+    """A column-sparse matrix {src: {tgt: PolyF2U}} applied to a vector."""
+    out: dict = {}
+    for lab, coeff in vec.items():
+        _vec_add(out, {tgt: coeff * p for tgt, p in entries.get(lab, {}).items()}, 0)
+    return out
+
+
+def project(pres: LabelPresentation, vec: dict) -> tuple:
+    """Coordinates of a cycle on the homology generators; torsion
+    coordinates are reduced modulo U^k."""
+    out = []
+    for gen, row in zip(pres.generators, pres.rows):
+        acc = PolyF2U(0)
+        for lab, coeff in vec.items():
+            if lab in row:
+                acc = acc + coeff * row[lab]
+        out.append(acc if gen.torsion_exp is None else acc.truncated(gen.torsion_exp))
+    return tuple(out)
+
+
+def induced_map(f, src: LabelPresentation, tgt: LabelPresentation) -> list[list[PolyF2U]]:
+    """Matrix of a chain map f on homology, rows = target generators: each
+    representative pushed through f's label-keyed entries and projected."""
+    cols = [project(tgt, apply(f.entries, rep)) for rep in src.representatives]
+    return [[col[i] for col in cols] for i in range(len(tgt.generators))]
 
 
 def back_substituted_rows(basis: list[int], ps) -> list[int]:

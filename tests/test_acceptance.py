@@ -91,7 +91,10 @@ def test_criterion_03_every_built_complex_is_homogeneous():
     grids += [random_grid(rng.choice((3, 4, 5)), rng) for _ in range(20)]
     for g in grids:
         direct = build_gc_prime(g)
-        assert is_homogeneous(direct)
+        grading = direct.basis.to_dict()
+        for src, tgt, p in direct.entries():
+            assert p.is_monomial(), (g, src, tgt)
+            assert grading[src] - grading[tgt] == 2 - 2 * p.degree(), (g, src, tgt)
         if g.n <= 5:
             multi = build_complex(g)
             grading = multi.basis.to_dict()

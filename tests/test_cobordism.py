@@ -571,6 +571,73 @@ class TestMovies:
             )
 
 
+def _closed_movie(g, rng):
+    """The benchmark's movie shape on g: switch s; quasistab a; switch s
+    back; quasidestab b, with b a same-letter neighbour of a other than a.
+    None when g has no switch site or no such pair."""
+    sites = sorted(find_switch_sites(g), key=lambda s: (s.col, s.row, s.letter))
+    anchors = [
+        (a, b) for a in range(2 * g.n) for b in sorted(set(same_letter_neighbors(g, a))) if b != a
+    ]
+    if not sites or not anchors:
+        return None
+    site, (a, b) = rng.choice(sites), rng.choice(anchors)
+    return Movie(
+        g,
+        (
+            BandMapChoice(site, "nu", "forward"),
+            QuasiStab(a),
+            BandMapChoice(site, "nu", "inverse"),
+            QuasiDestab(b),
+        ),
+    )
+
+
+def _assert_induced_matches_oracle(movie, name):
+    """The F2 induced matrix of a movie against the label-keyed reference:
+    each representative pushed through the composite's entries and
+    projected by its label-keyed row."""
+    res = compose_movie(movie)
+    src = oracles.label_presentation(res.src_presentation)
+    tgt = oracles.label_presentation(res.tgt_presentation)
+    assert res.induced == oracles.induced_map(res.total, src, tgt), name
+    return res
+
+
+class TestInducedMapOracle:
+    def test_corpus_movies(self, corpus):
+        # closed movies in the benchmark's shape, open ones whose ends have
+        # different presentations, and the README tour
+        rng = random.Random(20260814)
+        for name, g in corpus.items():
+            movie = _closed_movie(g, rng)
+            if movie is None:
+                continue
+            res = _assert_induced_matches_oracle(movie, name)
+            assert res.induced == induced_map(
+                _u_id(res.total.src), res.src_presentation, res.tgt_presentation
+            ), name
+            band, stab = movie.moves[:2]
+            opens = [(band,), (stab,)]
+            if g.n <= 5:
+                opens += [(stab, DiskStab()), (band, stab, DiskStab())]
+            for moves in opens:
+                _assert_induced_matches_oracle(Movie(g, moves), (name, moves))
+        tour = parse_movie(MOVIE_SCRIPT, corpus["unknot4_sites"])
+        _assert_induced_matches_oracle(tour, "tour")
+
+    @pytest.mark.parametrize("n, count", [(5, 8), (6, 6)])
+    def test_seeded_closed_movies(self, n, count):
+        rng = random.Random(20260814)
+        done = 0
+        while done < count:
+            movie = _closed_movie(random_grid(n, rng), rng)
+            if movie is not None:
+                res = _assert_induced_matches_oracle(movie, (n, done))
+                assert any(p for row in res.induced for p in row), (n, done)
+                done += 1
+
+
 def _count_presentations(monkeypatch, module):
     """Count calls of `module.present_homology` through a wrapper."""
     calls = []
