@@ -7,11 +7,14 @@ exponent vectors (one variable per marking) or single-variable polynomials;
 in the single-variable case homogeneity forces every entry to be a monomial
 whose exponent matches the grading gap.
 
-Homology of a single-variable complex is a column reduction in grading
-order over int bitsets (`_reduce`): homogeneity implies every coefficient
-from the gradings, so the reduction is F2 work on the boundary's pattern.
-A built grid complex carries its columns from the build, and its
-label-keyed `boundary` is made from them when first read.
+Every complex lists its generators in one order: its `GradedBasis`,
+sorted by doubled grading, highest first, with equal gradings kept in the
+order they were given.  Bitset columns, presentations and chain-map
+columns all index that order.  Homology of a single-variable complex is a
+column reduction over int bitsets (`_reduce`): homogeneity implies every
+coefficient from the gradings, so the reduction is F2 work on the
+boundary's pattern.  A built grid complex carries its columns from the
+build, and its label-keyed `boundary` is made from them when first read.
 
 A homogeneous chain map is likewise its degree and its bitset columns
 (`ChainMap`), with label-keyed `entries` made when first read.  A homology
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     BrokenInvariant,
@@ -159,17 +163,23 @@ class ExponentVector:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Ordered basis labels with doubled gradings; labels are unique."""
+    """Basis labels with doubled gradings; labels are unique.  The elements
+    are kept sorted by grading, highest first; the sort is stable, so
+    elements of equal grading keep the order they were given in."""
 
     elements: tuple[tuple[object, int], ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.elements]
-        if len(set(labels)) != len(labels):
+        elements = tuple(sorted(self.elements, key=itemgetter(1), reverse=True))  # stable
+        object.__setattr__(self, "elements", elements)
+        if len(set(self.labels())) != len(elements):
             raise ValueError("duplicate labels in graded basis")
 
     def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.elements)
+        return tuple([lab for lab, _ in self.elements])
+
+    def gradings(self) -> list[int]:
+        return [g for _, g in self.elements]
 
     def to_dict(self) -> dict:
         return dict(self.elements)
@@ -189,7 +199,8 @@ class MonomialComplex:
     ring == "multi": boundary entries are frozensets of ExponentVector.
     ring == "single": entries are PolyF2U (monomials, by homogeneity).
     `boundary` is column-sparse: boundary[src][tgt] = entry.  A built grid
-    complex is given the `columns` that `_columns` returns in its place.
+    complex is given, in its place, `columns`: one int per basis element,
+    whose bit i is set when the i-th basis element is a target (`_columns`).
     Instances are treated as immutable after construction.
     """
 
@@ -199,14 +210,14 @@ class MonomialComplex:
     ring: str = SINGLE
     grid: object = None          # originating GridDiagram, when applicable
     tensor_stack: tuple = ()     # stabilization bookkeeping, newest last
-    columns: tuple | None = None  # (labels, gradings, cols) in grading order
+    columns: list[int] | None = None
 
     @property
     def boundary(self) -> dict:
         """Made from `columns` when first read, then kept: bit i of column j
         is the entry U^((2 - g_j + g_i) / 2)."""
         if self._boundary is None:
-            self._boundary = _label_rows(self.columns, self.columns, -2, self.columns[2])
+            self._boundary = _label_rows(self.basis, self.basis, -2, self.columns)
         return self._boundary
 
     def entry(self, src, tgt):
@@ -314,36 +325,26 @@ def boundary_squared(c: MonomialComplex) -> dict:
 # single-variable complexes: checks and reduction
 
 
-def _columns(c: MonomialComplex) -> tuple[list, list, list[int]]:
-    """The boundary of c as int bitset columns in grading order.
-
-    The basis is sorted by doubled grading, highest first, ties in basis
-    order.  Returns the sorted labels, their doubled gradings and one column
-    per element, with bit i set when labels[i] is a target.  Every entry
-    must be a monomial U^k with 2d(src) - 2d(tgt) = 2 - 2k, so the columns
-    and the gradings determine the boundary.  A built grid complex carries
-    them, checked in the build; `_reduce` overwrites the fresh list returned.
-    """
+def _columns(c: MonomialComplex) -> list[int]:
+    """The boundary of c as int bitset columns: bit i of column j is set
+    when basis element i is a target of j.  Every entry must be a monomial
+    U^k with 2d(src) - 2d(tgt) = 2 - 2k, so columns and gradings determine
+    the boundary.  Stored columns, checked in the build, are returned as is."""
     if c.columns is not None:
-        labels, gradings, cols = c.columns
-        return labels, gradings, list(cols)
+        return c.columns
     if c.ring != SINGLE:
         raise NotHomogeneous("complex is not single-variable")
-    elements = sorted(c.basis.elements, key=lambda e: -e[1])
-    labels = [lab for lab, _ in elements]
-    gradings = [g for _, g in elements]
-    _, cols = _bit_columns(c.boundary, (labels, gradings), (labels, gradings), -2)
-    return labels, gradings, cols
+    return _bit_columns(c.boundary, c.basis, c.basis, -2)[1]
 
 
-def _bit_columns(rows: dict, src: tuple, tgt: tuple, degree: int | None) -> tuple:
-    """(degree, bitset columns) of label-keyed rows between two ends given
-    as (labels, gradings, ...) in grading order.  Each entry is a monomial
-    U^k with g_tgt - g_src - 2k = degree, or the first entry's if None."""
-    (labels, gradings, *_), (tgt_labels, tgt_gradings, *_) = src, tgt
-    position = {lab: i for i, lab in enumerate(tgt_labels)}
+def _bit_columns(rows: dict, src: GradedBasis, tgt: GradedBasis, degree: int | None) -> tuple:
+    """(degree, bitset columns) of label-keyed rows between two bases.  Each
+    entry is a monomial U^k with g_tgt - g_src - 2k = degree, or the first
+    entry's if None."""
+    tgt_gradings = tgt.gradings()
+    position = {lab: i for i, lab in enumerate(tgt.labels())}
     cols = []
-    for lab, g in zip(labels, gradings):
+    for lab, g in src.elements:
         col = 0
         for tgt_lab, p in rows.get(lab, {}).items():
             if not p:
@@ -374,13 +375,13 @@ def _apply_bits(cols: list[int], col: int) -> int:
     return acc
 
 
-def _check_squares_to_zero(labels: list, cols: list[int]) -> None:
+def _check_squares_to_zero(basis: GradedBasis, cols: list[int]) -> None:
     # parity of two-step path counts; homogeneity pins the exponents
     for j, col in enumerate(cols):
         acc = _apply_bits(cols, col)
         if acc:
-            tgt = labels[acc.bit_length() - 1]
-            raise NotAComplex(f"boundary squared has an odd path count {labels[j]} -> {tgt}")
+            (src, _), (tgt, _) = basis.elements[j], basis.elements[acc.bit_length() - 1]
+            raise NotAComplex(f"boundary squared has an odd path count {src} -> {tgt}")
 
 
 def is_homogeneous(c: MonomialComplex) -> bool:
@@ -401,9 +402,8 @@ def boundary_squares_to_zero(c: MonomialComplex) -> bool:
     Homogeneity pins the exponent of every two-step path between fixed
     endpoints, so d^2 = 0 reduces to path-count parity.
     """
-    labels, _, cols = _columns(c)
     try:
-        _check_squares_to_zero(labels, cols)
+        _check_squares_to_zero(c.basis, _columns(c))
     except NotAComplex:
         return False
     return True
@@ -412,7 +412,7 @@ def boundary_squares_to_zero(c: MonomialComplex) -> bool:
 def _reduce(c: MonomialComplex):
     """Column reduction of the boundary in grading order, with clearing.
 
-    Columns are indexed by the basis sorted by doubled grading g, highest
+    Columns are indexed by the basis, sorted by doubled grading g, highest
     first (`_columns`).  The low of a column is its last set index: the
     lowest-graded target, whose entry carries the least power of U.  Columns
     are reduced left to right; while column j shares its low with an
@@ -438,12 +438,12 @@ def _reduce(c: MonomialComplex):
     twist, 2011).  The argument uses only homogeneity and d^2 = 0, and both
     are checked first.
 
-    Returns the sorted labels and gradings, the free indices j, the torsion
-    summands as (k, t) sorted by k, and that basis as bitset columns: V e_j
-    at a non-low j, the pattern of y_t at a low t.
+    Returns the free indices j, the torsion summands as (k, t) sorted by k,
+    and that basis as bitset columns: V e_j at a non-low j, the pattern of
+    y_t at a low t.  The columns of c are copied, not changed.
     """
-    labels, gradings, R = _columns(c)
-    _check_squares_to_zero(labels, R)
+    gradings, R = c.basis.gradings(), list(_columns(c))
+    _check_squares_to_zero(c.basis, R)
     V = [0] * len(R)
     column_of_low: dict[int, int] = {}
     for j in range(len(R)):
@@ -468,7 +468,7 @@ def _reduce(c: MonomialComplex):
             torsion.append((k, t))
         V[t] = R[j]
     torsion.sort()
-    return labels, gradings, free, torsion, V
+    return free, torsion, V
 
 
 def _summary(gradings: list, free: list, torsion: list) -> GradedModuleSummary:
@@ -482,8 +482,8 @@ def _summary(gradings: list, free: list, torsion: list) -> GradedModuleSummary:
 
 def homology(c: MonomialComplex) -> GradedModuleSummary:
     """Homology of a single-variable complex as a graded module summary."""
-    _, gradings, free, torsion, _ = _reduce(c)
-    return _summary(gradings, free, torsion)
+    free, torsion, _ = _reduce(c)
+    return _summary(c.basis.gradings(), free, torsion)
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,7 @@ class HomologyGenerator:
 class HomologyPresentation:
     """Homology generators of `complex`, each with a representative cycle
     and a projection row, both bitsets over the positions of
-    `_ordered(complex)`.  For a generator at doubled grading g, bit p of its
+    `complex.basis`.  For a generator at doubled grading g, bit p of its
     representative is the term U^((g_p - g)/2) x_p, and bit p of its row
     the coefficient U^((g - g_p)/2) of x_p in its homology coordinate."""
 
@@ -535,13 +535,13 @@ def _inverse_rows(basis: list[int], ps) -> list[int]:
 def present_homology(c: MonomialComplex) -> HomologyPresentation:
     """Generators of the homology of c with representatives and projection
     rows: free towers first, then torsion summands by exponent."""
-    labels, gradings, free, torsion, basis = _reduce(c)
+    free, torsion, basis = _reduce(c)
     parts = [(j, None) for j in free] + [(t, k) for k, t in torsion]
     ps = [i for i, _ in parts]
     return HomologyPresentation(
         c,
-        _summary(gradings, free, torsion),
-        tuple(HomologyGenerator(labels[i], gradings[i], k) for i, k in parts),
+        _summary(c.basis.gradings(), free, torsion),
+        tuple(HomologyGenerator(*c.basis.elements[i], k) for i, k in parts),
         tuple(basis[i] for i in ps),
         tuple(_inverse_rows(basis, ps)),
     )
@@ -556,10 +556,10 @@ class ChainMap:
     """A map of single-variable complexes.
 
     A homogeneous map is `columns = (degree, cols)`: one int per source
-    generator j in the source's grading order (`_columns`), whose bit i is
-    the entry U^((g_tgt(i) - g_src(j) - degree) / 2) at the i-th target
-    generator in the target's.  The gradings fix every exponent, so
-    products with such maps are F2 products of columns (see `chain_defect`).
+    basis element j, whose bit i is the entry U^((g_tgt(i) - g_src(j) -
+    degree) / 2) at the i-th target basis element.  The gradings fix every
+    exponent, so products with such maps are F2 products of columns (see
+    `chain_defect`).
     `entries`, column-sparse like a boundary (entries[src][tgt] a PolyF2U),
     is made from the columns when first read, then kept; a hand-built map
     gives its entries, and `_map_columns` derives its columns.
@@ -573,17 +573,17 @@ class ChainMap:
     @property
     def entries(self) -> dict:
         if self._entries is None:
-            self._entries = _label_rows(_ordered(self.src), _ordered(self.tgt), *self.columns)
+            self._entries = _label_rows(self.src.basis, self.tgt.basis, *self.columns)
         return self._entries
 
 
-def _label_rows(src: tuple, tgt: tuple, degree: int, cols: list[int]) -> dict:
+def _label_rows(src: GradedBasis, tgt: GradedBasis, degree: int, cols: list[int]) -> dict:
     """The inverse of `_bit_columns`: bit i of column j is the entry
     U^((g_tgt(i) - g_src(j) - degree) / 2)."""
-    (labels, gradings, *_), (tgt_labels, tgt_gradings, *_) = src, tgt
-    powers = [u_power(k) for k in range((tgt_gradings[0] - gradings[-1] - degree) // 2 + 1)]
+    tgt_labels, tgt_gradings = tgt.labels(), tgt.gradings()
+    powers = [u_power(k) for k in range((tgt_gradings[0] - src.elements[-1][1] - degree) // 2 + 1)]
     rows: dict = {}
-    for lab, g, col in zip(labels, gradings, cols):
+    for (lab, g), col in zip(src.elements, cols):
         if col:
             row = rows[lab] = {}
             while col:
@@ -591,12 +591,6 @@ def _label_rows(src: tuple, tgt: tuple, degree: int, cols: list[int]) -> dict:
                 row[tgt_labels[i]] = powers[(tgt_gradings[i] - g - degree) >> 1]
                 col ^= 1 << i
     return rows
-
-
-def _ordered(c: MonomialComplex) -> tuple:
-    """The labels, gradings and columns of c in grading order: the stored
-    ones, not copied, else those `_columns` derives."""
-    return c.columns or _columns(c)
 
 
 def _apply_columns(columns: dict, vec: dict) -> dict:
@@ -619,15 +613,16 @@ def _map_columns(f: ChainMap) -> tuple | None:
     if f.columns is not None:
         return f.columns
     try:
-        return _bit_columns(f.entries, _ordered(f.src), _ordered(f.tgt), None)
+        return _bit_columns(f.entries, f.src.basis, f.tgt.basis, None)
     except (NonHomogeneousEntry, NotHomogeneous):
         return None
 
 
-def chain_defect(f: ChainMap):
-    """The first source generator x (in basis order) with
-    d_tgt(f(x)) != f(d_src(x)), as (x, d_tgt(f(x)), f(d_src(x))); None when
-    f is a chain map.
+def chain_defect(f: ChainMap, key=None):
+    """The first source generator x with d_tgt(f(x)) != f(d_src(x)), as
+    (x, d_tgt(f(x)), f(d_src(x))); None when f is a chain map.  Generators
+    are scanned in basis order, which is grading order, or sorted by `key`
+    of their labels when one is given.
 
     A map with a column form is checked as F D_src == D_tgt F over F2,
     which is exact: every entry of D (degree -2) or F (degree deg) is the
@@ -638,11 +633,11 @@ def chain_defect(f: ChainMap):
     """
     form = _map_columns(f)
     if form is not None:
-        ds, dt, cols = _ordered(f.src)[2], _ordered(f.tgt)[2], form[1]
+        ds, dt, cols = _columns(f.src), _columns(f.tgt), form[1]
         if all(_apply_bits(dt, col) == _apply_bits(cols, d) for col, d in zip(cols, ds)):
             return None
     src_b, tgt_b = f.src.boundary, f.tgt.boundary
-    for x in f.src.basis.labels():
+    for x in sorted(f.src.basis.labels(), key=key) if key else f.src.basis.labels():
         lhs = _apply_columns(tgt_b, f.entries.get(x, {}))
         rhs = _apply_columns(f.entries, src_b.get(x, {}))
         if lhs != rhs:
@@ -739,7 +734,7 @@ def induced_map(
     gradings do not fit the bitsets, and raises BrokenInvariant.
     """
     for c, pres in ((f.src, src_pres), (f.tgt, tgt_pres)):
-        if c is not pres.complex and _ordered(c)[0] != _ordered(pres.complex)[0]:
+        if c is not pres.complex and c.basis != pres.complex.basis:
             raise NotChainMap("map and presentation do not share their ends")
     form = _map_columns(f)
     if form is None:

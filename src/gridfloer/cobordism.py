@@ -16,6 +16,8 @@ quasi-(de)stabilization carries its anchor marking, and the disk moves
 carry nothing.  Each stabilization appends the move that made it,
 `QuasiStab(anchor)` or `DiskStab()`, to `MonomialComplex.tensor_stack`.
 The rank-2 module's two generators are tagged `_TAGS`, the upper one first.
+Generators of equal grading are listed, and scanned for a violation, in
+`_label_key` order.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .algebra import (
     ONE,
     PolyF2U,
     U,
-    _ordered,
+    _columns,
     add_chain_maps,
     chain_defect,
     chain_map_degree,
@@ -175,48 +177,54 @@ def derived_stab_offsets() -> tuple[int, int]:
 _TAGS = ("plus", "minus")
 
 
-def _tensor_rank2(c: MonomialComplex, stab: QuasiStab | DiskStab) -> MonomialComplex:
+def _label_key(label, depth: int):
+    """The order of generators of equal grading, for labels stacked `depth`
+    deep: a state is its own key, and a stacked (label, tag) is keyed by
+    its base label's key, then by the tag's index in `_TAGS`."""
+    if not depth:
+        return label
+    base, tag = label
+    return _label_key(base, depth - 1), _TAGS.index(tag)
+
+
+def _tensor_rank2(c: MonomialComplex, stab: QuasiStab | DiskStab) -> tuple:
     """c tensored with the rank-2 free module of a QuasiStab or DiskStab,
     zero differential; the second tag sits the move's gap below the first.
-    Its columns are sorted as `_columns` sorts, stably by grading; the
-    copies with one tag keep c's order, so c's columns copy onto them."""
-    plus, minus = _TAGS
+    Sorted by (-grading, `_label_key`), the key made once per generator of
+    c; each tag's copies get c's columns.  Returns the complex and the
+    position of each generator of c tensored with the first tag."""
     s_v, s_w = derived_stab_offsets()
     gap = s_v if isinstance(stab, QuasiStab) else s_w
-    elements = []
-    for lab, d in c.basis.elements:
-        elements.append(((lab, plus), d))
-        elements.append(((lab, minus), d - gap))
-    order = sorted(range(len(elements)), key=lambda t: -elements[t][1])
-    copies: tuple = ([], [])  # the positions of the plus and of the minus copies
-    for q, t in enumerate(order):
-        copies[t & 1].append(q)
-    base, cols = _ordered(c)[2], [0] * len(elements)
-    for where in copies:
-        for q, col in zip(where, base):
+    keys = [_label_key(lab, len(c.tensor_stack)) for lab in c.basis.labels()]
+    order = sorted(  # two runs when c is in key order, which the sort merges
+        [
+            (shift - d, key, t, i, lab)
+            for t, shift in enumerate((0, gap))
+            for i, ((lab, d), key) in enumerate(zip(c.basis.elements, keys))
+        ]
+    )
+    where = ([0] * len(c.basis), [0] * len(c.basis))  # [t][i]: where c's i-th, tag t, goes
+    for q, (_, _, t, i, _) in enumerate(order):
+        where[t][i] = q
+    cols = [0] * len(order)
+    for w in where:
+        for q, col in zip(w, _columns(c)):
             bits = 0
             while col:
                 i = col.bit_length() - 1
-                bits |= 1 << where[i]
+                bits |= 1 << w[i]
                 col ^= 1 << i
             cols[q] = bits
-    labels, gradings = zip(*(elements[t] for t in order))
-    return MonomialComplex(
-        GradedBasis(tuple(elements)),
-        None,
-        c.marking_count + 2,
-        c.ring,
-        c.grid,
-        c.tensor_stack + (stab,),
-        columns=(list(labels), list(gradings), cols),
-    )
+    basis = GradedBasis(tuple([((lab, _TAGS[t]), -d) for d, _, t, _, lab in order]))
+    stack = c.tensor_stack + (stab,)
+    return MonomialComplex(basis, None, c.marking_count + 2, c.ring, c.grid, stack, cols), where[0]
 
 
 def _stacked_complex(g: GridDiagram, stack: tuple) -> MonomialComplex:
     """The base complex of g with each stabilization tensored on in order."""
     c = build_gc_prime(g, g.n)
     for stab in stack:
-        c = _tensor_rank2(c, stab)
+        c = _tensor_rank2(c, stab)[0]
     return c
 
 
@@ -245,9 +253,8 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     p_col, p_row = (site.col + 1) % n, (site.row + 1) % n
     tgt = _stacked_complex(g2, c.tensor_stack)
     depth = len(c.tensor_stack)
-    labels, gradings, _ = _ordered(c)
-    tgt_labels, tgt_gradings, _ = _ordered(tgt)
-    position = {lab: i for i, lab in enumerate(tgt_labels)}
+    labels, gradings, tgt_gradings = c.basis.labels(), c.basis.gradings(), tgt.basis.gradings()
+    position = {lab: i for i, lab in enumerate(tgt.basis.labels())}
     targets = [position[lab] for lab in labels]
     ks = [(_base_state(lab, depth)[p_col] == p_row) == u_when_contains for lab in labels]
     degrees = {tgt_gradings[i] - 2 * k - g for i, k, g in zip(targets, ks, gradings)}
@@ -257,9 +264,9 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
 
 
 def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
-    """Raise ChainMapViolation naming the site and the first generator
-    where f does not commute with the boundaries."""
-    defect = chain_defect(f)
+    """Raise ChainMapViolation naming the site and the first generator, in
+    `_label_key` order, where f does not commute with the boundaries."""
+    defect = chain_defect(f, functools.partial(_label_key, depth=len(f.src.tensor_stack)))
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
@@ -301,23 +308,18 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 
 
 def _include(c: MonomialComplex, stab: QuasiStab | DiskStab) -> ChainMap:
-    """x -> x tensor plus, into c tensored with the move's rank-2 module;
-    the plus copies sit in c's grading order (`_tensor_rank2`)."""
-    tgt = _tensor_rank2(c, stab)
-    plus = [1 << q for q, (_, tag) in enumerate(_ordered(tgt)[0]) if tag == _TAGS[0]]
-    return ChainMap(c, tgt, columns=(0, plus))
+    """x -> x tensor plus, into c tensored with the move's rank-2 module."""
+    tgt, plus = _tensor_rank2(c, stab)
+    return ChainMap(c, tgt, columns=(0, [1 << q for q in plus]))
 
 
 def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
     """Project c onto the complex under its stack minus the top move:
-    x tensor keep_tag -> x, and the other tag dies."""
+    x tensor keep_tag -> x, of degree g(x) - g(x tensor keep_tag); the other tag dies."""
     tgt = _stacked_complex(c.grid, c.tensor_stack[:-1])
-    labels, gradings, _ = _ordered(c)
-    kept = [q for q, (_, tag) in enumerate(labels) if tag == keep_tag]
-    cols = [0] * len(labels)
-    for p, q in enumerate(kept):
-        cols[q] = 1 << p
-    degree = _ordered(tgt)[1][0] - gradings[kept[0]]  # g(x) - g(x tensor keep_tag)
+    position = {lab: p for p, lab in enumerate(tgt.basis.labels())}
+    cols = [1 << position[lab] if tag == keep_tag else 0 for lab, tag in c.basis.labels()]
+    degree = tgt.basis.elements[0][1] - c.basis.elements[cols.index(1)][1]
     return ChainMap(c, tgt, columns=(degree, cols))
 
 

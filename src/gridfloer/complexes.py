@@ -14,7 +14,7 @@ a mask with bit i set for marking i.  Equal masks to one target cancel;
 two different masks reach the builder as a pair; no row order is read.
 `build_complex` turns a mask into the exponent vector of those variables.
 `build_gc_prime` checks U to the power of its bit count against the
-gradings and sets one bit of a grading-ordered column.
+gradings and sets one bit of a column over the grading-ordered basis.
 """
 from __future__ import annotations
 
@@ -233,12 +233,12 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
-    """The single-variable complex as the grading-ordered columns that
-    `_columns` returns, each entry checked against the gradings."""
+    """The single-variable complex as the columns that `_columns` returns,
+    each entry checked against the gradings."""
     states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
     n = g.n
     basis = _graded_basis(g, states)
-    labels, gradings = map(list, zip(*sorted(basis.elements, key=lambda e: -e[1])))
+    labels, gradings = basis.labels(), basis.gradings()
     place, codes = _codes(n, labels)
     position = {code: j for j, code in enumerate(codes)}
     pref = _marking_prefix(g)
@@ -262,7 +262,7 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
                 )
             col |= 1 << t
         cols[j] = col
-    return MonomialComplex(basis, None, 2 * n, SINGLE, g, columns=(labels, gradings, cols))
+    return MonomialComplex(basis, None, 2 * n, SINGLE, g, columns=cols)
 
 
 def dump_complex(c: MonomialComplex) -> str:

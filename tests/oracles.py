@@ -49,7 +49,7 @@ from gridfloer import (
     link_topology,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE, _ordered
+from gridfloer.algebra import MULTI, SINGLE
 from gridfloer.complexes import State
 
 # ---------------------------------------------------------------------------
@@ -768,7 +768,7 @@ def implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) -
 
 def label_presentation(pres) -> LabelPresentation:
     """The package's bitset presentation read as label-keyed vectors."""
-    labels, gradings = _ordered(pres.complex)[:2]
+    labels, gradings = pres.complex.basis.labels(), pres.complex.basis.gradings()
     position = {lab: i for i, lab in enumerate(labels)}
     at = [position[gen.label] for gen in pres.generators]
     return LabelPresentation(

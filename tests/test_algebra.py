@@ -184,6 +184,11 @@ class TestGradedBasis:
         assert b.to_dict() == {"a": 0, "b": -2}
         assert len(b) == 2
 
+    def test_elements_sorted_stably_by_grading(self):
+        b = GradedBasis((("z", 0), ("y", 2), ("a", 0), ("x", -2), ("b", 2)))
+        assert b.labels() == ("y", "b", "z", "a", "x")
+        assert b.gradings() == [2, 2, 0, 0, -2]
+
 
 class TestSummary:
     def test_from_dict_drops_empty_and_sorts(self):
@@ -535,7 +540,8 @@ class TestPresentationOracle:
         # parity(r_p & basis[q]) = [p == q] for every column q, for every
         # row and for the rows present_homology returns
         c = build_gc_prime(random_grid(6, random.Random(20260814)))
-        labels, _, _, _, basis = _reduce(c)
+        labels = c.basis.labels()
+        _, _, basis = _reduce(c)
         everything = range(len(basis))
 
         def assert_row_inverts(row, p):
@@ -555,7 +561,7 @@ class TestPresentationOracle:
         cases = list(gc_primes.items())
         cases += [((n, i), build_gc_prime(random_grid(n, rng))) for n in (6, 7) for i in (0, 1)]
         for name, c in cases:
-            _, _, free, torsion, basis = _reduce(c)
+            free, torsion, basis = _reduce(c)
             ps = range(len(basis)) if len(basis) <= 720 else free + [t for _, t in torsion]
             assert _inverse_rows(basis, ps) == oracles.back_substituted_rows(basis, ps), name
 
@@ -580,6 +586,16 @@ class TestPresentationOracle:
             induced_map(identity_chain_map(c), bad, pres)
         with pytest.raises(BrokenInvariant):
             induced_map(identity_chain_map(c), pres, bad)
+
+    def test_presentation_of_other_gradings_is_refused(self):
+        # same labels in the same order, but b sits at 4: not the map's end
+        c = MonomialComplex(GradedBasis((("a", 0), ("b", 2))), {}, 1, SINGLE)
+        other = MonomialComplex(GradedBasis((("a", 0), ("b", 4))), {}, 1, SINGLE)
+        assert c.basis.labels() == other.basis.labels()
+        pres, other_pres = present_homology(c), present_homology(other)
+        for src_pres, tgt_pres in ((other_pres, pres), (pres, other_pres)):
+            with pytest.raises(NotChainMap, match="do not share their ends"):
+                induced_map(identity_chain_map(c), src_pres, tgt_pres)
 
 
 def _boundary_matrix(c):
@@ -707,11 +723,24 @@ class TestChainMaps:
             maps_equal_on_homology(a, b)
 
 
+def _enumerated(c):
+    """The labels of a grid complex or of a stack on one, in enumeration
+    order: the states as permutations in lexicographic order, each label
+    followed by its plus copy, then its minus copy, at each stabilization."""
+    labels = list(itertools.permutations(range(c.grid.n)))
+    for _ in c.tensor_stack:
+        labels = [(lab, tag) for lab in labels for tag in ("plus", "minus")]
+    return labels
+
+
 def _label_tensor(c, stacked, gap):
     """c tensored with a rank-2 module as label rows, with no columns: the
-    tensor step that the stored columns of `stacked` replace."""
+    tensor step that the stored columns of `stacked` replace.  Its elements
+    are given in enumeration order, which `GradedBasis` sorts stably by
+    grading."""
     tags = tuple(zip(("plus", "minus"), (0, gap)))
-    elements = tuple(((lab, tag), d - s) for lab, d in c.basis.elements for tag, s in tags)
+    grading = c.basis.to_dict()
+    elements = tuple(((lab, tag), grading[lab] - s) for lab in _enumerated(c) for tag, s in tags)
     boundary = {
         (src, tag): {(tgt, tag): p for tgt, p in row.items()}
         for src, row in c.boundary.items()
@@ -729,11 +758,13 @@ class TestMapColumns:
     def test_stacked_columns_match_the_label_tensor(self, gc_primes):
         s_v, s_w = derived_stab_offsets()
         for name, c in gc_primes.items():
-            quasi = quasi_stab_map(c, 0).tgt
+            quasi, disk = quasi_stab_map(c, 0).tgt, disk_stab_map(c).tgt
             stacks = (
                 (c, quasi, s_v),
-                (c, disk_stab_map(c).tgt, s_w),
+                (c, disk, s_w),
                 (quasi, disk_stab_map(quasi).tgt, s_w),
+                (quasi, quasi_stab_map(quasi, 0).tgt, s_v),
+                (disk, disk_stab_map(disk).tgt, s_w),
             )
             for base, stacked, gap in stacks:
                 copy = MonomialComplex(

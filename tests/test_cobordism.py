@@ -296,7 +296,7 @@ class TestChainDefect:
         # loses the term that d(f(x)) keeps
         f = self._band(gc_primes)
         degree, cols = f.columns
-        _, _, d_cols = _columns(f.src)
+        d_cols = _columns(f.src)
         reached = functools.reduce(operator.or_, d_cols)
         hits = [j for j in range(len(cols)) if reached >> j & 1][::17]
         assert hits

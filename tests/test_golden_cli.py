@@ -7,8 +7,9 @@ Each case's output is stored in `tests/golden/<case>.json`.  Regenerate
 them with `PYTHONPATH=src python tests/test_golden_cli.py` only for an
 intended output change, and say which outputs changed and why.
 """
+import contextlib
+import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -51,41 +52,21 @@ CASES = {
 }
 
 
-def run_case(case: str, workdir: Path, capsys) -> dict:
+def run_case(case: str, workdir: Path) -> dict:
     flags, grid, script = CASES[case]
     grid_path, movie_path = workdir / f"{case}.grid", workdir / f"{case}.movie"
     grid_path.write_text(grid if "\n" in grid else corpus_text(grid))
     movie_path.write_text(script)
-    code = main(flags + ["movie", str(grid_path), str(movie_path)])
-    out, err = capsys.readouterr()
-    return {"stdout": out, "stderr": err, "exit_code": code}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(flags + ["movie", str(grid_path), str(movie_path)])
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit_code": code}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_is_golden(case, tmp_path, capsys):
+def test_cli_output_is_golden(case, tmp_path):
     want = json.loads((GOLDEN / f"{case}.json").read_text())
-    assert run_case(case, tmp_path, capsys) == want
-
-
-class _Capture:
-    """capsys's `readouterr` over swapped sys.stdout and sys.stderr."""
-
-    def __enter__(self):
-        import io
-
-        self.saved = sys.stdout, sys.stderr
-        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-        return self
-
-    def readouterr(self):
-        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-        for stream in (sys.stdout, sys.stderr):
-            stream.seek(0)
-            stream.truncate()
-        return out, err
-
-    def __exit__(self, *exc):
-        sys.stdout, sys.stderr = self.saved
+    assert run_case(case, tmp_path) == want
 
 
 if __name__ == "__main__":
@@ -94,7 +75,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            with _Capture() as cap:
-                result = run_case(case, Path(tmp), cap)
+            result = run_case(case, Path(tmp))
             (GOLDEN / f"{case}.json").write_text(json.dumps(result, indent=1) + "\n")
             print(case, result["exit_code"])
