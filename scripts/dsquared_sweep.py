@@ -41,7 +41,7 @@ def main(argv=None):
         except NotHomogeneous:
             ok = False
         else:
-            n_entries = sum(1 for _ in c.entries())
+            n_entries = sum(col.bit_count() for col in c.columns)
             total_entries += n_entries
             ok = boundary_squares_to_zero(c)
             line += f" entries={n_entries:>6}"

@@ -16,13 +16,15 @@ coefficient from the gradings, so the reduction is F2 work on the
 boundary's pattern.  A built grid complex carries its columns from the
 build, and its label-keyed `boundary` is made from them when first read.
 
-A homogeneous chain map is likewise its degree and its bitset columns
-(`ChainMap`), with label-keyed `entries` made when first read.  A homology
-presentation keeps each generator's representative and projection row as
-the bitsets `_reduce` and `_inverse_rows` produce.  The gradings fix every
-exponent, so the chain-map check (`chain_defect`), compositions, equality
-and the matrix a map induces on homology (`induced_map`) are F2 work on
-the columns.
+A chain map is likewise its homogeneous parts (`ChainMap.parts`): for
+each degree it has, one bitset column per source generator, with
+label-keyed `entries` made when first read.  A homology presentation keeps
+each generator's representative and projection row as the bitsets
+`_reduce` and `_inverse_rows` produce.  Within a part the gradings fix
+every exponent, and parts of different degrees never meet at one
+exponent, so the chain-map check (`chain_defect`), sums, compositions,
+equality and the matrix a map induces on homology (`induced_map`) are F2
+work on the parts' columns.
 
 The square of a multivariable boundary (`boundary_squared`) is a parity
 count per source over packed (target, monomial) int keys: one key per
@@ -31,7 +33,8 @@ two-step path, and the keys counted an odd number of times are its terms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
@@ -168,18 +171,22 @@ class GradedBasis:
     elements of equal grading keep the order they were given in."""
 
     elements: tuple[tuple[object, int], ...]
+    _labels: tuple = field(init=False, compare=False, repr=False)
+    _gradings: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         elements = tuple(sorted(self.elements, key=itemgetter(1), reverse=True))  # stable
         object.__setattr__(self, "elements", elements)
-        if len(set(self.labels())) != len(elements):
+        object.__setattr__(self, "_labels", tuple([lab for lab, _ in elements]))
+        object.__setattr__(self, "_gradings", tuple([g for _, g in elements]))
+        if len(set(self._labels)) != len(elements):
             raise ValueError("duplicate labels in graded basis")
 
     def labels(self) -> tuple:
-        return tuple([lab for lab, _ in self.elements])
+        return self._labels
 
-    def gradings(self) -> list[int]:
-        return [g for _, g in self.elements]
+    def gradings(self) -> tuple[int, ...]:
+        return self._gradings
 
     def to_dict(self) -> dict:
         return dict(self.elements)
@@ -334,34 +341,25 @@ def _columns(c: MonomialComplex) -> list[int]:
         return c.columns
     if c.ring != SINGLE:
         raise NotHomogeneous("complex is not single-variable")
-    return _bit_columns(c.boundary, c.basis, c.basis, -2)[1]
-
-
-def _bit_columns(rows: dict, src: GradedBasis, tgt: GradedBasis, degree: int | None) -> tuple:
-    """(degree, bitset columns) of label-keyed rows between two bases.  Each
-    entry is a monomial U^k with g_tgt - g_src - 2k = degree, or the first
-    entry's if None."""
-    tgt_gradings = tgt.gradings()
-    position = {lab: i for i, lab in enumerate(tgt.labels())}
+    gradings = c.basis.gradings()
+    position = {lab: i for i, lab in enumerate(c.basis.labels())}
     cols = []
-    for lab, g in src.elements:
+    for lab, g in c.basis.elements:
         col = 0
-        for tgt_lab, p in rows.get(lab, {}).items():
+        for tgt_lab, p in c.boundary.get(lab, {}).items():
             if not p:
                 continue
             if not p.is_monomial():
                 raise NonHomogeneousEntry(f"entry {lab}->{tgt_lab} = {p} is not a monomial")
             k, i = p.degree(), position[tgt_lab]
-            if degree is None:
-                degree = tgt_gradings[i] - 2 * k - g
-            if tgt_gradings[i] - 2 * k - g != degree:
+            if gradings[i] - 2 * k - g != -2:
                 raise NotHomogeneous(
                     f"entry {lab}->{tgt_lab} = U^{k} breaks grading: "
-                    f"{g} - {tgt_gradings[i]} != {-degree - 2 * k}"
+                    f"{g} - {gradings[i]} != {2 - 2 * k}"
                 )
             col |= 1 << i
         cols.append(col)
-    return degree or 0, cols
+    return cols
 
 
 def _apply_bits(cols: list[int], col: int) -> int:
@@ -553,33 +551,34 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
 
 @dataclass(eq=False)
 class ChainMap:
-    """A map of single-variable complexes.
+    """A map of single-variable complexes, as the sum of its homogeneous
+    parts.
 
-    A homogeneous map is `columns = (degree, cols)`: one int per source
-    basis element j, whose bit i is the entry U^((g_tgt(i) - g_src(j) -
-    degree) / 2) at the i-th target basis element.  The gradings fix every
-    exponent, so products with such maps are F2 products of columns (see
-    `chain_defect`).
-    `entries`, column-sparse like a boundary (entries[src][tgt] a PolyF2U),
-    is made from the columns when first read, then kept; a hand-built map
-    gives its entries, and `_map_columns` derives its columns.
+    `parts` maps each degree d of the map to one int per source basis
+    element j, whose bit i is the entry U^((g_tgt(i) - g_src(j) - d) / 2)
+    at the i-th target basis element.  An all-zero part is dropped, so the
+    zero map has no parts and a homogeneous map has one.  The gradings fix
+    every exponent within a part, so sums and products are F2 work on the
+    parts' columns (see `chain_defect`).  `entries`, column-sparse like a
+    boundary (entries[src][tgt] a PolyF2U), is a label-keyed view of the
+    parts, made when first read.
     """
 
     src: MonomialComplex
     tgt: MonomialComplex
-    _entries: dict | None = None
-    columns: tuple | None = None
+    parts: dict[int, list[int]]
 
-    @property
+    def __post_init__(self):
+        self.parts = {d: cols for d, cols in self.parts.items() if any(cols)}
+
+    @cached_property
     def entries(self) -> dict:
-        if self._entries is None:
-            self._entries = _label_rows(self.src.basis, self.tgt.basis, *self.columns)
-        return self._entries
+        return _label_view(self.src.basis, self.tgt.basis, self.parts.items())
 
 
 def _label_rows(src: GradedBasis, tgt: GradedBasis, degree: int, cols: list[int]) -> dict:
-    """The inverse of `_bit_columns`: bit i of column j is the entry
-    U^((g_tgt(i) - g_src(j) - degree) / 2)."""
+    """Label-keyed rows of bitset columns of one degree: bit i of column j
+    is the entry U^((g_tgt(i) - g_src(j) - degree) / 2)."""
     tgt_labels, tgt_gradings = tgt.labels(), tgt.gradings()
     powers = [u_power(k) for k in range((tgt_gradings[0] - src.elements[-1][1] - degree) // 2 + 1)]
     rows: dict = {}
@@ -593,56 +592,58 @@ def _label_rows(src: GradedBasis, tgt: GradedBasis, degree: int, cols: list[int]
     return rows
 
 
-def _apply_columns(columns: dict, vec: dict) -> dict:
-    """A column-sparse matrix ({src: {tgt: PolyF2U}}, a boundary or a chain
-    map's entries) applied to a vector {label: PolyF2U}."""
-    out: dict = {}
-    for lab, coeff in vec.items():
-        for tgt_lab, p in columns.get(lab, {}).items():
-            v = out.get(tgt_lab, ZERO) + coeff * p
-            if v:
-                out[tgt_lab] = v
-            else:
-                out.pop(tgt_lab, None)
-    return out
+def _label_view(src: GradedBasis, tgt: GradedBasis, parts) -> dict:
+    """The label-keyed rows of (degree, columns) parts, summed."""
+    rows: dict = {}
+    for degree, cols in parts:
+        for lab, row in _label_rows(src, tgt, degree, cols).items():
+            acc = rows.setdefault(lab, {})
+            for tgt_lab, p in row.items():
+                acc[tgt_lab] = acc.get(tgt_lab, ZERO) + p
+    return rows
 
 
-def _map_columns(f: ChainMap) -> tuple | None:
-    """(degree, cols) of f, stored or derived from its entries; None when
-    f, or an end of it, is not homogeneous."""
-    if f.columns is not None:
-        return f.columns
-    try:
-        return _bit_columns(f.entries, f.src.basis, f.tgt.basis, None)
-    except (NonHomogeneousEntry, NotHomogeneous):
-        return None
+def _summed(src: MonomialComplex, tgt: MonomialComplex, parts) -> ChainMap:
+    """The map with the given (degree, columns) parts, those of equal
+    degree added over F2."""
+    acc: dict = {}
+    for degree, cols in parts:
+        have = acc.get(degree)
+        acc[degree] = cols if have is None else [a ^ b for a, b in zip(have, cols)]
+    return ChainMap(src, tgt, acc)
 
 
 def chain_defect(f: ChainMap, key=None):
     """The first source generator x with d_tgt(f(x)) != f(d_src(x)), as
-    (x, d_tgt(f(x)), f(d_src(x))); None when f is a chain map.  Generators
-    are scanned in basis order, which is grading order, or sorted by `key`
-    of their labels when one is given.
+    (x, d_tgt(f(x)), f(d_src(x))) with both sides {label: PolyF2U}; None
+    when f is a chain map.  First is in basis order, which is grading
+    order, or by `key` of the labels when one is given.
 
-    A map with a column form is checked as F D_src == D_tgt F over F2,
-    which is exact: every entry of D (degree -2) or F (degree deg) is the
-    monomial fixed by the gradings of its ends, so along any path j -> m ->
-    t the exponents add to (g_t - g_j - deg + 2) / 2, and each side's entry
-    is its path count mod 2 times that monomial.  Only a map that fails
-    there, or has no column form, is scanned generator by generator.
+    Each part F, of degree deg, is checked as F D_src == D_tgt F over F2.
+    That is exact: every entry of D (degree -2) or F is the monomial fixed
+    by the gradings of its ends, so along any path j -> m -> t the
+    exponents add to (g_t - g_j - deg + 2) / 2, and each side's entry is
+    its path count mod 2 times that monomial.  The parts together are the
+    whole check: D has one degree, so d f - f d is the sum over the parts
+    of D F - F D, and at one pair (j, t) parts of different degrees give
+    different exponents, so no term of one part cancels a term of another.
+    Only the failing generator's two sides are built as label-keyed vectors.
     """
-    form = _map_columns(f)
-    if form is not None:
-        ds, dt, cols = _columns(f.src), _columns(f.tgt), form[1]
-        if all(_apply_bits(dt, col) == _apply_bits(cols, d) for col, d in zip(cols, ds)):
-            return None
-    src_b, tgt_b = f.src.boundary, f.tgt.boundary
-    for x in sorted(f.src.basis.labels(), key=key) if key else f.src.basis.labels():
-        lhs = _apply_columns(tgt_b, f.entries.get(x, {}))
-        rhs = _apply_columns(f.entries, src_b.get(x, {}))
-        if lhs != rhs:
-            return x, lhs, rhs
-    return None
+    ds, dt = _columns(f.src), _columns(f.tgt)
+    bad = {
+        j
+        for cols in f.parts.values()
+        for j, (col, d) in enumerate(zip(cols, ds))
+        if _apply_bits(dt, col) != _apply_bits(cols, d)
+    }
+    if not bad:
+        return None
+    labels = f.src.basis.labels()
+    j = min(bad, key=lambda j: key(labels[j])) if key else min(bad)
+    x, parts = GradedBasis((f.src.basis.elements[j],)), f.parts.items()
+    lhs = _label_view(x, f.tgt.basis, [(d - 2, [_apply_bits(dt, c[j])]) for d, c in parts])
+    rhs = _label_view(x, f.tgt.basis, [(d - 2, [_apply_bits(c, ds[j])]) for d, c in parts])
+    return labels[j], lhs.get(labels[j], {}), rhs.get(labels[j], {})
 
 
 def is_chain_map(f: ChainMap) -> bool:
@@ -656,63 +657,45 @@ def require_chain_map(f: ChainMap) -> None:
 
 
 def chain_map_degree(f: ChainMap) -> int | None:
-    """The doubled-grading shift of f; None for a zero map and for a map
-    with no column form (mixed)."""
-    form = _map_columns(f)
-    return form[0] if form is not None and any(form[1]) else None
+    """The doubled-grading shift of f, the degree of its one part; None for
+    a zero map and for a mixed one."""
+    return next(iter(f.parts)) if len(f.parts) == 1 else None
 
 
 def identity_chain_map(c: MonomialComplex) -> ChainMap:
-    return ChainMap(c, c, columns=(0, [1 << j for j in range(len(c.basis))]))
+    return ChainMap(c, c, {0: [1 << j for j in range(len(c.basis))]})
 
 
 def scale_chain_map(f: ChainMap, p: PolyF2U) -> ChainMap:
-    """U^k f for a homogeneous f and p = U^k: the degree drops by 2k."""
-    form = _map_columns(f)
-    if form is None or not p.is_monomial():
-        raise NotChainMap(f"cannot scale a map with no column form, or by {p}")
-    return ChainMap(f.src, f.tgt, columns=(form[0] - 2 * p.degree(), form[1]))
+    """p f for p in F2[U]: the term U^k of p moves each part of f down by
+    2k in degree."""
+    parts = [(d - 2 * k, cols) for k in p.terms for d, cols in f.parts.items()]
+    return _summed(f.src, f.tgt, parts)
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.src is not g.src or f.tgt is not g.tgt:
-        if f.src.basis != g.src.basis or f.tgt.basis != g.tgt.basis:
-            raise NotChainMap("cannot add maps with different endpoints")
-    entries: dict = {}
-    for src in set(f.entries) | set(g.entries):
-        row: dict = {}
-        for tgt in set(f.entries.get(src, {})) | set(g.entries.get(src, {})):
-            v = f.entries.get(src, {}).get(tgt, ZERO) + g.entries.get(src, {}).get(tgt, ZERO)
-            if v:
-                row[tgt] = v
-        if row:
-            entries[src] = row
-    return ChainMap(f.src, f.tgt, entries)
+    if (f.src.basis, f.tgt.basis) != (g.src.basis, g.tgt.basis):
+        raise NotChainMap("cannot add maps with different endpoints")
+    return _summed(f.src, f.tgt, [*f.parts.items(), *g.parts.items()])
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f, of homogeneous maps: an F2 product of their columns, and
-    the degrees add."""
+    """g after f: for every pair of parts, the F2 product of their columns
+    at the sum of their degrees."""
     if f.tgt.basis != g.src.basis:
         raise NotChainMap("composition endpoints do not match")
-    ff, gf = _map_columns(f), _map_columns(g)
-    if ff is None or gf is None:
-        raise NotChainMap("only maps with a column form compose")
-    cols = [_apply_bits(gf[1], col) for col in ff[1]]
-    return ChainMap(f.src, g.tgt, columns=(ff[0] + gf[0], cols))
+    return _summed(f.src, g.tgt, (
+        (df + dg, [_apply_bits(gc, col) for col in fc])
+        for df, fc in f.parts.items()
+        for dg, gc in g.parts.items()
+    ))
 
 
 def chain_maps_equal(f: ChainMap, g: ChainMap) -> bool:
-    """Matrix equality (pointwise, not just on homology): equal columns,
-    and equal degrees unless the maps are zero."""
-    ff, gf = _map_columns(f), _map_columns(g)
-    if ff and gf and (f.src.basis, f.tgt.basis) == (g.src.basis, g.tgt.basis):
-        return ff[1] == gf[1] and (ff[0] == gf[0] or not any(ff[1]))
-    keys = set(f.entries) | set(g.entries)
-    for src in keys:
-        if f.entries.get(src, {}) != g.entries.get(src, {}):
-            return False
-    return True
+    """Matrix equality (pointwise, not just on homology): equal parts."""
+    if (f.src.basis, f.tgt.basis) != (g.src.basis, g.tgt.basis):
+        raise NotChainMap("cannot compare maps with different endpoints")
+    return f.parts == g.parts
 
 
 def induced_map(
@@ -723,37 +706,36 @@ def induced_map(
     """Matrix of f on homology generators: rows = target generators,
     columns = source generators.
 
-    Computed over F2 on the bitsets, which is exact for the same reason as
-    `chain_defect`: the gradings fix every exponent.  With deg the degree
-    of f, a source generator j at g_j and a target generator i at g_i, a
-    term of j's representative at p (U^((g_p - g_j)/2)), f's entry p -> q
-    (U^((g_q - g_p - deg)/2)) and i's row at q (U^((g_i - g_q)/2)) multiply
-    to U^e with e = (g_i - g_j - deg)/2 along every path.  So entry (i, j)
-    is parity(row_i & f(rep_j)) U^e, zero when i is a summand F2[U]/(U^k)
-    with e >= k.  A nonzero parity with an odd or negative e means the
-    gradings do not fit the bitsets, and raises BrokenInvariant.
+    Computed over F2 on the bitsets, part by part, which is exact for the
+    same reason as `chain_defect`: the gradings fix every exponent.  With
+    deg the degree of a part, a source generator j at g_j and a target
+    generator i at g_i, a term of j's representative at p (U^((g_p -
+    g_j)/2)), the part's entry p -> q (U^((g_q - g_p - deg)/2)) and i's row
+    at q (U^((g_i - g_q)/2)) multiply to U^e with e = (g_i - g_j - deg)/2
+    along every path.  So the part adds parity(row_i & f(rep_j)) U^e to
+    entry (i, j), nothing when i is a summand F2[U]/(U^k) with e >= k.  A
+    nonzero parity with an odd or negative e means the gradings do not fit
+    the bitsets, and raises BrokenInvariant.
     """
     for c, pres in ((f.src, src_pres), (f.tgt, tgt_pres)):
         if c is not pres.complex and c.basis != pres.complex.basis:
             raise NotChainMap("map and presentation do not share their ends")
-    form = _map_columns(f)
-    if form is None:
-        raise NotChainMap("only maps with a column form induce a map on homology")
     require_chain_map(f)
-    degree, cols = form
-    images = [_apply_bits(cols, rep) for rep in src_pres.representatives]
-    matrix = [[ZERO] * len(images) for _ in tgt_pres.rows]
-    for i, (gen, row) in enumerate(zip(tgt_pres.generators, tgt_pres.rows)):
-        for j, (src_gen, image) in enumerate(zip(src_pres.generators, images)):
-            if (row & image).bit_count() & 1:
-                gap = gen.grading - src_gen.grading - degree
-                if gap < 0 or gap & 1:
-                    raise BrokenInvariant(
-                        f"generators {src_gen.label} at doubled grading {src_gen.grading} and "
-                        f"{gen.label} at {gen.grading}: odd or negative gap for degree {degree}"
-                    )
-                if gen.torsion_exp is None or gap >> 1 < gen.torsion_exp:
-                    matrix[i][j] = u_power(gap >> 1)
+    matrix = [[ZERO] * len(src_pres.representatives) for _ in tgt_pres.rows]
+    for degree, cols in f.parts.items():
+        images = [_apply_bits(cols, rep) for rep in src_pres.representatives]
+        for i, (gen, row) in enumerate(zip(tgt_pres.generators, tgt_pres.rows)):
+            for j, (src_gen, image) in enumerate(zip(src_pres.generators, images)):
+                if (row & image).bit_count() & 1:
+                    gap = gen.grading - src_gen.grading - degree
+                    if gap < 0 or gap & 1:
+                        raise BrokenInvariant(
+                            f"generators {src_gen.label} at doubled grading {src_gen.grading}"
+                            f" and {gen.label} at {gen.grading}: odd or negative gap for"
+                            f" degree {degree}"
+                        )
+                    if gen.torsion_exp is None or gap >> 1 < gen.torsion_exp:
+                        matrix[i][j] += u_power(gap >> 1)
     return matrix
 
 
@@ -761,7 +743,7 @@ def maps_equal_on_homology(f: ChainMap, g: ChainMap) -> bool:
     """True iff f and g induce the same matrix on homology, that is iff
     (f - g)(z) is a boundary for every homology representative z: the
     projection, truncation mod U^k included, is F2[U]-linear."""
-    if f.src.basis != g.src.basis or f.tgt.basis != g.tgt.basis:
+    if (f.src.basis, f.tgt.basis) != (g.src.basis, g.tgt.basis):
         raise NotChainMap("maps do not share endpoints")
     src_pres = present_homology(f.src)
     tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)

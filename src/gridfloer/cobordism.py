@@ -5,11 +5,12 @@ grid, which share one generator set; the map multiplies selected generators
 by U according to the distinguished-point rule.  Quasi- and disk
 stabilizations act algebraically: the complex is tensored with a rank-2
 free module with zero differential, and destabilizations project back.
-Maps are built as bitset columns (`ChainMap`).  A band map is checked
-over F2 on them when it is built (a mixed placement has no columns and is
-read entry by entry); the other maps are chain maps by construction, and
-a movie's composite is checked once, over F2 on its columns, when
-`induced_map` reads its matrix on homology off the presentations' bitsets.
+Maps are built as bitset columns, one set per degree (`ChainMap.parts`):
+a band map whose U-placement is not homogeneous, such as `nu_tilde`, has
+two parts.  A band map is checked over F2 on its parts when it is built;
+the other maps are chain maps by construction, and a movie's composite is
+checked once, over F2, when `induced_map` reads its matrix on homology off
+the presentations' bitsets.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves
@@ -32,9 +33,7 @@ from .algebra import (
     GradedModuleSummary,
     HomologyPresentation,
     MonomialComplex,
-    ONE,
     PolyF2U,
-    U,
     _columns,
     add_chain_maps,
     chain_defect,
@@ -257,10 +256,9 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     position = {lab: i for i, lab in enumerate(tgt.basis.labels())}
     targets = [position[lab] for lab in labels]
     ks = [(_base_state(lab, depth)[p_col] == p_row) == u_when_contains for lab in labels]
-    degrees = {tgt_gradings[i] - 2 * k - g for i, k, g in zip(targets, ks, gradings)}
-    if len(degrees) == 1:
-        return ChainMap(c, tgt, columns=(degrees.pop(), [1 << i for i in targets]))
-    return ChainMap(c, tgt, {lab: {lab: U if k else ONE} for lab, k in zip(labels, ks)})
+    degrees = [tgt_gradings[i] - 2 * k - g for i, k, g in zip(targets, ks, gradings)]
+    parts = {d: [1 << i if e == d else 0 for i, e in zip(targets, degrees)] for d in set(degrees)}
+    return ChainMap(c, tgt, parts)
 
 
 def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
@@ -310,7 +308,7 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 def _include(c: MonomialComplex, stab: QuasiStab | DiskStab) -> ChainMap:
     """x -> x tensor plus, into c tensored with the move's rank-2 module."""
     tgt, plus = _tensor_rank2(c, stab)
-    return ChainMap(c, tgt, columns=(0, [1 << q for q in plus]))
+    return ChainMap(c, tgt, {0: [1 << q for q in plus]})
 
 
 def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
@@ -320,7 +318,7 @@ def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
     position = {lab: p for p, lab in enumerate(tgt.basis.labels())}
     cols = [1 << position[lab] if tag == keep_tag else 0 for lab, tag in c.basis.labels()]
     degree = tgt.basis.elements[0][1] - c.basis.elements[cols.index(1)][1]
-    return ChainMap(c, tgt, columns=(degree, cols))
+    return ChainMap(c, tgt, {degree: cols})
 
 
 def quasi_stab_map(c: MonomialComplex, anchor: int) -> ChainMap:

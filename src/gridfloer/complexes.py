@@ -262,7 +262,7 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
                 )
             col |= 1 << t
         cols[j] = col
-    return MonomialComplex(basis, None, 2 * n, SINGLE, g, columns=cols)
+    return MonomialComplex(basis, None, 2 * n, SINGLE, g, (), cols)
 
 
 def dump_complex(c: MonomialComplex) -> str:

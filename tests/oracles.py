@@ -22,7 +22,8 @@ The package computes each result one way; the second ways live here:
   `back_substituted_rows`, the projection rows one row at a time: replaced
   fast paths kept as oracles for the ones that replaced them;
 - `chain_defect` and `entry_degree`, the chain condition and the degree of
-  a map read off its label-keyed entries, for the column form of maps;
+  a map read off its label-keyed entries, for the parts form of maps, and
+  `chain_map`, which splits hand-built label-keyed entries into parts;
 - `LabelPresentation`, `label_presentation` (the package's bitset
   presentation read through `implied_vector`), `project` and
   `induced_map`: homology presentations and induced maps as label-keyed
@@ -39,6 +40,7 @@ from gridfloer import (
     ONE,
     ZERO,
     BrokenInvariant,
+    ChainMap,
     ExponentVector,
     GridDiagram,
     HomologyGenerator,
@@ -550,6 +552,22 @@ def chain_defect(f):
         if lhs != rhs:
             return x, lhs, rhs
     return None
+
+
+def chain_map(src, tgt, entries: dict):
+    """The ChainMap with label-keyed entries {src: {tgt: PolyF2U}}: each term
+    U^k of the entry x -> y is bit y of column x in the part of degree
+    g(y) - g(x) - 2k."""
+    src_at = {lab: j for j, lab in enumerate(src.basis.labels())}
+    tgt_at = {lab: i for i, lab in enumerate(tgt.basis.labels())}
+    src_g, tgt_g = src.basis.to_dict(), tgt.basis.to_dict()
+    parts: dict = {}
+    for x, row in entries.items():
+        for y, p in row.items():
+            for k in p.terms:
+                cols = parts.setdefault(tgt_g[y] - 2 * k - src_g[x], [0] * len(src_at))
+                cols[src_at[x]] ^= 1 << tgt_at[y]
+    return ChainMap(src, tgt, parts)
 
 
 def entry_degree(f):

@@ -32,6 +32,7 @@ from gridfloer import (
     boundary_squares_to_zero,
     build_complex,
     build_gc_prime,
+    chain_defect,
     chain_map_degree,
     chain_maps_equal,
     compose_chain_maps,
@@ -58,7 +59,6 @@ from gridfloer import (
 from gridfloer.algebra import (
     MULTI,
     SINGLE,
-    _apply_columns,
     _columns,
     _inverse_rows,
     _reduce,
@@ -187,7 +187,7 @@ class TestGradedBasis:
     def test_elements_sorted_stably_by_grading(self):
         b = GradedBasis((("z", 0), ("y", 2), ("a", 0), ("x", -2), ("b", 2)))
         assert b.labels() == ("y", "b", "z", "a", "x")
-        assert b.gradings() == [2, 2, 0, 0, -2]
+        assert b.gradings() == (2, 2, 0, 0, -2)
 
 
 class TestSummary:
@@ -397,7 +397,7 @@ class TestHomology:
         for name, c in gc_primes.items():
             view = oracles.label_presentation(present_homology(c))
             for rep in view.representatives:
-                assert _apply_columns(c.boundary, rep) == {}, name
+                assert oracles.apply(c.boundary, rep) == {}, name
 
     def test_boundaries_project_to_zero(self, gc_primes, rng):
         for name, c in gc_primes.items():
@@ -406,7 +406,7 @@ class TestHomology:
             for _ in range(5):
                 picks = rng.sample(labels, min(3, len(labels)))
                 vec = {lab: u_power(rng.randint(0, 2)) for lab in picks}
-                img = _apply_columns(c.boundary, vec)
+                img = oracles.apply(c.boundary, vec)
                 assert not any(oracles.project(view, img)), name
 
     def test_u_action_on_homology(self, gc_primes):
@@ -572,11 +572,11 @@ class TestPresentationOracle:
         c = MonomialComplex(GradedBasis((("a", 0), ("b", 2))), {}, 1, SINGLE)
         pres = present_homology(c)
         assert [gen.label for gen in pres.generators] == ["b", "a"]
-        swap = ChainMap(c, c, columns=(-2, [0b10, 0b01]))  # b -> a, a -> U^2 b
+        swap = ChainMap(c, c, {-2: [0b10, 0b01]})  # b -> a, a -> U^2 b
         assert induced_map(swap, pres, pres) == [[ZERO, u_power(2)], [ONE, ZERO]]
         for degree in (1, 2):  # odd gap; U^-1 on the diagonal
             with pytest.raises(BrokenInvariant):
-                induced_map(ChainMap(c, c, columns=(degree, [0b01, 0b10])), pres, pres)
+                induced_map(ChainMap(c, c, {degree: [0b01, 0b10]}), pres, pres)
         assert induced_map(identity_chain_map(c), pres, pres) == [[ONE, ZERO], [ZERO, ONE]]
         shifted = HomologyGenerator("a", 1, None)  # a read at an odd grading
         bad = HomologyPresentation(
@@ -618,7 +618,7 @@ def _random_homotopy(c, rng, density=0.4):
             for k in (0, 1):
                 if g2d[y] == g2d[x] + 2 + 2 * k and rng.random() < density:
                     entries.setdefault(x, {})[y] = u_power(k)
-    return ChainMap(c, c, entries)
+    return oracles.chain_map(c, c, entries)
 
 
 class TestChainMaps:
@@ -643,15 +643,26 @@ class TestChainMaps:
 
     def test_boundary_is_chain_map(self, gc_primes):
         c = gc_primes["split2x2_2x2"]
-        dmap = ChainMap(c, c, c.boundary)
+        dmap = oracles.chain_map(c, c, c.boundary)
         assert is_chain_map(dmap)
         assert chain_map_degree(dmap) == -2
+
+    def test_every_part_is_checked(self):
+        # the degree 0 part (the identity) commutes; the degree -2 part,
+        # x -> U x and y -> 0, does not: it sends x to U x, whose boundary
+        # is U y, but d x = y to 0
+        basis = GradedBasis((("x", 0), ("y", -2)))
+        c = MonomialComplex(basis, {"x": {"y": ONE}}, 1, SINGLE)
+        for parts in ({0: [0b01, 0b10], -2: [0b01, 0]}, {-2: [0b01, 0], 0: [0b01, 0b10]}):
+            f = ChainMap(c, c, parts)
+            assert chain_defect(f) == oracles.chain_defect(f) == ("x", {"y": ONE + U}, {"y": ONE})
+            assert chain_map_degree(f) is None
 
     def test_broken_map_detected(self):
         basis = GradedBasis((("x", 0), ("y", -2)))
         c = MonomialComplex(basis, {"x": {"y": ONE}}, 1, SINGLE)
         # d f(x) = y but f d(x) = 0
-        broken = ChainMap(c, c, {"x": {"x": ONE}})
+        broken = oracles.chain_map(c, c, {"x": {"x": ONE}})
         assert not is_chain_map(broken)
         pres = present_homology(c)
         with pytest.raises(NotChainMap):
@@ -663,12 +674,12 @@ class TestChainMaps:
         labs = sorted(c.basis.labels(), key=grading.get)
         entries = {labs[0]: {labs[0]: ONE}, labs[-1]: {labs[0]: ONE}}
         assert grading[labs[0]] != grading[labs[-1]]
-        assert chain_map_degree(ChainMap(c, c, entries)) is None
+        assert chain_map_degree(oracles.chain_map(c, c, entries)) is None
 
     def test_homotopic_maps_agree_on_homology(self, gc_primes, rng):
         # g = id + d h + h d is pointwise different but homologous to id
         c = gc_primes["split2x2_2x2"]
-        dmap = ChainMap(c, c, c.boundary)
+        dmap = oracles.chain_map(c, c, c.boundary)
         h = _random_homotopy(c, rng)
         term = add_chain_maps(
             compose_chain_maps(dmap, h), compose_chain_maps(h, dmap)
@@ -683,7 +694,7 @@ class TestChainMaps:
     def test_homology_equality_matches_linear_membership(self, gc_primes, rng):
         # dual route: (f - g) applied to any generator must be in im(d)
         c = gc_primes["split2x2_2x2"]
-        dmap = ChainMap(c, c, c.boundary)
+        dmap = oracles.chain_map(c, c, c.boundary)
         h = _random_homotopy(c, rng)
         term = add_chain_maps(
             compose_chain_maps(dmap, h), compose_chain_maps(h, dmap)
@@ -691,7 +702,7 @@ class TestChainMaps:
         view = oracles.label_presentation(present_homology(c))
         mat, idx = _boundary_matrix(c)
         for rep in view.representatives:
-            img = _apply_columns(term.entries, rep)
+            img = oracles.apply(term.entries, rep)
             rhs = [ZERO] * len(idx)
             for lab, p in img.items():
                 rhs[idx[lab]] = p
@@ -708,7 +719,7 @@ class TestChainMaps:
         diff = add_chain_maps(ident, u_map)
         hits = 0
         for rep in view.representatives:
-            img = _apply_columns(diff.entries, rep)
+            img = oracles.apply(diff.entries, rep)
             rhs = [ZERO] * len(idx)
             for lab, p in img.items():
                 rhs[idx[lab]] = p
@@ -752,8 +763,27 @@ def _label_tensor(c, stacked, gap):
     )
 
 
+def _label_product(g: dict, f: dict) -> dict:
+    """g after f, for label-keyed entries, row by row."""
+    rows = {x: oracles.apply(g, row) for x, row in f.items()}
+    return {x: row for x, row in rows.items() if row}
+
+
+def _label_sum(f: dict, g: dict) -> dict:
+    """f + g, for label-keyed entries."""
+    rows = {}
+    for x in f.keys() | g.keys():
+        row = dict(f.get(x, {}))
+        for y, q in g.get(x, {}).items():
+            row[y] = row.get(y, ZERO) + q
+        row = {y: q for y, q in row.items() if q}
+        if row:
+            rows[x] = row
+    return rows
+
+
 class TestMapColumns:
-    """The column form of chain maps and of stacked complexes."""
+    """The parts form of chain maps, and the columns of stacked complexes."""
 
     def test_stacked_columns_match_the_label_tensor(self, gc_primes):
         s_v, s_w = derived_stab_offsets()
@@ -807,31 +837,59 @@ class TestMapColumns:
         src = MonomialComplex(GradedBasis((("p", 2), ("q", 0))), {}, 1, SINGLE)
         basis = GradedBasis((("a", 2), ("b", 0), ("c", -2)))
         tgt = MonomialComplex(basis, {"b": {"c": ONE}}, 1, SINGLE)
-        f = ChainMap(src, tgt, {"p": {"a": ONE}, "q": {"b": ONE}})
+        f = oracles.chain_map(src, tgt, {"p": {"a": ONE}, "q": {"b": ONE}})
         assert chain_map_degree(f) == 0
         assert not is_chain_map(f)
         assert oracles.chain_defect(f) == ("q", {"c": ONE}, {})
 
-    def test_maps_with_no_column_form(self, gc_primes):
+    def test_multi_part_maps_match_label_products(self, gc_primes):
+        # nu_tilde and the flavor sum are not homogeneous: each is the sum of
+        # two or more parts, and every product below mixes parts
         c = gc_primes["trefoil5"]
         site = find_switch_sites(c.grid)[0]
-        tilde = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
-        back = band_map(tilde.tgt, BandMapChoice(site))
-        for make in (
-            lambda: compose_chain_maps(back, tilde),
-            lambda: scale_chain_map(tilde, U),
-            lambda: scale_chain_map(identity_chain_map(c), ONE + U),
-        ):
-            with pytest.raises(NotChainMap):
-                make()
-        # equality still reads such maps entry by entry
-        assert chain_maps_equal(tilde, band_map_raw(c, BandMapChoice(site, "nu_tilde")))
-        assert not chain_maps_equal(tilde, band_map_raw(c, BandMapChoice(site)))
+        for base in (c, quasi_stab_map(c, 0).tgt):
+            nu = band_map_raw(base, BandMapChoice(site))
+            tilde = band_map_raw(base, BandMapChoice(site, "nu_tilde"))
+            flavor_sum = add_chain_maps(nu, tilde)
+            back = band_map_raw(tilde.tgt, BandMapChoice(site))
+            back_tilde = band_map_raw(tilde.tgt, BandMapChoice(site, "nu_tilde"))
+            assert len(tilde.parts) == 2 and len(flavor_sum.parts) == 3
+            assert flavor_sum.entries == _label_sum(nu.entries, tilde.entries)
+            assert not add_chain_maps(tilde, tilde).parts
+            for g, f in ((back_tilde, tilde), (back, tilde), (back_tilde, nu),
+                         (back_tilde, flavor_sum)):
+                assert compose_chain_maps(g, f).entries == _label_product(g.entries, f.entries)
+            one_plus_u = {lab: {lab: ONE + U} for lab in tilde.tgt.basis.labels()}
+            for f in (tilde, flavor_sum):
+                want = _label_product(one_plus_u, f.entries)
+                assert scale_chain_map(f, ONE + U).entries == want
+                assert chain_maps_equal(f, oracles.chain_map(f.src, f.tgt, f.entries))
+            assert chain_maps_equal(tilde, band_map_raw(base, BandMapChoice(site, "nu_tilde")))
+            assert chain_maps_equal(add_chain_maps(flavor_sum, tilde), nu)
+            assert not chain_maps_equal(tilde, nu)
+            assert not chain_maps_equal(flavor_sum, scale_chain_map(nu, ONE + U))
+
+    def test_one_plus_u_on_homology_matches_the_label_oracle(self, gc_primes):
+        c = gc_primes["trefoil5"]
+        for base in (c, quasi_stab_map(c, 0).tgt):
+            f = scale_chain_map(identity_chain_map(base), ONE + U)
+            assert len(f.parts) == 2
+            pres = present_homology(base)
+            view = oracles.label_presentation(pres)
+            assert induced_map(f, pres, pres) == oracles.induced_map(f, view, view)
+
+    def test_maps_between_other_gradings_are_refused(self):
+        # same labels in the same order, but b sits at 4
+        c = MonomialComplex(GradedBasis((("a", 0), ("b", 2))), {}, 1, SINGLE)
+        other = MonomialComplex(GradedBasis((("a", 0), ("b", 4))), {}, 1, SINGLE)
+        for op in (chain_maps_equal, add_chain_maps):
+            with pytest.raises(NotChainMap, match="different endpoints"):
+                op(identity_chain_map(c), identity_chain_map(other))
 
     def test_zero_maps_of_different_degrees_are_equal(self, gc_primes):
         c = gc_primes["unknot3"]
         zeros = [0] * len(c.basis)
-        zero, shifted = ChainMap(c, c, columns=(0, zeros)), ChainMap(c, c, columns=(-2, zeros))
+        zero, shifted = ChainMap(c, c, {0: zeros}), ChainMap(c, c, {-2: zeros})
         assert chain_maps_equal(zero, shifted)
         ident = identity_chain_map(c)
         assert not chain_maps_equal(ident, scale_chain_map(ident, U))
