@@ -578,7 +578,8 @@ class ChainMap:
 
 def _label_rows(src: GradedBasis, tgt: GradedBasis, degree: int, cols: list[int]) -> dict:
     """Label-keyed rows of bitset columns of one degree: bit i of column j
-    is the entry U^((g_tgt(i) - g_src(j) - degree) / 2)."""
+    is the entry U^((g_tgt(i) - g_src(j) - degree) / 2).  A gap the
+    gradings cannot give (odd or negative) raises BrokenInvariant."""
     tgt_labels, tgt_gradings = tgt.labels(), tgt.gradings()
     powers = [u_power(k) for k in range((tgt_gradings[0] - src.elements[-1][1] - degree) // 2 + 1)]
     rows: dict = {}
@@ -587,7 +588,10 @@ def _label_rows(src: GradedBasis, tgt: GradedBasis, degree: int, cols: list[int]
             row = rows[lab] = {}
             while col:
                 i = col.bit_length() - 1
-                row[tgt_labels[i]] = powers[(tgt_gradings[i] - g - degree) >> 1]
+                gap = tgt_gradings[i] - g - degree
+                if gap < 0 or gap & 1:
+                    raise BrokenInvariant(f"{lab} -> {tgt_labels[i]}: gap {gap}, degree {degree}")
+                row[tgt_labels[i]] = powers[gap >> 1]
                 col ^= 1 << i
     return rows
 

@@ -7,14 +7,16 @@ rectangle covers, either as one variable per marking or specialized to a
 single U.
 
 Markings are numbered as the variables of `ExponentVector`: the O in row r
-is marking r and the X in row r is marking n + r.  Both builders read one
-rectangle walk, `_empty_rectangles`, which gives a state's row: each empty
-rectangle's target, found by an integer code, and its covered markings as
-a mask with bit i set for marking i.  Equal masks to one target cancel;
-two different masks reach the builder as a pair; no row order is read.
-`build_complex` turns a mask into the exponent vector of those variables.
-`build_gc_prime` checks U to the power of its bit count against the
-gradings and sets one bit of a column over the grading-ordered basis.
+is marking r and the X in row r is marking n + r.  Emptiness of a rectangle
+depends on its two states only, so one walk per size (`_rectangle_pattern`,
+kept for the process) lists each state's empty rectangles: targets and
+classes (start column a, end column b, bottom row s, height h) in flat
+arrays, with a target both rectangles reach (a twin) kept apart.  At n = 8:
+720 384 entries and 57 984 twins, about 3.7 MB.  A grid gives each class
+the mask of the markings it covers, bit i for marking i.  `build_complex`
+makes a mask the exponent vector of its variables and a twin the F2 sum of
+two; `build_gc_prime` cancels twins of equal weight, checks U^(bit count)
+against the gradings, and sets one bit of a column over the graded basis.
 """
 from __future__ import annotations
 
@@ -22,7 +24,9 @@ import functools
 import itertools
 import math
 import weakref
-from operator import getitem, lt, mul
+from array import array
+from itertools import chain, repeat
+from operator import add, getitem, lt, or_
 
 from .algebra import (
     MULTI,
@@ -106,9 +110,11 @@ def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
     return 2 * i_ss - sum(map(getitem, table, state)) + const
 
 
-def _graded_basis(g: GridDiagram, states: list[State]) -> GradedBasis:
+def _graded_basis(g: GridDiagram, states: list[State]) -> tuple[list[int], GradedBasis]:
+    """The states' gradings, in the order given, and their graded basis."""
     part = _grid_grading_part(g)
-    return GradedBasis(tuple((s, delta_grading(g, s, part)) for s in states))
+    grading = [delta_grading(g, s, part) for s in states]
+    return grading, GradedBasis(tuple(zip(states, grading)))
 
 
 def _marking_prefix(g: GridDiagram) -> list[list[int]]:
@@ -132,50 +138,66 @@ def _marking_prefix(g: GridDiagram) -> list[list[int]]:
     return pref
 
 
-def _empty_rectangles(
-    n: int, pref: list[list[int]], place: list[int], key: dict, x: State, code: int
-) -> dict:
-    """The empty rectangles out of state x, as one row {target key: mask}.
+@functools.cache
+def _rectangle_pattern(n: int) -> tuple:
+    """(corners, offsets, targets, classes, twins) of every n x n grid.  A
+    set of states is an int, bit i for state i; the walk right from column
+    a narrows the states through (a, s) to those whose rectangle is empty.
+    Class p n^2 + s n + t is column pair p from row s to row t; swapping its
+    columns adds a constant of the class to a state's base-256 code."""
+    flat = bytes(chain.from_iterable(itertools.permutations(range(n))))
+    count, pairs = len(flat) // n, [(a, b) for a in range(n) for b in range(a + 1, a + n)]
+    cols, slot = [flat[c::n] for c in range(n)], {ab: p for p, ab in enumerate(pairs)}
+    at = [  # at[c][r]: the states through (c, r)
+        [int(col[::-1].translate(b"0" * r + b"1" + b"0" * (255 - r)), 2) for r in range(n)]
+        for col in cols
+    ]
+    empty, twins = [0] * len(pairs), [0] * len(pairs)  # by pair: states with that rectangle
+    for s, h in itertools.product(range(n), range(1, n)):
+        # keep[c]: the states whose point in column c is not strictly inside rows s to s + h
+        keep = [~functools.reduce(or_, (at_c[(s + i) % n] for i in range(1, h)), 0) for at_c in at]
+        for a in range(n):
+            states = at[a][s]
+            for b in range(a + 1, a + n):
+                empty[slot[a, b]] |= states & at[b % n][(s + h) % n]
+                states &= keep[b % n]
+    for p, q in ((slot[a, b], slot[b, a + n]) for a, b in pairs if b < n):  # a to b, b to a
+        twins[p] = empty[p] & empty[q]
+        empty[p], empty[q] = empty[p] ^ twins[p], empty[q] ^ twins[p]
+    kinds = [(a, b, s, t) for a, b in pairs for s in range(n) for t in range(n)]
+    shift = [(t - s) * (256**a - 256 ** (b % n)) for a, b, s, t in kinds]
+    code = [int.from_bytes(flat[i : i + n], "little") for i in range(0, len(flat), n)]
+    index, typecode = {c: j for j, c in enumerate(code)}, "H" if count <= 1 << 16 else "I"
 
-    A rectangle has its lower-left corner at the point (a, x[a]) and its
-    upper-right corner at (b, x[b]).  Walking right from column a, the
-    rectangle to column b is empty iff its height (x[b] - x[a]) mod n is
-    below every height passed on the way (the running ceiling), and no
-    later rectangle can be empty once the ceiling is 1.  With code(x) =
-    sum of x[i] n^i (`place[b]` = n^(b mod n)), swapping columns a and c
-    gives code(y) = code(x) + (x[c] - x[a]) (n^a - n^c), and `key` maps a
-    code to the builder's key for that state.  Two rectangles to one target
-    cancel if their masks are equal, and else stay as the pair (first,
-    second) for the builder.  Nothing reads the order of the row.
-    """
-    row: dict = {}
-    xx = x + x
-    for a in range(n):
-        s = x[a]
-        pa = place[a]
-        pref_a = pref[a]
-        ceiling = n
-        for b in range(a + 1, a + n):
-            d = xx[b] - s
-            h = d % n
-            if h < ceiling:
-                ceiling = h
-                t = s + h
-                pref_b = pref[b]
-                mask = pref_b[t] - pref_a[t] - pref_b[s] + pref_a[s]
-                y = key[code + d * (pa - place[b])]
-                first = row.pop(y, None)
-                if first != mask:  # a second, equal mask cancels the first
-                    row[y] = mask if first is None else (first, mask)
-                if h == 1:
-                    break
-    return row
+    def listed(sets):  # (entries per state, classes, targets) of the sets, in state order
+        slots, total, width = bytearray(2 * count * len(pairs)), 0, 2 * len(pairs)
+        for p, (a, b) in enumerate(pairs):  # byte pairs (p, x[a] n + x[b]); 255 if not held
+            digits = f"{sets[p]:0{count}b}"[::-1].encode()
+            rows = int.from_bytes(cols[a], "little") * n + int.from_bytes(cols[b % n], "little")
+            off = int.from_bytes(digits.translate(bytes.maketrans(b"01", b"\xff\0")), "little")
+            slots[2 * p :: width] = digits.translate(bytes.maketrans(b"01", bytes((255, p))))
+            slots[2 * p + 1 :: width] = (rows | off).to_bytes(count, "little")
+            total += int.from_bytes(digits.translate(bytes.maketrans(b"01", b"\0\1")), "little")
+        slots, per_state = slots.translate(None, b"\xff"), total.to_bytes(count, "little")
+        classes = array("H", map(add, map((n * n).__mul__, slots[::2]), slots[1::2]))
+        sources = chain.from_iterable(map(repeat, code, per_state))
+        codes = map(add, sources, map(shift.__getitem__, classes))
+        return per_state, classes, array(typecode, map(index.__getitem__, codes))
+
+    per_state, classes, targets = listed(empty)
+    twin_count, twin_classes, twin_targets = listed(twins)
+    other = [slot[b % n, b % n + (a - b) % n] * n * n + t * n + s for a, b, s, t in kinds]
+    sources = chain.from_iterable(map(repeat, range(count), twin_count))
+    quads = zip(sources, twin_targets, twin_classes, map(other.__getitem__, twin_classes))
+    corners = tuple(array("B", v) for v in zip(*((a, b, s, (t - s) % n) for a, b, s, t in kinds)))
+    offsets = array("I", itertools.accumulate(per_state, initial=0))
+    return corners, offsets, targets, classes, array(typecode, chain.from_iterable(quads))
 
 
-def _codes(n: int, states: list[State]) -> tuple[list[int], list[int]]:
-    """`place` for the walk, and each state's code."""
-    place = [n ** (i % n) for i in range(2 * n)]
-    return place, [sum(map(mul, x, place)) for x in states]
+def _class_masks(g: GridDiagram, corners) -> list[int]:
+    """The markings each class of rectangle covers on g, as masks."""
+    p = _marking_prefix(g)
+    return [p[b][s + h] - p[a][s + h] - p[b][s] + p[a][s] for a, b, s, h in zip(*corners)]
 
 
 def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
@@ -183,29 +205,24 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
     frozenset shared per set of masks."""
     states = enumerate_states(g.n, cap)
     n = g.n
-    pref = _marking_prefix(g)
-    place, codes = _codes(n, states)
-    key = dict(zip(codes, states))
-
-    @functools.cache
-    def single(mask: int) -> frozenset:
-        ev = ExponentVector(tuple((i, 1) for i in range(2 * n) if mask >> i & 1))
-        return frozenset((ev,))
-
+    corners, offsets, targets, classes, twins = _rectangle_pattern(n)
+    masks = _class_masks(g, corners)
+    single = {  # one frozenset per mask
+        m: frozenset((ExponentVector(tuple((i, 1) for i in range(2 * n) if m >> i & 1)),))
+        for m in set(masks)
+    }
+    entry = [single[m] for m in masks]
+    boundary = {
+        x: {states[y]: entry[k] for y, k in zip(targets[lo:hi], classes[lo:hi])}
+        for x, lo, hi in zip(states, offsets, offsets[1:])
+        if lo < hi
+    }
     pairs: dict[frozenset, frozenset] = {}
-    boundary: dict = {}
-    for x, code in zip(states, codes):
-        row = {}
-        for y, mask in _empty_rectangles(n, pref, place, key, x, code).items():
-            if type(mask) is int:
-                row[y] = single(mask)
-            else:  # two rectangles: the F2 sum of their monomials
-                both = single(mask[0]) ^ single(mask[1])
-                if both:
-                    row[y] = pairs.setdefault(both, both)
-        if row:
-            boundary[x] = row
-    return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, MULTI, grid=g)
+    for x, y, k, other in zip(*[iter(twins)] * 4):
+        both = entry[k] ^ entry[other]  # the F2 sum of the two monomials
+        if both:
+            boundary.setdefault(states[x], {})[states[y]] = pairs.setdefault(both, both)
+    return MonomialComplex(_graded_basis(g, states)[1], boundary, 2 * n, MULTI, grid=g)
 
 
 # The single-variable complexes alive in this process, by grid.  The values
@@ -221,7 +238,7 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
 
     Equals `build_complex(g)` with every variable of each exponent vector
     sent to U and equal monomials cancelled, built from the same rectangle
-    walk with each rectangle weighted by its marking count.
+    pattern with each rectangle weighted by its marking count.
     While a complex of an equal grid is still held elsewhere, that same
     (immutable) complex is returned.
     """
@@ -233,36 +250,35 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
-    """The single-variable complex as the columns that `_columns` returns,
-    each entry checked against the gradings."""
+    """The single-variable complex as the columns `_columns` returns, each
+    entry checked against the gradings; sources go in the basis order."""
     states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
-    n = g.n
-    basis = _graded_basis(g, states)
-    labels, gradings = basis.labels(), basis.gradings()
-    place, codes = _codes(n, labels)
-    position = {code: j for j, code in enumerate(codes)}
-    pref = _marking_prefix(g)
-    cols = [0] * len(states)
-    for j, x in enumerate(labels):
-        col = 0
-        low = gradings[j] - 2  # U^k reaches gradings[j] - 2 + 2k
-        for t, mask in _empty_rectangles(n, pref, place, position, x, codes[j]).items():
-            if type(mask) is not int:  # two rectangles: U^k + U^k cancels
-                weights = sorted((mask[0].bit_count(), mask[1].bit_count()))
-                if weights[0] == weights[1]:
-                    continue
+    grading, basis = _graded_basis(g, states)
+    order = array("I", sorted(range(len(states)), key=grading.__getitem__, reverse=True))  # stable
+    position = array("I", sorted(range(len(states)), key=order.__getitem__))
+    corners, offsets, targets, classes, twins = _rectangle_pattern(g.n)
+    weight = [mask.bit_count() for mask in _class_masks(g, corners)]
+    for x, y, k, other in zip(*[iter(twins)] * 4):  # U^k + U^k cancels
+        if weight[k] != weight[other]:
+            weights = sorted((weight[k], weight[other]))
+            raise NotHomogeneous(
+                f"surviving rectangles {states[x]} -> {states[y]} have mixed weights {weights}"
+            )
+    cols, width = [], (len(states) >> 3) + 1
+    for j in order:
+        lo, hi = offsets[j], offsets[j + 1]
+        low = grading[j] - 2  # U^k reaches grading[j] - 2 + 2k
+        col = bytearray(width)  # little-endian: bit i is basis element i
+        for t, k in zip(targets[lo:hi], map(weight.__getitem__, classes[lo:hi])):
+            if grading[t] - 2 * k != low:
                 raise NotHomogeneous(
-                    f"surviving rectangles {x} -> {labels[t]} have mixed weights {weights}"
+                    f"entry {states[j]}->{states[t]} = U^{k} breaks grading: "
+                    f"{grading[j]} - {grading[t]} != {2 - 2 * k}"
                 )
-            k = mask.bit_count()
-            if gradings[t] - 2 * k != low:
-                raise NotHomogeneous(
-                    f"entry {x}->{labels[t]} = U^{k} breaks grading: "
-                    f"{gradings[j]} - {gradings[t]} != {2 - 2 * k}"
-                )
-            col |= 1 << t
-        cols[j] = col
-    return MonomialComplex(basis, None, 2 * n, SINGLE, g, (), cols)
+            i = position[t]
+            col[i >> 3] |= 1 << (i & 7)
+        cols.append(int.from_bytes(col, "little"))
+    return MonomialComplex(basis, None, 2 * g.n, SINGLE, g, (), cols)
 
 
 def dump_complex(c: MonomialComplex) -> str:

@@ -1073,7 +1073,7 @@ def label_row_gc_prime(g):
                 )
         if row:
             boundary[x] = row
-    return MonomialComplex(_graded_basis(g, states), boundary, 2 * n, SINGLE, grid=g)
+    return MonomialComplex(_graded_basis(g, states)[1], boundary, 2 * n, SINGLE, grid=g)
 
 
 def _open_quadrant_pairs(P, Q) -> int:

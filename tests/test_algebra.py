@@ -587,6 +587,16 @@ class TestPresentationOracle:
         with pytest.raises(BrokenInvariant):
             induced_map(identity_chain_map(c), pres, bad)
 
+    def test_label_view_of_a_gap_the_gradings_cannot_give(self):
+        # the same maps as above: their label-keyed entries would need
+        # U^-1 (degree 2) or U^(-1/2) (degree 1) on the diagonal
+        c = MonomialComplex(GradedBasis((("a", 0), ("b", 2))), {}, 1, SINGLE)
+        for degree, gap in ((2, -2), (1, -1)):
+            with pytest.raises(BrokenInvariant, match=f"b -> b: gap {gap}, degree {degree}"):
+                ChainMap(c, c, {degree: [0b01, 0b10]}).entries
+        swap = ChainMap(c, c, {-2: [0b10, 0b01]})
+        assert swap.entries == {"b": {"a": ONE}, "a": {"b": u_power(2)}}
+
     def test_presentation_of_other_gradings_is_refused(self):
         # same labels in the same order, but b sits at 4: not the map's end
         c = MonomialComplex(GradedBasis((("a", 0), ("b", 2))), {}, 1, SINGLE)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import weakref
+from array import array
 from collections import Counter
 
 import pytest
@@ -278,8 +279,8 @@ class TestBuilders:
     def test_direct_build_matches_specialized_multivariable(
         self, corpus, gc_primes, multi_complexes
     ):
-        # both builders read one rectangle walk, so this checks the two
-        # coefficient rules on it; the walk itself is checked by TestWalkOracle
+        # both builders read one rectangle pattern, so this checks the two
+        # coefficient rules on it; the pattern is checked by TestWalkOracle
         for name, multi in multi_complexes.items():
             direct = gc_primes[name]
             via = specialize(multi, "all")
@@ -401,18 +402,22 @@ class TestLabelRowOracle:
             assert homology(c) == homology(want), name
 
 
-def _walk_edited_at(monkeypatch, x0, y0, edit):
-    """Let `edit(row, k)` change the walk's row out of state x0, where k is
-    the row's key for the target y0."""
-    walk = complexes._empty_rectangles
-
-    def edited(n, pref, place, key, x, code):
-        row = walk(n, pref, place, key, x, code)
-        if x == x0:
-            edit(row, key[sum(v * p for v, p in zip(y0, place))])
-        return row
-
-    monkeypatch.setattr(complexes, "_empty_rectangles", edited)
+def _entry_made_twin(monkeypatch, g, x0, y0, other):
+    """Let the builders read a copy of the rectangle pattern of g's size in
+    which the entry x0 -> y0, of class k, is a twin of classes k and
+    other(k) instead."""
+    corners, offsets, targets, classes, twins = complexes._rectangle_pattern(g.n)
+    states = enumerate_states(g.n)
+    j, y = states.index(x0), states.index(y0)
+    i = next(i for i in range(offsets[j], offsets[j + 1]) if targets[i] == y)
+    edited = (
+        corners,
+        array(offsets.typecode, (o - (o > i) for o in offsets)),
+        targets[:i] + targets[i + 1 :],
+        classes[:i] + classes[i + 1 :],
+        twins + array(twins.typecode, (j, y, classes[i], other(classes[i]))),
+    )
+    monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: edited)
 
 
 def _one_rectangle_entry(c):
@@ -421,8 +426,9 @@ def _one_rectangle_entry(c):
 
 
 class TestOnePassRows:
-    """Each row is made in one pass over the walk, keyed by basis labels;
-    a target the walk reaches twice is resolved by the builder."""
+    """Each row is made in one pass over the rectangle pattern, keyed by
+    basis labels; a target reached twice (a twin) is resolved by the
+    builder."""
 
     BUILDERS = {"single": _build_gc_prime, "multi": build_complex}
 
@@ -442,11 +448,7 @@ class TestOnePassRows:
         c = build(g)
         want = c.boundary
         x0, y0 = _one_rectangle_entry(c)
-
-        def repeat(row, key):
-            row[key] = (row[key], row[key])
-
-        _walk_edited_at(monkeypatch, x0, y0, repeat)
+        _entry_made_twin(monkeypatch, g, x0, y0, lambda k: k)
         got = build(g).boundary
         assert y0 not in got.get(x0, {})
         want[x0] = {y: e for y, e in want[x0].items() if y != y0}
@@ -457,14 +459,56 @@ class TestOnePassRows:
         c = _build_gc_prime(g)
         x0, y0 = _one_rectangle_entry(c)
         (k,) = c.boundary[x0][y0].terms
+        corners = complexes._rectangle_pattern(g.n)[0]
+        weights = [m.bit_count() for m in complexes._class_masks(g, corners)]
 
-        def add_heavier(row, key):
-            mask = row[key]  # plus its lowest unset bit: one more marking
-            row[key] = (mask, mask | (~mask & (mask + 1)))
+        def heavier(cls):  # a class whose rectangle covers one more marking
+            return weights.index(weights[cls] + 1)
 
-        _walk_edited_at(monkeypatch, x0, y0, add_heavier)
+        _entry_made_twin(monkeypatch, g, x0, y0, heavier)
         with pytest.raises(NotHomogeneous, match=rf"mixed weights \[{k}, {k + 1}\]"):
             _build_gc_prime(g)
+
+
+class TestRectanglePattern:
+    """One rectangle pattern per grid size, made on the first build of
+    that size and read by every later one."""
+
+    def test_cap_checked_before_any_pattern(self):
+        g = corpus_grid("trefoil5")
+        before = complexes._rectangle_pattern.cache_info()
+        for build in (build_gc_prime, build_complex):
+            with pytest.raises(CapExceeded):
+                build(g, cap=4)
+        assert complexes._rectangle_pattern.cache_info() == before
+
+    def test_grading_fault_on_a_cached_size(self, monkeypatch):
+        first, second = corpus_grid("trefoil5"), random_grid(5, random.Random(3))
+        assert first != second
+        _build_gc_prime(first)
+        x0 = next(x for x, _, _ in _build_gc_prime(second).entries())
+        misses = complexes._rectangle_pattern.cache_info().misses
+        graded = complexes.delta_grading
+
+        def off_at_x0(g, state, grid_part=None):
+            return graded(g, state, grid_part) + (2 if state == x0 else 0)
+
+        monkeypatch.setattr(complexes, "delta_grading", off_at_x0)
+        with pytest.raises(NotHomogeneous, match="breaks grading"):
+            _build_gc_prime(second)
+        assert complexes._rectangle_pattern.cache_info().misses == misses
+
+    def test_two_grids_of_one_size_read_one_pattern(self, monkeypatch):
+        read, pattern = [], complexes._rectangle_pattern
+
+        def recorded(n):
+            read.append(pattern(n))
+            return read[-1]
+
+        monkeypatch.setattr(complexes, "_rectangle_pattern", recorded)
+        _build_gc_prime(corpus_grid("trefoil5"))
+        build_complex(random_grid(5, random.Random(3)))
+        assert len(read) == 2 and read[0] is read[1]
 
 
 class TestCurvature:
