@@ -31,6 +31,11 @@ CLOSED_MOVIE = (
     f"{CLOSED_SWITCH} dir=inv\nquasidestab anchor=X3\n"
 )
 
+# stacked ends with torsion: their generators of equal grading interleave
+# tag words, and torsion summands are listed by exponent before grading
+TREFOIL_STACK = "quasistab anchor=O1\ndiskstab\n" + SWITCH
+HOPF_STACK = "diskstab\nquasistab anchor=O1\ndiskstab\n"
+
 # case id -> (flags, grid: corpus name or grid text, movie script)
 CASES = {
     "quasi-disk-switch": (["--json"], "unknot4_sites", "quasistab anchor=O1\ndiskstab\n" + SWITCH),
@@ -49,6 +54,10 @@ CASES = {
     "violation-trefoil5-quasi": ([], "trefoil5", "quasistab anchor=O1\n" + NU_TILDE),
     "violation-unknot4-disk-disk": ([], "unknot4_sites", "diskstab\ndiskstab\n" + NU_TILDE),
     "closed-n6-table": ([], CLOSED_GRID, CLOSED_MOVIE),
+    "trefoil5-quasi-disk-switch": (["--json"], "trefoil5", TREFOIL_STACK),
+    "trefoil5-quasi-disk-switch-table": ([], "trefoil5", TREFOIL_STACK),
+    "hopf4-disk-quasi-disk": (["--json"], "hopf4", HOPF_STACK),
+    "hopf4-disk-quasi-disk-table": ([], "hopf4", HOPF_STACK),
 }
 
 
