@@ -26,12 +26,23 @@ exponent, so the chain-map check (`chain_defect`), sums, compositions,
 equality and the matrix a map induces on homology (`induced_map`) are F2
 work on the parts' columns.
 
+A stabilized complex is its base plus its `tensor_stack`, one rank-2 free
+module with zero differential per move: its generators are x (x) w for x
+in the base and w a tag word (`_words`).  A map of such complexes is a
+base map f tensored with a word map W, from source words to target words.
+f (x) W is a chain map exactly when f is (or W is empty), as d(f (x) W) -
+(f (x) W)d = (df - fd) (x) W, and x (x) w -> y (x) W(w) has the U-exponent
+of x -> y, since the word shifts move both gradings and the degree alike.
+So all the work is on base-size columns, and the homology of a stack is
+the base homology once per word.
+
 The square of a multivariable boundary (`boundary_squared`) is a parity
 count per source over packed (target, monomial) int keys: one key per
 two-step path, and the keys counted an odd number of times are its terms.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -163,6 +174,25 @@ class ExponentVector:
 # ---------------------------------------------------------------------------
 # graded bases and complexes
 
+_TAGS = ("plus", "minus")  # a tag word holds one index into _TAGS per stack move
+
+
+@functools.cache
+def _words(stack: tuple) -> dict[tuple[int, ...], int]:
+    """The tag words of a stack in order, each with the doubled grading it
+    lowers a base generator by: the `gap`s of the moves tagged minus."""
+    words = {(): 0}
+    for stab in stack:
+        words = {w + (t,): s + t * stab.gap for w, s in words.items() for t in (0, 1)}
+    return words
+
+
+def _stacked_label(label, word: tuple[int, ...]):
+    """The label of label (x) word: (label, tag), nested once per move."""
+    for t in word:
+        label = (label, _TAGS[t])
+    return label
+
 
 @dataclass(frozen=True)
 class GradedBasis:
@@ -208,6 +238,8 @@ class MonomialComplex:
     `boundary` is column-sparse: boundary[src][tgt] = entry.  A built grid
     complex is given, in its place, `columns`: one int per basis element,
     whose bit i is set when the i-th basis element is a target (`_columns`).
+    With a `tensor_stack`, `basis`, `boundary` and `columns` are the base's,
+    and x (x) w sits at g(x) minus the shift of the word w.
     Instances are treated as immutable after construction.
     """
 
@@ -216,7 +248,7 @@ class MonomialComplex:
     marking_count: int
     ring: str = SINGLE
     grid: object = None          # originating GridDiagram, when applicable
-    tensor_stack: tuple = ()     # stabilization bookkeeping, newest last
+    tensor_stack: tuple = ()     # stabilization moves, newest last
     columns: list[int] | None = None
 
     @property
@@ -264,6 +296,16 @@ class GradedModuleSummary:
             {"grading_doubled": g, "free_rank": f, "torsion": list(t)}
             for g, f, t in self.rows
         ]
+
+    def lowered(self, shifts) -> "GradedModuleSummary":
+        """The sum of copies of self, one lowered by each of shifts."""
+        acc: dict[int, list] = {}
+        for s in shifts:
+            for g, f, t in self.rows:
+                row = acc.setdefault(g - s, [0, []])
+                row[0] += f
+                row[1] += t
+        return GradedModuleSummary.from_dict(acc)
 
     def total_free(self) -> int:
         return sum(f for _, f, _ in self.rows)
@@ -469,19 +511,20 @@ def _reduce(c: MonomialComplex):
     return free, torsion, V
 
 
-def _summary(gradings: list, free: list, torsion: list) -> GradedModuleSummary:
-    acc: dict[int, list] = {}  # grading -> [free rank, torsion exponents]
+def _summary(c: MonomialComplex, free: list, torsion: list) -> GradedModuleSummary:
+    """The homology of c's base, lowered once per word of c's stack."""
+    gradings, acc = c.basis.gradings(), {}  # grading -> [free rank, torsion exponents]
     for j in free:
         acc.setdefault(gradings[j], [0, []])[0] += 1
     for k, t in torsion:
         acc.setdefault(gradings[t], [0, []])[1].append(k)
-    return GradedModuleSummary.from_dict(acc)
+    return GradedModuleSummary.from_dict(acc).lowered(_words(c.tensor_stack).values())
 
 
 def homology(c: MonomialComplex) -> GradedModuleSummary:
     """Homology of a single-variable complex as a graded module summary."""
     free, torsion, _ = _reduce(c)
-    return _summary(c.basis.gradings(), free, torsion)
+    return _summary(c, free, torsion)
 
 
 @dataclass(frozen=True)
@@ -495,15 +538,17 @@ class HomologyGenerator:
 class HomologyPresentation:
     """Homology generators of `complex`, each with a representative cycle
     and a projection row, both bitsets over the positions of
-    `complex.basis`.  For a generator at doubled grading g, bit p of its
-    representative is the term U^((g_p - g)/2) x_p, and bit p of its row
-    the coefficient U^((g - g_p)/2) of x_p in its homology coordinate."""
+    `complex.basis`, and a tag word w.  For a generator at doubled grading
+    g, bit p of its representative is the term U^((g_p - g)/2) x_p (x) w,
+    and bit p of its row the coefficient U^((g - g_p)/2) of x_p (x) w in
+    its homology coordinate, g_p the grading of x_p (x) w."""
 
     complex: MonomialComplex
     summary: GradedModuleSummary
     generators: tuple[HomologyGenerator, ...]
     representatives: tuple[int, ...]
     rows: tuple[int, ...]
+    words: tuple[tuple[int, ...], ...]
 
 
 def _inverse_rows(basis: list[int], ps) -> list[int]:
@@ -532,16 +577,24 @@ def _inverse_rows(basis: list[int], ps) -> list[int]:
 
 def present_homology(c: MonomialComplex) -> HomologyPresentation:
     """Generators of the homology of c with representatives and projection
-    rows: free towers first, then torsion summands by exponent."""
+    rows: free towers first, then torsion summands by exponent, each in
+    basis order.  Each word's copy of the base reduces on its own, in base
+    order, so a stack's generators are the base generators, with their
+    bitsets, tensored with each word, in the order of its (state, tag)
+    labels: by grading, highest first, then by base label, then by word."""
     free, torsion, basis = _reduce(c)
-    parts = [(j, None) for j in free] + [(t, k) for k, t in torsion]
-    ps = [i for i, _ in parts]
+    ps = [(0, j) for j in free] + torsion  # (k, position); k = 0 for a free tower
+    rows = dict(zip([p for _, p in ps], _inverse_rows(basis, [p for _, p in ps])))
+    labels, gradings, words = c.basis.labels(), c.basis.gradings(), _words(c.tensor_stack)
+    ties = labels if c.tensor_stack else range(len(labels))
+    order = sorted((k, s - gradings[p], ties[p], w, p) for k, p in ps for w, s in words.items())
     return HomologyPresentation(
         c,
-        _summary(c.basis.gradings(), free, torsion),
-        tuple(HomologyGenerator(*c.basis.elements[i], k) for i, k in parts),
-        tuple(basis[i] for i in ps),
-        tuple(_inverse_rows(basis, ps)),
+        _summary(c, free, torsion),
+        tuple(HomologyGenerator(_stacked_label(labels[p], w), -g, k or None) for k, g, _, w, p in order),
+        tuple(basis[p] for *_, p in order),
+        tuple(rows[p] for *_, p in order),
+        tuple(w for *_, w, _ in order),
     )
 
 
@@ -551,29 +604,40 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
 
 @dataclass(eq=False)
 class ChainMap:
-    """A map of single-variable complexes, as the sum of its homogeneous
-    parts.
+    """A map of single-variable complexes: a base map, as the sum of its
+    homogeneous parts, tensored with a map of tag words.
 
-    `parts` maps each degree d of the map to one int per source basis
-    element j, whose bit i is the entry U^((g_tgt(i) - g_src(j) - d) / 2)
-    at the i-th target basis element.  An all-zero part is dropped, so the
-    zero map has no parts and a homogeneous map has one.  The gradings fix
-    every exponent within a part, so sums and products are F2 work on the
-    parts' columns (see `chain_defect`).  `entries`, column-sparse like a
-    boundary (entries[src][tgt] a PolyF2U), is a label-keyed view of the
-    parts, made when first read.
+    `words` (by default the identity) sends x (x) w to f(x) (x) words[w],
+    and to 0 for a w it does not hold.  Its `shift`, a source word's shift
+    minus its image's, is one number on a move map and so on a composite.
+    `parts` maps each degree d of the map to one int per base source
+    element j, whose bit i is the entry U^((g_tgt(i) - g_src(j) - d +
+    shift) / 2) at the i-th base target element.  An all-zero part is
+    dropped, and an empty word map keeps none, so the zero map has no
+    parts and a homogeneous map has one.  Sums and products are F2 work on
+    the parts' columns (see `chain_defect`).  `entries`, column-sparse like
+    a boundary, is a label-keyed view of the base map, made when first read.
     """
 
     src: MonomialComplex
     tgt: MonomialComplex
     parts: dict[int, list[int]]
+    words: dict | None = None
 
     def __post_init__(self):
-        self.parts = {d: cols for d, cols in self.parts.items() if any(cols)}
+        if self.words is None:
+            self.words = {w: w for w in _words(self.src.tensor_stack)}
+        self.parts = {d: cols for d, cols in self.parts.items() if any(cols) and self.words}
+
+    @cached_property
+    def shift(self) -> int:
+        w, v = next(iter(self.words.items()))
+        return _words(self.src.tensor_stack)[w] - _words(self.tgt.tensor_stack)[v]
 
     @cached_property
     def entries(self) -> dict:
-        return _label_view(self.src.basis, self.tgt.basis, self.parts.items())
+        parts = [(d - self.shift, cols) for d, cols in self.parts.items()]
+        return _label_view(self.src.basis, self.tgt.basis, parts)
 
 
 def _label_rows(src: GradedBasis, tgt: GradedBasis, degree: int, cols: list[int]) -> dict:
@@ -607,21 +671,22 @@ def _label_view(src: GradedBasis, tgt: GradedBasis, parts) -> dict:
     return rows
 
 
-def _summed(src: MonomialComplex, tgt: MonomialComplex, parts) -> ChainMap:
+def _summed(src: MonomialComplex, tgt: MonomialComplex, parts, words: dict) -> ChainMap:
     """The map with the given (degree, columns) parts, those of equal
-    degree added over F2."""
+    degree added over F2, tensored with `words`."""
     acc: dict = {}
     for degree, cols in parts:
         have = acc.get(degree)
         acc[degree] = cols if have is None else [a ^ b for a, b in zip(have, cols)]
-    return ChainMap(src, tgt, acc)
+    return ChainMap(src, tgt, acc, words)
 
 
 def chain_defect(f: ChainMap, key=None):
     """The first source generator x with d_tgt(f(x)) != f(d_src(x)), as
     (x, d_tgt(f(x)), f(d_src(x))) with both sides {label: PolyF2U}; None
-    when f is a chain map.  First is in basis order, which is grading
-    order, or by `key` of the labels when one is given.
+    when f is a chain map.  First is the first failing base generator, in
+    basis order, which is grading order, or by `key` of the base labels
+    when one is given, with the least word of `f.words`.
 
     Each part F, of degree deg, is checked as F D_src == D_tgt F over F2.
     That is exact: every entry of D (degree -2) or F is the monomial fixed
@@ -644,20 +709,17 @@ def chain_defect(f: ChainMap, key=None):
         return None
     labels = f.src.basis.labels()
     j = min(bad, key=lambda j: key(labels[j])) if key else min(bad)
-    x, parts = GradedBasis((f.src.basis.elements[j],)), f.parts.items()
-    lhs = _label_view(x, f.tgt.basis, [(d - 2, [_apply_bits(dt, c[j])]) for d, c in parts])
-    rhs = _label_view(x, f.tgt.basis, [(d - 2, [_apply_bits(c, ds[j])]) for d, c in parts])
-    return labels[j], lhs.get(labels[j], {}), rhs.get(labels[j], {})
+    w = min(f.words)
+    x, parts = GradedBasis((f.src.basis.elements[j],)), [(d - f.shift - 2, c) for d, c in f.parts.items()]
+    lhs = _label_view(x, f.tgt.basis, [(d, [_apply_bits(dt, c[j])]) for d, c in parts])
+    rhs = _label_view(x, f.tgt.basis, [(d, [_apply_bits(c, ds[j])]) for d, c in parts])
+    sides = [{_stacked_label(y, f.words[w]): p for y, p in v.get(labels[j], {}).items()} for v in (lhs, rhs)]
+    return _stacked_label(labels[j], w), *sides
 
 
 def is_chain_map(f: ChainMap) -> bool:
     """Exact check of d_tgt . f == f . d_src."""
     return chain_defect(f) is None
-
-
-def require_chain_map(f: ChainMap) -> None:
-    if not is_chain_map(f):
-        raise NotChainMap("map does not commute with the boundaries")
 
 
 def chain_map_degree(f: ChainMap) -> int | None:
@@ -674,31 +736,42 @@ def scale_chain_map(f: ChainMap, p: PolyF2U) -> ChainMap:
     """p f for p in F2[U]: the term U^k of p moves each part of f down by
     2k in degree."""
     parts = [(d - 2 * k, cols) for k in p.terms for d, cols in f.parts.items()]
-    return _summed(f.src, f.tgt, parts)
+    return _summed(f.src, f.tgt, parts, f.words)
+
+
+def _ends(c: MonomialComplex) -> tuple:
+    return c.basis, c.tensor_stack
+
+
+def _require_alike(f: ChainMap, g: ChainMap, action: str) -> None:
+    """Refuse maps of other ends, or nonzero maps on other word maps."""
+    if (_ends(f.src), _ends(f.tgt)) != (_ends(g.src), _ends(g.tgt)):
+        raise NotChainMap(f"cannot {action} maps with different endpoints")
+    if f.parts and g.parts and f.words != g.words:
+        raise NotChainMap(f"cannot {action} maps with different word maps")
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    if (f.src.basis, f.tgt.basis) != (g.src.basis, g.tgt.basis):
-        raise NotChainMap("cannot add maps with different endpoints")
-    return _summed(f.src, f.tgt, [*f.parts.items(), *g.parts.items()])
+    _require_alike(f, g, "add")
+    return _summed(f.src, f.tgt, [*f.parts.items(), *g.parts.items()], (f if f.parts else g).words)
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f: for every pair of parts, the F2 product of their columns
-    at the sum of their degrees."""
-    if f.tgt.basis != g.src.basis:
+    """g after f: the word maps composed and, unless that is empty, the F2
+    product of each pair of parts at the sum of their degrees."""
+    if _ends(f.tgt) != _ends(g.src):
         raise NotChainMap("composition endpoints do not match")
-    return _summed(f.src, g.tgt, (
+    words = {w: g.words[v] for w, v in f.words.items() if v in g.words}
+    return _summed(f.src, g.tgt, words and (
         (df + dg, [_apply_bits(gc, col) for col in fc])
         for df, fc in f.parts.items()
         for dg, gc in g.parts.items()
-    ))
+    ), words)
 
 
 def chain_maps_equal(f: ChainMap, g: ChainMap) -> bool:
     """Matrix equality (pointwise, not just on homology): equal parts."""
-    if (f.src.basis, f.tgt.basis) != (g.src.basis, g.tgt.basis):
-        raise NotChainMap("cannot compare maps with different endpoints")
+    _require_alike(f, g, "compare")
     return f.parts == g.parts
 
 
@@ -719,18 +792,20 @@ def induced_map(
     along every path.  So the part adds parity(row_i & f(rep_j)) U^e to
     entry (i, j), nothing when i is a summand F2[U]/(U^k) with e >= k.  A
     nonzero parity with an odd or negative e means the gradings do not fit
-    the bitsets, and raises BrokenInvariant.
+    the bitsets, and raises BrokenInvariant.  On stacks, entry (i, j) is
+    0 unless f's word map sends j's word to i's.
     """
     for c, pres in ((f.src, src_pres), (f.tgt, tgt_pres)):
-        if c is not pres.complex and c.basis != pres.complex.basis:
+        if c is not pres.complex and _ends(c) != _ends(pres.complex):
             raise NotChainMap("map and presentation do not share their ends")
-    require_chain_map(f)
+    if not is_chain_map(f):
+        raise NotChainMap("map does not commute with the boundaries")
     matrix = [[ZERO] * len(src_pres.representatives) for _ in tgt_pres.rows]
     for degree, cols in f.parts.items():
         images = [_apply_bits(cols, rep) for rep in src_pres.representatives]
-        for i, (gen, row) in enumerate(zip(tgt_pres.generators, tgt_pres.rows)):
-            for j, (src_gen, image) in enumerate(zip(src_pres.generators, images)):
-                if (row & image).bit_count() & 1:
+        for i, (gen, row, word) in enumerate(zip(tgt_pres.generators, tgt_pres.rows, tgt_pres.words)):
+            for j, (src_gen, image, src_word) in enumerate(zip(src_pres.generators, images, src_pres.words)):
+                if f.words.get(src_word) == word and (row & image).bit_count() & 1:
                     gap = gen.grading - src_gen.grading - degree
                     if gap < 0 or gap & 1:
                         raise BrokenInvariant(
@@ -746,9 +821,8 @@ def induced_map(
 def maps_equal_on_homology(f: ChainMap, g: ChainMap) -> bool:
     """True iff f and g induce the same matrix on homology, that is iff
     (f - g)(z) is a boundary for every homology representative z: the
-    projection, truncation mod U^k included, is F2[U]-linear."""
-    if (f.src.basis, f.tgt.basis) != (g.src.basis, g.tgt.basis):
-        raise NotChainMap("maps do not share endpoints")
+    projection, truncation mod U^k included, is F2[U]-linear.  A g whose
+    ends are not f's is refused by `induced_map`."""
     src_pres = present_homology(f.src)
     tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)
     return induced_map(f, src_pres, tgt_pres) == induced_map(g, src_pres, tgt_pres)

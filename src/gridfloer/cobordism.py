@@ -3,38 +3,37 @@
 Band moves (switches) act between the complexes of a grid and its switched
 grid, which share one generator set; the map multiplies selected generators
 by U according to the distinguished-point rule.  Quasi- and disk
-stabilizations act algebraically: the complex is tensored with a rank-2
-free module with zero differential, and destabilizations project back.
-Maps are built as bitset columns, one set per degree (`ChainMap.parts`):
-a band map whose U-placement is not homogeneous, such as `nu_tilde`, has
-two parts.  A band map is checked over F2 on its parts when it is built;
-the other maps are chain maps by construction, and a movie's composite is
-checked once, over F2, when `induced_map` reads its matrix on homology off
-the presentations' bitsets.
+stabilizations act algebraically, in the shape of GH'(G) = HFK'(L) (x)
+W^(n - l) (Ozsvath-Stipsicz-Szabo, Unoriented knot Floer homology and the
+unoriented four-ball genus, IMRN 2017): the complex is tensored with a
+rank-2 free module with zero differential, and destabilizations project
+back.  So a stabilized complex is its base grid complex plus its stack of
+`QuasiStab` and `DiskStab` moves, and every move map is a base map
+tensored with a map of tag words (see `algebra`; tag 0 is plus, tag 1
+minus, the move's `gap` below it).  A band map is its base map, built and
+checked on the base, with the identity on words; a stabilization sends w
+to w plus, a destabilization w keep to w; renumbering is the identity.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves
-carry nothing.  Each stabilization appends the move that made it,
-`QuasiStab(anchor)` or `DiskStab()`, to `MonomialComplex.tensor_stack`.
-The rank-2 module's two generators are tagged `_TAGS`, the upper one first.
-Generators of equal grading are listed, and scanned for a violation, in
-`_label_key` order.
+carry nothing.  A band map's `ChainMapViolation` names the first failing
+base state with every tag plus: the first failing stacked generator when
+labels (state, tag) are ordered by state, then by tag index.
 """
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     SINGLE,
     ChainMap,
-    GradedBasis,
     GradedModuleSummary,
     HomologyPresentation,
     MonomialComplex,
     PolyF2U,
-    _columns,
+    _words,
     add_chain_maps,
     chain_defect,
     chain_map_degree,
@@ -101,6 +100,7 @@ class QuasiStab:
     """
 
     anchor: int
+    gap = property(lambda self: derived_stab_offsets()[0])
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class QuasiDestab:
 
 @dataclass(frozen=True)
 class DiskStab:
-    pass
+    gap = property(lambda self: derived_stab_offsets()[1])
 
 
 @dataclass(frozen=True)
@@ -145,92 +145,27 @@ def derived_stab_offsets() -> tuple[int, int]:
     two 2x2 unknots against four shifted copies.  Configuration data, never
     hardcoded.
     """
-    h2 = homology(build_gc_prime(validate((0, 1), (1, 0)))).to_dict()
-    h3 = homology(build_gc_prime(validate((0, 1, 2), (1, 2, 0)))).to_dict()
-    h_split = homology(
-        build_gc_prime(validate((0, 1, 2, 3), (1, 0, 3, 2)))
-    ).to_dict()
-
-    def copies(*shifts):
-        """H(2x2 unknot) summed over copies shifted down by each of shifts."""
-        acc: dict = {}
-        for d in shifts:
-            for g, (free, tors) in h2.items():
-                f0, t0 = acc.get(g - d, (0, ()))
-                acc[g - d] = (f0 + free, tuple(sorted(t0 + tors)))
-        return acc
-
-    quasi = [s for s in range(-6, 7) if copies(0, s) == h3]
+    h2 = homology(build_gc_prime(validate((0, 1), (1, 0))))
+    h3 = homology(build_gc_prime(validate((0, 1, 2), (1, 2, 0))))
+    h_split = homology(build_gc_prime(validate((0, 1, 2, 3), (1, 0, 3, 2))))
+    quasi = [s for s in range(-6, 7) if h2.lowered((0, s)) == h3]
     if len(quasi) != 1:
         raise BrokenInvariant(f"quasi gap not unique: {quasi}")
     s_v = quasi[0]
-    disk = [s for s in range(-6, 7) if copies(0, s_v, s, s + s_v) == h_split]
+    disk = [s for s in range(-6, 7) if h2.lowered((0, s_v, s, s + s_v)) == h_split]
     if len(disk) != 1:
         raise BrokenInvariant(f"disk gap not unique: {disk}")
     return s_v, disk[0]
 
 
 # ---------------------------------------------------------------------------
-# tensor bookkeeping
-
-_TAGS = ("plus", "minus")
+# stacks
 
 
-def _label_key(label, depth: int):
-    """The order of generators of equal grading, for labels stacked `depth`
-    deep: a state is its own key, and a stacked (label, tag) is keyed by
-    its base label's key, then by the tag's index in `_TAGS`."""
-    if not depth:
-        return label
-    base, tag = label
-    return _label_key(base, depth - 1), _TAGS.index(tag)
-
-
-def _tensor_rank2(c: MonomialComplex, stab: QuasiStab | DiskStab) -> tuple:
-    """c tensored with the rank-2 free module of a QuasiStab or DiskStab,
-    zero differential; the second tag sits the move's gap below the first.
-    Sorted by (-grading, `_label_key`), the key made once per generator of
-    c; each tag's copies get c's columns.  Returns the complex and the
-    position of each generator of c tensored with the first tag."""
-    s_v, s_w = derived_stab_offsets()
-    gap = s_v if isinstance(stab, QuasiStab) else s_w
-    keys = [_label_key(lab, len(c.tensor_stack)) for lab in c.basis.labels()]
-    order = sorted(  # two runs when c is in key order, which the sort merges
-        [
-            (shift - d, key, t, i, lab)
-            for t, shift in enumerate((0, gap))
-            for i, ((lab, d), key) in enumerate(zip(c.basis.elements, keys))
-        ]
-    )
-    where = ([0] * len(c.basis), [0] * len(c.basis))  # [t][i]: where c's i-th, tag t, goes
-    for q, (_, _, t, i, _) in enumerate(order):
-        where[t][i] = q
-    cols = [0] * len(order)
-    for w in where:
-        for q, col in zip(w, _columns(c)):
-            bits = 0
-            while col:
-                i = col.bit_length() - 1
-                bits |= 1 << w[i]
-                col ^= 1 << i
-            cols[q] = bits
-    basis = GradedBasis(tuple([((lab, _TAGS[t]), -d) for d, _, t, _, lab in order]))
-    stack = c.tensor_stack + (stab,)
-    return MonomialComplex(basis, None, c.marking_count + 2, c.ring, c.grid, stack, cols), where[0]
-
-
-def _stacked_complex(g: GridDiagram, stack: tuple) -> MonomialComplex:
-    """The base complex of g with each stabilization tensored on in order."""
+def _on_grid(g: GridDiagram, stack: tuple) -> MonomialComplex:
+    """The complex of g under `stack`, which shares the base's columns."""
     c = build_gc_prime(g, g.n)
-    for stab in stack:
-        c = _tensor_rank2(c, stab)[0]
-    return c
-
-
-def _base_state(label, depth: int):
-    for _ in range(depth):
-        label = label[0]
-    return label
+    return replace(c, marking_count=c.marking_count + 2 * len(stack), tensor_stack=stack) if stack else c
 
 
 # ---------------------------------------------------------------------------
@@ -241,43 +176,34 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     """The U-placement map of a switch, without the chain-map assertion."""
     if c.ring != SINGLE or c.grid is None:
         raise InvalidSite("band maps act on single-variable grid complexes")
-    g = c.grid
-    site = choice.site
-    g2 = apply_switch(g, site)
-    kind = site_diagonal(g, site)
+    g, site = c.grid, choice.site
     # U multiplies the generators containing the distinguished point exactly
     # when the markings sit on the main diagonal (flavor nu); nu_tilde flips.
-    u_when_contains = (kind == "main") == (choice.flavor == "nu")
-    n = g.n
-    p_col, p_row = (site.col + 1) % n, (site.row + 1) % n
-    tgt = _stacked_complex(g2, c.tensor_stack)
-    depth = len(c.tensor_stack)
+    u_when_contains = (site_diagonal(g, site) == "main") == (choice.flavor == "nu")
+    p_col, p_row = (site.col + 1) % g.n, (site.row + 1) % g.n
+    tgt = _on_grid(apply_switch(g, site), c.tensor_stack)
     labels, gradings, tgt_gradings = c.basis.labels(), c.basis.gradings(), tgt.basis.gradings()
     position = {lab: i for i, lab in enumerate(tgt.basis.labels())}
     targets = [position[lab] for lab in labels]
-    ks = [(_base_state(lab, depth)[p_col] == p_row) == u_when_contains for lab in labels]
+    ks = [(lab[p_col] == p_row) == u_when_contains for lab in labels]
     degrees = [tgt_gradings[i] - 2 * k - g for i, k, g in zip(targets, ks, gradings)]
     parts = {d: [1 << i if e == d else 0 for i, e in zip(targets, degrees)] for d in set(degrees)}
     return ChainMap(c, tgt, parts)
 
 
 def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
-    """Raise ChainMapViolation naming the site and the first generator, in
-    `_label_key` order, where f does not commute with the boundaries."""
-    defect = chain_defect(f, functools.partial(_label_key, depth=len(f.src.tensor_stack)))
+    """Raise ChainMapViolation naming the site and the first generator, by
+    state, where f does not commute with the boundaries.  Both sides list
+    their terms by label, so a message does not depend on how boundary
+    rows are stored."""
+    defect = chain_defect(f, key=lambda state: state)
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
             f"flavor {flavor} at col={site.col + 1} row={site.row + 1} "
             f"letter={site.letter}: boundaries disagree at generator {x}: "
-            f"d(f(x))={_by_label(lhs)} but f(d(x))={_by_label(rhs)}"
+            f"d(f(x))={dict(sorted(lhs.items()))} but f(d(x))={dict(sorted(rhs.items()))}"
         )
-
-
-def _by_label(vec: dict) -> dict:
-    """vec with its terms in label order, which for states is `lehmer_rank`
-    order, so a message does not depend on how boundary rows are stored."""
-    return dict(sorted(vec.items(), key=lambda term: term[0]))
 
 
 def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
@@ -306,19 +232,17 @@ def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
 
 
 def _include(c: MonomialComplex, stab: QuasiStab | DiskStab) -> ChainMap:
-    """x -> x tensor plus, into c tensored with the move's rank-2 module."""
-    tgt, plus = _tensor_rank2(c, stab)
-    return ChainMap(c, tgt, {0: [1 << q for q in plus]})
+    """x tensor w -> x tensor w plus, into c tensored with the move's module."""
+    tgt = replace(c, marking_count=c.marking_count + 2, tensor_stack=c.tensor_stack + (stab,))
+    return ChainMap(c, tgt, identity_chain_map(c).parts, {w: w + (0,) for w in _words(c.tensor_stack)})
 
 
-def _project(c: MonomialComplex, keep_tag: str) -> ChainMap:
-    """Project c onto the complex under its stack minus the top move:
-    x tensor keep_tag -> x, of degree g(x) - g(x tensor keep_tag); the other tag dies."""
-    tgt = _stacked_complex(c.grid, c.tensor_stack[:-1])
-    position = {lab: p for p, lab in enumerate(tgt.basis.labels())}
-    cols = [1 << position[lab] if tag == keep_tag else 0 for lab, tag in c.basis.labels()]
-    degree = tgt.basis.elements[0][1] - c.basis.elements[cols.index(1)][1]
-    return ChainMap(c, tgt, {degree: cols})
+def _project(c: MonomialComplex, keep: int) -> ChainMap:
+    """Project c onto its stack minus the top move: x tensor w keep -> x
+    tensor w, of degree the kept tag's shift; the other tag dies."""
+    tgt = _on_grid(c.grid, c.tensor_stack[:-1])
+    words = {w + (keep,): w for w in _words(tgt.tensor_stack)}
+    return ChainMap(c, tgt, {keep * c.tensor_stack[-1].gap: identity_chain_map(c).parts[0]}, words)
 
 
 def quasi_stab_map(c: MonomialComplex, anchor: int) -> ChainMap:
@@ -338,11 +262,10 @@ def quasi_destab_map(c: MonomialComplex, anchor: int) -> ChainMap:
     top = c.tensor_stack[-1] if c.tensor_stack else None
     if not isinstance(top, QuasiStab):
         raise AnchorMismatch("complex is not a quasi-stabilization target")
-    plus, minus = _TAGS
     if anchor == top.anchor:
-        return _project(c, minus)
+        return _project(c, keep=1)
     if anchor in same_letter_neighbors(c.grid, top.anchor):
-        return _project(c, plus)
+        return _project(c, keep=0)
     name = c.grid.marking_name
     raise AnchorMismatch(
         f"destabilization anchor {name(anchor)} is neither the stabilization "
@@ -359,7 +282,7 @@ def disk_destab_map(c: MonomialComplex) -> ChainMap:
     """Project c tensor W back to c: plus -> 0, minus -> x."""
     if c.tensor_stack[-1:] != (DiskStab(),):
         raise MoveSequenceInvalid("complex is not a disk-stabilization target")
-    return _project(c, _TAGS[1])
+    return _project(c, keep=1)
 
 
 # ---------------------------------------------------------------------------

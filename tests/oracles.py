@@ -27,13 +27,19 @@ The package computes each result one way; the second ways live here:
 - `LabelPresentation`, `label_presentation` (the package's bitset
   presentation read through `implied_vector`), `project` and
   `induced_map`: homology presentations and induced maps as label-keyed
-  `PolyF2U` vectors, the form the package's F2 `induced_map` replaced.
+  `PolyF2U` vectors, the form the package's F2 `induced_map` replaced;
+- `tensor_rank2`, `materialize` and `materialize_map`: a stabilized
+  complex, which the package keeps as its base and its stack, copied bit
+  by bit into the plain complex it stands for, and a base map tensored
+  with a word map copied into a map of those.  Every function here that
+  takes a complex, a map or a presentation reads a stacked one through
+  them, so its labels are the stacked labels (state, tag), nested.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from gridfloer import (
@@ -42,6 +48,7 @@ from gridfloer import (
     BrokenInvariant,
     ChainMap,
     ExponentVector,
+    GradedBasis,
     GridDiagram,
     HomologyGenerator,
     MonomialComplex,
@@ -51,7 +58,7 @@ from gridfloer import (
     link_topology,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE
+from gridfloer.algebra import MULTI, SINGLE, _columns
 from gridfloer.complexes import State
 
 # ---------------------------------------------------------------------------
@@ -508,6 +515,7 @@ def mod_u_homology_dimension(c) -> int:
     Only weight-0 boundary entries survive; the dimension is
     #generators - 2 rank(d mod U).
     """
+    c = materialize(c)[0]
     labels = list(c.basis.labels())
     index = {lab: i for i, lab in enumerate(labels)}
     rows = []
@@ -525,14 +533,17 @@ def mod_u_homology_dimension(c) -> int:
 # chain condition, generator by generator
 
 
-def chain_defect(f):
-    """First source generator x (in basis order) where d(f(x)) != f(d(x)),
-    with both sides as {label: PolyF2U}; None for a chain map.
+def chain_defect(f, key=None):
+    """First source generator x (in basis order, or by `key` of the labels)
+    where d(f(x)) != f(d(x)), with both sides as {label: PolyF2U}; None for
+    a chain map.
 
     Applies the target boundary to f(x) and f to the source boundary of x,
     for every generator, whatever the shape of the map.
     """
-    for x in f.src.basis.labels():
+    f = materialize_map(f)
+    labels = f.src.basis.labels()
+    for x in sorted(labels, key=key) if key else labels:
         lhs: dict = {}
         for mid, p in f.entries.get(x, {}).items():
             for tgt, q in f.tgt.boundary.get(mid, {}).items():
@@ -573,6 +584,7 @@ def chain_map(src, tgt, entries: dict):
 def entry_degree(f):
     """The common doubled-grading shift of f's entries, read entry by
     entry; None for a zero map and for a mixed one."""
+    f = materialize_map(f)
     src_g = f.src.basis.to_dict()
     tgt_g = f.tgt.basis.to_dict()
     degs = set()
@@ -709,6 +721,7 @@ def _summary(red: _Reduction, c):
 
 def reduction_summary(c):
     """The homology summary of c by pivot cancellation."""
+    c = materialize(c)[0]
     red = _Reduction(_exponents(c), list(c.basis.labels()))
     while red.buckets:
         red.cancel()
@@ -720,6 +733,7 @@ def tracked_presentation(c):
     representatives and projection rows kept as {index: PolyF2U} vectors
     and every change of basis shifted by U^(e - k) explicitly.  Free towers
     come first, then torsion summands in pivot order."""
+    c = materialize(c)[0]
     labels = list(c.basis.labels())
     red = _Reduction(_exponents(c), labels)
     one = PolyF2U(1)
@@ -785,15 +799,21 @@ def implied_vector(bits: int, labels: list, gradings: list, i: int, sign: int) -
 
 
 def label_presentation(pres) -> LabelPresentation:
-    """The package's bitset presentation read as label-keyed vectors."""
-    labels, gradings = pres.complex.basis.labels(), pres.complex.basis.gradings()
+    """The package's bitset presentation read as label-keyed vectors: each
+    generator's base bitsets over the base labels, tensored with its word."""
+    c = pres.complex
+    labels, gradings = c.basis.labels(), c.basis.gradings()
     position = {lab: i for i, lab in enumerate(labels)}
-    at = [position[gen.label] for gen in pres.generators]
+    at = [position[base_label(gen.label, len(c.tensor_stack))] for gen in pres.generators]
+
+    def vectors(bitsets, sign):
+        return tuple(
+            {stacked_label(lab, w): p for lab, p in implied_vector(b, labels, gradings, i, sign).items()}
+            for b, i, w in zip(bitsets, at, pres.words)
+        )
+
     return LabelPresentation(
-        pres.summary,
-        pres.generators,
-        tuple(implied_vector(b, labels, gradings, i, 1) for b, i in zip(pres.representatives, at)),
-        tuple(implied_vector(b, labels, gradings, i, -1) for b, i in zip(pres.rows, at)),
+        pres.summary, pres.generators, vectors(pres.representatives, 1), vectors(pres.rows, -1)
     )
 
 
@@ -821,7 +841,8 @@ def project(pres: LabelPresentation, vec: dict) -> tuple:
 def induced_map(f, src: LabelPresentation, tgt: LabelPresentation) -> list[list[PolyF2U]]:
     """Matrix of a chain map f on homology, rows = target generators: each
     representative pushed through f's label-keyed entries and projected."""
-    cols = [project(tgt, apply(f.entries, rep)) for rep in src.representatives]
+    entries = materialize_map(f).entries
+    cols = [project(tgt, apply(entries, rep)) for rep in src.representatives]
     return [[col[i] for col in cols] for i in range(len(tgt.generators))]
 
 
@@ -841,6 +862,115 @@ def back_substituted_rows(basis: list[int], ps) -> list[int]:
                 row |= 1 << q
         rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# stacked complexes, copied into the plain complexes they stand for
+
+TAGS = ("plus", "minus")
+
+
+def label_key(label, depth: int):
+    """The order of generators of equal grading, for labels stacked `depth`
+    deep: a state is its own key, and a stacked (label, tag) is keyed by
+    its base label's key, then by the tag's index in `TAGS`."""
+    if not depth:
+        return label
+    base, tag = label
+    return label_key(base, depth - 1), TAGS.index(tag)
+
+
+def stacked_label(label, word):
+    """label tensored with a tag word (a tuple of indices into `TAGS`)."""
+    for t in word:
+        label = (label, TAGS[t])
+    return label
+
+
+def base_label(label, depth: int):
+    for _ in range(depth):
+        label = label[0]
+    return label
+
+
+def tensor_rank2(c, stab, depth: int) -> tuple:
+    """c, a plain complex whose labels are stacked `depth` deep, tensored
+    with the rank-2 free module of a QuasiStab or DiskStab, zero
+    differential; the second tag sits the move's gap below the first.
+    Sorted by (-grading, `label_key`), the key made once per generator of
+    c; each tag's copies get c's columns.  Returns the complex and
+    where[t][i], the position of c's i-th generator tensored with tag t."""
+    keys = [label_key(lab, depth) for lab in c.basis.labels()]
+    order = sorted(  # two runs when c is in key order, which the sort merges
+        [
+            (shift - d, key, t, i, lab)
+            for t, shift in enumerate((0, stab.gap))
+            for i, ((lab, d), key) in enumerate(zip(c.basis.elements, keys))
+        ]
+    )
+    where = ([0] * len(c.basis), [0] * len(c.basis))  # [t][i]: where c's i-th, tag t, goes
+    for q, (_, _, t, i, _) in enumerate(order):
+        where[t][i] = q
+    cols = [0] * len(order)
+    for w in where:
+        for q, col in zip(w, _columns(c)):
+            bits = 0
+            while col:
+                i = col.bit_length() - 1
+                bits |= 1 << w[i]
+                col ^= 1 << i
+            cols[q] = bits
+    basis = GradedBasis(tuple([((lab, TAGS[t]), -d) for d, _, t, _, lab in order]))
+    return MonomialComplex(basis, None, c.marking_count + 2, SINGLE, c.grid, (), cols), where
+
+
+_MATERIALIZED: dict = {}  # (grid, basis, stack) -> (columns, plain complex, at)
+
+
+def materialize(c) -> tuple:
+    """The plain complex that c, a base complex and its stack, stands for,
+    and at[w][i], the position there of base element i tensored with the
+    word w.  A complex with no stack is its own.  A stack on a grid is
+    copied once per grid, basis and stack."""
+    if not c.tensor_stack:
+        return c, {(): range(len(c.basis))}
+    key = (c.grid, c.basis, c.tensor_stack)
+    made = _MATERIALIZED.get(key)
+    if made is None or c.grid is None and made[0] is not c.columns:
+        plain = replace(c, marking_count=c.marking_count - 2 * len(c.tensor_stack), tensor_stack=())
+        at = {(): range(len(c.basis))}
+        for depth, stab in enumerate(c.tensor_stack):
+            plain, where = tensor_rank2(plain, stab, depth)
+            at = {w + (t,): [where[t][q] for q in qs] for w, qs in at.items() for t in (0, 1)}
+        if len(_MATERIALIZED) > 64:
+            _MATERIALIZED.clear()
+        made = _MATERIALIZED[key] = (c.columns, plain, at)
+    return made[1:]
+
+
+def materialize_map(f) -> ChainMap:
+    """f, a base map tensored with a word map, as a map of the plain
+    complexes its ends stand for."""
+    if not (f.src.tensor_stack or f.tgt.tensor_stack):
+        return f
+    (src, at_src), (tgt, at_tgt) = materialize(f.src), materialize(f.tgt)
+    parts = {}
+    for degree, cols in f.parts.items():
+        new = parts[degree] = [0] * len(src.basis)
+        for w, v in f.words.items():
+            for j, col in enumerate(cols):
+                bits = 0
+                while col:
+                    i = col.bit_length() - 1
+                    bits |= 1 << at_tgt[v][i]
+                    col ^= 1 << i
+                new[at_src[w][j]] = bits
+    return ChainMap(src, tgt, parts)
+
+
+def entries(f) -> dict:
+    """The label-keyed entries of f, over stacked labels on a stack."""
+    return materialize_map(f).entries
 
 
 # ---------------------------------------------------------------------------

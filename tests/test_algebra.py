@@ -580,7 +580,8 @@ class TestPresentationOracle:
         assert induced_map(identity_chain_map(c), pres, pres) == [[ONE, ZERO], [ZERO, ONE]]
         shifted = HomologyGenerator("a", 1, None)  # a read at an odd grading
         bad = HomologyPresentation(
-            c, pres.summary, (pres.generators[0], shifted), pres.representatives, pres.rows
+            c, pres.summary, (pres.generators[0], shifted), pres.representatives, pres.rows,
+            pres.words,
         )
         with pytest.raises(BrokenInvariant):
             induced_map(identity_chain_map(c), bad, pres)
@@ -744,33 +745,34 @@ class TestChainMaps:
             maps_equal_on_homology(a, b)
 
 
-def _enumerated(c):
-    """The labels of a grid complex or of a stack on one, in enumeration
-    order: the states as permutations in lexicographic order, each label
-    followed by its plus copy, then its minus copy, at each stabilization."""
-    labels = list(itertools.permutations(range(c.grid.n)))
-    for _ in c.tensor_stack:
+def _enumerated(g, depth):
+    """The labels of a grid complex, or of a stack `depth` deep on one, in
+    enumeration order: the states as permutations in lexicographic order,
+    each label followed by its plus copy, then its minus copy, at each
+    stabilization."""
+    labels = list(itertools.permutations(range(g.n)))
+    for _ in range(depth):
         labels = [(lab, tag) for lab in labels for tag in ("plus", "minus")]
     return labels
 
 
-def _label_tensor(c, stacked, gap):
-    """c tensored with a rank-2 module as label rows, with no columns: the
-    tensor step that the stored columns of `stacked` replace.  Its elements
-    are given in enumeration order, which `GradedBasis` sorts stably by
+def _label_tensor(c, depth, gap):
+    """c, a plain complex whose labels are stacked `depth` deep, tensored
+    with a rank-2 module as label rows, with no columns: the tensor step
+    that the columns of `oracles.tensor_rank2` replace.  Its elements are
+    given in enumeration order, which `GradedBasis` sorts stably by
     grading."""
     tags = tuple(zip(("plus", "minus"), (0, gap)))
     grading = c.basis.to_dict()
-    elements = tuple(((lab, tag), grading[lab] - s) for lab in _enumerated(c) for tag, s in tags)
+    elements = tuple(
+        ((lab, tag), grading[lab] - s) for lab in _enumerated(c.grid, depth) for tag, s in tags
+    )
     boundary = {
         (src, tag): {(tgt, tag): p for tgt, p in row.items()}
         for src, row in c.boundary.items()
         for tag, _ in tags
     }
-    return MonomialComplex(
-        GradedBasis(elements), boundary, c.marking_count + 2, SINGLE, c.grid,
-        stacked.tensor_stack,
-    )
+    return MonomialComplex(GradedBasis(elements), boundary, c.marking_count + 2, SINGLE, c.grid)
 
 
 def _label_product(g: dict, f: dict) -> dict:
@@ -796,6 +798,8 @@ class TestMapColumns:
     """The parts form of chain maps, and the columns of stacked complexes."""
 
     def test_stacked_columns_match_the_label_tensor(self, gc_primes):
+        # a stack shares its base's basis and columns; the oracle's bit copy
+        # of it matches the label tensor, step by step
         s_v, s_w = derived_stab_offsets()
         for name, c in gc_primes.items():
             quasi, disk = quasi_stab_map(c, 0).tgt, disk_stab_map(c).tgt
@@ -807,13 +811,14 @@ class TestMapColumns:
                 (disk, disk_stab_map(disk).tgt, s_w),
             )
             for base, stacked, gap in stacks:
+                assert stacked.basis is c.basis and stacked.columns is c.columns, name
+                plain = oracles.materialize(stacked)[0]
                 copy = MonomialComplex(
-                    stacked.basis, stacked.boundary, stacked.marking_count, SINGLE,
-                    stacked.grid, stacked.tensor_stack,
+                    plain.basis, plain.boundary, plain.marking_count, SINGLE, plain.grid
                 )
-                want = _label_tensor(base, stacked, gap)
-                assert stacked.basis == want.basis, (name, stacked.tensor_stack)
-                assert _columns(stacked) == _columns(copy) == _columns(want), (
+                want = _label_tensor(oracles.materialize(base)[0], len(base.tensor_stack), gap)
+                assert plain.basis == want.basis, (name, stacked.tensor_stack)
+                assert _columns(plain) == _columns(copy) == _columns(want), (
                     name, stacked.tensor_stack,
                 )
 
@@ -895,6 +900,20 @@ class TestMapColumns:
         for op in (chain_maps_equal, add_chain_maps):
             with pytest.raises(NotChainMap, match="different endpoints"):
                 op(identity_chain_map(c), identity_chain_map(other))
+
+    def test_maps_on_other_words_are_refused(self, gc_primes):
+        # the identity of a quasi-stabilized complex, and the same identity
+        # on its plus words only: equal ends and base maps, other word maps
+        c = gc_primes["unknot3"]
+        stab = quasi_stab_map(c, 0)
+        ident = identity_chain_map(stab.tgt)
+        plus_only = compose_chain_maps(stab, quasi_destab_map(stab.tgt, 1))  # O2 is adjacent
+        assert plus_only.parts == ident.parts and plus_only.words != ident.words
+        for op in (chain_maps_equal, add_chain_maps):
+            with pytest.raises(NotChainMap, match="different word maps"):
+                op(ident, plus_only)
+        zero = add_chain_maps(ident, ident)
+        assert not zero.parts and chain_maps_equal(add_chain_maps(zero, plus_only), plus_only)
 
     def test_zero_maps_of_different_degrees_are_equal(self, gc_primes):
         c = gc_primes["unknot3"]

@@ -336,7 +336,7 @@ class TestQuasiStabilization:
         stab = quasi_stab_map(c, 2)
         assert chain_map_degree(stab) == 0
         base = c.basis.to_dict()
-        stacked = stab.tgt.basis.to_dict()
+        stacked = oracles.materialize(stab.tgt)[0].basis.to_dict()
         s_v, _ = derived_stab_offsets()
         for lab, d in base.items():
             assert stacked[(lab, "plus")] == d
@@ -366,7 +366,7 @@ class TestQuasiStabilization:
     def test_custom_tags_and_sides(self, gc_primes):
         c = gc_primes["unknot2"]
         stab = quasi_stab_map(c, 0)
-        labs = stab.tgt.basis.labels()
+        labs = oracles.materialize(stab.tgt)[0].basis.labels()
         assert {tag for _, tag in labs} == {"plus", "minus"}
         assert stab.tgt.tensor_stack == (QuasiStab(0),)
         same = quasi_destab_map(stab.tgt, 0)

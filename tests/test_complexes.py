@@ -211,9 +211,10 @@ class TestEulerCharacteristic:
             c = build_gc_prime(g)
             quasi = quasi_stab_map(c, 0).tgt
             disk = disk_stab_map(c).tgt
-            assert _summary_euler(homology(quasi)) == _states_euler(quasi), name
-            assert _states_euler(quasi) == 2 * _states_euler(c), name
-            assert _summary_euler(homology(disk)) == _states_euler(disk) == 0, name
+            plain_quasi, plain_disk = oracles.materialize(quasi)[0], oracles.materialize(disk)[0]
+            assert _summary_euler(homology(quasi)) == _states_euler(plain_quasi), name
+            assert _states_euler(plain_quasi) == 2 * _states_euler(c), name
+            assert _summary_euler(homology(disk)) == _states_euler(plain_disk) == 0, name
 
     def test_even_torsion_cancels(self):
         # d z = U^2 y: one U^2 summand at the grading of y, whose two
