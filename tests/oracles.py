@@ -893,6 +893,16 @@ def base_label(label, depth: int):
     return label
 
 
+def _moved(col: int, at) -> int:
+    """col with each set bit i moved to bit at[i]."""
+    bits = 0
+    while col:
+        i = col.bit_length() - 1
+        bits |= 1 << at[i]
+        col ^= 1 << i
+    return bits
+
+
 def tensor_rank2(c, stab, depth: int) -> tuple:
     """c, a plain complex whose labels are stacked `depth` deep, tensored
     with the rank-2 free module of a QuasiStab or DiskStab, zero
@@ -914,12 +924,7 @@ def tensor_rank2(c, stab, depth: int) -> tuple:
     cols = [0] * len(order)
     for w in where:
         for q, col in zip(w, _columns(c)):
-            bits = 0
-            while col:
-                i = col.bit_length() - 1
-                bits |= 1 << w[i]
-                col ^= 1 << i
-            cols[q] = bits
+            cols[q] = _moved(col, w)
     basis = GradedBasis(tuple([((lab, TAGS[t]), -d) for d, _, t, _, lab in order]))
     return MonomialComplex(basis, None, c.marking_count + 2, SINGLE, c.grid, (), cols), where
 
@@ -959,12 +964,7 @@ def materialize_map(f) -> ChainMap:
         new = parts[degree] = [0] * len(src.basis)
         for w, v in f.words.items():
             for j, col in enumerate(cols):
-                bits = 0
-                while col:
-                    i = col.bit_length() - 1
-                    bits |= 1 << at_tgt[v][i]
-                    col ^= 1 << i
-                new[at_src[w][j]] = bits
+                new[at_src[w][j]] = _moved(col, at_tgt[v])
     return ChainMap(src, tgt, parts)
 
 
