@@ -586,6 +586,7 @@ def present_homology(c: MonomialComplex) -> HomologyPresentation:
     ps = [(0, j) for j in free] + torsion  # (k, position); k = 0 for a free tower
     rows = dict(zip([p for _, p in ps], _inverse_rows(basis, [p for _, p in ps])))
     labels, gradings, words = c.basis.labels(), c.basis.gradings(), _words(c.tensor_stack)
+    # a stack's ties can span base gradings, so they go by label, not position
     ties = labels if c.tensor_stack else range(len(labels))
     order = sorted((k, s - gradings[p], ties[p], w, p) for k, p in ps for w, s in words.items())
     return HomologyPresentation(
