@@ -36,6 +36,11 @@ CLOSED_MOVIE = (
 TREFOIL_STACK = "quasistab anchor=O1\ndiskstab\n" + SWITCH
 HOPF_STACK = "diskstab\nquasistab anchor=O1\ndiskstab\n"
 
+# a stack carried across a switch, then destabilized on the switched grid;
+# the table form switches back at the end
+ACROSS_SWITCH = "quasistab anchor=O1\n" + SWITCH + "quasidestab anchor=O1\n"
+SWITCH_BACK = "switch col=1 row=1 letter=O flavor=nu dir=inv\n"
+
 # case id -> (flags, grid: corpus name or grid text, movie script)
 CASES = {
     "quasi-disk-switch": (["--json"], "unknot4_sites", "quasistab anchor=O1\ndiskstab\n" + SWITCH),
@@ -58,6 +63,8 @@ CASES = {
     "trefoil5-quasi-disk-switch-table": ([], "trefoil5", TREFOIL_STACK),
     "hopf4-disk-quasi-disk": (["--json"], "hopf4", HOPF_STACK),
     "hopf4-disk-quasi-disk-table": ([], "hopf4", HOPF_STACK),
+    "trefoil5-quasi-switch-quasidestab": (["--json"], "trefoil5", ACROSS_SWITCH),
+    "trefoil5-quasi-switch-quasidestab-back-table": ([], "trefoil5", ACROSS_SWITCH + SWITCH_BACK),
 }
 
 
