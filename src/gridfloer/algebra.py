@@ -99,10 +99,6 @@ class PolyF2U:
             raise ValueError(f"negative shift {k}")
         return PolyF2U(self.bits << k)
 
-    def truncated(self, k: int) -> "PolyF2U":
-        """Reduce modulo U^k."""
-        return PolyF2U(self.bits & ((1 << k) - 1))
-
     def is_monomial(self) -> bool:
         return self.bits != 0 and self.bits & (self.bits - 1) == 0
 
@@ -682,12 +678,11 @@ def _summed(src: MonomialComplex, tgt: MonomialComplex, parts, words: dict) -> C
     return ChainMap(src, tgt, acc, words)
 
 
-def chain_defect(f: ChainMap, key=None):
+def chain_defect(f: ChainMap):
     """The first source generator x with d_tgt(f(x)) != f(d_src(x)), as
     (x, d_tgt(f(x)), f(d_src(x))) with both sides {label: PolyF2U}; None
-    when f is a chain map.  First is the first failing base generator, in
-    basis order, which is grading order, or by `key` of the base labels
-    when one is given, with the least word of `f.words`.
+    when f is a chain map.  First is the failing base generator of least
+    label, with the least word of `f.words`.
 
     Each part F, of degree deg, is checked as F D_src == D_tgt F over F2.
     That is exact: every entry of D (degree -2) or F is the monomial fixed
@@ -709,7 +704,7 @@ def chain_defect(f: ChainMap, key=None):
     if not bad:
         return None
     labels = f.src.basis.labels()
-    j = min(bad, key=lambda j: key(labels[j])) if key else min(bad)
+    j = min(bad, key=labels.__getitem__)
     w = min(f.words)
     x, parts = GradedBasis((f.src.basis.elements[j],)), [(d - f.shift - 2, c) for d, c in f.parts.items()]
     lhs = _label_view(x, f.tgt.basis, [(d, [_apply_bits(dt, c[j])]) for d, c in parts])
@@ -752,11 +747,6 @@ def _require_alike(f: ChainMap, g: ChainMap, action: str) -> None:
         raise NotChainMap(f"cannot {action} maps with different word maps")
 
 
-def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    _require_alike(f, g, "add")
-    return _summed(f.src, f.tgt, [*f.parts.items(), *g.parts.items()], (f if f.parts else g).words)
-
-
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f: the word maps composed and, unless that is empty, the F2
     product of each pair of parts at the sum of their degrees."""
@@ -797,7 +787,7 @@ def induced_map(
     0 unless f's word map sends j's word to i's.
     """
     for c, pres in ((f.src, src_pres), (f.tgt, tgt_pres)):
-        if c is not pres.complex and _ends(c) != _ends(pres.complex):
+        if _ends(c) != _ends(pres.complex):
             raise NotChainMap("map and presentation do not share their ends")
     if not is_chain_map(f):
         raise NotChainMap("map does not commute with the boundaries")
@@ -825,6 +815,6 @@ def maps_equal_on_homology(f: ChainMap, g: ChainMap) -> bool:
     projection, truncation mod U^k included, is F2[U]-linear.  A g whose
     ends are not f's is refused by `induced_map`."""
     src_pres = present_homology(f.src)
-    tgt_pres = src_pres if f.tgt is f.src else present_homology(f.tgt)
+    tgt_pres = src_pres if _ends(f.tgt) == _ends(f.src) else present_homology(f.tgt)
     return induced_map(f, src_pres, tgt_pres) == induced_map(g, src_pres, tgt_pres)
 

@@ -13,6 +13,8 @@ tensored with a map of tag words (see `algebra`; tag 0 is plus, tag 1
 minus, the move's `gap` below it).  A band map is its base map, built and
 checked on the base, with the identity on words; a stabilization sends w
 to w plus, a destabilization w keep to w; renumbering is the identity.
+A move's target gets its stack as a copy of a complex that shares its
+basis and columns (`_restacked`), so only a switch builds a complex.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves
@@ -33,8 +35,8 @@ from .algebra import (
     HomologyPresentation,
     MonomialComplex,
     PolyF2U,
+    _ends,
     _words,
-    add_chain_maps,
     chain_defect,
     chain_map_degree,
     compose_chain_maps,
@@ -162,10 +164,13 @@ def derived_stab_offsets() -> tuple[int, int]:
 # stacks
 
 
-def _on_grid(g: GridDiagram, stack: tuple) -> MonomialComplex:
-    """The complex of g under `stack`, which shares the base's columns."""
-    c = build_gc_prime(g, g.n)
-    return replace(c, marking_count=c.marking_count + 2 * len(stack), tensor_stack=stack) if stack else c
+def _restacked(c: MonomialComplex, stack: tuple) -> MonomialComplex:
+    """c's base under `stack`: c itself when that is its stack, else a copy
+    that shares c's basis and columns."""
+    if stack == c.tensor_stack:
+        return c
+    grown = len(stack) - len(c.tensor_stack)
+    return replace(c, marking_count=c.marking_count + 2 * grown, tensor_stack=stack)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,7 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     # when the markings sit on the main diagonal (flavor nu); nu_tilde flips.
     u_when_contains = (site_diagonal(g, site) == "main") == (choice.flavor == "nu")
     p_col, p_row = (site.col + 1) % g.n, (site.row + 1) % g.n
-    tgt = _on_grid(apply_switch(g, site), c.tensor_stack)
+    tgt = _restacked(build_gc_prime(apply_switch(g, site), g.n), c.tensor_stack)
     labels, gradings, tgt_gradings = c.basis.labels(), c.basis.gradings(), tgt.basis.gradings()
     position = {lab: i for i, lab in enumerate(tgt.basis.labels())}
     targets = [position[lab] for lab in labels]
@@ -196,7 +201,7 @@ def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
     state, where f does not commute with the boundaries.  Both sides list
     their terms by label, so a message does not depend on how boundary
     rows are stored."""
-    defect = chain_defect(f, key=lambda state: state)
+    defect = chain_defect(f)
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
@@ -214,33 +219,20 @@ def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     return f
 
 
-def band_map_sum(c: MonomialComplex, site: SwitchSite) -> ChainMap:
-    """The sum of both flavors at one site: pointwise (1+U) on generators.
-
-    Asserted to be a chain map like the individual flavors; a
-    ChainMapViolation carries the first counterexample generator.
-    """
-    f = band_map_raw(c, BandMapChoice(site, "nu"))
-    g = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
-    total = add_chain_maps(f, g)
-    _require_band_chain_map(total, "sum", site)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # stabilization maps
 
 
 def _include(c: MonomialComplex, stab: QuasiStab | DiskStab) -> ChainMap:
     """x tensor w -> x tensor w plus, into c tensored with the move's module."""
-    tgt = replace(c, marking_count=c.marking_count + 2, tensor_stack=c.tensor_stack + (stab,))
+    tgt = _restacked(c, c.tensor_stack + (stab,))
     return ChainMap(c, tgt, identity_chain_map(c).parts, {w: w + (0,) for w in _words(c.tensor_stack)})
 
 
 def _project(c: MonomialComplex, keep: int) -> ChainMap:
     """Project c onto its stack minus the top move: x tensor w keep -> x
     tensor w, of degree the kept tag's shift; the other tag dies."""
-    tgt = _on_grid(c.grid, c.tensor_stack[:-1])
+    tgt = _restacked(c, c.tensor_stack[:-1])
     words = {w + (keep,): w for w in _words(tgt.tensor_stack)}
     return ChainMap(c, tgt, {keep * c.tensor_stack[-1].gap: identity_chain_map(c).parts[0]}, words)
 
@@ -313,11 +305,12 @@ class MovieResult:
 
     `degree` is the sum of the moves' `chain_map_degree`s, or the degree of
     the composite when some move has none.  The movie ends on `total.tgt`.
-    When that is the complex it started from (`total.tgt is total.src`),
-    `src_presentation` and
-    `tgt_presentation` are one and the same object.  That holds for every
-    movie that returns to its start grid with no stabilization left, since
-    `build_gc_prime` hands back the start complex while it is held.
+    When both ends have one graded basis and one stack (`_ends`),
+    `src_presentation` and `tgt_presentation` are one and the same object:
+    the basis fixes a grid complex's boundary, since which rectangles are
+    empty depends on the states alone and the gradings fix each exponent.
+    That holds for every movie that returns to its start grid with no
+    stabilization left.
     """
 
     total: ChainMap
@@ -363,8 +356,7 @@ def compose_movie(movie: Movie, cap: int = DEFAULT_STATE_CAP) -> MovieResult:
         total = compose_chain_maps(f, total)
     degree = chain_map_degree(total) if None in degrees else sum(degrees)
     src_pres = present_homology(src)
-    # a closed movie ends on the very complex it started from
-    tgt_pres = src_pres if total.tgt is src else present_homology(total.tgt)
+    tgt_pres = src_pres if _ends(total.tgt) == _ends(src) else present_homology(total.tgt)
     matrix = induced_map(total, src_pres, tgt_pres)
     return MovieResult(total, degree, matrix, src_pres, tgt_pres)
 

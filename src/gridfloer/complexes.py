@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import weakref
 from array import array
 from itertools import chain, repeat
@@ -52,15 +51,6 @@ def enumerate_states(n: int, cap: int = DEFAULT_STATE_CAP) -> list[State]:
     """All n! states in lexicographic order; refuses sizes above the cap."""
     _check_cap(n, cap)
     return list(itertools.permutations(range(n)))
-
-
-def lehmer_rank(state: State) -> int:
-    """Rank of a permutation in lexicographic order."""
-    n = len(state)
-    rank = 0
-    for i, v in enumerate(state):
-        rank += math.factorial(n - 1 - i) * sum(1 for u in state[i + 1 :] if u < v)
-    return rank
 
 
 def _grid_grading_part(g: GridDiagram) -> tuple[list[list[int]], int]:
@@ -227,9 +217,10 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
 
 # The single-variable complexes alive in this process, by grid.  The values
 # are weak: a complex is reused only while some caller still holds it, so a
-# grid built several times within one computation (a band map's target
-# complex, rebuilt by the reverse move) is built once, and nothing outlives
-# the computation that built it.
+# grid that one computation reaches again (a movie's start grid, switched
+# back to) is built once, and nothing outlives the computation that built
+# it.  This is only a build cache: equal complexes are told by their ends
+# (`algebra._ends`), not by identity.
 _GC_PRIME_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -279,31 +270,6 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
             col[i >> 3] |= 1 << (i & 7)
         cols.append(int.from_bytes(col, "little"))
     return MonomialComplex(basis, None, 2 * g.n, SINGLE, g, (), cols)
-
-
-def dump_complex(c: MonomialComplex) -> str:
-    """Text dump: a header with n and the graded ranks, then one line per
-    nonzero entry `src_rank tgt_rank exponent_vector`."""
-    g = c.grid
-    lines = [f"n = {g.n}"]
-    gradings = sorted({d for _, d in c.basis.elements}, reverse=True)
-    for d in gradings:
-        count = sum(1 for _, dd in c.basis.elements if dd == d)
-        lines.append(f"# grading {d}: {count} states")
-    for src, tgt, val in sorted(
-        c.entries(), key=lambda e: (lehmer_rank(e[0]), lehmer_rank(e[1]))
-    ):
-        if c.ring == SINGLE:
-            ev = " ".join(f"U^{k}" for k in sorted(val.terms))
-        else:
-            parts = []
-            for mono in sorted(val, key=lambda e: e.exps):
-                parts.append(
-                    "*".join(f"u{i}^{e}" for i, e in mono.exps) or "1"
-                )
-            ev = " + ".join(parts)
-        lines.append(f"{lehmer_rank(src)} {lehmer_rank(tgt)} {ev}")
-    return "\n".join(lines) + "\n"
 
 
 def expected_curvature(g: GridDiagram) -> frozenset[ExponentVector]:

@@ -138,11 +138,6 @@ def _site_kind(g: GridDiagram, s: SwitchSite) -> str | None:
     return None
 
 
-def site_exists(g: GridDiagram, s: SwitchSite) -> bool:
-    """True when the block holds two same-letter markings on a diagonal."""
-    return _site_kind(g, s) is not None
-
-
 def site_diagonal(g: GridDiagram, s: SwitchSite) -> str:
     """'main' when the markings sit at (col,row),(col+1,row+1); else 'anti'.
     Raises InvalidSite when the block holds no such pair."""
@@ -177,37 +172,23 @@ def apply_switch(g: GridDiagram, s: SwitchSite) -> GridDiagram:
         raise InvalidSite(f"switch at col={s.col} row={s.row} collides markings: {exc}") from exc
 
 
-def scan_diagonal_blocks(g: GridDiagram, letter: str) -> list[SwitchSite]:
-    """All 2x2 blocks whose diagonal holds two `letter` markings, with no
-    validity filtering of the switched grid."""
-    n = g.n
-    cols = g.o_col if letter == "O" else g.x_col
-    pos = {(cols[r], r) for r in range(n)}
-    out = []
-    for (c0, r0) in pos:
-        r1 = (r0 + 1) % n
-        for c1 in ((c0 + 1) % n, (c0 - 1) % n):
-            if (c1, r1) in pos:
-                cl = c0 if (c0 + 1) % n == c1 else c1
-                out.append(SwitchSite(cl, r0, letter))
-    return out
-
-
 def find_switch_sites(g: GridDiagram) -> list[SwitchSite]:
-    """All sites whose switch yields a valid grid, ordered (letter, col, row)."""
+    """All sites whose switch yields a valid grid, ordered (letter, col, row).
+
+    The marking of a site's letter in row `row` sits at column col (main
+    diagonal) or col + 1 (anti-diagonal), so each row of each letter offers
+    two candidate blocks for `_site_kind`."""
     out = []
-    seen = set()
-    for letter in ("O", "X"):
-        for s in scan_diagonal_blocks(g, letter):
-            seqs = _switched_sequences(g, s)
-            if (s.letter, seqs) in seen:
-                continue
-            seen.add((s.letter, seqs))
-            try:
-                validate(*seqs)
-            except (NonPermutation, MarkingCollision, SizeTooSmall):
-                continue
-            out.append(s)
+    for letter, cols in (("O", g.o_col), ("X", g.x_col)):
+        for row, col in enumerate(cols):
+            for s in (SwitchSite(col, row, letter), SwitchSite((col - 1) % g.n, row, letter)):
+                if _site_kind(g, s) is None:
+                    continue
+                try:
+                    validate(*_switched_sequences(g, s))
+                except MarkingCollision:  # a swap keeps both permutations
+                    continue
+                out.append(s)
     return sorted(out, key=lambda s: (s.letter, s.col, s.row))
 
 

@@ -24,6 +24,10 @@ The package computes each result one way; the second ways live here:
 - `chain_defect` and `entry_degree`, the chain condition and the degree of
   a map read off its label-keyed entries, for the parts form of maps, and
   `chain_map`, which splits hand-built label-keyed entries into parts;
+- `add_chain_maps`, `band_map_sum` and `truncated`: the sum of two maps,
+  the sum of both band-map flavors at a site (the flavor sum that
+  acceptance criterion 08 expects to fail the chain condition) and
+  reduction mod U^k, which only the tests use;
 - `LabelPresentation`, `label_presentation` (the package's bitset
   presentation read through `implied_vector`), `project` and
   `induced_map`: homology presentations and induced maps as label-keyed
@@ -45,6 +49,7 @@ from fractions import Fraction
 from gridfloer import (
     ONE,
     ZERO,
+    BandMapChoice,
     BrokenInvariant,
     ChainMap,
     ExponentVector,
@@ -55,10 +60,12 @@ from gridfloer import (
     NonHomogeneousEntry,
     NotHomogeneous,
     PolyF2U,
+    band_map_raw,
     link_topology,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE, _columns
+from gridfloer.algebra import MULTI, SINGLE, _columns, _require_alike, _summed
+from gridfloer.cobordism import _require_band_chain_map
 from gridfloer.complexes import State
 
 # ---------------------------------------------------------------------------
@@ -581,6 +588,22 @@ def chain_map(src, tgt, entries: dict):
     return ChainMap(src, tgt, parts)
 
 
+def add_chain_maps(f, g) -> ChainMap:
+    """f + g, refused like `chain_maps_equal` refuses to compare them."""
+    _require_alike(f, g, "add")
+    return _summed(f.src, f.tgt, [*f.parts.items(), *g.parts.items()], (f if f.parts else g).words)
+
+
+def band_map_sum(c, site) -> ChainMap:
+    """The sum of both band-map flavors at one site: pointwise (1+U) on
+    generators.  Asserted to be a chain map like the individual flavors; a
+    ChainMapViolation carries the first counterexample generator."""
+    nu, tilde = (band_map_raw(c, BandMapChoice(site, flavor)) for flavor in ("nu", "nu_tilde"))
+    total = add_chain_maps(nu, tilde)
+    _require_band_chain_map(total, "sum", site)
+    return total
+
+
 def entry_degree(f):
     """The common doubled-grading shift of f's entries, read entry by
     entry; None for a zero map and for a mixed one."""
@@ -600,6 +623,11 @@ def entry_degree(f):
 
 # ---------------------------------------------------------------------------
 # tracked reduction on PolyF2U vectors
+
+
+def truncated(p: PolyF2U, k: int) -> PolyF2U:
+    """p modulo U^k."""
+    return PolyF2U(p.bits & ((1 << k) - 1))
 
 
 def _vec_add(target: dict, source: dict, shift: int) -> None:
@@ -834,7 +862,7 @@ def project(pres: LabelPresentation, vec: dict) -> tuple:
         for lab, coeff in vec.items():
             if lab in row:
                 acc = acc + coeff * row[lab]
-        out.append(acc if gen.torsion_exp is None else acc.truncated(gen.torsion_exp))
+        out.append(acc if gen.torsion_exp is None else truncated(acc, gen.torsion_exp))
     return tuple(out)
 
 

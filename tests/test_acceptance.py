@@ -24,7 +24,6 @@ from gridfloer import (
     SwitchSite,
     band_map,
     band_map_raw,
-    band_map_sum,
     boundary_squares_to_zero,
     build_complex,
     build_gc_prime,
@@ -50,8 +49,8 @@ from gridfloer import (
     verify_commutation,
     verify_curvature,
 )
-from gridfloer.algebra import ONE, ZERO, add_chain_maps
-from oracles import smith_reduce, specialize
+from gridfloer.algebra import ONE, ZERO
+from oracles import add_chain_maps, band_map_sum, smith_reduce, specialize
 
 
 def _merge(parts):

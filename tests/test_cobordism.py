@@ -3,6 +3,7 @@ import functools
 import math
 import operator
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -31,11 +32,9 @@ from gridfloer import (
     Renumber,
     SitesNotDisjoint,
     SwitchSite,
-    add_chain_maps,
     apply_switch,
     band_map,
     band_map_raw,
-    band_map_sum,
     build_gc_prime,
     chain_defect,
     chain_map_degree,
@@ -64,7 +63,8 @@ from gridfloer import (
     serialize_movie,
     verify_commutation,
 )
-from gridfloer.algebra import _columns
+from gridfloer.algebra import _columns, _ends
+from oracles import add_chain_maps, band_map_sum
 
 def _u_id(c):
     return scale_chain_map(identity_chain_map(c), U)
@@ -216,7 +216,8 @@ def _same_defect(f):
     """chain_defect agrees with the oracle, down to the first generator and
     both sides; returns the defect."""
     got = chain_defect(f)
-    assert got == oracles.chain_defect(f)
+    key = functools.partial(oracles.label_key, depth=len(f.src.tensor_stack))
+    assert got == oracles.chain_defect(f, key=key)
     return got
 
 
@@ -670,7 +671,7 @@ class TestPresentationReuse:
         )
         calls = _count_presentations(monkeypatch, cobordism)
         res = compose_movie(movie)
-        assert res.total.tgt is res.total.src
+        assert _ends(res.total.tgt) == _ends(res.total.src)
         assert res.src_presentation is res.tgt_presentation
         assert len(calls) == 1
 
@@ -691,6 +692,28 @@ class TestPresentationReuse:
             assert res.src_presentation is not res.tgt_presentation
             assert len(calls) == 2
             assert res.tgt_summary == homology(res.total.tgt)
+
+    def test_a_destabilization_builds_no_complex(self, monkeypatch):
+        # a stack carried across a switch, then destabilized: the
+        # destabilization restacks the switched grid's complex, so each
+        # grid is built once
+        from gridfloer import complexes
+
+        derived_stab_offsets()  # builds its own small grids once
+        monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+        built = []
+        real = complexes._build_gc_prime
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(complexes, "_build_gc_prime", counting)
+        g = corpus_grid("trefoil5")
+        script = "quasistab anchor=O1\nswitch col=1 row=1 letter=O flavor=nu dir=fwd\nquasidestab anchor=O1\n"
+        res = compose_movie(parse_movie(script, g))
+        assert res.total.tgt.grid != g
+        assert len(built) == len(set(built)) == 2
 
     def test_maps_equal_on_homology_presents_once(self, gc_primes, monkeypatch):
         from gridfloer import algebra

@@ -1,6 +1,5 @@
 """State enumeration, gradings, rectangles, and the two boundary builders."""
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -29,12 +28,10 @@ from gridfloer import (
     corpus_grids,
     delta_grading,
     disk_stab_map,
-    dump_complex,
     enumerate_states,
     expected_curvature,
     homology,
     is_homogeneous,
-    lehmer_rank,
     quasi_stab_map,
     random_grid,
     validate,
@@ -49,20 +46,20 @@ from oracles import candidate_rectangles, rectangles, specialize
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
 TREFOIL5_GRADINGS = {0: 20, 2: 82, 4: 16, 6: 2}
 
-UNKNOT3_DUMP = """\
-n = 3
-# grading 2: 1 states
-# grading 0: 5 states
-0 1 U^1
-0 2 U^1
-0 5 U^1
-3 1 U^0
-3 2 U^0
-3 5 U^0
-4 1 U^1
-4 2 U^1
-4 5 U^1
-"""
+# the frozen 3x3 unknot complex: its entries U^k as {(src, tgt): k}, and
+# the number of states in each doubled grading
+UNKNOT3_ENTRIES = {
+    ((0, 1, 2), (0, 2, 1)): 1,
+    ((0, 1, 2), (1, 0, 2)): 1,
+    ((0, 1, 2), (2, 1, 0)): 1,
+    ((1, 2, 0), (0, 2, 1)): 0,
+    ((1, 2, 0), (1, 0, 2)): 0,
+    ((1, 2, 0), (2, 1, 0)): 0,
+    ((2, 0, 1), (0, 2, 1)): 1,
+    ((2, 0, 1), (1, 0, 2)): 1,
+    ((2, 0, 1), (2, 1, 0)): 1,
+}
+UNKNOT3_RANKS = {2: 1, 0: 5}
 
 
 def _small_grids(rng, count, sizes=(2, 3, 4)):
@@ -84,12 +81,6 @@ class TestStates:
             enumerate_states(DEFAULT_STATE_CAP + 1)
         with pytest.raises(CapExceeded):
             enumerate_states(5, cap=4)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_lehmer_roundtrip(self, n):
-        for i, s in enumerate(enumerate_states(n)):
-            assert lehmer_rank(s) == i
-        assert lehmer_rank(tuple(reversed(range(n)))) == math.factorial(n) - 1
 
 
 def _closed_form_basis(g):
@@ -540,30 +531,13 @@ class TestCurvature:
         assert verify_curvature(random_grid(rng.choice((2, 3, 4)), rng))
 
 
-class TestDump:
-    def test_frozen_unknot_dumps(self, gc_primes):
-        assert dump_complex(gc_primes["unknot2"]) == "n = 2\n# grading 0: 2 states\n"
-        assert dump_complex(gc_primes["unknot3"]) == UNKNOT3_DUMP
-
-    def test_dump_matches_entries(self, gc_primes):
-        c = gc_primes["hopf4"]
-        lines = [
-            ln for ln in dump_complex(c).splitlines() if ln and not ln.startswith("#")
-        ][1:]
-        seen = {}
-        for ln in lines:
-            s, t, ev = ln.split(" ", 2)
-            assert ev.startswith("U^")
-            seen[(int(s), int(t))] = int(ev[2:])
-        want = {
-            (lehmer_rank(s), lehmer_rank(t)): next(iter(p.terms))
-            for s, t, p in c.entries()
-        }
-        assert seen == want
-
-    def test_multivariable_dump_smoke(self, multi_complexes):
-        out = dump_complex(multi_complexes["unknot3"])
-        assert "u" in out and "^" in out
+class TestFrozenComplexes:
+    def test_frozen_unknot_complexes(self, gc_primes):
+        for name, entries, ranks in (("unknot2", {}, {0: 2}), ("unknot3", UNKNOT3_ENTRIES, UNKNOT3_RANKS)):
+            c = gc_primes[name]
+            assert all(p.is_monomial() for _, _, p in c.entries())
+            assert {(s, t): p.degree() for s, t, p in c.entries()} == entries, name
+            assert Counter(c.basis.gradings()) == ranks, name
 
 
 # A 3x3 grid that is not in the corpus, so no session fixture holds it.

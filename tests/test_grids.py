@@ -1,4 +1,5 @@
 """Grid diagram layer: validation, link tracing, switch sites, file formats."""
+import itertools
 import json
 
 import pytest
@@ -23,10 +24,8 @@ from gridfloer import (
     parse_grid,
     random_grid,
     same_letter_neighbors,
-    scan_diagonal_blocks,
     serialize_grid,
     site_diagonal,
-    site_exists,
     site_markings,
     validate,
 )
@@ -198,7 +197,7 @@ class TestSwitchSites:
         for name, g in corpus.items():
             for t in SITES[name]:
                 s = _site(t)
-                assert site_exists(g, s)
+                assert _site_kind(g, s) is not None
                 m1, m2 = site_markings(g, s)
                 base = 0 if s.letter == "O" else g.n
                 rows = {m1 - base, m2 - base}
@@ -208,11 +207,11 @@ class TestSwitchSites:
     def test_invalid_site_raises(self):
         g = corpus_grid("trefoil5")
         bad = SwitchSite(col=1, row=0, letter="O")
-        assert not site_exists(g, bad)
+        assert _site_kind(g, bad) is None
         for fn in (site_diagonal, site_markings, apply_switch):
             with pytest.raises(InvalidSite):
                 fn(g, bad)
-        assert not site_exists(g, SwitchSite(col=0, row=0, letter="Q"))
+        assert _site_kind(g, SwitchSite(col=0, row=0, letter="Q")) is None
 
     def test_site_lookup_matches_marking_positions(self, corpus):
         # the block's diagonal read off two rows against the set of positions
@@ -228,7 +227,6 @@ class TestSwitchSites:
                         want = "main" if main else "anti" if anti else None
                         s = SwitchSite(c, r, letter)
                         assert _site_kind(g, s) == want, (name, s)
-                        assert site_exists(g, s) == (want is not None)
 
     def test_out_of_range_blocks_are_invalid(self, corpus):
         # no wrap-around for -1 or n, even next to a real site
@@ -238,7 +236,7 @@ class TestSwitchSites:
                 for i in range(n):
                     for col, row in ((-1, i), (n, i), (i, -1), (i, n)):
                         s = SwitchSite(col, row, letter)
-                        assert not site_exists(g, s), (name, s)
+                        assert _site_kind(g, s) is None, (name, s)
                         for fn in (site_diagonal, site_markings, apply_switch):
                             with pytest.raises(InvalidSite):
                                 fn(g, s)
@@ -274,20 +272,38 @@ class TestSwitchSites:
         assert {classify_band(corpus_grid("hopf4"), _site(t)).band_type
                 for t in SITES["hopf4"]} == {"II"}
 
-    def test_scan_sees_colliding_blocks(self):
+    def test_unknot2_blocks_all_collide(self):
         # the 2x2 unknot has same-letter diagonals, but every switch collides
         g = corpus_grid("unknot2")
-        assert scan_diagonal_blocks(g, "O")
-        assert scan_diagonal_blocks(g, "X")
+        for letter in ("O", "X"):
+            assert any(_site_kind(g, SwitchSite(c, r, letter)) for c in range(2) for r in range(2))
         assert find_switch_sites(g) == []
 
-    def test_scan_contains_valid_sites(self, corpus):
-        for g in corpus.values():
-            for letter in ("O", "X"):
-                blocks = {(s.col, s.row) for s in scan_diagonal_blocks(g, letter)}
-                for s in find_switch_sites(g):
-                    if s.letter == letter:
-                        assert (s.col, s.row) in blocks
+    def test_sites_match_the_brute_force(self, corpus, rng):
+        grids = list(corpus.values())
+        grids += [random_grid(n, rng) for n in range(2, 9) for _ in range(150)]
+        for g in grids:
+            got = [(s.letter, s.col, s.row) for s in find_switch_sites(g)]
+            assert got == _brute_force_sites(g), g
+
+
+def _brute_force_sites(g):
+    """(letter, col, row) of every block, in that order, whose diagonal
+    holds two markings of the letter and whose switched grid validates."""
+    n, out = g.n, []
+    for letter, cols in (("O", g.o_col), ("X", g.x_col)):
+        pos = {(cols[r], r) for r in range(n)}
+        for c, r in itertools.product(range(n), repeat=2):
+            c2, r2 = (c + 1) % n, (r + 1) % n
+            if {(c, r), (c2, r2)} <= pos or {(c2, r), (c, r2)} <= pos:
+                swapped = list(cols)
+                swapped[r], swapped[r2] = swapped[r2], swapped[r]
+                try:
+                    validate(*((swapped, g.x_col) if letter == "O" else (g.o_col, swapped)))
+                except MarkingCollision:
+                    continue
+                out.append((letter, c, r))
+    return out
 
 
 class TestRandomGrid:

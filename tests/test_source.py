@@ -1,8 +1,48 @@
 """Rules on the package source itself."""
 import ast
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gridfloer"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gridfloer"
+
+# module-level functions that no command reaches, each kept for a reason
+UNREACHED = {
+    # a public check that acceptance criterion 03 calls; a built grid
+    # complex is checked entry by entry in the build instead
+    ("algebra.py", "is_homogeneous"),
+    # the movie half of a failing check's reproducer, which no check in
+    # the bundled suites fails
+    ("cobordism.py", "serialize_movie"),
+    ("cli.py", "_reproducer"),
+}
+
+SWITCH = "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
+# (flags, corpus grid, movie script, exit code)
+MOVIES = [
+    ([], "unknot4_sites", SWITCH + "quasistab anchor=O2\nquasidestab anchor=O2\n"
+     "diskstab\ndiskdestab\nrenumber 2 3 1 4 5 6 7 8\n", 0),
+    (["--json"], "trefoil5", "quasistab anchor=O1\n" + SWITCH + "quasidestab anchor=O1\n", 0),
+    ([], "trefoil5", SWITCH.replace("flavor=nu", "flavor=nu_tilde"), 1),  # ChainMapViolation
+    ([], "trefoil5", "switch col=2 row=1 letter=O flavor=nu dir=fwd\n", 1),  # InvalidSite
+    ([], "trefoil5", "quasidestab anchor=O1\n", 4),  # AnchorMismatch
+    ([], "trefoil5", "diskdestab\n", 4),  # MoveSequenceInvalid
+    ([], "trefoil5", "renumber 2 1\n", 4),  # BadPermutation
+    ([], "trefoil5", "flip\n", 2),  # ParseError
+    (["--cap", "4"], "trefoil5", "", 3),  # CapExceeded
+]
+# each script's smallest input, as in test_scripts.py
+SCRIPTS = {
+    "dsquared_sweep.py": ["--size", "4", "--count", "3"],
+    "corpus_tables.py": ["--json"],
+    "band_relation_search.py": ["unknot3"],
+}
 
 
 def test_no_assert_statements():
@@ -19,3 +59,106 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _module_functions() -> dict:
+    """(file, first line) -> (file name, function name) for every
+    module-level function of the package.  A code object's first line is
+    its first decorator's line, so that is the line taken."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out[str(path.resolve()), first] = (path.name, node.name)
+    return out
+
+
+def _runs(workdir: Path):
+    """(argv, exit code) of every CLI run: each command on the corpus, the
+    movie list, and each error exit."""
+    from gridfloer import corpus_grids, corpus_text
+    from gridfloer.cli import SUITES
+
+    def grid_file(name):
+        path = workdir / f"{name}.grid"
+        path.write_text(corpus_text(name))
+        return str(path)
+
+    for name in corpus_grids():
+        path = grid_file(name)
+        yield ["--json", "homology", path], 0
+        yield ["--json", "sites", path], 0
+    trefoil = grid_file("trefoil5")
+    yield ["homology", trefoil], 0
+    yield ["sites", trefoil], 0
+    json_grid = workdir / "trefoil5.json"
+    json_grid.write_text(json.dumps({"n": 5, "o": [0, 1, 2, 3, 4], "x": [2, 3, 4, 0, 1]}))
+    yield ["--json", "homology", str(json_grid)], 0
+    for suite in SUITES:
+        yield ["--json", "verify", suite], 0
+    yield ["verify", "curvature"], 0
+    yield ["verify", "no-such-suite"], 5
+    for i, (flags, name, script, code) in enumerate(MOVIES):
+        movie = workdir / f"movie{i}.txt"
+        movie.write_text(script)
+        yield [*flags, "movie", grid_file(name), str(movie)], code
+    bad = workdir / "bad.grid"
+    bad.write_text("n = 2\nO = 1 2\n")
+    yield ["homology", str(bad)], 2
+    yield ["homology", str(workdir / "missing.grid")], 1  # OSError
+    yield ["--cap", "1", "homology", trefoil], 1  # ValueError
+
+
+def _reached(workdir: Path) -> list:
+    """Every run of `_runs` and each script's `main`, under a profiler that
+    records the code objects called; returns the failed runs and the
+    (file, first line) of each code object."""
+    from gridfloer.cli import main
+
+    failed, codes = [], set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for argv, want in _runs(workdir):
+                if main(argv) != want:
+                    failed.append(argv)
+            for script, args in SCRIPTS.items():
+                spec = importlib.util.spec_from_file_location(script[:-3], ROOT / "scripts" / script)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                if module.main(args) != 0:
+                    failed.append([script, *args])
+    finally:
+        sys.setprofile(None)
+    files = {str(path.resolve()) for path in SRC.rglob("*.py")}
+    lines = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+    return failed, sorted(line for line in lines if line[0] in files)
+
+
+def test_every_module_function_is_reached(tmp_path):
+    # in a fresh interpreter, so that no cache of an earlier test hides a call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    failed, reached = json.loads(proc.stdout)
+    assert failed == []
+    functions = _module_functions()
+    assert set(functions.values()) >= UNREACHED
+    reached = set(map(tuple, reached))
+    unreached = {name for key, name in functions.items() if key not in reached}
+    assert unreached == UNREACHED
+
+
+if __name__ == "__main__":
+    print(json.dumps(_reached(Path(sys.argv[1]))))

@@ -181,9 +181,9 @@ def test_violations_name_the_first_stacked_generator(stacked):
         key = functools.partial(oracles.label_key, depth=len(stack))
         for site in sorted(find_switch_sites(base.grid), key=lambda s: (s.col, s.row, s.letter))[:2]:
             f = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
-            got = chain_defect(f, key=lambda state: state)
+            got = chain_defect(f)
             assert got == oracles.chain_defect(f, key=key), (name, site)
-            base_x = chain_defect(band_map_raw(base, BandMapChoice(site, "nu_tilde")), key=lambda s: s)[0]
+            base_x = chain_defect(band_map_raw(base, BandMapChoice(site, "nu_tilde")))[0]
             assert got[0] == oracles.stacked_label(base_x, (0,) * len(stack)), (name, site)
             checked += bool(stack)
     assert checked > 200
