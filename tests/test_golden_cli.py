@@ -41,6 +41,10 @@ HOPF_STACK = "diskstab\nquasistab anchor=O1\ndiskstab\n"
 ACROSS_SWITCH = "quasistab anchor=O1\n" + SWITCH + "quasidestab anchor=O1\n"
 SWITCH_BACK = "switch col=1 row=1 letter=O flavor=nu dir=inv\n"
 
+# a closed movie in the benchmark's shape on a corpus grid: band maps on a
+# quasi-stabilized complex, composed as columns
+TREFOIL_CLOSED = SWITCH + "quasistab anchor=O1\n" + SWITCH_BACK + "quasidestab anchor=O3\n"
+
 # case id -> (flags, grid: corpus name or grid text, movie script)
 CASES = {
     "quasi-disk-switch": (["--json"], "unknot4_sites", "quasistab anchor=O1\ndiskstab\n" + SWITCH),
@@ -65,6 +69,7 @@ CASES = {
     "hopf4-disk-quasi-disk-table": ([], "hopf4", HOPF_STACK),
     "trefoil5-quasi-switch-quasidestab": (["--json"], "trefoil5", ACROSS_SWITCH),
     "trefoil5-quasi-switch-quasidestab-back-table": ([], "trefoil5", ACROSS_SWITCH + SWITCH_BACK),
+    "trefoil5-switch-quasi-switch-quasidestab": (["--json"], "trefoil5", TREFOIL_CLOSED),
 }
 
 
