@@ -89,13 +89,13 @@ def _poly_str(p: PolyF2U) -> str:
     return repr(p).replace(" ", "")
 
 
-def _print_summary_table(summary: GradedModuleSummary, out) -> None:
-    print(f"{'grading':>8} {'free':>6}  torsion", file=out)
+def _print_summary_table(summary: GradedModuleSummary) -> None:
+    print(f"{'grading':>8} {'free':>6}  torsion")
     for row in summary.to_json_rows():
         torsion = (
             " ".join(f"U^{k}" for k in row["torsion"]) if row["torsion"] else "-"
         )
-        print(f"{row['grading_doubled']:>8} {row['free_rank']:>6}  {torsion}", file=out)
+        print(f"{row['grading_doubled']:>8} {row['free_rank']:>6}  {torsion}")
 
 
 def _grid_json(g: GridDiagram) -> dict:
@@ -107,26 +107,24 @@ def _read_grid(path: str) -> GridDiagram:
         return parse_grid(fh.read())
 
 
-def cmd_homology(grid_file: str, config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_homology(grid_file: str, config: RunConfig) -> int:
     g = _read_grid(grid_file)
     c = build_gc_prime(g, config.state_cap)
     summary = homology(c)
     if config.output == "json":
         json.dump(
             {"n": g.n, "generators": len(c.basis), "homology": summary.to_json_rows()},
-            out,
+            sys.stdout,
             indent=2,
         )
-        print(file=out)
+        print()
     else:
-        print(f"grid: n={g.n}, {len(c.basis)} generators", file=out)
-        _print_summary_table(summary, out)
+        print(f"grid: n={g.n}, {len(c.basis)} generators")
+        _print_summary_table(summary)
     return EXIT_OK
 
 
-def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_movie(grid_file: str, movie_file: str, config: RunConfig) -> int:
     g = _read_grid(grid_file)
     with open(movie_file) as fh:
         movie = parse_movie(fh.read(), g)
@@ -142,21 +140,21 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig, out=None) -> i
                 "target_homology": result.tgt_summary.to_json_rows(),
                 "induced": matrix,
             },
-            out,
+            sys.stdout,
             indent=2,
         )
-        print(file=out)
+        print()
     else:
-        print("final diagram:", file=out)
-        print(serialize_grid(result.total.tgt.grid), end="", file=out)
-        print(f"total map degree: {degree}", file=out)
-        print("source homology:", file=out)
-        _print_summary_table(result.src_summary, out)
-        print("target homology:", file=out)
-        _print_summary_table(result.tgt_summary, out)
-        print("induced map (rows = target generators):", file=out)
+        print("final diagram:")
+        print(serialize_grid(result.total.tgt.grid), end="")
+        print(f"total map degree: {degree}")
+        print("source homology:")
+        _print_summary_table(result.src_summary)
+        print("target homology:")
+        _print_summary_table(result.tgt_summary)
+        print("induced map (rows = target generators):")
         for row in matrix:
-            print("  " + " ".join(f"{e:>6}" for e in row), file=out)
+            print("  " + " ".join(f"{e:>6}" for e in row))
     return EXIT_OK
 
 
@@ -172,13 +170,12 @@ def _site_record(g: GridDiagram, site: SwitchSite) -> dict:
     }
 
 
-def cmd_sites(grid_file: str, config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_sites(grid_file: str, config: RunConfig) -> int:
     g = _read_grid(grid_file)
     records = [_site_record(g, s) for s in find_switch_sites(g)]
     if config.output == "json":
-        json.dump({"n": g.n, "sites": records}, out, indent=2)
-        print(file=out)
+        json.dump({"n": g.n, "sites": records}, sys.stdout, indent=2)
+        print()
     else:
         for r in records:
             oriented = "oriented" if r["oriented"] else "unoriented"
@@ -186,7 +183,6 @@ def cmd_sites(grid_file: str, config: RunConfig, out=None) -> int:
                 f"col={r['col']} row={r['row']} letter={r['letter']} "
                 f"{oriented} type={r['band_type']} "
                 f"components_after={r['components_after']}",
-                file=out,
             )
     return EXIT_OK
 
@@ -292,8 +288,7 @@ _SUITE_RUNNERS = {
 SUITES = tuple(_SUITE_RUNNERS)
 
 
-def cmd_verify(suite: str, config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_verify(suite: str, config: RunConfig) -> int:
     if suite not in _SUITE_RUNNERS:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     checks = []
@@ -309,21 +304,21 @@ def cmd_verify(suite: str, config: RunConfig, out=None) -> int:
                         "reproducer": _reproducer(g, movie),
                         "checks": checks,
                     },
-                    out,
+                    sys.stdout,
                     indent=2,
                 )
-                print(file=out)
+                print()
             else:
-                print(f"FAIL {description}", file=out)
-                print(_reproducer(g, movie), end="", file=out)
+                print(f"FAIL {description}")
+                print(_reproducer(g, movie), end="")
             return EXIT_FAIL
     if config.output == "json":
-        json.dump({"suite": suite, "passed": True, "checks": checks}, out, indent=2)
-        print(file=out)
+        json.dump({"suite": suite, "passed": True, "checks": checks}, sys.stdout, indent=2)
+        print()
     else:
         for c in checks:
-            print(f"ok {c['check']}", file=out)
-        print(f"{suite}: {len(checks)} checks passed", file=out)
+            print(f"ok {c['check']}")
+        print(f"{suite}: {len(checks)} checks passed")
     return EXIT_OK
 
 

@@ -12,11 +12,14 @@ depends on its two states only, so one walk per size (`_rectangle_pattern`,
 kept for the process) lists each state's empty rectangles: targets and
 classes (start column a, end column b, bottom row s, height h) in flat
 arrays, with a target both rectangles reach (a twin) kept apart.  At n = 8:
-720 384 entries and 57 984 twins, about 3.7 MB.  A grid gives each class
-the mask of the markings it covers, bit i for marking i.  `build_complex`
-makes a mask the exponent vector of its variables and a twin the F2 sum of
-two; `build_gc_prime` cancels twins of equal weight, checks U^(bit count)
-against the gradings, and sets one bit of a column over the graded basis.
+720 384 entries and 57 984 twins, about 3.7 MB.  A grid places its
+markings once, in line masks (`_line_masks`, bit i for marking i): a class
+covers the AND of a column band and a row band, the grading table counts
+the markings in two corners cut out by bands, and the curvature sums the
+width-one bands.  `build_complex` makes a mask the exponent vector of its
+variables and a twin the F2 sum of two; `build_gc_prime` cancels twins of
+equal weight, checks U^(bit count) against the gradings, and sets one bit
+of a column over the graded basis.
 """
 from __future__ import annotations
 
@@ -53,6 +56,27 @@ def enumerate_states(n: int, cap: int = DEFAULT_STATE_CAP) -> list[State]:
     return list(itertools.permutations(range(n)))
 
 
+def _line_masks(g: GridDiagram) -> tuple[list[list[int]], list[list[int]]]:
+    """(cols, rows): cols[a][w] is the mask of the markings in the w columns
+    a, ..., a + w - 1 and rows[s][h] that of the h rows s, ..., s + h - 1,
+    indices mod n, w and h from 0 to n, bit i for marking i."""
+    n = g.n
+    col, row = [0] * n, [1 << r | 1 << (n + r) for r in range(n)]
+    for r in range(n):
+        col[g.o_col[r]] |= 1 << r
+        col[g.x_col[r]] |= 1 << (n + r)
+
+    def bands(line):
+        return [list(itertools.accumulate(line[a:] + line[:a], or_, initial=0)) for a in range(n)]
+
+    return bands(col), bands(row)
+
+
+def _monomial(mask: int) -> ExponentVector:
+    """The product of the variables of the markings in a mask."""
+    return ExponentVector(tuple((i, 1) for i in range(mask.bit_length()) if mask >> i & 1))
+
+
 def _grid_grading_part(g: GridDiagram) -> tuple[list[list[int]], int]:
     """The state-independent part of `delta_grading`.
 
@@ -63,21 +87,22 @@ def _grid_grading_part(g: GridDiagram) -> tuple[list[list[int]], int]:
     in open first-quadrant position and l is the component count.
     """
     n = g.n
+    cols, rows = _line_masks(g)
     # in doubled coordinates a marking (2m+1) is right of / above a lattice
-    # line (2c) iff m >= c, and left of / below it iff m < c
-    marks = [(g.o_col[r], r) for r in range(n)] + [(g.x_col[r], r) for r in range(n)]
+    # line (2c) iff m >= c: the markings up and right of (c, r) lie in the
+    # columns from c and the rows from r, those down and left before them
     table = [
         [
-            sum(1 for mc, mr in marks if (mc >= c and mr >= r) or (mc < c and mr < r))
+            (cols[c][n - c] & rows[r][n - r]).bit_count() + (cols[0][c] & rows[0][r]).bit_count()
             for r in range(n)
         ]
         for c in range(n)
     ]
 
-    def ordered_pairs(cols: tuple[int, ...]) -> int:
+    def ordered_pairs(col_of: tuple[int, ...]) -> int:
         # marking pairs (p, q), q strictly up and to the right of p; the
         # markings of one kind sit one per row and one per column
-        return sum(1 for r, s in itertools.combinations(range(n), 2) if cols[s] > cols[r])
+        return sum(1 for r, s in itertools.combinations(range(n), 2) if col_of[s] > col_of[r])
 
     l = link_topology(g).component_count
     return table, ordered_pairs(g.o_col) + ordered_pairs(g.x_col) + (n - l) + 2
@@ -105,27 +130,6 @@ def _graded_basis(g: GridDiagram, states: list[State]) -> tuple[list[int], Grade
     part = _grid_grading_part(g)
     grading = [delta_grading(g, s, part) for s in states]
     return grading, GradedBasis(tuple(zip(states, grading)))
-
-
-def _marking_prefix(g: GridDiagram) -> list[list[int]]:
-    """2n x 2n prefix sums over the doubled torus in which each marking
-    contributes its own bit: O in row r is bit r, X in row r is bit n + r
-    (the variable indices of `ExponentVector`).  A rectangle narrower and
-    shorter than n covers each marking at most once, so inclusion-exclusion
-    on it gives exactly the mask of the markings it covers."""
-    n = g.n
-    cell = [[0] * n for _ in range(n)]  # cell[c][r]
-    for r in range(n):
-        cell[g.o_col[r]][r] |= 1 << r
-        cell[g.x_col[r]][r] |= 1 << (n + r)
-    m = 2 * n
-    pref = [[0] * (m + 1) for _ in range(m + 1)]
-    for c in range(m):
-        col_bits = cell[c % n]
-        pc, pc1 = pref[c], pref[c + 1]
-        for r in range(m):
-            pc1[r + 1] = col_bits[r % n] + pc1[r] + pc[r + 1] - pc[r]
-    return pref
 
 
 @functools.cache
@@ -186,8 +190,8 @@ def _rectangle_pattern(n: int) -> tuple:
 
 def _class_masks(g: GridDiagram, corners) -> list[int]:
     """The markings each class of rectangle covers on g, as masks."""
-    p = _marking_prefix(g)
-    return [p[b][s + h] - p[a][s + h] - p[b][s] + p[a][s] for a, b, s, h in zip(*corners)]
+    cols, rows = _line_masks(g)
+    return [cols[a][b - a] & rows[s][h] for a, b, s, h in zip(*corners)]
 
 
 def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
@@ -197,10 +201,7 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
     n = g.n
     corners, offsets, targets, classes, twins = _rectangle_pattern(n)
     masks = _class_masks(g, corners)
-    single = {  # one frozenset per mask
-        m: frozenset((ExponentVector(tuple((i, 1) for i in range(2 * n) if m >> i & 1)),))
-        for m in set(masks)
-    }
+    single = {m: frozenset((_monomial(m),)) for m in set(masks)}  # one frozenset per mask
     entry = [single[m] for m in masks]
     boundary = {
         x: {states[y]: entry[k] for y, k in zip(targets[lo:hi], classes[lo:hi])}
@@ -274,19 +275,12 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
 
 def expected_curvature(g: GridDiagram) -> frozenset[ExponentVector]:
     """The diagonal entry that the squared multivariable boundary must equal:
-    over every column and every row, the product of the variables of the two
-    markings in that line."""
-    n = g.n
-    o_row_of_col = {g.o_col[r]: r for r in range(n)}
-    x_row_of_col = {g.x_col[r]: r for r in range(n)}
-    acc: set[ExponentVector] = set()
-    for c in range(n):
-        ev = ExponentVector.make([(o_row_of_col[c], 1), (n + x_row_of_col[c], 1)])
-        acc.symmetric_difference_update({ev})
-    for r in range(n):
-        ev = ExponentVector.make([(r, 1), (n + r, 1)])
-        acc.symmetric_difference_update({ev})
-    return frozenset(acc)
+    the F2 sum, over every column and every row, of the product of the
+    variables of the two markings in that line."""
+    lines: set[int] = set()
+    for band in chain(*_line_masks(g)):
+        lines ^= {band[1]}
+    return frozenset(map(_monomial, lines))
 
 
 def verify_curvature(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> bool:

@@ -18,9 +18,11 @@ The package computes each result one way; the second ways live here:
   variable to U ("all", the builder oracle) or all but two to
   `COMMON_VARIABLE` (keep-two, inputs for the packed d^2 check); a bad
   policy raises ValueError;
-- `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, and
-  `back_substituted_rows`, the projection rows one row at a time: replaced
-  fast paths kept as oracles for the ones that replaced them;
+- `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, which
+  reads marking masks off its own prefix sums (`marking_prefix`), not the
+  package's line masks, and `back_substituted_rows`, the projection rows one
+  row at a time: replaced fast paths kept as oracles for the ones that
+  replaced them;
 - `chain_defect` and `entry_degree`, the chain condition and the degree of
   a map read off its label-keyed entries, for the parts form of maps, and
   `chain_map`, which splits hand-built label-keyed entries into parts;
@@ -1178,6 +1180,28 @@ def rectangle_boundary(g) -> dict:
     return boundary
 
 
+def marking_prefix(g) -> list[list[int]]:
+    """2n x 2n prefix sums over the doubled torus in which each marking
+    contributes its own bit: O in row r is bit r, X in row r is bit n + r
+    (the variable indices of `ExponentVector`).  A rectangle narrower and
+    shorter than n covers each marking at most once, so inclusion-exclusion
+    on it gives exactly the mask of the markings it covers: the package's
+    masks before it read them off line masks."""
+    n = g.n
+    cell = [[0] * n for _ in range(n)]  # cell[c][r]
+    for r in range(n):
+        cell[g.o_col[r]][r] |= 1 << r
+        cell[g.x_col[r]][r] |= 1 << (n + r)
+    m = 2 * n
+    pref = [[0] * (m + 1) for _ in range(m + 1)]
+    for c in range(m):
+        col_bits = cell[c % n]
+        pc, pc1 = pref[c], pref[c + 1]
+        for r in range(m):
+            pc1[r + 1] = col_bits[r % n] + pc1[r] + pc[r + 1] - pc[r]
+    return pref
+
+
 def _sorted_walk(n, pref, label, x):
     """The empty rectangles out of x as (target, mask), in the order of the
     column pairs c1 < c2, the c1 -> c2 rectangle first, with each target
@@ -1209,11 +1233,11 @@ def label_row_gc_prime(g):
     made in one pass over `_sorted_walk`: the builder that the
     grading-ordered columns replaced.  It carries no columns, so `_columns`
     derives them from its boundary and checks homogeneity on the way."""
-    from gridfloer.complexes import _graded_basis, _marking_prefix, enumerate_states
+    from gridfloer.complexes import _graded_basis, enumerate_states
 
     n = g.n
     states = enumerate_states(n, n)
-    pref = _marking_prefix(g)
+    pref = marking_prefix(g)
     label = {x: x for x in states}
     powers = [u_power(k) for k in range(2 * n + 1)]
     boundary = {}

@@ -17,6 +17,7 @@ import oracles
 from gridfloer import (
     DEFAULT_STATE_CAP,
     CapExceeded,
+    ExponentVector,
     GradedBasis,
     GridDiagram,
     U,
@@ -41,7 +42,7 @@ from gridfloer import complexes
 from gridfloer.algebra import MULTI, MonomialComplex, _columns
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
 from gridfloer.errors import NotHomogeneous
-from oracles import candidate_rectangles, rectangles, specialize
+from oracles import candidate_rectangles, marking_position, rectangles, specialize
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
 TREFOIL5_GRADINGS = {0: 20, 2: 82, 4: 16, 6: 2}
@@ -503,7 +504,62 @@ class TestRectanglePattern:
         assert len(read) == 2 and read[0] is read[1]
 
 
+def _seeded_grids(sizes, count):
+    """`count` grids of each size, drawn in order from one seeded generator."""
+    rng = random.Random(20261019)
+    return [((n, i), random_grid(n, rng)) for n in sizes for i in range(count)]
+
+
+def _positions(g):
+    """(marking id, column, row) of every marking of g."""
+    return [(i, *marking_position(g, i)) for i in range(2 * g.n)]
+
+
+class TestLineMasks:
+    """The masks and the grading table, which the package reads off line
+    masks, against the marking positions themselves."""
+
+    def test_class_masks_match_marking_positions(self, corpus):
+        wrapped = Counter()
+        grids = [(name, g) for name, g in corpus.items() if g.n <= 7]
+        for name, g in grids + _seeded_grids(range(2, 8), 10):
+            n, marks = g.n, _positions(g)
+            corners = complexes._rectangle_pattern(n)[0]
+            got = complexes._class_masks(g, corners)
+            for (a, b, s, h), mask in zip(zip(*corners), got):
+                want = sum(
+                    1 << i for i, c, r in marks if (c - a) % n < b - a and (r - s) % n < h
+                )
+                assert mask == want, (name, (a, b, s, h))
+                wrapped["columns"] += b > n
+                wrapped["rows"] += s + h > n
+        assert wrapped["columns"] and wrapped["rows"]
+
+    def test_grading_table_matches_marking_positions(self, corpus):
+        for name, g in list(corpus.items()) + _seeded_grids(range(2, 9), 20):
+            n, marks = g.n, _positions(g)
+            table, _ = complexes._grid_grading_part(g)
+            want = [
+                [
+                    sum(1 for _, mc, mr in marks if (mc >= c and mr >= r) or (mc < c and mr < r))
+                    for r in range(n)
+                ]
+                for c in range(n)
+            ]
+            assert table == want, name
+
+
 class TestCurvature:
+    def test_lines_pair_their_markings(self, corpus):
+        for name, g in list(corpus.items()) + _seeded_grids(range(2, 9), 20):
+            marks, odd = _positions(g), Counter()
+            for line in range(g.n):
+                for axis in (1, 2):  # the markings in column `line`, then in row `line`
+                    pair = [(m[0], 1) for m in marks if m[axis] == line]
+                    assert len(pair) == 2, (name, line)
+                    odd[ExponentVector.make(pair)] += 1
+            assert expected_curvature(g) == {ev for ev, k in odd.items() if k % 2}, name
+
     def test_expected_shape(self, corpus):
         for name, g in corpus.items():
             evs = expected_curvature(g)
