@@ -13,8 +13,11 @@ order they were given.  Bitset columns, presentations and chain-map
 columns all index that order.  Homology of a single-variable complex is a
 column reduction over int bitsets (`_reduce`): homogeneity implies every
 coefficient from the gradings, so the reduction is F2 work on the
-boundary's pattern.  A built grid complex carries its columns from the
-build, and its label-keyed `boundary` is made from them when first read.
+boundary's pattern.  It certifies d^2 = 0 after reducing, with one
+product per nonzero reduced column; `boundary_squares_to_zero` is the
+direct check, one product per column.  A built grid complex carries its
+columns from the build, and its label-keyed `boundary` is made from them
+when first read.
 
 A chain map is likewise its homogeneous parts (`ChainMap.parts`): for
 each degree it has, one bitset column per source generator, with
@@ -235,7 +238,9 @@ class MonomialComplex:
     complex is given, in its place, `columns`: one int per basis element,
     whose bit i is set when the i-th basis element is a target (`_columns`).
     With a `tensor_stack`, `basis`, `boundary` and `columns` are the base's,
-    and x (x) w sits at g(x) minus the shift of the word w.
+    and x (x) w sits at g(x) minus the shift of the word w.  A restacked
+    copy holds the complex it was made from in `base`, so the built base
+    stays alive (and reusable) as long as any stack of it is.
     Instances are treated as immutable after construction.
     """
 
@@ -246,6 +251,7 @@ class MonomialComplex:
     grid: object = None          # originating GridDiagram, when applicable
     tensor_stack: tuple = ()     # stabilization moves, newest last
     columns: list[int] | None = None
+    base: MonomialComplex | None = field(default=None, repr=False)
 
     @property
     def boundary(self) -> dict:
@@ -433,10 +439,12 @@ def is_homogeneous(c: MonomialComplex) -> bool:
 
 
 def boundary_squares_to_zero(c: MonomialComplex) -> bool:
-    """Fast exact check of d^2 = 0 for a homogeneous single-variable complex.
+    """Direct exact check of d^2 = 0 for a homogeneous single-variable
+    complex, one product per column.
 
     Homogeneity pins the exponent of every two-step path between fixed
-    endpoints, so d^2 = 0 reduces to path-count parity.
+    endpoints, so d^2 = 0 reduces to path-count parity.  `_reduce` makes
+    the same check on its nonzero reduced columns alone.
     """
     try:
         _check_squares_to_zero(c.basis, _columns(c))
@@ -456,30 +464,35 @@ def _reduce(c: MonomialComplex):
     applied to the change of basis V.  Since g(i) >= g(j), the addition is
     x_j += U^((g(i) - g(j))/2) x_i, homogeneous with every exponent implied
     by the gradings, so the whole reduction is F2 work on bit patterns
-    (Zomorodian-Carlsson, Computing persistent homology, 2005).
+    (Zomorodian-Carlsson, Computing persistent homology, 2005).  A column
+    is skipped once its index is known to be a low (clearing: Chen-Kerber,
+    Persistent homology computation with a twist, 2011).
 
-    Exactness over F2[U]: write R = D V with V unitriangular.  For a pair
-    t = low(R_j), R_j = U^k y_t with k = (g(t) - g(j) + 2)/2, where y_t has
-    coefficient 1 at t and entries only at earlier indices.  The elements
-    V e_j for j not a low and y_t for t a low form a basis, unitriangular
-    against the standard one and so homogeneous.  In it d(V e_j) = U^k y_t,
-    and d(y_t) = 0 because U^k d(y_t) = d^2(V e_j) = 0 and U is not a zero
-    divisor.  So a pair with k = 0 cancels, a pair with k >= 1 is a summand
-    F2[U]/(U^k) at g(t), and every other non-low index is a free tower.  A
-    low t's own column reduces to zero: V e_t - y_t lies in the span of the
-    earlier basis elements and d(y_t) = 0, so d(V e_t) is a combination of
-    earlier reduced columns, and reduced columns with distinct lows are
-    independent.  So a column is skipped once its index is known to be a
-    low (clearing: Chen-Kerber, Persistent homology computation with a
-    twist, 2011).  The argument uses only homogeneity and d^2 = 0, and both
-    are checked first.
+    Exactness over F2[U]: every reduced column satisfies R_j = D V_j with
+    V_j = e_j plus earlier columns, also when j becomes a low only after
+    it was reduced.  Take B = {V_j : j not a low} and {R_j : R_j != 0}.
+    Each element has its own leading index (j for V_j, low(R_j) for R_j),
+    and every index is a non-low or the low of exactly one column, so B is
+    a basis, unitriangular against the standard one and so homogeneous.
+    D sends each V_j in B to R_j or to 0, so d^2 = 0 exactly when
+    D R_j = 0 for every nonzero R_j; that is checked after the reduction,
+    on the reduced columns alone, and a failure is named by the direct
+    check (`_check_squares_to_zero`).  With d^2 = 0, write y_t = R_j / U^k
+    for the pair t = low(R_j), k = (g(t) - g(j) + 2)/2: y_t has coefficient
+    1 at t and entries only at earlier indices, d(V_j) = U^k y_t and
+    d(y_t) = 0.  So a pair with k = 0 cancels, a pair with k >= 1 is a
+    summand F2[U]/(U^k) at g(t), and every other non-low index is a free
+    tower.  Clearing loses nothing: a low t's own column would reduce to
+    zero, as d(V_t) lies in the span of the earlier reduced columns, which
+    have distinct lows.  The argument uses only homogeneity, checked in
+    `_columns` or the build, and d^2 = 0.
 
     Returns the free indices j, the torsion summands as (k, t) sorted by k,
     and that basis as bitset columns: V e_j at a non-low j, the pattern of
     y_t at a low t.  The columns of c are copied, not changed.
     """
-    gradings, R = c.basis.gradings(), list(_columns(c))
-    _check_squares_to_zero(c.basis, R)
+    D, gradings = _columns(c), c.basis.gradings()
+    R = list(D)
     V = [0] * len(R)
     column_of_low: dict[int, int] = {}
     for j in range(len(R)):
@@ -496,6 +509,9 @@ def _reduce(c: MonomialComplex):
             r ^= R[i]
             v ^= V[i]
         R[j], V[j] = r, v
+    if any(_apply_bits(D, r) for r in R if r):
+        _check_squares_to_zero(c.basis, D)
+        raise BrokenInvariant("a reduced column is not a cycle, yet d^2 = 0 column by column")
     free = [j for j, r in enumerate(R) if not r and j not in column_of_low]
     torsion = []
     for t, j in column_of_low.items():

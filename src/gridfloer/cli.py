@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failed, 2 parse error, 3 state cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -47,9 +48,11 @@ from .errors import (
 )
 from .grids import (
     GridDiagram,
+    LinkTopology,
     SwitchSite,
     classify_band,
     find_switch_sites,
+    link_topology,
     parse_grid,
     random_grid,
     same_letter_neighbors,
@@ -158,8 +161,8 @@ def cmd_movie(grid_file: str, movie_file: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _site_record(g: GridDiagram, site: SwitchSite) -> dict:
-    band = classify_band(g, site)
+def _site_record(g: GridDiagram, site: SwitchSite, before: LinkTopology) -> dict:
+    band = classify_band(g, site, before)
     return {
         "col": site.col + 1,
         "row": site.row + 1,
@@ -172,7 +175,9 @@ def _site_record(g: GridDiagram, site: SwitchSite) -> dict:
 
 def cmd_sites(grid_file: str, config: RunConfig) -> int:
     g = _read_grid(grid_file)
-    records = [_site_record(g, s) for s in find_switch_sites(g)]
+    sites = find_switch_sites(g)
+    before = link_topology(g) if sites else None  # traced once for every site
+    records = [_site_record(g, s, before) for s in sites]
     if config.output == "json":
         json.dump({"n": g.n, "sites": records}, sys.stdout, indent=2)
         print()
@@ -326,6 +331,7 @@ def cmd_verify(suite: str, config: RunConfig) -> int:
 # argument parsing
 
 
+@functools.cache  # built once per process; parsing keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridfloer",

@@ -166,11 +166,13 @@ def derived_stab_offsets() -> tuple[int, int]:
 
 def _restacked(c: MonomialComplex, stack: tuple) -> MonomialComplex:
     """c's base under `stack`: c itself when that is its stack, else a copy
-    that shares c's basis and columns."""
+    that shares c's basis and columns and holds the base it came from."""
     if stack == c.tensor_stack:
         return c
     grown = len(stack) - len(c.tensor_stack)
-    return replace(c, marking_count=c.marking_count + 2 * grown, tensor_stack=stack)
+    return replace(
+        c, marking_count=c.marking_count + 2 * grown, tensor_stack=stack, base=c.base or c
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -192,16 +192,19 @@ def find_switch_sites(g: GridDiagram) -> list[SwitchSite]:
     return sorted(out, key=lambda s: (s.letter, s.col, s.row))
 
 
-def classify_band(g: GridDiagram, s: SwitchSite) -> BandClass:
+def classify_band(g: GridDiagram, s: SwitchSite, before: LinkTopology | None = None) -> BandClass:
     """Classify the band realized by switching at `s`.
 
     oriented: the component count changes (compared before/after).
     Type I/II: Type I when the two switched markings lie on one component of
     the pre-switch link (the band's feet close up into a single circuit),
     Type II when they lie on two different components.
+    `before` is `link_topology(g)`, for a caller that classifies many sites
+    of one grid and traces it once.
     """
     g2 = apply_switch(g, s)  # raises InvalidSite for bad sites
-    before = link_topology(g)
+    if before is None:
+        before = link_topology(g)
     l_after = link_topology(g2).component_count
     m1, m2 = site_markings(g, s)
     comp = before.component_of

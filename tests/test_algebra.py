@@ -1,9 +1,10 @@
 """Coefficient ring, graded complexes, homology, chain maps, Smith forms."""
+import functools
 import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -37,6 +38,7 @@ from gridfloer import (
     chain_maps_equal,
     compose_chain_maps,
     corpus_grid,
+    corpus_grids,
     derived_stab_offsets,
     disk_destab_map,
     disk_stab_map,
@@ -56,9 +58,11 @@ from gridfloer import (
     scale_chain_map,
     u_power,
 )
+from gridfloer import algebra
 from gridfloer.algebra import (
     MULTI,
     SINGLE,
+    _check_squares_to_zero,
     _columns,
     _inverse_rows,
     _reduce,
@@ -364,6 +368,143 @@ class TestComplexChecks:
     def test_homogeneous_on_corpus(self, gc_primes):
         for name, c in gc_primes.items():
             assert is_homogeneous(c), name
+
+
+def _stored(gradings, cols) -> MonomialComplex:
+    """A single-variable complex given by its columns, which index the
+    basis x0, x1, ... sorted by grading (stably)."""
+    basis = GradedBasis(tuple((f"x{i}", g) for i, g in enumerate(gradings)))
+    return MonomialComplex(basis, None, 0, SINGLE, columns=list(cols))
+
+
+def _conjugated(cols: list[int], a: int, b: int) -> list[int]:
+    """E D E for E = I + e_a e_b^T (its own inverse over F2): column b
+    gains column a, then every column with bit b flips bit a."""
+    cols = list(cols)
+    cols[b] ^= cols[a]
+    return [col ^ ((col >> b & 1) << a) for col in cols]
+
+
+@st.composite
+def _square_matrices(draw):
+    """Random square F2 matrices with random gradings: dense ones, and
+    conjugates of a matching (so d^2 = 0) with at most one bit flipped."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    gradings = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        cols = draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+        return gradings, cols
+    order = draw(st.permutations(range(n)))
+    cols = [0] * n
+    for s, t in zip(order[: n // 2], order[n // 2 :: 2]):  # s -> t, so d^2 = 0
+        cols[s] = 1 << t
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pairs, max_size=2 * n)):
+        if a != b:
+            cols = _conjugated(cols, a, b)
+    if draw(st.booleans()):
+        j, i = draw(pairs)
+        cols[j] ^= 1 << i
+    return gradings, cols
+
+
+@functools.cache
+def _small_corpus_complexes():
+    return {name: _build_gc_prime(g) for name, g in corpus_grids().items() if g.n <= 5}
+
+
+def _plain_reduction(cols: list[int]) -> list[int]:
+    """The reduced columns without clearing: every column is reduced."""
+    R, column_of_low = list(cols), {}
+    for j, r in enumerate(R):
+        while r and r.bit_length() - 1 in column_of_low:
+            r ^= R[column_of_low[r.bit_length() - 1]]
+        if r:
+            column_of_low[r.bit_length() - 1] = j
+        R[j] = r
+    return R
+
+
+class TestReductionCertificate:
+    """`_reduce` certifies d^2 = 0 on its nonzero reduced columns, and a
+    failure raises the direct check's NotAComplex."""
+
+    def _assert_agrees_with_direct_check(self, c):
+        cols = list(c.columns)
+        if boundary_squares_to_zero(c):
+            _reduce(c)
+        else:
+            with pytest.raises(NotAComplex) as direct:
+                _check_squares_to_zero(c.basis, cols)
+            with pytest.raises(NotAComplex) as certified:
+                _reduce(c)
+            assert str(certified.value) == str(direct.value)
+        assert c.columns == cols
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_square_matrices())
+    def test_certificate_on_random_matrices(self, matrix):
+        self._assert_agrees_with_direct_check(_stored(*matrix))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.data())
+    def test_certificate_on_corpus_with_a_flipped_bit(self, data):
+        complexes = _small_corpus_complexes()
+        c = complexes[data.draw(st.sampled_from(sorted(complexes)))]
+        n = len(c.basis)
+        j, i = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        cols = list(c.columns)
+        cols[j] ^= 1 << i
+        self._assert_agrees_with_direct_check(
+            MonomialComplex(c.basis, None, c.marking_count, SINGLE, c.grid, (), cols)
+        )
+
+    def test_certificate_sees_an_odd_column_that_clearing_skips(self):
+        # x0 -> x1 and x1 -> x0: column 1 is cleared, as x1 is the low of
+        # column 0, yet it starts the odd path x1 -> x0 -> x1.  The first
+        # odd column j is never cleared: were j the low of an earlier
+        # R_i = D V_i, V_i would meet only columns before j, so D R_i =
+        # D^2 V_i = 0 and D^2 e_j = D^2 (R_i + earlier bits) = 0.  So some
+        # odd column is always reduced, and the message names x0 -> x0.
+        c = _stored([0, 0], [0b10, 0b01])
+        assert not boundary_squares_to_zero(c)
+        with pytest.raises(NotAComplex, match=r"odd path count x0 -> x0$"):
+            _reduce(c)
+
+    def test_certificate_checks_columns_reduced_before_they_became_lows(self):
+        # columns 0 and 2 are reduced to nonzero R_0 = x0 + x1 and R_2 = x0
+        # before columns 2 and 3 make 0 and 2 lows; D R_0 and D R_2 are the
+        # only nonzero products, and D R_3 = D(x1 + x2) = 0
+        c = _stored([0] * 4, [0b0011, 0b0010, 0b0010, 0b0110])
+        with pytest.raises(NotAComplex, match=r"odd path count x0 -> x0$"):
+            _reduce(c)
+
+    def test_certificate_applies_the_boundary_to_reduced_columns_only(self, monkeypatch):
+        # on a complex the certificate is one product per nonzero reduced
+        # column, and the direct check is not run; clearing changes no
+        # nonzero reduced column of a complex, so the plain reduction
+        # gives them
+        c = _small_corpus_complexes()["trefoil5"]
+        reduced = [r for r in _plain_reduction(c.columns) if r]
+        assert len(reduced) < len(c.basis) and reduced != [d for d in c.columns if d]
+        applied, apply_bits = [], algebra._apply_bits
+
+        def recorded(cols, col):
+            applied.append(col)
+            return apply_bits(cols, col)
+
+        def refused(basis, cols):
+            raise AssertionError("the direct check ran on a complex")
+
+        monkeypatch.setattr(algebra, "_apply_bits", recorded)
+        monkeypatch.setattr(algebra, "_check_squares_to_zero", refused)
+        _reduce(c)
+        assert applied == reduced
+
+    def test_certificate_broken_invariant_when_the_direct_check_passes(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_check_squares_to_zero", lambda basis, cols: None)
+        with pytest.raises(BrokenInvariant, match="not a cycle"):
+            _reduce(_stored([0, 0], [0b10, 0b01]))
 
 
 class TestHomology:

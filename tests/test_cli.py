@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, flags, exit codes, verify suites."""
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -129,8 +131,8 @@ class TestSitesCommand:
         assert json.loads(capsys.readouterr().out)["sites"] == []
 
     def test_each_switched_grid_is_traced_once(self, grid_file, monkeypatch, capsys):
-        # classify_band traces the grid and its switch; the record reuses
-        # that count, so 4 sites make 8 traces
+        # the start grid is traced once for all sites, and classify_band
+        # traces each switched grid once, so 4 sites make 5 traces
         calls = []
         real = gridfloer.grids.link_topology
 
@@ -143,7 +145,7 @@ class TestSitesCommand:
                 monkeypatch.setattr(module, "link_topology", counting)
         assert main(["sites", grid_file("unknot4_sites")]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert len(calls) == 8
+        assert len(calls) == len(set(calls)) == 5
 
 
 class TestMovieCommand:
@@ -382,7 +384,35 @@ def _entry_point_command():
     return [sys.executable, "-m", "gridfloer"], env
 
 
+def _in_process(argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), with argparse's exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestEntryPoint:
+    def test_one_parser_serves_every_call(self, grid_file, monkeypatch):
+        # a usage error, a homology and --help in one process answer as
+        # each does alone in a fresh process
+        monkeypatch.setenv("COLUMNS", "80")
+        cmd, env = _entry_point_command()
+        calls = [["--cap", "x", "homology", grid_file("unknot3")],
+                 ["--json", "homology", grid_file("unknot3")],
+                 ["--help"]]
+        together = [_in_process(argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        alone = []
+        for argv in calls:
+            proc = subprocess.run(cmd + argv, capture_output=True, text=True, env=env)
+            alone.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in together] == [EXIT_PARSE, EXIT_OK, EXIT_OK]
+        assert together == alone
+
     def test_console_script(self, grid_file, tmp_path):
         assert _declared_scripts().get("gridfloer") == "gridfloer.cli:main"
         cmd, env = _entry_point_command()

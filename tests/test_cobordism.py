@@ -715,6 +715,34 @@ class TestPresentationReuse:
         assert res.total.tgt.grid != g
         assert len(built) == len(set(built)) == 2
 
+    def test_a_stack_keeps_its_switched_base_alive(self, monkeypatch):
+        # a stacked band map's target is a restacked copy of the switched
+        # grid's complex; the copy holds that complex, so switching back
+        # and forth on a stack builds each grid once, as without the stack
+        from gridfloer import complexes
+
+        derived_stab_offsets()  # builds its own small grids once
+        monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+        built = []
+        real = complexes._build_gc_prime
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(complexes, "_build_gc_prime", counting)
+        g = corpus_grid("trefoil5")
+        switches = "".join(
+            f"switch col=1 row=1 letter=O flavor=nu dir={d}\n" for d in ("fwd", "inv", "fwd")
+        )
+        for stack in ("quasistab anchor=O1\n", ""):
+            built.clear()
+            res = compose_movie(parse_movie(stack + switches, g))
+            assert res.total.tgt.grid != g
+            assert len(built) == len(set(built)) == 2, stack
+            del res
+            assert not complexes._GC_PRIME_ALIVE  # nothing outlives the movie
+
     def test_maps_equal_on_homology_presents_once(self, gc_primes, monkeypatch):
         from gridfloer import algebra
 
