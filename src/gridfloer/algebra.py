@@ -39,14 +39,16 @@ of x -> y, since the word shifts move both gradings and the degree alike.
 So all the work is on base-size columns, and the homology of a stack is
 the base homology once per word.
 
-The square of a multivariable boundary (`boundary_squared`) is a parity
-count per source over packed (target, monomial) int keys: one key per
-two-step path, and the keys counted an odd number of times are its terms.
+The square of a multivariable boundary (`boundary_squared`) is a grouped
+parity count: the two-step paths are grouped by their ends, a path's
+monomial is the sum of its two classes' additive codes, identical groups
+are counted once, and the codes counted an odd number of times in a group
+are its terms.  A complex from `build_complex` takes its groups from the
+rectangle pattern of its size, made once per size.
 """
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -236,7 +238,9 @@ class MonomialComplex:
     ring == "single": entries are PolyF2U (monomials, by homogeneity).
     `boundary` is column-sparse: boundary[src][tgt] = entry.  A built grid
     complex is given, in its place, `columns`: one int per basis element,
-    whose bit i is set when the i-th basis element is a target (`_columns`).
+    whose bit i is set when the i-th basis element is a target (`_columns`);
+    a built multivariable one is given `masks`: the markings each class of
+    rectangle covers on its grid (`complexes._class_masks`).
     With a `tensor_stack`, `basis`, `boundary` and `columns` are the base's,
     and x (x) w sits at g(x) minus the shift of the word w.  A restacked
     copy holds the complex it was made from in `base`, so the built base
@@ -252,13 +256,28 @@ class MonomialComplex:
     tensor_stack: tuple = ()     # stabilization moves, newest last
     columns: list[int] | None = None
     base: MonomialComplex | None = field(default=None, repr=False)
+    masks: list[int] | None = field(default=None, repr=False)
 
     @property
     def boundary(self) -> dict:
-        """Made from `columns` when first read, then kept: bit i of column j
-        is the entry U^((2 - g_j + g_i) / 2)."""
-        if self._boundary is None:
+        """Made when first read, then kept: from `columns`, where bit i of
+        column j is the entry U^((2 - g_j + g_i) / 2), or from `masks`,
+        where a rectangle of the pattern of the grid's size is the monomial
+        of its class's mask and a twin the F2 sum of two."""
+        if self._boundary is None and self.masks is None:
             self._boundary = _label_rows(self.basis, self.basis, -2, self.columns)
+        elif self._boundary is None:
+            from .complexes import _monomial, _pattern_rows
+
+            labels, rows = sorted(self.basis.labels()), {}  # the enumeration order
+            single = {m: frozenset((_monomial(m),)) for m in set(self.masks)}  # one frozenset per mask
+            for x, (targets, classes) in zip(labels, _pattern_rows(self.grid.n)):
+                row: dict = {}
+                for y, k in zip(map(labels.__getitem__, targets), classes):
+                    row[y] = row.get(y, frozenset()) ^ single[self.masks[k]]
+                if row := {y: entry for y, entry in row.items() if entry}:
+                    rows[x] = row
+            self._boundary = rows
         return self._boundary
 
     def entry(self, src, tgt):
@@ -323,52 +342,66 @@ class GradedModuleSummary:
 def boundary_squared(c: MonomialComplex) -> dict:
     """The composition of the boundary with itself, column-sparse.
 
-    On a multivariable complex this is a parity count per source over
-    packed (target, monomial) keys.  Each distinct exponent vector is packed
-    once into an int code: every variable that occurs gets a field wide
-    enough for twice the largest exponent, so the product of two monomials
-    is the sum of their codes, with no carry between fields.  With S the
-    width of all fields, a monomial of the entry src -> tgt becomes the key
-    (t << S) + code, t the basis position of tgt.  A two-step path
-    src -> mid -> tgt is then k2 + (k1 & M), where k1 is a key of src's row,
-    k2 a key of mid's row and M = 2^S - 1, and a key counted an odd number
-    of times is a term of d^2.  A single-variable complex is checked by
+    On a multivariable complex this is one parity count over the two-step
+    paths, grouped by their ends (`complexes._group_paths`).  Each term of
+    the boundary has a class, and each class an additive code: a field per
+    variable, wide enough for twice the largest exponent, so the monomial
+    of a path x -> y -> z, the product of its two terms, is the sum of
+    their codes with no carry between fields.  In the group of (x, z), a
+    code counted an odd number of times is a term of d^2 at (x, z).  A
+    group's values are fixed by its pairs of classes, so identical groups
+    are counted once.
+
+    A complex from `build_complex` carries the masks of its classes of
+    rectangles, and its groups come from the rectangle pattern of its size
+    (`complexes._path_groups`, made once per size).  A mask read in base 4
+    is its code: two bits per marking.  A rectangle covers a marking at
+    most once, so a path's exponents are at most 2, and 2-bit fields
+    cannot carry.  A twin is two terms; when its two masks are equal, its
+    paths pair up with equal values and cancel in the count, as the
+    boundary drops the entry.  Any other complex is grouped per call, each
+    distinct exponent vector its own class, with the widest field its
+    exponents need.  A single-variable complex is checked by
     `boundary_squares_to_zero` instead.
     """
     if c.ring != MULTI:
         raise NotHomogeneous("complex is single-variable; boundary_squared needs multivariable")
-    labels = c.basis.labels()
-    position = {lab: i for i, lab in enumerate(labels)}
-    entries = {entry for row in c.boundary.values() for entry in row.values()}
-    evs = {ev for entry in entries for ev in entry}
-    variables = sorted({i for ev in evs for i, _ in ev.exps})
-    width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
-    shift = {v: k * width for k, v in enumerate(variables)}
-    code = {ev: sum(e << shift[i] for i, e in ev.exps) for ev in evs}
-    entry_codes = {entry: [code[ev] for ev in entry] for entry in entries}
-    S = width * len(variables)
-    M = (1 << S) - 1
-    rows: list = [()] * len(labels)
-    for src, row in c.boundary.items():
-        rows[position[src]] = [
-            (position[tgt] << S) + p for tgt, entry in row.items() for p in entry_codes[entry]
-        ]
-    ones = (1 << width) - 1
-    decoded: dict[int, ExponentVector] = {}
+    from .complexes import _group_paths, _odd_values, _path_groups, _rectangle_pattern
+
+    if c.masks is not None:
+        classes = len(_rectangle_pattern(c.grid.n)[0][0])
+        if len(c.masks) != classes or max(c.masks) >> c.marking_count:
+            raise BrokenInvariant(
+                f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
+            )
+        labels, groups = sorted(c.basis.labels()), _path_groups(c.grid.n)  # the enumeration order
+        codes, width, variables = [int(f"{m:b}", 4) for m in c.masks], 2, range(c.marking_count)
+    else:
+        labels = c.basis.labels()
+        position = {lab: i for i, lab in enumerate(labels)}
+        evs = list(dict.fromkeys(ev for row in c.boundary.values() for entry in row.values() for ev in entry))
+        variables = sorted({i for ev in evs for i, _ in ev.exps})
+        width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
+        shift, cls = {v: k * width for k, v in enumerate(variables)}, {ev: k for k, ev in enumerate(evs)}
+        codes = [sum(e << shift[i] for i, e in ev.exps) for ev in evs]
+        rows = []
+        for x in labels:
+            terms = [(position[y], cls[ev]) for y, entry in c.boundary.get(x, {}).items() for ev in entry]
+            rows.append(([y for y, _ in terms], [k for _, k in terms]))
+        groups = _group_paths(rows, len(evs))
+    ones, count, (ends, reach) = (1 << width) - 1, len(labels), groups[4:]
+    decoded: dict[frozenset, frozenset] = {}  # one set of exponent vectors per set of codes
     out: dict = {}
-    for src in c.boundary:
-        counts = Counter([k2 + (k1 & M) for k1 in rows[position[src]] for k2 in rows[k1 >> S]])
-        acc: dict = {}
-        for key, count in counts.items():
-            if count & 1:
-                p = key & M
-                ev = decoded.get(p)
-                if ev is None:
-                    exps = ((v, p >> shift[v] & ones) for v in variables)
-                    ev = decoded[p] = ExponentVector(tuple((v, e) for v, e in exps if e))
-                acc.setdefault(labels[key >> S], []).append(ev)
-        if acc:
-            out[src] = {tgt: frozenset(evs) for tgt, evs in acc.items()}
+    for s, values in _odd_values(groups, codes, width * len(variables)):
+        entry = decoded.get(values)
+        if entry is None:
+            entry = decoded[values] = frozenset(
+                ExponentVector(tuple((v, e) for k, v in enumerate(variables) if (e := p >> k * width & ones)))
+                for p in values
+            )
+        for e in ends[reach[s] : reach[s + 1]]:
+            x, z = divmod(e, count)
+            out.setdefault(labels[x], {})[labels[z]] = entry
     return out
 
 

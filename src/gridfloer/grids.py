@@ -175,20 +175,23 @@ def apply_switch(g: GridDiagram, s: SwitchSite) -> GridDiagram:
 def find_switch_sites(g: GridDiagram) -> list[SwitchSite]:
     """All sites whose switch yields a valid grid, ordered (letter, col, row).
 
-    The marking of a site's letter in row `row` sits at column col (main
-    diagonal) or col + 1 (anti-diagonal), so each row of each letter offers
-    two candidate blocks for `_site_kind`."""
-    out = []
-    for letter, cols in (("O", g.o_col), ("X", g.x_col)):
+    The marking of a site's letter in row `row` sits at column col, with
+    the next row's at col + 1 (main diagonal), or at col + 1, with the next
+    row's at col (anti-diagonal), so each row of each letter offers two
+    candidate blocks, as `_site_kind` reads them.  They are tested on the
+    column indices, and the switch on the two rows it swaps, where alone a
+    collision can appear; an object is made only for a site."""
+    n, out = g.n, []
+    for letter, cols, other in (("O", g.o_col, g.x_col), ("X", g.x_col, g.o_col)):
         for row, col in enumerate(cols):
-            for s in (SwitchSite(col, row, letter), SwitchSite((col - 1) % g.n, row, letter)):
-                if _site_kind(g, s) is None:
-                    continue
-                try:
-                    validate(*_switched_sequences(g, s))
-                except MarkingCollision:  # a swap keeps both permutations
-                    continue
-                out.append(s)
+            up = (row + 1) % n
+            if other[row] == cols[up] or other[up] == col:  # the swapped rows collide
+                continue
+            step = (cols[up] - col) % n  # the next row's marking is a column right, or left
+            if step == 1:
+                out.append(SwitchSite(col, row, letter))
+            if step == n - 1:
+                out.append(SwitchSite((col - 1) % n, row, letter))
     return sorted(out, key=lambda s: (s.letter, s.col, s.row))
 
 

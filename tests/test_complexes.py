@@ -1,9 +1,11 @@
 """State enumeration, gradings, rectangles, and the two boundary builders."""
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from array import array
 from collections import Counter
@@ -41,7 +43,7 @@ from gridfloer import (
 from gridfloer import complexes
 from gridfloer.algebra import MULTI, MonomialComplex, _columns
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
-from gridfloer.errors import NotHomogeneous
+from gridfloer.errors import BrokenInvariant, NotHomogeneous
 from oracles import candidate_rectangles, marking_position, rectangles, specialize
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
@@ -585,6 +587,160 @@ class TestCurvature:
     @given(st.randoms(use_true_random=False))
     def test_random_grid_curvature(self, rng):
         assert verify_curvature(random_grid(rng.choice((2, 3, 4)), rng))
+
+
+def _brute_force_groups(n):
+    """{(x, z): the unordered class pairs that the paths x -> y -> z hold
+    an odd number of times}, over every term of the rectangle pattern of
+    size n, a twin's two rectangles as two terms; empty sets left out."""
+    _, offsets, targets, classes, twins = complexes._rectangle_pattern(n)
+    terms = [list(zip(targets[lo:hi], classes[lo:hi])) for lo, hi in zip(offsets, offsets[1:])]
+    for x, y, k, other in zip(*[iter(twins)] * 4):
+        terms[x] += [(y, k), (y, other)]
+    multisets = {}
+    for x, row in enumerate(terms):
+        for y, k1 in row:
+            for z, k2 in terms[y]:
+                multisets.setdefault((x, z), Counter())[k1, k2] += 1
+    out = {}
+    for ends, pairs in multisets.items():
+        unordered = Counter()
+        for (k1, k2), count in pairs.items():
+            unordered[min(k1, k2), max(k1, k2)] += count
+        odd = frozenset(pair for pair, count in unordered.items() if count % 2)
+        if odd:
+            out[ends] = odd
+    return out
+
+
+def _grouped(n):
+    """{(x, z): the pairs of its shape} read back from `_path_groups(n)`,
+    with the number of pairs of each shape."""
+    first, second, bounds, two, ends, reach = complexes._path_groups(n)
+    count, out, sizes = len(complexes._rectangle_pattern(n)[1]) - 1, {}, []
+    for s in range(len(bounds) - 1):
+        pairs = list(zip(first[bounds[s] : bounds[s + 1]], second[bounds[s] : bounds[s + 1]]))
+        sizes.append(len(pairs))
+        assert all(k1 <= k2 for k1, k2 in pairs) and len(set(pairs)) == len(pairs), s
+        for e in ends[reach[s] : reach[s + 1]]:
+            assert divmod(e, count) not in out, (s, e)
+            out[divmod(e, count)] = frozenset(pairs)
+    assert all(k == 2 for k in sizes[:two]) and 2 not in sizes[two:]
+    return out, sizes
+
+
+class TestGroupedCurvature:
+    """The squared multivariable boundary as one parity count over the
+    pattern's two-step paths grouped by their ends, against a brute-force
+    list of the paths and the monomial-by-monomial oracle."""
+
+    def test_curvature_grouping_matches_the_brute_force_paths(self):
+        for n in range(2, 6):
+            got, sizes = _grouped(n)
+            assert got == _brute_force_groups(n), n
+            shapes = {}
+            for ends, pairs in got.items():
+                shapes.setdefault(pairs, []).append(ends)
+            assert len(shapes) == len(sizes), n  # identical sets are one shape
+
+    def test_curvature_of_flipped_masks_keeps_off_diagonal_terms(self):
+        # marking 1 added to class 1 of trefoil5: of the 68 pairs (x, z != x)
+        # that survive, 48 are groups of two pairs, and some terms have an
+        # exponent 2, which a 1-bit field would carry
+        g = corpus_grid("trefoil5")
+        c = build_complex(g)
+        masks = list(c.masks)
+        masks[1] ^= 1 << 1
+        broken = MonomialComplex(c.basis, None, c.marking_count, MULTI, grid=g, masks=masks)
+        sq = boundary_squared(broken)
+        assert sq == oracles.boundary_squared_multi(broken)
+        position = {x: i for i, x in enumerate(sorted(c.basis.labels()))}
+        two_pairs = {ends for ends, pairs in _grouped(g.n)[0].items() if len(pairs) == 2}
+        off = [(x, z) for x, row in sq.items() for z in row if z != x]
+        assert len(off) == 68
+        assert sum((position[x], position[z]) in two_pairs for x, z in off) == 48
+        assert any(e == 2 for x, z in off for ev in sq[x][z] for _, e in ev.exps)
+
+    def test_curvature_without_one_rectangle_matches_the_oracle(self, monkeypatch):
+        g = corpus_grid("trefoil5")
+        corners, offsets, targets, classes, twins = complexes._rectangle_pattern(g.n)
+        i = offsets[7] + 1  # the second rectangle of state 7
+        edited = (
+            corners,
+            array(offsets.typecode, (o - (o > i) for o in offsets)),
+            targets[:i] + targets[i + 1 :],
+            classes[:i] + classes[i + 1 :],
+            twins,
+        )
+        complexes._path_groups.cache_clear()
+        try:
+            monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: edited)
+            c = build_complex(g)
+            sq = boundary_squared(c)
+            assert sq == oracles.boundary_squared_multi(c)
+            assert any(z != x for x, row in sq.items() for z in row)
+            assert not verify_curvature(g)
+        finally:
+            complexes._path_groups.cache_clear()
+
+    def test_curvature_leaves_the_boundary_unmade(self):
+        g = random_grid(5, random.Random(5))
+        c = build_complex(g)
+        assert c._boundary is None
+        assert verify_curvature(g) and boundary_squared(c)
+        assert c._boundary is None  # the count reads the masks
+        boundary = c.boundary
+        assert boundary == oracles.rectangle_boundary(g) and c.boundary is boundary
+
+    def test_curvature_masks_must_fit_the_pattern(self):
+        g = corpus_grid("trefoil5")
+        c = build_complex(g)
+        for masks in (c.masks[:-1], c.masks + [0], [m | 1 << 10 for m in c.masks]):
+            broken = MonomialComplex(c.basis, None, c.marking_count, MULTI, grid=g, masks=masks)
+            with pytest.raises(BrokenInvariant, match="masks for 500 classes"):
+                boundary_squared(broken)
+
+    def test_curvature_cap_checked_before_any_grouping(self):
+        g = corpus_grid("trefoil5")
+        before = complexes._rectangle_pattern.cache_info(), complexes._path_groups.cache_info()
+        for check in (build_complex, verify_curvature):
+            with pytest.raises(CapExceeded):
+                check(g, cap=4)
+        assert (complexes._rectangle_pattern.cache_info(), complexes._path_groups.cache_info()) == before
+
+    def test_curvature_grouping_once_per_size_and_not_at_import(self):
+        script = (
+            "import random\n"
+            "from gridfloer import complexes, random_grid, verify_curvature\n"
+            "print(complexes._path_groups.cache_info().currsize)\n"
+            "rng = random.Random(4)\n"
+            "for n in (4, 4, 3, 4):\n"
+            "    assert verify_curvature(random_grid(n, rng))\n"
+            "info = complexes._path_groups.cache_info()\n"
+            "print(info.misses, info.hits)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(gridfloer.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        ).stdout
+        assert out.split() == ["0", "2", "2"]
+
+    def test_curvature_grouping_memory_budget(self):
+        # measured on CPython 3.11 for n = 6: a peak of 1.43 MB while the
+        # grouping is made and 0.29 MB kept; the bounds add 40% headroom
+        complexes._rectangle_pattern(6)
+        complexes._path_groups.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            complexes._path_groups(6)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6 and kept < 0.41e6, (peak, kept)
 
 
 class TestFrozenComplexes:
