@@ -261,23 +261,14 @@ class MonomialComplex:
     @property
     def boundary(self) -> dict:
         """Made when first read, then kept: from `columns`, where bit i of
-        column j is the entry U^((2 - g_j + g_i) / 2), or from `masks`,
-        where a rectangle of the pattern of the grid's size is the monomial
-        of its class's mask and a twin the F2 sum of two."""
+        column j is the entry U^((2 - g_j + g_i) / 2), or from `masks`
+        (`complexes._mask_boundary`)."""
         if self._boundary is None and self.masks is None:
             self._boundary = _label_rows(self.basis, self.basis, -2, self.columns)
         elif self._boundary is None:
-            from .complexes import _monomial, _pattern_rows
+            from .complexes import _mask_boundary
 
-            labels, rows = sorted(self.basis.labels()), {}  # the enumeration order
-            single = {m: frozenset((_monomial(m),)) for m in set(self.masks)}  # one frozenset per mask
-            for x, (targets, classes) in zip(labels, _pattern_rows(self.grid.n)):
-                row: dict = {}
-                for y, k in zip(map(labels.__getitem__, targets), classes):
-                    row[y] = row.get(y, frozenset()) ^ single[self.masks[k]]
-                if row := {y: entry for y, entry in row.items() if entry}:
-                    rows[x] = row
-            self._boundary = rows
+            self._boundary = _mask_boundary(self)
         return self._boundary
 
     def entry(self, src, tgt):
@@ -343,7 +334,7 @@ def boundary_squared(c: MonomialComplex) -> dict:
     """The composition of the boundary with itself, column-sparse.
 
     On a multivariable complex this is one parity count over the two-step
-    paths, grouped by their ends (`complexes._group_paths`).  Each term of
+    paths, grouped by their ends (`complexes._grouped_square`).  Each term of
     the boundary has a class, and each class an additive code: a field per
     variable, wide enough for twice the largest exponent, so the monomial
     of a path x -> y -> z, the product of its two terms, is the sum of
@@ -366,43 +357,9 @@ def boundary_squared(c: MonomialComplex) -> dict:
     """
     if c.ring != MULTI:
         raise NotHomogeneous("complex is single-variable; boundary_squared needs multivariable")
-    from .complexes import _group_paths, _odd_values, _path_groups, _rectangle_pattern
+    from .complexes import _grouped_square
 
-    if c.masks is not None:
-        classes = len(_rectangle_pattern(c.grid.n)[0][0])
-        if len(c.masks) != classes or max(c.masks) >> c.marking_count:
-            raise BrokenInvariant(
-                f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
-            )
-        labels, groups = sorted(c.basis.labels()), _path_groups(c.grid.n)  # the enumeration order
-        codes, width, variables = [int(f"{m:b}", 4) for m in c.masks], 2, range(c.marking_count)
-    else:
-        labels = c.basis.labels()
-        position = {lab: i for i, lab in enumerate(labels)}
-        evs = list(dict.fromkeys(ev for row in c.boundary.values() for entry in row.values() for ev in entry))
-        variables = sorted({i for ev in evs for i, _ in ev.exps})
-        width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
-        shift, cls = {v: k * width for k, v in enumerate(variables)}, {ev: k for k, ev in enumerate(evs)}
-        codes = [sum(e << shift[i] for i, e in ev.exps) for ev in evs]
-        rows = []
-        for x in labels:
-            terms = [(position[y], cls[ev]) for y, entry in c.boundary.get(x, {}).items() for ev in entry]
-            rows.append(([y for y, _ in terms], [k for _, k in terms]))
-        groups = _group_paths(rows, len(evs))
-    ones, count, (ends, reach) = (1 << width) - 1, len(labels), groups[4:]
-    decoded: dict[frozenset, frozenset] = {}  # one set of exponent vectors per set of codes
-    out: dict = {}
-    for s, values in _odd_values(groups, codes, width * len(variables)):
-        entry = decoded.get(values)
-        if entry is None:
-            entry = decoded[values] = frozenset(
-                ExponentVector(tuple((v, e) for k, v in enumerate(variables) if (e := p >> k * width & ones)))
-                for p in values
-            )
-        for e in ends[reach[s] : reach[s + 1]]:
-            x, z = divmod(e, count)
-            out.setdefault(labels[x], {})[labels[z]] = entry
-    return out
+    return _grouped_square(c)
 
 
 # ---------------------------------------------------------------------------

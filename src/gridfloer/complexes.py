@@ -17,19 +17,19 @@ markings once, in line masks (`_line_masks`, bit i for marking i): a class
 covers the AND of a column band and a row band, the grading table counts
 the markings in two corners cut out by bands, and the curvature sums the
 width-one bands.  `build_complex` keeps the masks, and its label-keyed
-boundary is made only when read: a mask is the exponent vector of its
-variables and a twin the F2 sum of two.  `build_gc_prime` cancels twins
-of equal weight, checks U^(bit count) against the gradings, and sets one
-bit of a column over the graded basis.
+boundary is made only when read (`_mask_boundary`): a mask is the
+exponent vector of its variables and a twin the F2 sum of two.
+`build_gc_prime` cancels twins of equal weight, checks U^(bit count)
+against the gradings, and sets one bit of a column over the graded basis.
 
-The square of the multivariable boundary reads the pattern's two-step
-paths grouped by their ends (`_path_groups`, made once per size, on the
-first square of that size): a group is kept as the unordered class pairs
-its paths hold an odd number of times, and identical groups once, as
-shapes.  At n = 5: 1 320 shapes of 5 200 pairs for 2 320 groups, about
-41 kB; at n = 6: 5 520 shapes of 23 040 pairs for 24 096 groups, about
-0.23 MB; at n = 7: 19 740 shapes of 111 720 pairs for 255 528 groups,
-about 1.6 MB.
+The square of the multivariable boundary (`_grouped_square`, for
+`algebra.boundary_squared`) reads the pattern's two-step paths grouped by
+their ends (`_path_groups`, made once per size, on the first square of
+that size): a group is kept as the unordered class pairs its paths hold
+an odd number of times, and identical groups once, as shapes.  At n = 5:
+1 320 shapes of 5 200 pairs for 2 320 groups, about 41 kB; at n = 6:
+5 520 shapes of 23 040 pairs for 24 096 groups, about 0.23 MB; at n = 7:
+19 740 shapes of 111 720 pairs for 255 528 groups, about 1.6 MB.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .algebra import (
     GradedBasis,
     MonomialComplex,
 )
-from .errors import CapExceeded, NotHomogeneous
+from .errors import BrokenInvariant, CapExceeded, NotHomogeneous
 from .grids import GridDiagram, link_topology
 
 DEFAULT_STATE_CAP = 8
@@ -289,12 +289,77 @@ def _odd_values(groups: tuple, codes: list[int], S: int):
         at += k
 
 
+def _grouped_square(c: MonomialComplex) -> dict:
+    """`algebra.boundary_squared` of a multivariable complex: the codes and
+    groups of its two-step paths, from the masks and the pattern of its
+    size for a complex from `build_complex`, else from its boundary, and
+    the odd values of each group decoded into exponent vectors."""
+    if c.masks is not None:
+        n, classes = c.grid.n, len(_rectangle_pattern(c.grid.n)[0][0])
+        if len(c.masks) != classes or max(c.masks) >> c.marking_count:
+            raise BrokenInvariant(
+                f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
+            )
+        labels, groups = sorted(c.basis.labels()), _path_groups(n)  # the pattern's state order
+        codes, width, variables = [int(f"{m:b}", 4) for m in c.masks], 2, range(c.marking_count)
+    else:
+        labels = c.basis.labels()
+        position = {lab: i for i, lab in enumerate(labels)}
+        evs = list(dict.fromkeys(ev for row in c.boundary.values() for entry in row.values() for ev in entry))
+        variables = sorted({i for ev in evs for i, _ in ev.exps})
+        width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
+        shift, cls = {v: k * width for k, v in enumerate(variables)}, {ev: k for k, ev in enumerate(evs)}
+        codes = [sum(e << shift[i] for i, e in ev.exps) for ev in evs]
+        rows = []
+        for x in labels:
+            terms = [(position[y], cls[ev]) for y, entry in c.boundary.get(x, {}).items() for ev in entry]
+            rows.append(([y for y, _ in terms], [k for _, k in terms]))
+        groups = _group_paths(rows, len(evs))
+    ones, count, (ends, reach) = (1 << width) - 1, len(labels), groups[4:]
+    decoded: dict[frozenset, frozenset] = {}  # one set of exponent vectors per set of codes
+    out: dict = {}
+    for s, values in _odd_values(groups, codes, width * len(variables)):
+        entry = decoded.get(values)
+        if entry is None:
+            entry = decoded[values] = frozenset(
+                ExponentVector(tuple((v, e) for k, v in enumerate(variables) if (e := p >> k * width & ones)))
+                for p in values
+            )
+        for e in ends[reach[s] : reach[s + 1]]:
+            x, z = divmod(e, count)
+            out.setdefault(labels[x], {})[labels[z]] = entry
+    return out
+
+
 def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The multivariable complex: the masks of g's classes of rectangles,
-    from which its label-keyed boundary is made when first read."""
+    from which `boundary_squared` reads its codes; its label-keyed boundary
+    is made from them when first read (`_mask_boundary`)."""
     states = enumerate_states(g.n, cap)
     masks = _class_masks(g, _rectangle_pattern(g.n)[0])
     return MonomialComplex(_graded_basis(g, states)[1], None, 2 * g.n, MULTI, grid=g, masks=masks)
+
+
+def _mask_boundary(c: MonomialComplex) -> dict:
+    """The label-keyed boundary of a complex from `build_complex`: a
+    rectangle of the pattern of its size is the exponent vector of its
+    class's mask, one frozenset shared per mask, and a twin the F2 sum of
+    two."""
+    states, masks = sorted(c.basis.labels()), c.masks  # the pattern's state order
+    _, offsets, targets, classes, twins = _rectangle_pattern(c.grid.n)
+    single = {m: frozenset((_monomial(m),)) for m in set(masks)}
+    entry = [single[m] for m in masks]
+    boundary = {
+        x: dict(zip(map(states.__getitem__, targets[lo:hi]), map(entry.__getitem__, classes[lo:hi])))
+        for x, lo, hi in zip(states, offsets, offsets[1:])
+        if lo < hi
+    }
+    pairs: dict[frozenset, frozenset] = {}
+    for x, y, k, other in zip(*[iter(twins)] * 4):
+        both = entry[k] ^ entry[other]  # the F2 sum of the two monomials
+        if both:
+            boundary.setdefault(states[x], {})[states[y]] = pairs.setdefault(both, both)
+    return boundary
 
 
 def _pattern_rows(n: int) -> list:

@@ -729,8 +729,9 @@ class TestGroupedCurvature:
         assert out.split() == ["0", "2", "2"]
 
     def test_curvature_grouping_memory_budget(self):
-        # measured on CPython 3.11 for n = 6: a peak of 1.43 MB while the
-        # grouping is made and 0.29 MB kept; the bounds add 40% headroom
+        # measured on CPython 3.11.7 for n = 6: a peak of 1.43 MB while the
+        # grouping is made and 0.29 MB kept; the bounds add 40% headroom.
+        # Not measured on CPython 3.10, which CI also runs.
         complexes._rectangle_pattern(6)
         complexes._path_groups.cache_clear()
         gc.collect()
