@@ -2,10 +2,13 @@
 
 Polynomials over F2 are bitmask-backed (bit k = coefficient of U^k).
 Complexes carry doubled integer gradings so that half-integer gradings of
-multi-component links stay exact.  Boundary entries are either sets of
-exponent vectors (one variable per marking) or single-variable polynomials;
-in the single-variable case homogeneity forces every entry to be a monomial
-whose exponent matches the grading gap.
+multi-component links stay exact.  A complex stores one form.  A
+single-variable complex is its bitset columns: homogeneity forces every
+entry to be a monomial whose exponent matches the grading gap, so the
+columns and the gradings fix the boundary.  A multivariable complex, one
+variable per marking, is the masks of its grid's classes of rectangles
+(`complexes.build_complex`).  Either one's label-keyed `boundary` is made
+when first read.
 
 Every complex lists its generators in one order: its `GradedBasis`,
 sorted by doubled grading, highest first, with equal gradings kept in the
@@ -15,9 +18,7 @@ column reduction over int bitsets (`_reduce`): homogeneity implies every
 coefficient from the gradings, so the reduction is F2 work on the
 boundary's pattern.  It certifies d^2 = 0 after reducing, with one
 product per nonzero reduced column; `boundary_squares_to_zero` is the
-direct check, one product per column.  A built grid complex carries its
-columns from the build, and its label-keyed `boundary` is made from them
-when first read.
+direct check, one product per column.
 
 A chain map is likewise its homogeneous parts (`ChainMap.parts`): for
 each degree it has, one bitset column per source generator, with
@@ -40,11 +41,10 @@ So all the work is on base-size columns, and the homology of a stack is
 the base homology once per word.
 
 The square of a multivariable boundary (`boundary_squared`) is a grouped
-parity count: the two-step paths are grouped by their ends, a path's
-monomial is the sum of its two classes' additive codes, identical groups
-are counted once, and the codes counted an odd number of times in a group
-are its terms.  A complex from `build_complex` takes its groups from the
-rectangle pattern of its size, made once per size.
+parity count: the two-step paths of the rectangle pattern of its size are
+grouped by their ends, once per size, a path's monomial is the sum of its
+two classes' additive codes, identical groups are counted once, and the
+codes counted an odd number of times in a group are its terms.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from operator import itemgetter
 
 from .errors import (
     BrokenInvariant,
-    NonHomogeneousEntry,
     NotAComplex,
     NotChainMap,
     NotHomogeneous,
@@ -226,21 +225,15 @@ class GradedBasis:
         return len(self.elements)
 
 
-MULTI = "multi"
-SINGLE = "single"
-
-
 @dataclass(eq=False)
 class MonomialComplex:
-    """A free graded complex.
-
-    ring == "multi": boundary entries are frozensets of ExponentVector.
-    ring == "single": entries are PolyF2U (monomials, by homogeneity).
-    `boundary` is column-sparse: boundary[src][tgt] = entry.  A built grid
-    complex is given, in its place, `columns`: one int per basis element,
-    whose bit i is set when the i-th basis element is a target (`_columns`);
-    a built multivariable one is given `masks`: the markings each class of
-    rectangle covers on its grid (`complexes._class_masks`).
+    """A free graded complex, stored as exactly one of two forms:
+    `columns`, one int per basis element whose bit i is set when the i-th
+    basis element is a target, the entry being the monomial U^k that the
+    gradings fix (single-variable); or `masks`, the markings each class of
+    rectangle covers on `grid` (`complexes._class_masks`, multivariable).
+    `boundary` is their label-keyed view, column-sparse: boundary[src][tgt]
+    is a PolyF2U, or a frozenset of ExponentVector.
     With a `tensor_stack`, `basis`, `boundary` and `columns` are the base's,
     and x (x) w sits at g(x) minus the shift of the word w.  A restacked
     copy holds the complex it was made from in `base`, so the built base
@@ -249,31 +242,27 @@ class MonomialComplex:
     """
 
     basis: GradedBasis
-    _boundary: dict | None
     marking_count: int
-    ring: str = SINGLE
     grid: object = None          # originating GridDiagram, when applicable
     tensor_stack: tuple = ()     # stabilization moves, newest last
     columns: list[int] | None = None
     base: MonomialComplex | None = field(default=None, repr=False)
     masks: list[int] | None = field(default=None, repr=False)
 
-    @property
+    def __post_init__(self):
+        if (self.columns is None) == (self.masks is None):
+            raise BrokenInvariant("a complex is stored as exactly one of its columns and its masks")
+
+    @cached_property
     def boundary(self) -> dict:
         """Made when first read, then kept: from `columns`, where bit i of
         column j is the entry U^((2 - g_j + g_i) / 2), or from `masks`
         (`complexes._mask_boundary`)."""
-        if self._boundary is None and self.masks is None:
-            self._boundary = _label_rows(self.basis, self.basis, -2, self.columns)
-        elif self._boundary is None:
-            from .complexes import _mask_boundary
+        if self.masks is None:
+            return _label_rows(self.basis, self.basis, -2, self.columns)
+        from .complexes import _mask_boundary
 
-            self._boundary = _mask_boundary(self)
-        return self._boundary
-
-    def entry(self, src, tgt):
-        default = frozenset() if self.ring == MULTI else ZERO
-        return self.boundary.get(src, {}).get(tgt, default)
+        return _mask_boundary(self)
 
     def entries(self):
         for src, row in self.boundary.items():
@@ -350,12 +339,10 @@ def boundary_squared(c: MonomialComplex) -> dict:
     most once, so a path's exponents are at most 2, and 2-bit fields
     cannot carry.  A twin is two terms; when its two masks are equal, its
     paths pair up with equal values and cancel in the count, as the
-    boundary drops the entry.  Any other complex is grouped per call, each
-    distinct exponent vector its own class, with the widest field its
-    exponents need.  A single-variable complex is checked by
+    boundary drops the entry.  A single-variable complex is checked by
     `boundary_squares_to_zero` instead.
     """
-    if c.ring != MULTI:
+    if c.masks is None:
         raise NotHomogeneous("complex is single-variable; boundary_squared needs multivariable")
     from .complexes import _grouped_square
 
@@ -368,32 +355,12 @@ def boundary_squared(c: MonomialComplex) -> dict:
 
 def _columns(c: MonomialComplex) -> list[int]:
     """The boundary of c as int bitset columns: bit i of column j is set
-    when basis element i is a target of j.  Every entry must be a monomial
-    U^k with 2d(src) - 2d(tgt) = 2 - 2k, so columns and gradings determine
-    the boundary.  Stored columns, checked in the build, are returned as is."""
-    if c.columns is not None:
-        return c.columns
-    if c.ring != SINGLE:
+    when basis element i is a target of j.  Every entry is the monomial U^k
+    with 2d(src) - 2d(tgt) = 2 - 2k, which the build checks, so columns and
+    gradings determine the boundary."""
+    if c.columns is None:
         raise NotHomogeneous("complex is not single-variable")
-    gradings = c.basis.gradings()
-    position = {lab: i for i, lab in enumerate(c.basis.labels())}
-    cols = []
-    for lab, g in c.basis.elements:
-        col = 0
-        for tgt_lab, p in c.boundary.get(lab, {}).items():
-            if not p:
-                continue
-            if not p.is_monomial():
-                raise NonHomogeneousEntry(f"entry {lab}->{tgt_lab} = {p} is not a monomial")
-            k, i = p.degree(), position[tgt_lab]
-            if gradings[i] - 2 * k - g != -2:
-                raise NotHomogeneous(
-                    f"entry {lab}->{tgt_lab} = U^{k} breaks grading: "
-                    f"{g} - {gradings[i]} != {2 - 2 * k}"
-                )
-            col |= 1 << i
-        cols.append(col)
-    return cols
+    return c.columns
 
 
 def _apply_bits(cols: list[int], col: int) -> int:
@@ -414,18 +381,6 @@ def _check_squares_to_zero(basis: GradedBasis, cols: list[int]) -> None:
         if acc:
             (src, _), (tgt, _) = basis.elements[j], basis.elements[acc.bit_length() - 1]
             raise NotAComplex(f"boundary squared has an odd path count {src} -> {tgt}")
-
-
-def is_homogeneous(c: MonomialComplex) -> bool:
-    """True iff every boundary entry is a monomial matching the grading gap.
-
-    A built grid complex is checked entry by entry in the build, which
-    raises NotHomogeneous on a fault, so on one this is always True."""
-    try:
-        _columns(c)
-    except (NonHomogeneousEntry, NotHomogeneous):
-        return False
-    return True
 
 
 def boundary_squares_to_zero(c: MonomialComplex) -> bool:
@@ -475,7 +430,7 @@ def _reduce(c: MonomialComplex):
     tower.  Clearing loses nothing: a low t's own column would reduce to
     zero, as d(V_t) lies in the span of the earlier reduced columns, which
     have distinct lows.  The argument uses only homogeneity, checked in
-    `_columns` or the build, and d^2 = 0.
+    the build, and d^2 = 0.
 
     Returns the free indices j, the torsion summands as (k, t) sorted by k,
     and that basis as bitset columns: V e_j at a non-low j, the pattern of

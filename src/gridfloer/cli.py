@@ -105,9 +105,18 @@ def _grid_json(g: GridDiagram) -> dict:
     return {"n": g.n, "o": list(g.o_col), "x": list(g.x_col)}
 
 
+def _read_text(path: str) -> str:
+    """A grid file or movie script; bytes that are not UTF-8 are a parse
+    error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
+
+
 def _read_grid(path: str) -> GridDiagram:
-    with open(path) as fh:
-        return parse_grid(fh.read())
+    return parse_grid(_read_text(path))
 
 
 def cmd_homology(grid_file: str, config: RunConfig) -> int:
@@ -129,9 +138,7 @@ def cmd_homology(grid_file: str, config: RunConfig) -> int:
 
 def cmd_movie(grid_file: str, movie_file: str, config: RunConfig) -> int:
     g = _read_grid(grid_file)
-    with open(movie_file) as fh:
-        movie = parse_movie(fh.read(), g)
-    result = compose_movie(movie, config.state_cap)
+    result = compose_movie(parse_movie(_read_text(movie_file), g), config.state_cap)
     degree = result.degree
     matrix = [[_poly_str(p) for p in row] for row in result.induced]
     if config.output == "json":

@@ -29,7 +29,6 @@ import re
 from dataclasses import dataclass, replace
 
 from .algebra import (
-    SINGLE,
     ChainMap,
     GradedModuleSummary,
     HomologyPresentation,
@@ -181,7 +180,7 @@ def _restacked(c: MonomialComplex, stack: tuple) -> MonomialComplex:
 
 def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     """The U-placement map of a switch, without the chain-map assertion."""
-    if c.ring != SINGLE or c.grid is None:
+    if c.columns is None or c.grid is None:
         raise InvalidSite("band maps act on single-variable grid complexes")
     g, site = c.grid, choice.site
     # U multiplies the generators containing the distinguished point exactly
@@ -286,7 +285,7 @@ def disk_destab_map(c: MonomialComplex) -> ChainMap:
 def renumber_map(c: MonomialComplex, perm) -> ChainMap:
     """Relabel marking variables: on a single-variable complex every marking
     is already U, so this is the identity onto the same complex."""
-    if c.ring != SINGLE:
+    if c.columns is None:
         raise MoveSequenceInvalid("renumbering acts on single-variable complexes")
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(c.marking_count)):

@@ -41,13 +41,7 @@ from collections import Counter
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, and_, getitem, lt, ne, or_, rshift, sub
 
-from .algebra import (
-    MULTI,
-    SINGLE,
-    ExponentVector,
-    GradedBasis,
-    MonomialComplex,
-)
+from .algebra import ExponentVector, GradedBasis, MonomialComplex
 from .errors import BrokenInvariant, CapExceeded, NotHomogeneous
 from .grids import GridDiagram, link_topology
 
@@ -290,39 +284,24 @@ def _odd_values(groups: tuple, codes: list[int], S: int):
 
 
 def _grouped_square(c: MonomialComplex) -> dict:
-    """`algebra.boundary_squared` of a multivariable complex: the codes and
-    groups of its two-step paths, from the masks and the pattern of its
-    size for a complex from `build_complex`, else from its boundary, and
-    the odd values of each group decoded into exponent vectors."""
-    if c.masks is not None:
-        n, classes = c.grid.n, len(_rectangle_pattern(c.grid.n)[0][0])
-        if len(c.masks) != classes or max(c.masks) >> c.marking_count:
-            raise BrokenInvariant(
-                f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
-            )
-        labels, groups = sorted(c.basis.labels()), _path_groups(n)  # the pattern's state order
-        codes, width, variables = [int(f"{m:b}", 4) for m in c.masks], 2, range(c.marking_count)
-    else:
-        labels = c.basis.labels()
-        position = {lab: i for i, lab in enumerate(labels)}
-        evs = list(dict.fromkeys(ev for row in c.boundary.values() for entry in row.values() for ev in entry))
-        variables = sorted({i for ev in evs for i, _ in ev.exps})
-        width = (2 * max((e for ev in evs for _, e in ev.exps), default=0)).bit_length()
-        shift, cls = {v: k * width for k, v in enumerate(variables)}, {ev: k for k, ev in enumerate(evs)}
-        codes = [sum(e << shift[i] for i, e in ev.exps) for ev in evs]
-        rows = []
-        for x in labels:
-            terms = [(position[y], cls[ev]) for y, entry in c.boundary.get(x, {}).items() for ev in entry]
-            rows.append(([y for y, _ in terms], [k for _, k in terms]))
-        groups = _group_paths(rows, len(evs))
-    ones, count, (ends, reach) = (1 << width) - 1, len(labels), groups[4:]
+    """`algebra.boundary_squared` of a complex from `build_complex`: the
+    codes of its masks counted over the groups of the pattern of its size,
+    and the odd values of each group decoded into exponent vectors."""
+    n, classes = c.grid.n, len(_rectangle_pattern(c.grid.n)[0][0])
+    if len(c.masks) != classes or max(c.masks) >> c.marking_count:
+        raise BrokenInvariant(
+            f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
+        )
+    labels, groups = sorted(c.basis.labels()), _path_groups(n)  # the pattern's state order
+    codes, variables = [int(f"{m:b}", 4) for m in c.masks], range(c.marking_count)
+    count, (ends, reach) = len(labels), groups[4:]
     decoded: dict[frozenset, frozenset] = {}  # one set of exponent vectors per set of codes
     out: dict = {}
-    for s, values in _odd_values(groups, codes, width * len(variables)):
+    for s, values in _odd_values(groups, codes, 2 * len(variables)):
         entry = decoded.get(values)
         if entry is None:
             entry = decoded[values] = frozenset(
-                ExponentVector(tuple((v, e) for k, v in enumerate(variables) if (e := p >> k * width & ones)))
+                ExponentVector(tuple((v, e) for v in variables if (e := p >> 2 * v & 3)))
                 for p in values
             )
         for e in ends[reach[s] : reach[s + 1]]:
@@ -337,7 +316,7 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
     is made from them when first read (`_mask_boundary`)."""
     states = enumerate_states(g.n, cap)
     masks = _class_masks(g, _rectangle_pattern(g.n)[0])
-    return MonomialComplex(_graded_basis(g, states)[1], None, 2 * g.n, MULTI, grid=g, masks=masks)
+    return MonomialComplex(_graded_basis(g, states)[1], 2 * g.n, g, masks=masks)
 
 
 def _mask_boundary(c: MonomialComplex) -> dict:
@@ -362,22 +341,17 @@ def _mask_boundary(c: MonomialComplex) -> dict:
     return boundary
 
 
-def _pattern_rows(n: int) -> list:
-    """The rectangles of the pattern of size n by source state, as
-    (targets, classes); a twin is two rectangles to one target."""
-    _, offsets, targets, classes, twins = _rectangle_pattern(n)
+@functools.cache
+def _path_groups(n: int) -> tuple:
+    """The two-step paths of every n x n grid grouped by their ends, as
+    `_group_paths` returns them for the pattern's rectangles by source
+    state, (targets, classes), a twin as two rectangles to one target."""
+    corners, offsets, targets, classes, twins = _rectangle_pattern(n)
     rows = [(targets[lo:hi], classes[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
     for x, y, k, other in zip(*[iter(twins)] * 4):
         rows[x][0].extend((y, y))
         rows[x][1].extend((k, other))
-    return rows
-
-
-@functools.cache
-def _path_groups(n: int) -> tuple:
-    """The two-step paths of every n x n grid grouped by their ends, as
-    `_group_paths` returns them for the pattern's rectangles."""
-    return _group_paths(_pattern_rows(n), len(_rectangle_pattern(n)[0][0]))
+    return _group_paths(rows, len(corners[0]))
 
 
 # The single-variable complexes alive in this process, by grid.  The values
@@ -434,7 +408,7 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
             i = position[t]
             col[i >> 3] |= 1 << (i & 7)
         cols.append(int.from_bytes(col, "little"))
-    return MonomialComplex(basis, None, 2 * g.n, SINGLE, g, (), cols)
+    return MonomialComplex(basis, 2 * g.n, g, columns=cols)
 
 
 def expected_curvature(g: GridDiagram) -> frozenset[ExponentVector]:

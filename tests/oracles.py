@@ -14,10 +14,15 @@ The package computes each result one way; the second ways live here:
 - `rectangles`, the reference rectangle walk (one candidate pair at a
   time, an explicit `Rectangle` per candidate), which `rectangle_boundary`
   reads to check the builders' running-ceiling walk;
+- `complex_from_rows`, the one way a test builds a single-variable
+  complex by hand: label-keyed `PolyF2U` rows turned into the columns the
+  package stores, each entry checked against the gradings on the way
+  (`is_homogeneous` asks the same of any rows), and `MultiComplex`, a
+  hand-built multivariable complex as label-keyed rows;
 - `specialize`, the quotient of a multivariable complex that sends every
   variable to U ("all", the builder oracle) or all but two to
-  `COMMON_VARIABLE` (keep-two, inputs for the packed d^2 check); a bad
-  policy raises ValueError;
+  `COMMON_VARIABLE` (keep-two, a `MultiComplex`); a bad policy raises
+  ValueError;
 - `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, which
   reads marking masks off its own prefix sums (`marking_prefix`), not the
   package's line masks, and `back_substituted_rows`, the projection rows one
@@ -66,7 +71,7 @@ from gridfloer import (
     link_topology,
     u_power,
 )
-from gridfloer.algebra import MULTI, SINGLE, _columns, _require_alike, _summed
+from gridfloer.algebra import _columns, _require_alike, _summed
 from gridfloer.cobordism import _require_band_chain_map
 from gridfloer.complexes import State
 
@@ -956,7 +961,7 @@ def tensor_rank2(c, stab, depth: int) -> tuple:
         for q, col in zip(w, _columns(c)):
             cols[q] = _moved(col, w)
     basis = GradedBasis(tuple([((lab, TAGS[t]), -d) for d, _, t, _, lab in order]))
-    return MonomialComplex(basis, None, c.marking_count + 2, SINGLE, c.grid, (), cols), where
+    return MonomialComplex(basis, c.marking_count + 2, c.grid, columns=cols), where
 
 
 _MATERIALIZED: dict = {}  # (grid, basis, stack) -> (columns, plain complex, at)
@@ -1085,6 +1090,63 @@ def marking_position(g, marking: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# hand-built complexes
+
+
+def _row_columns(basis, rows: dict) -> list[int]:
+    """Label-keyed rows {src: {tgt: PolyF2U}} as the bitset columns of
+    `MonomialComplex.columns`: every nonzero entry must be a monomial U^k
+    with 2d(src) - 2d(tgt) = 2 - 2k, so columns and gradings determine the
+    rows."""
+    gradings = basis.gradings()
+    position = {lab: i for i, lab in enumerate(basis.labels())}
+    cols = []
+    for lab, g in basis.elements:
+        col = 0
+        for tgt_lab, p in rows.get(lab, {}).items():
+            if not p:
+                continue
+            if not p.is_monomial():
+                raise NonHomogeneousEntry(f"entry {lab}->{tgt_lab} = {p} is not a monomial")
+            k, i = p.degree(), position[tgt_lab]
+            if gradings[i] - 2 * k - g != -2:
+                raise NotHomogeneous(
+                    f"entry {lab}->{tgt_lab} = U^{k} breaks grading: "
+                    f"{g} - {gradings[i]} != {2 - 2 * k}"
+                )
+            col |= 1 << i
+        cols.append(col)
+    return cols
+
+
+def complex_from_rows(basis, rows: dict, marking_count: int, grid=None) -> MonomialComplex:
+    """The single-variable complex with label-keyed rows {src: {tgt:
+    PolyF2U}}; an entry that is not a monomial raises NonHomogeneousEntry,
+    and one off its grading gap NotHomogeneous."""
+    return MonomialComplex(basis, marking_count, grid, columns=_row_columns(basis, rows))
+
+
+def is_homogeneous(basis, rows: dict) -> bool:
+    """True iff every entry of the label-keyed rows is a monomial matching
+    the grading gap."""
+    try:
+        _row_columns(basis, rows)
+    except (NonHomogeneousEntry, NotHomogeneous):
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class MultiComplex:
+    """A hand-built multivariable complex: label-keyed rows {src: {tgt:
+    frozenset of ExponentVector}}, read as a built one's `boundary` is."""
+
+    basis: GradedBasis
+    boundary: dict
+    marking_count: int
+
+
+# ---------------------------------------------------------------------------
 # specialization of a multivariable complex: the builder oracle
 
 COMMON_VARIABLE = -1  # index of the identified variable after specialization
@@ -1099,15 +1161,20 @@ def collapse(ev, keep: tuple[int, ...]):
     return ExponentVector(tuple(sorted(acc.items())))
 
 
-def specialize(c: MonomialComplex, policy) -> MonomialComplex:
-    """Quotient the coefficient ring.
+def specialize(c, policy):
+    """Quotient the coefficient ring of a multivariable complex, built or a
+    `MultiComplex`.
 
     policy "all": identify every marking variable with U; entries become
-    single-variable (each a monomial or zero by F2 cancellation).
-    policy (i, j): keep markings i and j distinct, identify the rest.
+    single-variable (each a monomial or zero by F2 cancellation), and the
+    result is a single-variable complex, which a single-variable c already
+    is.
+    policy (i, j): keep markings i and j distinct, identify the rest; the
+    result is a `MultiComplex`.
     """
+    single = isinstance(c, MonomialComplex) and c.masks is None
     if policy == "all":
-        if c.ring == SINGLE:
+        if single:
             return c
         new_boundary: dict = {}
         for src, row in c.boundary.items():
@@ -1120,9 +1187,7 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
                     new_row[tgt] = p
             if new_row:
                 new_boundary[src] = new_row
-        return MonomialComplex(
-            c.basis, new_boundary, c.marking_count, SINGLE, c.grid, c.tensor_stack
-        )
+        return complex_from_rows(c.basis, new_boundary, c.marking_count)
     if (
         isinstance(policy, tuple)
         and len(policy) == 2
@@ -1131,7 +1196,7 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
         i, j = policy
         if i == j or not (0 <= i < c.marking_count and 0 <= j < c.marking_count):
             raise ValueError(f"markings {policy} invalid for marking_count={c.marking_count}")
-        if c.ring != MULTI:
+        if single:
             raise ValueError("keep-two specialization needs a multivariable complex")
         keep = (i, j)
         new_boundary = {}
@@ -1145,9 +1210,7 @@ def specialize(c: MonomialComplex, policy) -> MonomialComplex:
                     new_row[tgt] = frozenset(acc)
             if new_row:
                 new_boundary[src] = new_row
-        return MonomialComplex(
-            c.basis, new_boundary, c.marking_count, MULTI, c.grid, c.tensor_stack
-        )
+        return MultiComplex(c.basis, new_boundary, c.marking_count)
     raise ValueError(f"unrecognized policy {policy!r}")
 
 
@@ -1231,8 +1294,8 @@ def _sorted_walk(n, pref, label, x):
 def label_row_gc_prime(g):
     """The single-variable complex of g as label-keyed PolyF2U rows, each
     made in one pass over `_sorted_walk`: the builder that the
-    grading-ordered columns replaced.  It carries no columns, so `_columns`
-    derives them from its boundary and checks homogeneity on the way."""
+    grading-ordered columns replaced.  `complex_from_rows` turns its rows
+    into columns and checks homogeneity on the way."""
     from gridfloer.complexes import _graded_basis, enumerate_states
 
     n = g.n
@@ -1255,7 +1318,7 @@ def label_row_gc_prime(g):
                 )
         if row:
             boundary[x] = row
-    return MonomialComplex(_graded_basis(g, states)[1], boundary, 2 * n, SINGLE, grid=g)
+    return complex_from_rows(_graded_basis(g, states)[1], boundary, 2 * n, g)
 
 
 def _open_quadrant_pairs(P, Q) -> int:

@@ -194,6 +194,15 @@ class TestExitCodes:
             == EXIT_PARSE
         )
 
+    @pytest.mark.parametrize("kind", ["grid", "movie"])
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, grid_file, capsys, kind):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n = 2\n\xff\n")
+        argv = ["homology", str(bad)] if kind == "grid" else ["movie", grid_file("unknot2"), str(bad)]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8: ") and "Traceback" not in err
+
     def test_unknown_movie_field(self, grid_file, movie_file, capsys):
         script = "quasistab anchor=O1 sid=alpha\n"
         assert main(["movie", grid_file("unknot2"), movie_file(script)]) == EXIT_PARSE

@@ -20,7 +20,6 @@ from gridfloer import (
     ChainMap,
     ChainMapViolation,
     GradedModuleSummary,
-    MonomialComplex,
     DiskDestab,
     DiskStab,
     InvalidSite,
@@ -266,9 +265,8 @@ class TestChainDefect:
         for x in list(f.tgt.boundary)[::17]:
             row = dict(f.tgt.boundary[x])
             row.pop(next(iter(row)))
-            d = MonomialComplex(
-                f.tgt.basis, {**f.tgt.boundary, x: row}, f.tgt.marking_count,
-                f.tgt.ring, f.tgt.grid,
+            d = oracles.complex_from_rows(
+                f.tgt.basis, {**f.tgt.boundary, x: row}, f.tgt.marking_count, f.tgt.grid
             )
             assert _same_defect(oracles.chain_map(f.src, d, f.entries)) is not None, x
 

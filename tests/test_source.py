@@ -12,18 +12,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridfloer"
 
-# module-level functions that no command reaches, each kept for a reason
+# module-level functions that no command reaches, each kept for a reason;
+# a complex built by hand in a test is made in tests/oracles.py, not here
 UNREACHED = {
-    # a public check that acceptance criterion 03 calls; a built grid
-    # complex is checked entry by entry in the build instead
-    ("algebra.py", "is_homogeneous"),
     # the movie half of a failing check's reproducer, which no check in
     # the bundled suites fails
     ("cobordism.py", "serialize_movie"),
     ("cli.py", "_reproducer"),
-    # the label-keyed boundary of a built multivariable complex, made when
-    # read; no command reads it, only tests and perfbench's tracer, which
-    # counts its entries after `build_complex` (ROADMAP item 4)
+    # the label-keyed boundary of a complex stored as masks, made when its
+    # `boundary` is read; no command reads it, only tests and perfbench's
+    # tracer, which counts its entries after `build_complex` (ROADMAP item
+    # 4, whose rest waits for item 2)
     ("complexes.py", "_mask_boundary"),
 }
 
