@@ -8,7 +8,11 @@ entry to be a monomial whose exponent matches the grading gap, so the
 columns and the gradings fix the boundary.  A multivariable complex, one
 variable per marking, is the masks of its grid's classes of rectangles
 (`complexes.build_complex`).  Either one's label-keyed `boundary` is made
-when first read.
+when first read: an entry is a PolyF2U, or a frozenset of multivariable
+monomials.  A multivariable monomial is an int code with two bits per
+variable, bits 2i and 2i + 1 holding the exponent of variable i
+(`complexes._code` makes it from a mask), so the product of two monomials
+whose exponents add to at most 3 is the sum of their codes.
 
 Every complex lists its generators in one order: its `GradedBasis`,
 sorted by doubled grading, highest first, with equal gradings kept in the
@@ -43,8 +47,8 @@ the base homology once per word.
 The square of a multivariable boundary (`boundary_squared`) is a grouped
 parity count: the two-step paths of the rectangle pattern of its size are
 grouped by their ends, once per size, a path's monomial is the sum of its
-two classes' additive codes, identical groups are counted once, and the
-codes counted an odd number of times in a group are its terms.
+two classes' codes, identical groups are counted once, and the codes
+counted an odd number of times in a group are its terms.
 """
 from __future__ import annotations
 
@@ -131,47 +135,6 @@ def u_power(k: int) -> PolyF2U:
 
 
 # ---------------------------------------------------------------------------
-# exponent vectors (multivariable monomials)
-
-
-@dataclass(frozen=True, slots=True)
-class ExponentVector:
-    """A monomial over the marking variables, as sorted (index, exponent)
-    pairs with positive exponents; absent indices mean exponent 0."""
-
-    exps: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def make(cls, mapping) -> "ExponentVector":
-        items = mapping.items() if hasattr(mapping, "items") else mapping
-        acc: dict[int, int] = {}
-        for i, e in items:
-            if e < 0:
-                raise ValueError(f"negative exponent {e} for variable {i}")
-            if e:
-                acc[i] = acc.get(i, 0) + e
-        return cls(tuple(sorted(acc.items())))
-
-    def get(self, i: int) -> int:
-        for j, e in self.exps:
-            if j == i:
-                return e
-        return 0
-
-    def total(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def __mul__(self, other: "ExponentVector") -> "ExponentVector":
-        acc = dict(self.exps)
-        for i, e in other.exps:
-            acc[i] = acc.get(i, 0) + e
-        return ExponentVector(tuple(sorted(acc.items())))
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
-
-
-# ---------------------------------------------------------------------------
 # graded bases and complexes
 
 _TAGS = ("plus", "minus")  # a tag word holds one index into _TAGS per stack move
@@ -233,7 +196,7 @@ class MonomialComplex:
     gradings fix (single-variable); or `masks`, the markings each class of
     rectangle covers on `grid` (`complexes._class_masks`, multivariable).
     `boundary` is their label-keyed view, column-sparse: boundary[src][tgt]
-    is a PolyF2U, or a frozenset of ExponentVector.
+    is a PolyF2U, or a frozenset of monomial codes.
     With a `tensor_stack`, `basis`, `boundary` and `columns` are the base's,
     and x (x) w sits at g(x) minus the shift of the word w.  A restacked
     copy holds the complex it was made from in `base`, so the built base
@@ -322,24 +285,20 @@ class GradedModuleSummary:
 def boundary_squared(c: MonomialComplex) -> dict:
     """The composition of the boundary with itself, column-sparse.
 
-    On a multivariable complex this is one parity count over the two-step
-    paths, grouped by their ends (`complexes._grouped_square`).  Each term of
-    the boundary has a class, and each class an additive code: a field per
-    variable, wide enough for twice the largest exponent, so the monomial
-    of a path x -> y -> z, the product of its two terms, is the sum of
-    their codes with no carry between fields.  In the group of (x, z), a
-    code counted an odd number of times is a term of d^2 at (x, z).  A
-    group's values are fixed by its pairs of classes, so identical groups
-    are counted once.
-
-    A complex from `build_complex` carries the masks of its classes of
-    rectangles, and its groups come from the rectangle pattern of its size
-    (`complexes._path_groups`, made once per size).  A mask read in base 4
-    is its code: two bits per marking.  A rectangle covers a marking at
-    most once, so a path's exponents are at most 2, and 2-bit fields
-    cannot carry.  A twin is two terms; when its two masks are equal, its
-    paths pair up with equal values and cancel in the count, as the
-    boundary drops the entry.  A single-variable complex is checked by
+    On a multivariable complex, which carries the masks of its classes of
+    rectangles, this is one parity count over the two-step paths of the
+    rectangle pattern of its size, grouped by their ends
+    (`complexes._grouped_square`, the groups made once per size by
+    `complexes._path_groups`).  Each term of the boundary is the code of its
+    class's mask.  A rectangle covers a marking at most once, so a path's
+    exponents are at most 2, and the monomial of a path x -> y -> z, the
+    product of its two terms, is the sum of their codes with no carry
+    between the 2-bit fields.  In the group of (x, z), a code counted an
+    odd number of times is a term of d^2 at (x, z).  A group's values are
+    fixed by its pairs of classes, so identical groups are counted once.
+    A twin is two terms; when its two masks are equal, its paths pair up
+    with equal values and cancel in the count, as the boundary drops the
+    entry.  A single-variable complex is checked by
     `boundary_squares_to_zero` instead.
     """
     if c.masks is None:

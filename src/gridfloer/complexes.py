@@ -6,19 +6,20 @@ states differing in exactly two columns; coefficients record the markings a
 rectangle covers, either as one variable per marking or specialized to a
 single U.
 
-Markings are numbered as the variables of `ExponentVector`: the O in row r
-is marking r and the X in row r is marking n + r.  Emptiness of a rectangle
-depends on its two states only, so one walk per size (`_rectangle_pattern`,
-kept for the process) lists each state's empty rectangles: targets and
-classes (start column a, end column b, bottom row s, height h) in flat
-arrays, with a target both rectangles reach (a twin) kept apart.  At n = 8:
-720 384 entries and 57 984 twins, about 3.7 MB.  A grid places its
-markings once, in line masks (`_line_masks`, bit i for marking i): a class
-covers the AND of a column band and a row band, the grading table counts
-the markings in two corners cut out by bands, and the curvature sums the
-width-one bands.  `build_complex` keeps the masks, and its label-keyed
-boundary is made only when read (`_mask_boundary`): a mask is the
-exponent vector of its variables and a twin the F2 sum of two.
+Markings are numbered as the variables of a multivariable monomial
+(`algebra`): the O in row r is marking r and the X in row r is marking
+n + r.  Emptiness of a rectangle depends on its two states only, so one
+walk per size (`_rectangle_pattern`, kept for the process) lists each
+state's empty rectangles: targets and classes (start column a, end column
+b, bottom row s, height h) in flat arrays, with a target both rectangles
+reach (a twin) kept apart.  At n = 8: 720 384 entries and 57 984 twins,
+about 3.7 MB.  A grid places its markings once, in line masks
+(`_line_masks`, bit i for marking i): a class covers the AND of a column
+band and a row band, the grading table counts the markings in two corners
+cut out by bands, and the curvature sums the width-one bands.
+`build_complex` keeps the masks, and its label-keyed boundary is made only
+when read (`_mask_boundary`): a rectangle is the code of its mask
+(`_code`) and a twin the F2 sum of two.
 `build_gc_prime` cancels twins of equal weight, checks U^(bit count)
 against the gradings, and sets one bit of a column over the graded basis.
 
@@ -41,7 +42,7 @@ from collections import Counter
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, and_, getitem, lt, ne, or_, rshift, sub
 
-from .algebra import ExponentVector, GradedBasis, MonomialComplex
+from .algebra import GradedBasis, MonomialComplex
 from .errors import BrokenInvariant, CapExceeded, NotHomogeneous
 from .grids import GridDiagram, link_topology
 
@@ -77,9 +78,10 @@ def _line_masks(g: GridDiagram) -> tuple[list[list[int]], list[list[int]]]:
     return bands(col), bands(row)
 
 
-def _monomial(mask: int) -> ExponentVector:
-    """The product of the variables of the markings in a mask."""
-    return ExponentVector(tuple((i, 1) for i in range(mask.bit_length()) if mask >> i & 1))
+def _code(mask: int) -> int:
+    """The product of the variables of the markings in a mask, as its code:
+    the mask read in base 4, bit i moved to bit 2i."""
+    return int(f"{mask:b}", 4)
 
 
 def _grid_grading_part(g: GridDiagram) -> tuple[list[list[int]], int]:
@@ -286,27 +288,19 @@ def _odd_values(groups: tuple, codes: list[int], S: int):
 def _grouped_square(c: MonomialComplex) -> dict:
     """`algebra.boundary_squared` of a complex from `build_complex`: the
     codes of its masks counted over the groups of the pattern of its size,
-    and the odd values of each group decoded into exponent vectors."""
+    each group's entry the codes it counts an odd number of times."""
     n, classes = c.grid.n, len(_rectangle_pattern(c.grid.n)[0][0])
     if len(c.masks) != classes or max(c.masks) >> c.marking_count:
         raise BrokenInvariant(
             f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
         )
     labels, groups = sorted(c.basis.labels()), _path_groups(n)  # the pattern's state order
-    codes, variables = [int(f"{m:b}", 4) for m in c.masks], range(c.marking_count)
     count, (ends, reach) = len(labels), groups[4:]
-    decoded: dict[frozenset, frozenset] = {}  # one set of exponent vectors per set of codes
     out: dict = {}
-    for s, values in _odd_values(groups, codes, 2 * len(variables)):
-        entry = decoded.get(values)
-        if entry is None:
-            entry = decoded[values] = frozenset(
-                ExponentVector(tuple((v, e) for v in variables if (e := p >> 2 * v & 3)))
-                for p in values
-            )
+    for s, values in _odd_values(groups, list(map(_code, c.masks)), 2 * c.marking_count):
         for e in ends[reach[s] : reach[s + 1]]:
             x, z = divmod(e, count)
-            out.setdefault(labels[x], {})[labels[z]] = entry
+            out.setdefault(labels[x], {})[labels[z]] = values
     return out
 
 
@@ -321,12 +315,11 @@ def build_complex(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialCompl
 
 def _mask_boundary(c: MonomialComplex) -> dict:
     """The label-keyed boundary of a complex from `build_complex`: a
-    rectangle of the pattern of its size is the exponent vector of its
-    class's mask, one frozenset shared per mask, and a twin the F2 sum of
-    two."""
+    rectangle of the pattern of its size is the code of its class's mask,
+    one frozenset shared per mask, and a twin the F2 sum of two."""
     states, masks = sorted(c.basis.labels()), c.masks  # the pattern's state order
     _, offsets, targets, classes, twins = _rectangle_pattern(c.grid.n)
-    single = {m: frozenset((_monomial(m),)) for m in set(masks)}
+    single = {m: frozenset((_code(m),)) for m in set(masks)}
     entry = [single[m] for m in masks]
     boundary = {
         x: dict(zip(map(states.__getitem__, targets[lo:hi]), map(entry.__getitem__, classes[lo:hi])))
@@ -366,8 +359,8 @@ _GC_PRIME_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComplex:
     """The single-variable complex: every marking variable set to U.
 
-    Equals `build_complex(g)` with every variable of each exponent vector
-    sent to U and equal monomials cancelled, built from the same rectangle
+    Equals `build_complex(g)` with every variable of each monomial sent
+    to U and equal monomials cancelled, built from the same rectangle
     pattern with each rectangle weighted by its marking count.
     While a complex of an equal grid is still held elsewhere, that same
     (immutable) complex is returned.
@@ -411,28 +404,22 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
     return MonomialComplex(basis, 2 * g.n, g, columns=cols)
 
 
-def expected_curvature(g: GridDiagram) -> frozenset[ExponentVector]:
+def expected_curvature(g: GridDiagram) -> frozenset[int]:
     """The diagonal entry that the squared multivariable boundary must equal:
     the F2 sum, over every column and every row, of the product of the
-    variables of the two markings in that line."""
+    variables of the two markings in that line, as codes."""
     lines: set[int] = set()
     for band in chain(*_line_masks(g)):
         lines ^= {band[1]}
-    return frozenset(map(_monomial, lines))
+    return frozenset(map(_code, lines))
 
 
 def verify_curvature(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> bool:
-    """True iff the multivariable boundary squares to the curvature diagonal."""
+    """True iff the multivariable boundary squares to the curvature diagonal:
+    each state's row of the square holds that state alone, with the
+    expected value."""
     from .algebra import boundary_squared
 
     c = build_complex(g, cap)
-    # exponent tuples compare in C, with no dataclass __eq__ or __hash__ call
-    expected = {ev.exps for ev in expected_curvature(g)}
-    sq = boundary_squared(c)
-    entries = {}  # boundary_squared shares equal entries, so each is compared once
-    for state in c.basis.labels():
-        row = sq.get(state, {})
-        if len(row) != 1 or state not in row:
-            return False
-        entries[id(row[state])] = row[state]
-    return all({ev.exps for ev in evs} == expected for evs in entries.values())
+    expected, sq = expected_curvature(g), boundary_squared(c)
+    return all(sq.get(x) == {x: expected} for x in c.basis.labels())

@@ -25,10 +25,6 @@ class InvalidSite(GridFloerError):
 
 # -- algebra ------------------------------------------------------------------
 
-class NonHomogeneousEntry(GridFloerError):
-    """A matrix entry is not a single monomial."""
-
-
 class NotAComplex(GridFloerError):
     """The boundary does not square to zero."""
 

@@ -11,6 +11,11 @@ The package computes each result one way; the second ways live here:
 - `smith_reduce` (Smith normal form with its transforms), `solve_linear`
   and `poly_divmod`, the dense tools checked against `naive_smith_diagonal`
   and `smith_certificate`;
+- `ExponentVector`, a multivariable monomial as (variable, exponent)
+  pairs with no bound on either, and `code` and `vector`, the one pair
+  that converts it to and from the package's two-bit code: the oracles
+  below compute with exponent vectors, read a built complex's codes
+  through `vector`, and `coded` turns their rows into the package's form;
 - `rectangles`, the reference rectangle walk (one candidate pair at a
   time, an explicit `Rectangle` per candidate), which `rectangle_boundary`
   reads to check the builders' running-ceiling walk;
@@ -59,12 +64,11 @@ from gridfloer import (
     BandMapChoice,
     BrokenInvariant,
     ChainMap,
-    ExponentVector,
     GradedBasis,
     GridDiagram,
+    GridFloerError,
     HomologyGenerator,
     MonomialComplex,
-    NonHomogeneousEntry,
     NotHomogeneous,
     PolyF2U,
     band_map_raw,
@@ -74,6 +78,12 @@ from gridfloer import (
 from gridfloer.algebra import _columns, _require_alike, _summed
 from gridfloer.cobordism import _require_band_chain_map
 from gridfloer.complexes import State
+
+
+class NonHomogeneousEntry(GridFloerError):
+    """A matrix entry of a hand-built complex or matrix is not a single
+    monomial."""
+
 
 # ---------------------------------------------------------------------------
 # raw F2[U] arithmetic on int bitmasks (bit k = coefficient of U^k)
@@ -195,7 +205,8 @@ def poly_det(matrix: list[list[PolyF2U]]) -> PolyF2U:
             for j in range(k + 1, n):
                 num = _pmul(M[i][j], M[k][k]) ^ _pmul(M[i][k], M[k][j])
                 q, r = _pdivmod(num, prev) if prev != 1 else (num, 0)
-                assert r == 0, "Bareiss division must be exact"
+                if r:
+                    raise ArithmeticError("Bareiss division must be exact")
                 M[i][j] = q
         prev = M[k][k]
     return PolyF2U(M[n - 1][n - 1])
@@ -226,7 +237,8 @@ def invariant_factors_from_divisors(matrix: list[list[PolyF2U]]) -> list[PolyF2U
         if not d.bits:
             break
         q, r = _pdivmod(d.bits, prev)
-        assert r == 0, "determinantal divisors must form a chain"
+        if r:
+            raise ArithmeticError("determinantal divisors must form a chain")
         out.append(PolyF2U(q))
         prev = d.bits
     return out
@@ -502,7 +514,8 @@ def winding_determinant_at_minus_one(g) -> int:
             if f:
                 for j in range(k, n):
                     M[i][j] -= f * M[k][j]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError(f"determinant {det} of an integer matrix")
     return abs(int(det))
 
 
@@ -1009,6 +1022,83 @@ def entries(f) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# multivariable monomials as exponent vectors
+
+
+@dataclass(frozen=True, slots=True)
+class ExponentVector:
+    """A monomial over the marking variables, as sorted (index, exponent)
+    pairs with positive exponents; absent indices mean exponent 0.  Unlike
+    the package's codes it holds any exponent, and the identified variable
+    `COMMON_VARIABLE` of a specialization."""
+
+    exps: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def make(cls, mapping) -> "ExponentVector":
+        items = mapping.items() if hasattr(mapping, "items") else mapping
+        acc: dict[int, int] = {}
+        for i, e in items:
+            if e < 0:
+                raise ValueError(f"negative exponent {e} for variable {i}")
+            if e:
+                acc[i] = acc.get(i, 0) + e
+        return cls(tuple(sorted(acc.items())))
+
+    def get(self, i: int) -> int:
+        for j, e in self.exps:
+            if j == i:
+                return e
+        return 0
+
+    def total(self) -> int:
+        return sum(e for _, e in self.exps)
+
+    def __mul__(self, other: "ExponentVector") -> "ExponentVector":
+        acc = dict(self.exps)
+        for i, e in other.exps:
+            acc[i] = acc.get(i, 0) + e
+        return ExponentVector(tuple(sorted(acc.items())))
+
+    def variables(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.exps)
+
+
+def code(ev: ExponentVector) -> int:
+    """The package's form of a monomial: the exponent e of variable i as
+    e 4^i.  A variable below 0 or an exponent above 3 has no code."""
+    if any(i < 0 or e > 3 for i, e in ev.exps):
+        raise ValueError(f"{ev} has no two-bit code")
+    return sum(e * 4**i for i, e in ev.exps)
+
+
+def vector(c: int) -> ExponentVector:
+    """The monomial of a code: its base-4 digits, digit i the exponent of
+    variable i."""
+    exps, i = [], 0
+    while c:
+        c, e = divmod(c, 4)
+        exps.append((i, e))
+        i += 1
+    return ExponentVector.make(exps)
+
+
+def coded(rows: dict) -> dict:
+    """Label-keyed rows {src: {tgt: frozenset of ExponentVector}} in the
+    package's form, each monomial as its `code`."""
+    return {x: {y: frozenset(map(code, evs)) for y, evs in row.items()} for x, row in rows.items()}
+
+
+def _vector_rows(c) -> dict:
+    """The boundary of a multivariable complex as rows of frozensets of
+    ExponentVector: a `MultiComplex`'s own, a built one's codes read by
+    `vector`."""
+    if isinstance(c, MultiComplex):
+        return c.boundary
+    return {x: {y: frozenset(map(vector, cs)) for y, cs in row.items()} for x, row in c.boundary.items()}
+
+
+# ---------------------------------------------------------------------------
 # the reference rectangle walk, one candidate pair at a time
 
 
@@ -1139,7 +1229,8 @@ def is_homogeneous(basis, rows: dict) -> bool:
 @dataclass(frozen=True)
 class MultiComplex:
     """A hand-built multivariable complex: label-keyed rows {src: {tgt:
-    frozenset of ExponentVector}}, read as a built one's `boundary` is."""
+    frozenset of ExponentVector}}, read as a built one's `boundary` is
+    read through `vector`."""
 
     basis: GradedBasis
     boundary: dict
@@ -1177,7 +1268,7 @@ def specialize(c, policy):
         if single:
             return c
         new_boundary: dict = {}
-        for src, row in c.boundary.items():
+        for src, row in _vector_rows(c).items():
             new_row = {}
             for tgt, evs in row.items():
                 p = ZERO
@@ -1200,7 +1291,7 @@ def specialize(c, policy):
             raise ValueError("keep-two specialization needs a multivariable complex")
         keep = (i, j)
         new_boundary = {}
-        for src, row in c.boundary.items():
+        for src, row in _vector_rows(c).items():
             new_row = {}
             for tgt, evs in row.items():
                 acc: set = set()
@@ -1246,7 +1337,7 @@ def rectangle_boundary(g) -> dict:
 def marking_prefix(g) -> list[list[int]]:
     """2n x 2n prefix sums over the doubled torus in which each marking
     contributes its own bit: O in row r is bit r, X in row r is bit n + r
-    (the variable indices of `ExponentVector`).  A rectangle narrower and
+    (the variable indices of a monomial).  A rectangle narrower and
     shorter than n covers each marking at most once, so inclusion-exclusion
     on it gives exactly the mask of the markings it covers: the package's
     masks before it read them off line masks."""
@@ -1351,12 +1442,14 @@ def delta_grading_pairs(g, state) -> int:
 
 def boundary_squared_multi(c) -> dict:
     """d o d of a multivariable complex, column-sparse: every two-step path
-    contributes the product of its exponent vectors, cancelled over F2."""
-    out = {}
-    for src, row in c.boundary.items():
+    contributes the product of its exponent vectors, cancelled over F2.  A
+    built complex's codes are read by `vector`, and the square is returned
+    as exponent vectors, which `coded` turns into the package's form."""
+    rows, out = _vector_rows(c), {}
+    for src, row in rows.items():
         acc = {}
         for mid, evs1 in row.items():
-            for tgt, evs2 in c.boundary.get(mid, {}).items():
+            for tgt, evs2 in rows.get(mid, {}).items():
                 bucket = acc.setdefault(tgt, set())
                 for ev1 in evs1:
                     for ev2 in evs2:

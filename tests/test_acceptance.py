@@ -96,8 +96,8 @@ def test_criterion_03_every_built_complex_is_homogeneous():
         if g.n <= 5:
             multi = build_complex(g)
             grading = multi.basis.to_dict()
-            for src, tgt, evs in multi.entries():
-                for ev in evs:
+            for src, tgt, codes in multi.entries():
+                for ev in map(oracles.vector, codes):
                     assert grading[src] - grading[tgt] == 2 - 2 * ev.total()
             # the specialized rows are checked against the gradings as they
             # are turned into columns, which must be the direct build's

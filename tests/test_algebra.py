@@ -15,14 +15,12 @@ from gridfloer import (
     ZERO,
     BrokenInvariant,
     ChainMap,
-    ExponentVector,
     GradedBasis,
     GradedModuleSummary,
     HomologyGenerator,
     HomologyPresentation,
     InvalidSite,
     MonomialComplex,
-    NonHomogeneousEntry,
     NotAComplex,
     NotChainMap,
     NotHomogeneous,
@@ -68,7 +66,9 @@ from gridfloer.algebra import (
 from gridfloer.complexes import _build_gc_prime
 from oracles import (
     COMMON_VARIABLE,
+    ExponentVector,
     MultiComplex,
+    NonHomogeneousEntry,
     collapse,
     complex_from_rows,
     poly_divmod,
@@ -168,6 +168,17 @@ class TestExponentVector:
         b = ExponentVector.make({2: 1, 7: 3})
         assert (a * b).get(2) == 2
         assert (a * b).total() == a.total() + b.total()
+
+    def test_code_pair(self):
+        # the package's form: two bits per variable, exponent e of variable
+        # i as e 4^i; no code for an exponent above 3 or the common variable
+        ev = ExponentVector.make({0: 1, 2: 3, 5: 2})
+        assert oracles.code(ev) == 1 + 3 * 16 + 2 * 4**5
+        assert oracles.vector(oracles.code(ev)) == ev
+        assert oracles.code(ExponentVector()) == 0 and oracles.vector(0) == ExponentVector()
+        for bad in ({1: 4}, {COMMON_VARIABLE: 1}):
+            with pytest.raises(ValueError, match="no two-bit code"):
+                oracles.code(ExponentVector.make(bad))
 
     def test_collapse(self):
         ev = ExponentVector.make({0: 1, 1: 2, 2: 3})
@@ -315,13 +326,13 @@ class TestComplexChecks:
 
     def test_packed_square_matches_the_oracle(self, multi_complexes):
         for name, c in multi_complexes.items():
-            assert boundary_squared(c) == oracles.boundary_squared_multi(c), name
+            assert boundary_squared(c) == oracles.coded(oracles.boundary_squared_multi(c)), name
 
     def test_packed_square_matches_the_oracle_on_seeded_6x6_grids(self):
         rng = random.Random(20260814)
         for i in range(2):
             c = build_complex(random_grid(6, rng))
-            assert boundary_squared(c) == oracles.boundary_squared_multi(c), i
+            assert boundary_squared(c) == oracles.coded(oracles.boundary_squared_multi(c)), i
 
     def test_squares_to_zero_on_corpus(self, gc_primes):
         for name, c in gc_primes.items():

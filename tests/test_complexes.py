@@ -20,7 +20,6 @@ import oracles
 from gridfloer import (
     DEFAULT_STATE_CAP,
     CapExceeded,
-    ExponentVector,
     GradedBasis,
     GridDiagram,
     U,
@@ -311,8 +310,8 @@ class TestBuilders:
         for name, c in multi_complexes.items():
             n = corpus[name].n
             seen = set()
-            for _, _, evs in c.entries():
-                for ev in evs:
+            for _, _, codes in c.entries():
+                for ev in map(oracles.vector, codes):
                     seen.update(ev.variables())
             assert seen <= set(range(2 * n))
 
@@ -361,7 +360,7 @@ class TestWalkOracle:
     def test_multivariable_build(self, walk_cases):
         for name, g, want, graded in walk_cases:
             c = build_complex(g)
-            assert c.boundary == want, name
+            assert c.boundary == oracles.coded(want), name
             assert c.basis.elements == graded, name
 
     def test_single_variable_build(self, walk_cases):
@@ -557,17 +556,31 @@ class TestCurvature:
                 for axis in (1, 2):  # the markings in column `line`, then in row `line`
                     pair = [(m[0], 1) for m in marks if m[axis] == line]
                     assert len(pair) == 2, (name, line)
-                    odd[ExponentVector.make(pair)] += 1
-            assert expected_curvature(g) == {ev for ev, k in odd.items() if k % 2}, name
+                    odd[oracles.code(oracles.ExponentVector.make(pair))] += 1
+            assert expected_curvature(g) == {code for code, k in odd.items() if k % 2}, name
 
     def test_expected_shape(self, corpus):
+        # each code has two 2-bit fields equal to 1, for one O variable
+        # (below n) and one X variable, and every other field 0
         for name, g in corpus.items():
-            evs = expected_curvature(g)
-            assert all(ev.total() == 2 for ev in evs)
-            # one O and one X variable each
-            for ev in evs:
-                letters = sorted(v < g.n for v in ev.variables())
-                assert letters == [False, True]
+            for code in expected_curvature(g):
+                assert code < 4 ** (2 * g.n), name
+                fields = [code >> 2 * i & 3 for i in range(2 * g.n)]
+                ones = [i for i, e in enumerate(fields) if e]
+                assert [fields[i] for i in ones] == [1, 1], name
+                assert [i < g.n for i in ones] == [True, False], name
+
+    def test_curvature_compares_the_diagonal_value(self, monkeypatch):
+        # a diagonal that holds the right state with a wrong value fails:
+        # one code dropped from the expected value, or one added
+        g = corpus_grid("trefoil5")
+        expected = expected_curvature(g)
+        assert verify_curvature(g)
+        wrong = oracles.code(oracles.ExponentVector.make({0: 2}))
+        assert wrong not in expected
+        for value in (expected - {min(expected)}, expected | {wrong}):
+            monkeypatch.setattr(complexes, "expected_curvature", lambda g, value=value: value)
+            assert not verify_curvature(g)
 
     def test_corpus_curvature(self, corpus):
         for name, g in corpus.items():
@@ -651,13 +664,13 @@ class TestGroupedCurvature:
         masks[1] ^= 1 << 1
         broken = replace(c, masks=masks)
         sq = boundary_squared(broken)
-        assert sq == oracles.boundary_squared_multi(broken)
+        assert sq == oracles.coded(oracles.boundary_squared_multi(broken))
         position = {x: i for i, x in enumerate(sorted(c.basis.labels()))}
         two_pairs = {ends for ends, pairs in _grouped(g.n)[0].items() if len(pairs) == 2}
         off = [(x, z) for x, row in sq.items() for z in row if z != x]
         assert len(off) == 68
         assert sum((position[x], position[z]) in two_pairs for x, z in off) == 48
-        assert any(e == 2 for x, z in off for ev in sq[x][z] for _, e in ev.exps)
+        assert any(e == 2 for x, z in off for ev in map(oracles.vector, sq[x][z]) for _, e in ev.exps)
 
     def test_curvature_without_one_rectangle_matches_the_oracle(self, monkeypatch):
         g = corpus_grid("trefoil5")
@@ -675,7 +688,7 @@ class TestGroupedCurvature:
             monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: edited)
             c = build_complex(g)
             sq = boundary_squared(c)
-            assert sq == oracles.boundary_squared_multi(c)
+            assert sq == oracles.coded(oracles.boundary_squared_multi(c))
             assert any(z != x for x, row in sq.items() for z in row)
             assert not verify_curvature(g)
         finally:
@@ -688,7 +701,7 @@ class TestGroupedCurvature:
         assert verify_curvature(g) and boundary_squared(c)
         assert "boundary" not in vars(c)  # the count reads the masks
         boundary = c.boundary
-        assert boundary == oracles.rectangle_boundary(g) and c.boundary is boundary
+        assert boundary == oracles.coded(oracles.rectangle_boundary(g)) and c.boundary is boundary
 
     def test_curvature_masks_must_fit_the_pattern(self):
         g = corpus_grid("trefoil5")

@@ -19,10 +19,11 @@ UNREACHED = {
     # the bundled suites fails
     ("cobordism.py", "serialize_movie"),
     ("cli.py", "_reproducer"),
-    # the label-keyed boundary of a complex stored as masks, made when its
-    # `boundary` is read; no command reads it, only tests and perfbench's
-    # tracer, which counts its entries after `build_complex` (ROADMAP item
-    # 4, whose rest waits for item 2)
+    # the label-keyed boundary of a complex stored as masks, each entry a
+    # frozenset of monomial codes, made when its `boundary` is read; no
+    # command reads it, only tests (through the oracles' `vector`) and
+    # perfbench's tracer, which counts its entries after `build_complex`
+    # (ROADMAP item 4: it leaves with `build_complex`, after item 2)
     ("complexes.py", "_mask_boundary"),
 }
 
@@ -50,14 +51,15 @@ SCRIPTS = {
 
 def test_no_assert_statements():
     # `python -O` strips assert statements, so every check in the package
-    # raises a typed error instead
-    sources = sorted(SRC.rglob("*.py"))
-    assert sources, f"no sources under {SRC}"
+    # raises a typed error instead; so does every check of the oracles,
+    # which pytest does not rewrite as it does test modules
+    sources = sorted(SRC.rglob("*.py")) + [ROOT / "tests" / "oracles.py"]
+    assert len(sources) > 1, f"no sources under {SRC}"
     found = []
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [
-            f"{path.relative_to(SRC)}:{node.lineno}"
+            f"{path.relative_to(ROOT)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
