@@ -52,6 +52,7 @@ from gridfloer import (
     is_chain_map,
     maps_equal_on_homology,
     move_map,
+    parse_grid,
     parse_movie,
     quasi_destab_map,
     quasi_stab_map,
@@ -304,6 +305,40 @@ class TestChainDefect:
             flipped[j] ^= cols[j]
             g = ChainMap(f.src, f.tgt, {degree: flipped})
             assert _same_defect(g) is not None, j
+
+    def test_two_states_swapped(self, gc_primes):
+        # one part between two built complexes, each column one bit, but two
+        # states of one grading sent to each other's image: not state-keeping
+        f = self._band(gc_primes)
+        ((degree, cols),) = f.parts.items()
+        gradings = f.src.basis.gradings()
+        pairs = [(j, j + 1) for j in range(len(cols) - 1) if gradings[j] == gradings[j + 1]][::17]
+        assert pairs
+        for j, k in pairs:
+            swapped = list(cols)
+            swapped[j], swapped[k] = cols[k], cols[j]
+            g = ChainMap(f.src, f.tgt, {degree: swapped})
+            assert _same_defect(g) is not None, (j, k)
+
+    def test_composite_of_every_composed_movie(self):
+        movies = _composed_movies()
+        assert len(movies) == 14
+        for movie in movies:
+            assert _same_defect(compose_movie(movie).total) is None, movie
+
+
+def _composed_movies() -> list:
+    """The movies of `test_source.MOVIES` and of the golden cases that
+    compose: every one but a chain-map violation or a refused move."""
+    from test_golden_cli import CASES
+    from test_source import MOVIES
+
+    scripts = [(name, script) for _, name, script, code in MOVIES if code == 0]
+    scripts += [(grid, script) for case, (_, grid, script) in CASES.items() if not case.startswith("violation")]
+    return [
+        parse_movie(script, parse_grid(grid) if "\n" in grid else corpus_grid(grid))
+        for grid, script in scripts
+    ]
 
 
 class TestQuasiStabilization:
