@@ -22,6 +22,7 @@ from gridfloer import (
     corpus_names,
     find_switch_sites,
     identity_chain_map,
+    link_topology,
     parse_grid,
     scale_chain_map,
 )
@@ -46,10 +47,11 @@ def main(argv=None):
 
     src = build_gc_prime(g)
     u_id = scale_chain_map(identity_chain_map(src), U)
+    before = link_topology(g)  # traced once for all sites
     bad = 0
     for site in sites:
         t0 = time.monotonic()
-        band = classify_band(g, site)
+        band = classify_band(g, site, before)
         fwd = band_map(src, BandMapChoice(site, flavor="nu"))
         back = band_map(fwd.tgt, BandMapChoice(site, flavor="nu", direction="inverse"))
         ok = chain_maps_equal(compose_chain_maps(back, fwd), u_id)

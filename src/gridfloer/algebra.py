@@ -32,7 +32,11 @@ each generator's representative and projection row as the bitsets
 every exponent, and parts of different degrees never meet at one
 exponent, so the chain-map check (`chain_defect`), sums, compositions,
 equality and the matrix a map induces on homology (`induced_map`) are F2
-work on the parts' columns.
+work on the parts' columns.  The check does no product at all for a map of
+one part that keeps every state between two complexes built from the
+rectangle pattern, such as a band map of flavor nu or a closed movie's
+composite: both boundaries are the pattern's, in two orders of one set of
+states, so the map commutes with them.
 
 A stabilized complex is its base plus its `tensor_stack`, one rank-2 free
 module with zero differential per move: its generators are x (x) w for x
@@ -613,7 +617,31 @@ def chain_defect(f: ChainMap):
     of D F - F D, and at one pair (j, t) parts of different degrees give
     different exponents, so no term of one part cancels a term of another.
     Only the failing generator's two sides are built as label-keyed vectors.
+
+    One kind of map needs no product: a map of one part that keeps every
+    state (each column one bit, at its source's own label) between two
+    complexes built from the rectangle pattern (`complexes._on_pattern`).
+    Whether a rectangle is empty depends on the states alone
+    (Manolescu-Ozsvath-Szabo-Thurston, On combinatorial link Floer
+    homology, 2007), so in lexicographic state order both boundaries are
+    one F2 matrix P: the pattern's empty rectangles less its twins, which
+    cancel in every build that succeeds.  With S and T the orders of the
+    two bases, D_src = S P S^-1, D_tgt = T P T^-1 and F = T S^-1, so
+    D_tgt F = T P S^-1 = F D_src, and the one degree fixes every exponent
+    as above.  Such a map is a chain map, as the band maps of flavor nu
+    (the switch keeps the states) and the composites of closed movies are.
+    Any other map, such as one with a hand-built end, runs the products.
     """
+    from .complexes import _on_pattern
+
+    if len(f.parts) == 1 and _on_pattern(f.src) and _on_pattern(f.tgt):
+        (cols,) = f.parts.values()
+        src_labels, tgt_labels = f.src.basis.labels(), f.tgt.basis.labels()
+        if all(
+            col.bit_count() == 1 and tgt_labels[col.bit_length() - 1] == label
+            for col, label in zip(cols, src_labels)
+        ):
+            return None
     ds, dt = _columns(f.src), _columns(f.tgt)
     bad = {
         j

@@ -288,7 +288,8 @@ def _odd_values(groups: tuple, codes: list[int], S: int):
 def _grouped_square(c: MonomialComplex) -> dict:
     """`algebra.boundary_squared` of a complex from `build_complex`: the
     codes of its masks counted over the groups of the pattern of its size,
-    each group's entry the codes it counts an odd number of times."""
+    each group's entry the codes it counts an odd number of times, equal
+    entries one object."""
     n, classes = c.grid.n, len(_rectangle_pattern(c.grid.n)[0][0])
     if len(c.masks) != classes or max(c.masks) >> c.marking_count:
         raise BrokenInvariant(
@@ -297,7 +298,9 @@ def _grouped_square(c: MonomialComplex) -> dict:
     labels, groups = sorted(c.basis.labels()), _path_groups(n)  # the pattern's state order
     count, (ends, reach) = len(labels), groups[4:]
     out: dict = {}
+    shared: dict[frozenset, frozenset] = {}  # equal entries, such as every diagonal one, share one
     for s, values in _odd_values(groups, list(map(_code, c.masks)), 2 * c.marking_count):
+        values = shared.setdefault(values, values)
         for e in ends[reach[s] : reach[s + 1]]:
             x, z = divmod(e, count)
             out.setdefault(labels[x], {})[labels[z]] = values
@@ -370,6 +373,15 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
     if c is None:
         c = _GC_PRIME_ALIVE[g] = _build_gc_prime(g)
     return c
+
+
+def _on_pattern(c: MonomialComplex) -> bool:
+    """True when c's basis and columns are those of the build of its grid
+    alive in this process (c itself, or the base of a stack), so that its
+    boundary, read in lexicographic state order, is the rectangle pattern
+    of its size less its twins.  Reads the cache only; never builds."""
+    built = _GC_PRIME_ALIVE.get(c.grid)
+    return built is not None and built.basis is c.basis and built.columns is c.columns
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:

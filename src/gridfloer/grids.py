@@ -2,7 +2,8 @@
 
 A grid diagram is an n x n array on the torus with one O and one X marking
 in every row and column.  Markings live at cell centers; rows and columns
-are indexed 0..n-1 and all block arithmetic wraps mod n.
+are indexed 0..n-1 and all block arithmetic wraps mod n.  Error messages
+name rows and columns from 1, as grid files and movie scripts do.
 
 Marking ids: the O in row r has id r, the X in row r has id n + r.
 """
@@ -76,10 +77,10 @@ def validate(o_seq, x_seq) -> GridDiagram:
         raise SizeTooSmall(f"grid size {n} is below the minimum of {MIN_GRID_SIZE}")
     for name, seq in (("O", o), ("X", x)):
         if sorted(seq) != list(range(n)):
-            raise NonPermutation(f"{name} columns {list(seq)} are not a permutation of 0..{n - 1}")
+            raise NonPermutation(f"{name} columns {[c + 1 for c in seq]} are not a permutation of 1..{n}")
     for r in range(n):
         if o[r] == x[r]:
-            raise MarkingCollision(f"row {r} holds O and X in the same column {o[r]}")
+            raise MarkingCollision(f"row {r + 1} holds O and X in the same column {o[r] + 1}")
     return GridDiagram(n, o, x)
 
 
@@ -143,7 +144,7 @@ def site_diagonal(g: GridDiagram, s: SwitchSite) -> str:
     Raises InvalidSite when the block holds no such pair."""
     kind = _site_kind(g, s)
     if kind is None:
-        raise InvalidSite(f"no {s.letter} diagonal pair in block col={s.col} row={s.row}")
+        raise InvalidSite(f"no {s.letter} diagonal pair in block col={s.col + 1} row={s.row + 1}")
     return kind
 
 
@@ -169,7 +170,7 @@ def apply_switch(g: GridDiagram, s: SwitchSite) -> GridDiagram:
     try:
         return validate(o2, x2)
     except MarkingCollision as exc:
-        raise InvalidSite(f"switch at col={s.col} row={s.row} collides markings: {exc}") from exc
+        raise InvalidSite(f"switch at col={s.col + 1} row={s.row + 1} collides markings: {exc}") from exc
 
 
 def find_switch_sites(g: GridDiagram) -> list[SwitchSite]:

@@ -280,6 +280,41 @@ class TestExitCodes:
     def test_bad_config_value(self, grid_file):
         assert main(["--cap", "1", "homology", grid_file("unknot2")]) == EXIT_FAIL
 
+    @pytest.mark.parametrize(
+        "grid, script, code, message",
+        [
+            (
+                "n = 3\nO = 1 1 2\nX = 2 3 1\n", None, EXIT_PARSE,
+                "invalid grid: O columns [1, 1, 2] are not a permutation of 1..3",
+            ),
+            (
+                "n = 2\nO = 1 2\nX = 1 2\n", None, EXIT_PARSE,
+                "invalid grid: row 1 holds O and X in the same column 1",
+            ),
+            (
+                "n = 2\nO = 1 2\nX = 2 1\n", "switch col=2 row=2 letter=X flavor=nu dir=fwd\n", EXIT_FAIL,
+                "switch at col=2 row=2 collides markings: row 1 holds O and X in the same column 1",
+            ),
+            (
+                "n = 3\nO = 1 2 3\nX = 2 3 1\n", "switch col=3 row=1 letter=O flavor=nu dir=fwd\n", EXIT_FAIL,
+                "no O diagonal pair in block col=3 row=1",
+            ),
+        ],
+        ids=["non-permutation", "marking-collision", "switch-collision", "no-diagonal-pair"],
+    )
+    def test_positions_in_messages_count_from_one(self, tmp_path, capsys, grid, script, code, message):
+        # grid files and movie scripts count from 1, so the messages that
+        # echo their positions do too
+        path = tmp_path / "echo.grid"
+        path.write_text(grid)
+        argv = ["homology", str(path)]
+        if script is not None:
+            movie = tmp_path / "echo.movie"
+            movie.write_text(script)
+            argv = ["movie", str(path), str(movie)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestVerifySuites:
     @pytest.mark.parametrize("suite", SUITES)

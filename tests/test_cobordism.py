@@ -63,6 +63,7 @@ from gridfloer import (
     serialize_movie,
     verify_commutation,
 )
+from gridfloer import algebra
 from gridfloer.algebra import _columns, _ends
 from oracles import add_chain_maps, band_map_sum
 
@@ -339,6 +340,68 @@ def _composed_movies() -> list:
         parse_movie(script, parse_grid(grid) if "\n" in grid else corpus_grid(grid))
         for grid, script in scripts
     ]
+
+
+@pytest.fixture
+def per_bit_calls(monkeypatch):
+    """The columns `algebra._apply_bits` is called on, from now on."""
+    calls = []
+    real = algebra._apply_bits
+
+    def counting(cols, col):
+        calls.append(col)
+        return real(cols, col)
+
+    monkeypatch.setattr(algebra, "_apply_bits", counting)
+    return calls
+
+
+class TestChainDefectShortcut:
+    """A one-part map that keeps every state, between two complexes built
+    from the rectangle pattern, is certified without the per-bit loop; any
+    other map runs it."""
+
+    def test_nu_band_maps_skip_the_loop(self, corpus, gc_primes, per_bit_calls):
+        for name, g in corpus.items():
+            for site in find_switch_sites(g):
+                per_bit_calls.clear()
+                band_map(gc_primes[name], BandMapChoice(site, "nu"))
+                assert not per_bit_calls, (name, site)
+
+    def test_closed_movie_composites_skip_the_loop(self, per_bit_calls):
+        parts = []
+        for movie in _composed_movies():
+            total = compose_movie(movie).total
+            if total.tgt.grid != movie.start or total.tgt.tensor_stack:
+                continue  # not closed: it ends elsewhere, or stacked
+            parts.append(len(total.parts))
+            per_bit_calls.clear()
+            assert chain_defect(total) is None
+            assert not per_bit_calls, movie
+        assert sorted(parts) == [0, 1, 1]  # a quasistab undone at its anchor is zero
+
+    def test_nu_tilde_runs_the_loop(self, gc_primes, per_bit_calls):
+        c = gc_primes["trefoil5"]
+        for site in find_switch_sites(c.grid):
+            f = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
+            per_bit_calls.clear()
+            assert chain_defect(f) is not None
+            assert per_bit_calls, site
+
+    def test_an_end_built_by_hand_runs_the_loop(self, gc_primes, per_bit_calls):
+        c = gc_primes["trefoil5"]
+        for site in find_switch_sites(c.grid):
+            f = band_map(c, BandMapChoice(site, "nu"))
+            for src, tgt in ((f.src, _by_hand(f.tgt)), (_by_hand(f.src), f.tgt)):
+                g = ChainMap(src, tgt, f.parts)
+                per_bit_calls.clear()
+                assert chain_defect(g) is None
+                assert per_bit_calls, site
+
+
+def _by_hand(c):
+    """c's boundary, copied into a complex built from its label-keyed rows."""
+    return oracles.complex_from_rows(c.basis, c.boundary, c.marking_count, c.grid)
 
 
 class TestQuasiStabilization:

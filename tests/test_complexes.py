@@ -703,6 +703,15 @@ class TestGroupedCurvature:
         boundary = c.boundary
         assert boundary == oracles.coded(oracles.rectangle_boundary(g)) and c.boundary is boundary
 
+    def test_curvature_entries_of_one_value_are_one_object(self):
+        # every group on the diagonal is its own shape, with one value
+        g = random_grid(6, random.Random(1711))
+        c = build_complex(g)
+        sq = boundary_squared(c)
+        diagonal = [sq[x][x] for x in c.basis.labels()]
+        assert len(diagonal) == 720 and len({id(v) for v in diagonal}) == 1
+        assert diagonal[0] == expected_curvature(g)
+
     def test_curvature_masks_must_fit_the_pattern(self):
         g = corpus_grid("trefoil5")
         c = build_complex(g)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,37 @@ def test_sweep_counts_a_grading_fault(monkeypatch, capsys):
     monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
     assert sweep.main(["--size", "4", "--count", "2"]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_search_traces_the_start_grid_once_for_all_sites(monkeypatch, capsys):
+    # the start grid is traced by its build and once for every site's band
+    # class; each switched grid by its build and by its own band class
+    import importlib.util
+    import weakref
+
+    import gridfloer
+    from gridfloer import complexes, corpus_grid, find_switch_sites
+
+    calls = []
+    real = gridfloer.grids.link_topology
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gridfloer") and getattr(module, "link_topology", None) is real:
+            monkeypatch.setattr(module, "link_topology", counting)
+    monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+    spec = importlib.util.spec_from_file_location(
+        "band_relation_search", ROOT / "scripts" / "band_relation_search.py"
+    )
+    search = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(search)
+    assert search.main(["unknot4_sites"]) == 0
+    assert "4/4 sites satisfy the relation" in capsys.readouterr().out
+    g = corpus_grid("unknot4_sites")
+    switched = Counter(calls)
+    assert switched.pop(g) == 2
+    assert len(switched) == len(find_switch_sites(g)) == 4
+    assert set(switched.values()) == {2}
