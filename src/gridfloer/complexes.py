@@ -288,8 +288,7 @@ def _odd_values(groups: tuple, codes: list[int], S: int):
 def _grouped_square(c: MonomialComplex) -> dict:
     """`algebra.boundary_squared` of a complex from `build_complex`: the
     codes of its masks counted over the groups of the pattern of its size,
-    each group's entry the codes it counts an odd number of times, equal
-    entries one object."""
+    each group's entry the codes it counts an odd number of times."""
     n, classes = c.grid.n, len(_rectangle_pattern(c.grid.n)[0][0])
     if len(c.masks) != classes or max(c.masks) >> c.marking_count:
         raise BrokenInvariant(
