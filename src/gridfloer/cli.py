@@ -11,7 +11,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     GradedModuleSummary,
@@ -75,19 +74,6 @@ _EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    state_cap: int = DEFAULT_STATE_CAP
-    output: str = "table"  # "json" | "table"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.state_cap < 2:
-            raise ValueError(f"state_cap must be at least 2, got {self.state_cap}")
-        if self.output not in ("json", "table"):
-            raise ValueError(f"output must be json or table, got {self.output!r}")
-
-
 def _poly_str(p: PolyF2U) -> str:
     return repr(p).replace(" ", "")
 
@@ -99,6 +85,11 @@ def _print_summary_table(summary: GradedModuleSummary) -> None:
             " ".join(f"U^{k}" for k in row["torsion"]) if row["torsion"] else "-"
         )
         print(f"{row['grading_doubled']:>8} {row['free_rank']:>6}  {torsion}")
+
+
+def _print_json(doc: dict) -> None:
+    json.dump(doc, sys.stdout, indent=2)
+    print()
 
 
 def _grid_json(g: GridDiagram) -> dict:
@@ -119,41 +110,35 @@ def _read_grid(path: str) -> GridDiagram:
     return parse_grid(_read_text(path))
 
 
-def cmd_homology(grid_file: str, config: RunConfig) -> int:
-    g = _read_grid(grid_file)
-    c = build_gc_prime(g, config.state_cap)
+def cmd_homology(args: argparse.Namespace) -> int:
+    g = _read_grid(args.grid)
+    c = build_gc_prime(g, args.cap)
     summary = homology(c)
-    if config.output == "json":
-        json.dump(
-            {"n": g.n, "generators": len(c.basis), "homology": summary.to_json_rows()},
-            sys.stdout,
-            indent=2,
+    if args.json:
+        _print_json(
+            {"n": g.n, "generators": len(c.basis), "homology": summary.to_json_rows()}
         )
-        print()
     else:
         print(f"grid: n={g.n}, {len(c.basis)} generators")
         _print_summary_table(summary)
     return EXIT_OK
 
 
-def cmd_movie(grid_file: str, movie_file: str, config: RunConfig) -> int:
-    g = _read_grid(grid_file)
-    result = compose_movie(parse_movie(_read_text(movie_file), g), config.state_cap)
+def cmd_movie(args: argparse.Namespace) -> int:
+    g = _read_grid(args.grid)
+    result = compose_movie(parse_movie(_read_text(args.script), g), args.cap)
     degree = result.degree
     matrix = [[_poly_str(p) for p in row] for row in result.induced]
-    if config.output == "json":
-        json.dump(
+    if args.json:
+        _print_json(
             {
                 "final_grid": _grid_json(result.total.tgt.grid),
                 "degree": degree,
                 "source_homology": result.src_summary.to_json_rows(),
                 "target_homology": result.tgt_summary.to_json_rows(),
                 "induced": matrix,
-            },
-            sys.stdout,
-            indent=2,
+            }
         )
-        print()
     else:
         print("final diagram:")
         print(serialize_grid(result.total.tgt.grid), end="")
@@ -180,14 +165,13 @@ def _site_record(g: GridDiagram, site: SwitchSite, before: LinkTopology) -> dict
     }
 
 
-def cmd_sites(grid_file: str, config: RunConfig) -> int:
-    g = _read_grid(grid_file)
+def cmd_sites(args: argparse.Namespace) -> int:
+    g = _read_grid(args.grid)
     sites = find_switch_sites(g)
     before = link_topology(g) if sites else None  # traced once for every site
     records = [_site_record(g, s, before) for s in sites]
-    if config.output == "json":
-        json.dump({"n": g.n, "sites": records}, sys.stdout, indent=2)
-        print()
+    if args.json:
+        _print_json({"n": g.n, "sites": records})
     else:
         for r in records:
             oriented = "oriented" if r["oriented"] else "unoriented"
@@ -210,23 +194,21 @@ def _reproducer(g: GridDiagram, movie: Movie | None) -> str:
     return text
 
 
-def _suite_curvature(config: RunConfig):
+def _suite_curvature(args: argparse.Namespace):
     for name, g in corpus_grids().items():
         if g.n > 5:
             continue
-        yield f"curvature diagonal on {name}", g, None, verify_curvature(
-            g, config.state_cap
-        )
+        yield f"curvature diagonal on {name}", g, None, verify_curvature(g, args.cap)
 
 
-def _suite_grading(config: RunConfig):
-    rng = random.Random(config.seed)
+def _suite_grading(args: argparse.Namespace):
+    rng = random.Random(args.seed)
     grids = list(corpus_grids().items())
     grids += [(f"random5-{i}", random_grid(5, rng)) for i in range(5)]
     for name, g in grids:
         # the build checks every entry against the gradings
         try:
-            build_gc_prime(g, config.state_cap)
+            build_gc_prime(g, args.cap)
         except NotHomogeneous:
             ok = False
         else:
@@ -234,9 +216,9 @@ def _suite_grading(config: RunConfig):
         yield f"boundary homogeneity on {name}", g, None, ok
 
 
-def _suite_band_relations(config: RunConfig):
+def _suite_band_relations(args: argparse.Namespace):
     for name, g in corpus_grids().items():
-        c = build_gc_prime(g, config.state_cap)
+        c = build_gc_prime(g, args.cap)
         u_src = scale_chain_map(identity_chain_map(c), U)
         for site in find_switch_sites(g):
             f = band_map(c, BandMapChoice(site))  # chain property asserted
@@ -250,11 +232,11 @@ def _suite_band_relations(config: RunConfig):
             )
 
 
-def _suite_stab_relations(config: RunConfig):
+def _suite_stab_relations(args: argparse.Namespace):
     for name, g in corpus_grids().items():
         if g.n > 5:
             continue
-        c = build_gc_prime(g, config.state_cap)
+        c = build_gc_prime(g, args.cap)
         for anchor in range(2 * g.n):
             stab = quasi_stab_map(c, anchor)
             same = compose_chain_maps(quasi_destab_map(stab.tgt, anchor), stab)
@@ -272,7 +254,7 @@ def _suite_stab_relations(config: RunConfig):
         yield f"disk destab-stab vanishes on {name}", g, None, disk_ok
 
 
-def _suite_commutation(config: RunConfig):
+def _suite_commutation(args: argparse.Namespace):
     grids = corpus_grids()
     pairs = [
         ("split2x2_2x2", SwitchSite(1, 1, "O"), SwitchSite(3, 3, "O")),
@@ -282,7 +264,7 @@ def _suite_commutation(config: RunConfig):
     ]
     for name, s1, s2 in pairs:
         g = grids[name]
-        ok = verify_commutation(g, s1, s2, config.state_cap)
+        ok = verify_commutation(g, s1, s2, args.cap)
         label = (
             f"({s1.col + 1},{s1.row + 1}){s1.letter} vs "
             f"({s2.col + 1},{s2.row + 1}){s2.letter}"
@@ -300,33 +282,30 @@ _SUITE_RUNNERS = {
 SUITES = tuple(_SUITE_RUNNERS)
 
 
-def cmd_verify(suite: str, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite = args.suite
     if suite not in _SUITE_RUNNERS:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     checks = []
-    for description, g, movie, ok in _SUITE_RUNNERS[suite](config):
+    for description, g, movie, ok in _SUITE_RUNNERS[suite](args):
         checks.append({"check": description, "passed": ok})
         if not ok:
-            if config.output == "json":
-                json.dump(
+            if args.json:
+                _print_json(
                     {
                         "suite": suite,
                         "passed": False,
                         "failed_check": description,
                         "reproducer": _reproducer(g, movie),
                         "checks": checks,
-                    },
-                    sys.stdout,
-                    indent=2,
+                    }
                 )
-                print()
             else:
                 print(f"FAIL {description}")
                 print(_reproducer(g, movie), end="")
             return EXIT_FAIL
-    if config.output == "json":
-        json.dump({"suite": suite, "passed": True, "checks": checks}, sys.stdout, indent=2)
-        print()
+    if args.json:
+        _print_json({"suite": suite, "passed": True, "checks": checks})
     else:
         for c in checks:
             print(f"ok {c['check']}")
@@ -352,31 +331,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_hom = sub.add_parser("homology", help="graded homology of a grid file")
     p_hom.add_argument("grid")
+    p_hom.set_defaults(run=cmd_homology)
     p_movie = sub.add_parser("movie", help="compose a movie script over a grid file")
     p_movie.add_argument("grid")
     p_movie.add_argument("script")
+    p_movie.set_defaults(run=cmd_movie)
     p_sites = sub.add_parser("sites", help="list switch sites of a grid file")
     p_sites.add_argument("grid")
+    p_sites.set_defaults(run=cmd_sites)
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("suite")
+    p_verify.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            state_cap=args.cap,
-            output="json" if args.json else "table",
-            seed=args.seed,
-        )
-        if args.command == "homology":
-            return cmd_homology(args.grid, config)
-        if args.command == "movie":
-            return cmd_movie(args.grid, args.script, config)
-        if args.command == "sites":
-            return cmd_sites(args.grid, config)
-        return cmd_verify(args.suite, config)
+        if args.cap < 2:
+            raise ValueError(f"state_cap must be at least 2, got {args.cap}")
+        return args.run(args)
     except (GridFloerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(

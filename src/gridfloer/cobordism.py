@@ -290,7 +290,7 @@ def renumber_map(c: MonomialComplex, perm) -> ChainMap:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(c.marking_count)):
         raise BadPermutation(
-            f"{perm} is not a permutation of 0..{c.marking_count - 1}"
+            f"{tuple(p + 1 for p in perm)} is not a permutation of 1..{c.marking_count}"
         )
     return identity_chain_map(c)
 
@@ -376,7 +376,7 @@ def verify_commutation(
     cols2 = {site2.col, (site2.col + 1) % n}
     if rows1 & rows2 or cols1 & cols2:
         raise SitesNotDisjoint(
-            f"blocks ({site1.col},{site1.row}) and ({site2.col},{site2.row}) "
+            f"blocks ({site1.col + 1},{site1.row + 1}) and ({site2.col + 1},{site2.row + 1}) "
             "share a row or column"
         )
     c = build_gc_prime(g, cap)

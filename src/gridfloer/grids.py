@@ -65,7 +65,13 @@ class BandClass:
 
 
 def validate(o_seq, x_seq) -> GridDiagram:
-    """Build a GridDiagram from two column sequences, checking all invariants."""
+    """Build a GridDiagram from two column sequences, checking all invariants.
+    The messages count rows and columns from 1, as grid files do."""
+    return _validate(o_seq, x_seq, 1)
+
+
+def _validate(o_seq, x_seq, base: int) -> GridDiagram:
+    """`validate`, its messages counting rows and columns from `base`."""
     o = tuple(int(c) for c in o_seq)
     x = tuple(int(c) for c in x_seq)
     if len(o) != len(x):
@@ -77,10 +83,13 @@ def validate(o_seq, x_seq) -> GridDiagram:
         raise SizeTooSmall(f"grid size {n} is below the minimum of {MIN_GRID_SIZE}")
     for name, seq in (("O", o), ("X", x)):
         if sorted(seq) != list(range(n)):
-            raise NonPermutation(f"{name} columns {[c + 1 for c in seq]} are not a permutation of 1..{n}")
+            raise NonPermutation(
+                f"{name} columns {[c + base for c in seq]} are not a permutation"
+                f" of {base}..{n - 1 + base}"
+            )
     for r in range(n):
         if o[r] == x[r]:
-            raise MarkingCollision(f"row {r + 1} holds O and X in the same column {o[r] + 1}")
+            raise MarkingCollision(f"row {r + base} holds O and X in the same column {o[r] + base}")
     return GridDiagram(n, o, x)
 
 
@@ -299,7 +308,7 @@ def _parse_grid_json(text: str) -> GridDiagram:
         if type(seq) is not list or any(type(v) is not int for v in seq):
             raise ParseError(f'JSON "{key}" must be a list of integers, got {seq!r:.40}')
     try:
-        g = validate(obj["o"], obj["x"])
+        g = _validate(obj["o"], obj["x"], 0)  # the file's own 0-based numbers
     except (NonPermutation, MarkingCollision, SizeTooSmall) as exc:
         raise ParseError(f"invalid grid: {exc}") from exc
     if g.n != obj["n"]:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,7 +15,19 @@ from pathlib import Path
 import pytest
 
 import gridfloer
-from gridfloer import cli, complexes, corpus_grid, corpus_text, serialize_grid
+from gridfloer import (
+    NotHomogeneous,
+    SitesNotDisjoint,
+    SwitchSite,
+    cli,
+    complexes,
+    corpus_grid,
+    corpus_grids,
+    corpus_text,
+    random_grid,
+    serialize_grid,
+    verify_commutation,
+)
 from gridfloer.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -23,7 +36,6 @@ from gridfloer.cli import (
     EXIT_PARSE,
     EXIT_SUITE,
     SUITES,
-    RunConfig,
     main,
 )
 
@@ -40,6 +52,16 @@ SUITE_SIZES = {
     "grading": 15,
     "band-relations": 43,
     "stab-relations": 59,
+    "commutation": 4,
+}
+
+# the size of the first grid above 3 that each suite builds, which `--cap 3`
+# refuses
+FIRST_SIZE_OVER_3 = {
+    "curvature": 4,
+    "grading": 6,
+    "band-relations": 6,
+    "stab-relations": 4,
     "commutation": 4,
 }
 
@@ -64,18 +86,40 @@ def movie_file(tmp_path):
     return write
 
 
-class TestRunConfig:
+class TestSettings:
     def test_defaults(self):
-        c = RunConfig()
-        assert (c.state_cap, c.output, c.seed) == (8, "table", 0)
+        args = cli._build_parser().parse_args(["verify", "grading"])
+        assert (args.cap, args.json, args.seed) == (8, False, 0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"state_cap": 1}, {"state_cap": 0}, {"output": "xml"}],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(**kwargs)
+    @pytest.mark.parametrize("cap", ["1", "0"])
+    def test_cap_below_two(self, capsys, cap):
+        assert main(["--cap", cap, "verify", "grading"]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: state_cap must be at least 2, got {cap}\n"
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_cap_reaches_every_suite(self, capsys, suite):
+        assert main(["--cap", "3", "verify", suite]) == EXIT_CAP
+        size = FIRST_SIZE_OVER_3[suite]
+        assert capsys.readouterr().err == f"error: grid size {size} exceeds the state cap 3\n"
+
+    def test_seed_reaches_the_grading_suite(self, monkeypatch, capsys):
+        # a passing run prints no grid, so fail the first seeded grid and
+        # read it off the reproducer
+        corpus = set(corpus_grids().values())
+
+        def failing_off_the_corpus(g, cap):
+            if g not in corpus:
+                raise NotHomogeneous("seeded grid")
+            return complexes.build_gc_prime(g, cap)
+
+        monkeypatch.setattr(cli, "build_gc_prime", failing_off_the_corpus)
+        assert main(["--seed", "9", "verify", "grading"]) == EXIT_FAIL
+        first = random_grid(5, random.Random(9))
+        assert capsys.readouterr().out == (
+            "FAIL boundary homogeneity on random5-0\ngrid:\n" + serialize_grid(first)
+        )
 
 
 class TestHomologyCommand:
@@ -299,8 +343,13 @@ class TestExitCodes:
                 "n = 3\nO = 1 2 3\nX = 2 3 1\n", "switch col=3 row=1 letter=O flavor=nu dir=fwd\n", EXIT_FAIL,
                 "no O diagonal pair in block col=3 row=1",
             ),
+            (
+                corpus_text("trefoil5"), "renumber 2 1\n", EXIT_MOVE,
+                "(2, 1) is not a permutation of 1..10",
+            ),
         ],
-        ids=["non-permutation", "marking-collision", "switch-collision", "no-diagonal-pair"],
+        ids=["non-permutation", "marking-collision", "switch-collision", "no-diagonal-pair",
+             "renumber"],
     )
     def test_positions_in_messages_count_from_one(self, tmp_path, capsys, grid, script, code, message):
         # grid files and movie scripts count from 1, so the messages that
@@ -314,6 +363,30 @@ class TestExitCodes:
             argv = ["movie", str(path), str(movie)]
         assert main(argv) == code
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_commutation_blocks_count_from_one(self, corpus):
+        # named as the commutation suite's labels name its sites
+        with pytest.raises(SitesNotDisjoint) as exc:
+            verify_commutation(corpus["trefoil5"], SwitchSite(0, 0, "O"), SwitchSite(0, 1, "O"))
+        assert str(exc.value) == "blocks (1,1) and (1,2) share a row or column"
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (
+                {"n": 3, "o": [0, 0, 1], "x": [1, 2, 0]},
+                "O columns [0, 0, 1] are not a permutation of 0..2",
+            ),
+            ({"n": 2, "o": [0, 1], "x": [0, 1]}, "row 0 holds O and X in the same column 0"),
+        ],
+        ids=["non-permutation", "marking-collision"],
+    )
+    def test_json_grid_messages_name_its_numbers(self, tmp_path, capsys, grid, message):
+        # a JSON grid counts from 0, so its messages do too
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(grid))
+        assert main(["homology", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: invalid grid: {message}\n"
 
 
 class TestVerifySuites:
@@ -374,11 +447,11 @@ class TestVerifySuites:
         g = corpus["unknot2"]
         movie = Movie(g, ())
 
-        def doomed(config):
+        def doomed(args):
             yield "always red", g, movie, False
 
         monkeypatch.setitem(cli._SUITE_RUNNERS, "doomed", doomed)
-        assert cli.cmd_verify("doomed", RunConfig()) == EXIT_FAIL
+        assert main(["verify", "doomed"]) == EXIT_FAIL
         out = capsys.readouterr().out
         assert "FAIL always red" in out
         assert "grid:\nn = 2" in out and "movie:" in out
@@ -386,11 +459,11 @@ class TestVerifySuites:
     def test_failure_reproducer_json(self, corpus, monkeypatch, capsys):
         g = corpus["unknot2"]
 
-        def doomed(config):
+        def doomed(args):
             yield "always red", g, None, False
 
         monkeypatch.setitem(cli._SUITE_RUNNERS, "doomed", doomed)
-        assert cli.cmd_verify("doomed", RunConfig(output="json")) == EXIT_FAIL
+        assert main(["--json", "verify", "doomed"]) == EXIT_FAIL
         data = json.loads(capsys.readouterr().out)
         assert data["passed"] is False
         assert data["failed_check"] == "always red"
