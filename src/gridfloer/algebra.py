@@ -20,9 +20,9 @@ order they were given.  Bitset columns, presentations and chain-map
 columns all index that order.  Homology of a single-variable complex is a
 column reduction over int bitsets (`_reduce`): homogeneity implies every
 coefficient from the gradings, so the reduction is F2 work on the
-boundary's pattern.  It certifies d^2 = 0 after reducing, with one
-product per nonzero reduced column; `boundary_squares_to_zero` is the
-direct check, one product per column.
+boundary's pattern.  It certifies d^2 = 0 after reducing, once per size
+on built complexes, with one product per nonzero reduced column;
+`boundary_squares_to_zero` is the direct check, one product per column.
 
 A chain map is likewise its homogeneous parts (`ChainMap.parts`): for
 each degree it has, one bitset column per source generator, with
@@ -352,7 +352,7 @@ def boundary_squares_to_zero(c: MonomialComplex) -> bool:
 
     Homogeneity pins the exponent of every two-step path between fixed
     endpoints, so d^2 = 0 reduces to path-count parity.  `_reduce` makes
-    the same check on its nonzero reduced columns alone.
+    the same check on its nonzero reduced columns, once per built size.
     """
     try:
         _check_squares_to_zero(c.basis, _columns(c))
@@ -393,12 +393,18 @@ def _reduce(c: MonomialComplex):
     tower.  Clearing loses nothing: a low t's own column would reduce to
     zero, as d(V_t) lies in the span of the earlier reduced columns, which
     have distinct lows.  The argument uses only homogeneity, checked in
-    the build, and d^2 = 0.
+    the build, and d^2 = 0.  A complex built from the rectangle pattern
+    (`complexes._on_pattern`) is D = S P S^-1, P the pattern less its twins
+    (see `chain_defect`), exponents fixed by the gradings, so D^2 = 0 iff
+    P^2 = 0: once one passes, the pattern is recorded (`complexes._SQUARE_FREE`),
+    and later builds from it, not copies of their columns, skip the check.
 
     Returns the free indices j, the torsion summands as (k, t) sorted by k,
     and that basis as bitset columns: V e_j at a non-low j, the pattern of
     y_t at a low t.  The columns of c are copied, not changed.
     """
+    from .complexes import _SQUARE_FREE, _on_pattern, _rectangle_pattern
+
     D, gradings = _columns(c), c.basis.gradings()
     R = list(D)
     V = [0] * len(R)
@@ -417,9 +423,13 @@ def _reduce(c: MonomialComplex):
             r ^= R[i]
             v ^= V[i]
         R[j], V[j] = r, v
-    if any(_apply_bits(D, r) for r in R if r):
-        _check_squares_to_zero(c.basis, D)
-        raise BrokenInvariant("a reduced column is not a cycle, yet d^2 = 0 column by column")
+    pattern = _on_pattern(c) and _rectangle_pattern(c.grid.n)
+    if not pattern or _SQUARE_FREE.get(c.grid.n) is not pattern:
+        if any(_apply_bits(D, r) for r in R if r):
+            _check_squares_to_zero(c.basis, D)
+            raise BrokenInvariant("a reduced column is not a cycle, yet d^2 = 0 column by column")
+        if pattern:
+            _SQUARE_FREE[c.grid.n] = pattern
     free = [j for j, r in enumerate(R) if not r and j not in column_of_low]
     torsion = []
     for t, j in column_of_low.items():

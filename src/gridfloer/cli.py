@@ -204,7 +204,7 @@ def _suite_curvature(args: argparse.Namespace):
 def _suite_grading(args: argparse.Namespace):
     rng = random.Random(args.seed)
     grids = list(corpus_grids().items())
-    grids += [(f"random5-{i}", random_grid(5, rng)) for i in range(5)]
+    grids += [(f"random5-seed{args.seed}-{i}", random_grid(5, rng)) for i in range(5)]
     for name, g in grids:
         # the build checks every entry against the gradings
         try:

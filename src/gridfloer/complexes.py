@@ -22,6 +22,8 @@ when read (`_mask_boundary`): a rectangle is the code of its mask
 (`_code`) and a twin the F2 sum of two.
 `build_gc_prime` cancels twins of equal weight, checks U^(bit count)
 against the gradings, and sets one bit of a column over the graded basis.
+The gradings read 2 I(x, x) from a table made once per size (`_pair_counts`),
+and `algebra._reduce` certifies d^2 = 0 once per size (`_SQUARE_FREE`).
 
 The square of the multivariable boundary (`_grouped_square`, for
 `algebra.boundary_squared`) reads the pattern's two-step paths grouped by
@@ -57,9 +59,10 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def enumerate_states(n: int, cap: int = DEFAULT_STATE_CAP) -> list[State]:
-    """All n! states in lexicographic order; refuses sizes above the cap."""
+    """All n! states in lexicographic order; refuses sizes above the cap.
+    Up to the default cap they are the pair table's keys, shared by every build."""
     _check_cap(n, cap)
-    return list(itertools.permutations(range(n)))
+    return list(_pair_counts(n) if n <= DEFAULT_STATE_CAP else itertools.permutations(range(n)))
 
 
 def _line_masks(g: GridDiagram) -> tuple[list[list[int]], list[list[int]]]:
@@ -105,14 +108,9 @@ def _grid_grading_part(g: GridDiagram) -> tuple[list[list[int]], int]:
         ]
         for c in range(n)
     ]
-
-    def ordered_pairs(col_of: tuple[int, ...]) -> int:
-        # marking pairs (p, q), q strictly up and to the right of p; the
-        # markings of one kind sit one per row and one per column
-        return sum(1 for r, s in itertools.combinations(range(n), 2) if col_of[s] > col_of[r])
-
+    # OO and XX: one marking of a kind per row and column, so a pair is an ascent of its columns
     l = link_topology(g).component_count
-    return table, ordered_pairs(g.o_col) + ordered_pairs(g.x_col) + (n - l) + 2
+    return table, _ascents(g.o_col) + _ascents(g.x_col) + (n - l) + 2
 
 
 def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
@@ -125,11 +123,29 @@ def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
     J(x-O, x-O) + J(x-X, x-X) + (n - l) + 2, which expands to
     2 I(x, x) - sum over the points of x of `table[c][x[c]]` + const, with
     (table, const) = `_grid_grading_part(g)`.  Callers that grade every
-    state of one grid pass that as `grid_part`.
+    state of one grid pass that as `grid_part`.  Up to the default cap,
+    2 I(x, x) is read from a table made once per size (`_pair_counts`).
     """
     table, const = grid_part or _grid_grading_part(g)
-    i_ss = sum(itertools.starmap(lt, itertools.combinations(state, 2)))
-    return 2 * i_ss - sum(map(getitem, table, state)) + const
+    pairs = _pair_counts(g.n)[tuple(state)] if g.n <= DEFAULT_STATE_CAP else 2 * _ascents(state)
+    return pairs - sum(map(getitem, table, state)) + const
+
+
+def _ascents(seq) -> int:
+    """The pairs i < j with seq[i] < seq[j]."""
+    return sum(itertools.starmap(lt, itertools.combinations(seq, 2)))
+
+
+@functools.cache
+def _pair_counts(n: int) -> dict[State, int]:
+    """2 `_ascents(x)` of each state x of size n.  The state of lexicographic
+    rank j has as many inversions as j has digit sum in factorial base, so
+    its ascents sum the complements m - 1 - d of its digits d of weight (m - 1)!."""
+    counts = [0]
+    for m in range(2, n + 1):  # the ranks below m!: each complement held for (m - 1)! ranks
+        held = chain.from_iterable(map(repeat, range(2 * m - 2, -1, -2), repeat(len(counts))))
+        counts = list(map(add, counts * m, held))
+    return dict(zip(itertools.permutations(range(n)), counts))
 
 
 def _graded_basis(g: GridDiagram, states: list[State]) -> tuple[list[int], GradedBasis]:
@@ -193,6 +209,10 @@ def _rectangle_pattern(n: int) -> tuple:
     corners = tuple(array("B", v) for v in zip(*((a, b, s, (t - s) % n) for a, b, s, t in kinds)))
     offsets = array("I", itertools.accumulate(per_state, initial=0))
     return corners, offsets, targets, classes, array(typecode, chain.from_iterable(quads))
+
+
+# size -> the rectangle pattern whose d^2 = 0 `algebra._reduce` certified
+_SQUARE_FREE: dict[int, tuple] = {}
 
 
 def _class_masks(g: GridDiagram, corners) -> list[int]:

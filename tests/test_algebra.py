@@ -2,6 +2,8 @@
 import functools
 import itertools
 import random
+import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,7 @@ from gridfloer import (
     scale_chain_map,
     u_power,
 )
-from gridfloer import algebra
+from gridfloer import algebra, complexes
 from gridfloer.algebra import (
     _check_squares_to_zero,
     _columns,
@@ -497,6 +499,100 @@ class TestReductionCertificate:
         monkeypatch.setattr(algebra, "_check_squares_to_zero", lambda basis, cols: None)
         with pytest.raises(BrokenInvariant, match="not a cycle"):
             _reduce(_stored([0, 0], [0b10, 0b01]))
+
+
+def _keeping_a_twin(pattern):
+    """The rectangle pattern with its first twin x -> y kept as one of x's
+    rectangles, as a walk that failed to pair it would leave it."""
+    corners, offsets, targets, classes, twins = pattern
+    x, y, k, _ = twins[:4]
+    at = offsets[x + 1]
+    return (
+        corners,
+        array(offsets.typecode, [o + (i > x) for i, o in enumerate(offsets)]),
+        targets[:at] + array(targets.typecode, [y]) + targets[at:],
+        classes[:at] + array(classes.typecode, [k]) + classes[at:],
+        twins[4:],
+    )
+
+
+class TestSizeRecord:
+    """`_reduce` certifies d^2 = 0 on the first complex built from the
+    rectangle pattern of a size, records that pattern, and skips the
+    certificate on later builds from it; every other complex, and every
+    other pattern, is certified."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        # no size certified and no complex alive, whatever ran before;
+        # returns the columns the certificate applies the boundary to
+        monkeypatch.setattr(complexes, "_SQUARE_FREE", {})
+        monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+        applied, apply_bits = [], algebra._apply_bits
+
+        def recorded(cols, col):
+            applied.append(col)
+            return apply_bits(cols, col)
+
+        monkeypatch.setattr(algebra, "_apply_bits", recorded)
+        return applied
+
+    @staticmethod
+    def _keep_a_twin(monkeypatch):
+        """Swaps in a pattern that keeps one twin, made once per size."""
+        real = complexes._rectangle_pattern
+        patched = functools.cache(lambda n: _keeping_a_twin(real(n)))
+        monkeypatch.setattr(complexes, "_rectangle_pattern", patched)
+
+    @staticmethod
+    def _live(seed, n=5):
+        return build_gc_prime(random_grid(n, random.Random(seed)))
+
+    @staticmethod
+    def _reduced(c):
+        return [r for r in _plain_reduction(c.columns) if r]
+
+    def test_first_live_complex_of_a_size_is_certified(self, applied):
+        c = self._live(1)
+        _reduce(c)
+        assert applied and applied == self._reduced(c)
+        assert complexes._SQUARE_FREE[5] is complexes._rectangle_pattern(5)
+
+    def test_later_live_complexes_of_that_size_are_not(self, applied):
+        _reduce(self._live(1))
+        applied.clear()
+        c = self._live(2)
+        got = _reduce(c)
+        assert applied == []
+        copy = MonomialComplex(c.basis, c.marking_count, c.grid, columns=list(c.columns))
+        assert _reduce(copy) == got
+        applied.clear()
+        other = self._live(2, n=4)  # another size
+        _reduce(other)
+        assert applied and applied == self._reduced(other)
+
+    def test_a_copy_of_the_columns_is_certified(self, applied):
+        c = self._live(1)
+        _reduce(c)
+        applied.clear()
+        _reduce(MonomialComplex(c.basis, c.marking_count, c.grid, columns=list(c.columns)))
+        assert applied and applied == self._reduced(c)
+
+    def test_a_failing_certificate_marks_no_size(self, applied, monkeypatch):
+        self._keep_a_twin(monkeypatch)
+        c = self._live(1)
+        with pytest.raises(NotAComplex, match="odd path count"):
+            homology(c)
+        assert complexes._SQUARE_FREE == {}
+
+    def test_a_swapped_pattern_is_certified_again(self, applied, monkeypatch):
+        _reduce(self._live(1))
+        assert 5 in complexes._SQUARE_FREE
+        self._keep_a_twin(monkeypatch)
+        c = self._live(2)
+        assert complexes._on_pattern(c)
+        with pytest.raises(NotAComplex, match="odd path count"):
+            homology(c)
 
 
 class TestHomology:

@@ -118,8 +118,18 @@ class TestSettings:
         assert main(["--seed", "9", "verify", "grading"]) == EXIT_FAIL
         first = random_grid(5, random.Random(9))
         assert capsys.readouterr().out == (
-            "FAIL boundary homogeneity on random5-0\ngrid:\n" + serialize_grid(first)
+            "FAIL boundary homogeneity on random5-seed9-0\ngrid:\n" + serialize_grid(first)
         )
+
+    def test_seed_shows_in_a_passing_grading_run(self, capsys):
+        # the seeded checks name their seed, in the table and under --json
+        for flags in ([], ["--json"]):
+            runs = []
+            for seed in ("0", "9"):
+                assert main([*flags, "--seed", seed, "verify", "grading"]) == EXIT_OK
+                runs.append(capsys.readouterr().out)
+            assert runs[0] != runs[1]
+            assert "random5-seed0-4" in runs[0] and "random5-seed9-4" in runs[1]
 
 
 class TestHomologyCommand:

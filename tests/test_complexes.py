@@ -1,6 +1,7 @@
 """State enumeration, gradings, rectangles, and the two boundary builders."""
 import gc
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -131,6 +132,35 @@ class TestGrading:
             for t in (rows, cols):
                 moved = Counter(delta_grading(t, s) for s in enumerate_states(t.n))
                 assert moved == base
+
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pair_table_counts_every_state(self, n):
+        # the factorial-base table against the pair count, state by state
+        table, states = complexes._pair_counts(n), list(itertools.permutations(range(n)))
+        assert len(table) == len(states)
+        assert [table[s] for s in states] == [
+            2 * sum(itertools.starmap(operator.lt, itertools.combinations(s, 2))) for s in states
+        ]
+
+    def test_gradings_match_the_pair_oracle(self, corpus, rng):
+        grids = [g for g in corpus.values() if g.n <= 6]
+        grids += [random_grid(n, rng) for n in (2, 3, 4, 5, 6) for _ in range(2)]
+        for g in grids:
+            states = enumerate_states(g.n)
+            want = [oracles.delta_grading_pairs(g, s) for s in states]
+            assert [delta_grading(g, s) for s in states] == want, g
+            assert delta_grading(g, list(states[-1])) == want[-1]  # a state as a list
+
+    def test_a_state_above_the_cap_is_counted_without_a_table(self, monkeypatch, rng):
+        def refused(n):
+            raise AssertionError(f"a table of {n}! states")
+
+        monkeypatch.setattr(complexes, "_pair_counts", refused)
+        g = random_grid(DEFAULT_STATE_CAP + 1, rng)
+        for _ in range(3):
+            state = tuple(rng.sample(range(g.n), g.n))
+            assert delta_grading(g, state) == oracles.delta_grading_pairs(g, state)
 
 
 def _brute_weight(g, rect):
