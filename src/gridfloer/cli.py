@@ -39,6 +39,7 @@ from .complexes import DEFAULT_STATE_CAP, build_gc_prime, verify_curvature
 from .corpus import corpus_grids
 from .errors import (
     CapExceeded,
+    ChainMapViolation,
     GridFloerError,
     MoveSequenceInvalid,
     NotHomogeneous,
@@ -221,15 +222,19 @@ def _suite_band_relations(args: argparse.Namespace):
         c = build_gc_prime(g, args.cap)
         u_src = scale_chain_map(identity_chain_map(c), U)
         for site in find_switch_sites(g):
-            f = band_map(c, BandMapChoice(site))  # chain property asserted
-            f_back = band_map(f.tgt, BandMapChoice(site))
-            u_mid = scale_chain_map(identity_chain_map(f.tgt), U)
-            first = chain_maps_equal(compose_chain_maps(f_back, f), u_src)
-            second = chain_maps_equal(compose_chain_maps(f, f_back), u_mid)
+            movie = Movie(g, (BandMapChoice(site), BandMapChoice(site, direction="inverse")))
+            try:
+                f = band_map(c, movie.moves[0])  # chain property asserted
+                f_back = band_map(f.tgt, movie.moves[1])
+            except ChainMapViolation:  # a failed check, reported with its movie
+                ok = False
+            else:
+                u_mid = scale_chain_map(identity_chain_map(f.tgt), U)
+                first = chain_maps_equal(compose_chain_maps(f_back, f), u_src)
+                second = chain_maps_equal(compose_chain_maps(f, f_back), u_mid)
+                ok = first and second
             label = f"col={site.col + 1} row={site.row + 1} letter={site.letter}"
-            yield f"switch compositions equal U on {name} ({label})", g, None, (
-                first and second
-            )
+            yield f"switch compositions equal U on {name} ({label})", g, movie, ok
 
 
 def _suite_stab_relations(args: argparse.Namespace):

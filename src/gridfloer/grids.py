@@ -251,7 +251,6 @@ def parse_grid(text: str) -> GridDiagram:
     if stripped.startswith("{"):
         return _parse_grid_json(text)
     fields: dict[str, list[int]] = {}
-    n_val = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -264,18 +263,16 @@ def parse_grid(text: str) -> GridDiagram:
             values = [int(tok) for tok in rhs.split()]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-integer token in {raw!r}") from exc
-        if key == "n":
-            if len(values) != 1:
-                raise ParseError(f"line {lineno}: `n` takes a single integer")
-            n_val = values[0]
-        elif key in ("O", "X"):
-            if key in fields:
-                raise ParseError(f"line {lineno}: duplicate `{key}` line")
-            fields[key] = values
-        else:
+        if key not in ("n", "O", "X"):
             raise ParseError(f"line {lineno}: unknown key {key!r}")
-    if n_val is None or "O" not in fields or "X" not in fields:
+        if key in fields:
+            raise ParseError(f"line {lineno}: duplicate `{key}` line")
+        if key == "n" and len(values) != 1:
+            raise ParseError(f"line {lineno}: `n` takes a single integer")
+        fields[key] = values
+    if len(fields) != 3:
         raise ParseError("grid file needs `n`, `O`, and `X` lines")
+    (n_val,) = fields["n"]
     for key in ("O", "X"):
         if len(fields[key]) != n_val:
             raise ParseError(f"`{key}` has {len(fields[key])} entries, expected n={n_val}")

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, flags, exit codes, verify suites."""
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from gridfloer import (
     SitesNotDisjoint,
     SwitchSite,
     cli,
+    cobordism,
     complexes,
     corpus_grid,
     corpus_grids,
@@ -450,6 +452,33 @@ class TestVerifySuites:
             "FAIL boundary homogeneity on trefoil5\ngrid:\n" + serialize_grid(g)
         )
         assert captured.err == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_band_map_violation_is_a_failed_check(self, flags, monkeypatch, capsys):
+        # a band map that is not a chain map fails its site's check, which
+        # carries the grid and the round-trip movie as its reproducer
+        real = cobordism.band_map_raw
+
+        def nu_tilde(c, choice):
+            return real(c, dataclasses.replace(choice, flavor="nu_tilde"))
+
+        monkeypatch.setattr(cobordism, "band_map_raw", nu_tilde)
+        assert main([*flags, "verify", "band-relations"]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        check = "switch compositions equal U on fig8_6 (col=1 row=1 letter=O)"
+        reproducer = (
+            "grid:\n" + serialize_grid(corpus_grid("fig8_6")) + "movie:\n"
+            "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
+            "switch col=1 row=1 letter=O flavor=nu dir=inv\n"
+        )
+        if flags:
+            data = json.loads(captured.out)
+            assert data["passed"] is False
+            assert data["failed_check"] == check
+            assert data["reproducer"] == reproducer
+        else:
+            assert captured.out == f"FAIL {check}\n" + reproducer
 
     def test_failure_dumps_reproducer(self, corpus, monkeypatch, capsys):
         from gridfloer import Movie

@@ -890,6 +890,16 @@ class TestMovieScripts:
         assert serialize_movie(movie).splitlines() == moves
         assert parse_movie(serialize_movie(movie), g) == movie
 
+    def test_readme_python_runs_the_band_round_trip(self):
+        # the quick start, run as one session, ends with the relation it states
+        blocks = README.read_text().split("```")[1::2]
+        namespace = {}
+        for block in blocks:
+            if block.startswith("python\n"):
+                exec(block.removeprefix("python\n"), namespace)
+        f, back, c = namespace["f"], namespace["back"], namespace["c"]
+        assert chain_maps_equal(compose_chain_maps(back, f), _u_id(c))
+
     def test_one_indexing(self, corpus):
         movie = parse_movie(
             "switch col=1 row=1 letter=O flavor=nu dir=fwd\n",

@@ -349,6 +349,7 @@ class TestFileFormat:
             ("n = 2\nO = 1 2\n", "needs"),
             ("n = 2\nO = 1 2\nX = 2 1\nY = 1 2\n", "unknown key"),
             ("n = 2\nO = 1 2\nO = 2 1\nX = 2 1\n", "duplicate"),
+            ("n = 9\nn = 2\nO = 1 2\nX = 2 1\n", "line 2: duplicate `n` line"),
             ("n = 2\nO = 1 two\nX = 2 1\n", "non-integer"),
             ("n = 2 2\nO = 1 2\nX = 2 1\n", "single integer"),
             ("n = 2\nO = 1 2 3\nX = 2 1\n", "entries"),

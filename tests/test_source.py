@@ -1,7 +1,6 @@
 """Rules on the package source itself."""
 import ast
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -23,8 +22,15 @@ UNREACHED = {
     # frozenset of monomial codes, made when its `boundary` is read; no
     # command reads it, only tests (through the oracles' `vector`) and
     # perfbench's tracer, which counts its entries after `build_complex`
-    # (ROADMAP item 4: it leaves with `build_complex`, after item 2)
+    # (ROADMAP item 6: it leaves with `build_complex`, after item 2)
     ("complexes.py", "_mask_boundary"),
+    # the public direct d^2 check, one product per column: perfbench's
+    # tracer names it and probes each complex with it, and acceptance
+    # criterion 01 checks the corpus and seeded grids with it
+    ("algebra.py", "boundary_squares_to_zero"),
+    # names the failing path when `_reduce`'s certificate finds d^2 != 0,
+    # which no bundled grid triggers
+    ("algebra.py", "_check_squares_to_zero"),
 }
 
 SWITCH = "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
@@ -41,12 +47,6 @@ MOVIES = [
     ([], "trefoil5", "flip\n", 2),  # ParseError
     (["--cap", "4"], "trefoil5", "", 3),  # CapExceeded
 ]
-# each script's smallest input, as in test_scripts.py
-SCRIPTS = {
-    "dsquared_sweep.py": ["--size", "4", "--count", "3"],
-    "corpus_tables.py": ["--json"],
-    "band_relation_search.py": ["unknot3"],
-}
 
 
 def test_no_assert_statements():
@@ -116,9 +116,9 @@ def _runs(workdir: Path):
 
 
 def _reached(workdir: Path) -> list:
-    """Every run of `_runs` and each script's `main`, under a profiler that
-    records the code objects called; returns the failed runs and the
-    (file, first line) of each code object."""
+    """Every run of `_runs`, under a profiler that records the code objects
+    called; returns the failed runs and the (file, first line) of each code
+    object."""
     from gridfloer.cli import main
 
     failed, codes = [], set()
@@ -134,12 +134,6 @@ def _reached(workdir: Path) -> list:
             for argv, want in _runs(workdir):
                 if main(argv) != want:
                     failed.append(argv)
-            for script, args in SCRIPTS.items():
-                spec = importlib.util.spec_from_file_location(script[:-3], ROOT / "scripts" / script)
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                if module.main(args) != 0:
-                    failed.append([script, *args])
     finally:
         sys.setprofile(None)
     files = {str(path.resolve()) for path in SRC.rglob("*.py")}
