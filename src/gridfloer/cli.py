@@ -98,10 +98,10 @@ def _grid_json(g: GridDiagram) -> dict:
 
 
 def _read_text(path: str) -> str:
-    """A grid file or movie script; bytes that are not UTF-8 are a parse
-    error."""
+    """A grid file or movie script, without a leading byte-order mark;
+    bytes that are not UTF-8 are a parse error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc}") from exc
@@ -135,8 +135,8 @@ def cmd_movie(args: argparse.Namespace) -> int:
             {
                 "final_grid": _grid_json(result.total.tgt.grid),
                 "degree": degree,
-                "source_homology": result.src_summary.to_json_rows(),
-                "target_homology": result.tgt_summary.to_json_rows(),
+                "source_homology": result.src_presentation.summary.to_json_rows(),
+                "target_homology": result.tgt_presentation.summary.to_json_rows(),
                 "induced": matrix,
             }
         )
@@ -145,9 +145,9 @@ def cmd_movie(args: argparse.Namespace) -> int:
         print(serialize_grid(result.total.tgt.grid), end="")
         print(f"total map degree: {degree}")
         print("source homology:")
-        _print_summary_table(result.src_summary)
+        _print_summary_table(result.src_presentation.summary)
         print("target homology:")
-        _print_summary_table(result.tgt_summary)
+        _print_summary_table(result.tgt_presentation.summary)
         print("induced map (rows = target generators):")
         for row in matrix:
             print("  " + " ".join(f"{e:>6}" for e in row))
@@ -269,12 +269,16 @@ def _suite_commutation(args: argparse.Namespace):
     ]
     for name, s1, s2 in pairs:
         g = grids[name]
-        ok = verify_commutation(g, s1, s2, args.cap)
+        movie = Movie(g, (BandMapChoice(s1), BandMapChoice(s2)))  # the order composed first
+        try:
+            ok = verify_commutation(g, s1, s2, args.cap)
+        except ChainMapViolation:  # a failed check, reported with its movie
+            ok = False
         label = (
             f"({s1.col + 1},{s1.row + 1}){s1.letter} vs "
             f"({s2.col + 1},{s2.row + 1}){s2.letter}"
         )
-        yield f"disjoint switches commute on {name} {label}", g, None, ok
+        yield f"disjoint switches commute on {name} {label}", g, movie, ok
 
 
 _SUITE_RUNNERS = {
@@ -354,14 +358,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.cap < 2:
-            raise ValueError(f"state_cap must be at least 2, got {args.cap}")
+            raise ValueError(f"--cap must be at least 2, got {args.cap}")
         return args.run(args)
     except (GridFloerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(
             (_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES), EXIT_FAIL
         )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,9 +18,11 @@ basis and columns (`_restacked`), so only a switch builds a complex.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves
-carry nothing.  A band map's `ChainMapViolation` names the first failing
-base state with every tag plus: the first failing stacked generator when
-labels (state, tag) are ordered by state, then by tag index.
+carry nothing.  Two disjoint switches commute when their two orders,
+each composed as a movie, induce one matrix on homology
+(`verify_commutation`).  A band map's `ChainMapViolation` names the first
+failing base state with every tag plus: the first failing stacked
+generator when labels (state, tag) are ordered by state, then by tag index.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 
 from .algebra import (
     ChainMap,
-    GradedModuleSummary,
     HomologyPresentation,
     MonomialComplex,
     PolyF2U,
@@ -42,7 +43,6 @@ from .algebra import (
     homology,
     identity_chain_map,
     induced_map,
-    maps_equal_on_homology,
     present_homology,
 )
 from .complexes import DEFAULT_STATE_CAP, build_gc_prime
@@ -320,14 +320,6 @@ class MovieResult:
     src_presentation: HomologyPresentation
     tgt_presentation: HomologyPresentation
 
-    @property
-    def src_summary(self) -> GradedModuleSummary:
-        return self.src_presentation.summary
-
-    @property
-    def tgt_summary(self) -> GradedModuleSummary:
-        return self.tgt_presentation.summary
-
 
 def move_map(c: MonomialComplex, move) -> ChainMap:
     """The chain map of one movie move applied to the running complex."""
@@ -368,7 +360,11 @@ def verify_commutation(
     site2: SwitchSite,
     cap: int = DEFAULT_STATE_CAP,
 ) -> bool:
-    """True iff the band maps of two disjoint sites commute on homology."""
+    """True iff the band maps of two disjoint sites commute on homology:
+    the two orders, composed as movies, induce one matrix.  Both start on
+    g's complex, and the second order's last band map finds the first's
+    target build alive, so both matrices index one generator order.  A
+    band map that is not a chain map raises, the first order's first."""
     n = g.n
     rows1 = {site1.row, (site1.row + 1) % n}
     cols1 = {site1.col, (site1.col + 1) % n}
@@ -379,16 +375,11 @@ def verify_commutation(
             f"blocks ({site1.col + 1},{site1.row + 1}) and ({site2.col + 1},{site2.row + 1}) "
             "share a row or column"
         )
-    c = build_gc_prime(g, cap)
-    f1 = band_map(c, BandMapChoice(site1))
-    f12 = band_map(f1.tgt, BandMapChoice(site2))
-    f2 = band_map(c, BandMapChoice(site2))
-    f21 = band_map(f2.tgt, BandMapChoice(site1))
-    if f12.tgt.grid != f21.tgt.grid:
+    a = compose_movie(Movie(g, (BandMapChoice(site1), BandMapChoice(site2))), cap)
+    b = compose_movie(Movie(g, (BandMapChoice(site2), BandMapChoice(site1))), cap)
+    if a.total.tgt.grid != b.total.tgt.grid:
         raise BrokenInvariant("disjoint switches led to different grids")
-    order_a = compose_chain_maps(f12, f1)
-    order_b = compose_chain_maps(f21, f2)
-    return maps_equal_on_homology(order_a, order_b)
+    return a.induced == b.induced
 
 
 # ---------------------------------------------------------------------------

@@ -221,68 +221,6 @@ def _class_masks(g: GridDiagram, corners) -> list[int]:
     return [cols[a][b - a] & rows[s][h] for a, b, s, h in zip(*corners)]
 
 
-def _group_paths(rows: list, K: int) -> tuple:
-    """The two-step paths of a complex, grouped by their ends.
-
-    rows[x] is (targets, classes): the terms of the boundary at source x,
-    each a target y and a class k < K, so a target that two classes reach
-    is listed twice.  The paths x -> y -> z that share one pair (x, z) form
-    a group, a multiset of class pairs (k1, k2).  A path's value is the sum
-    of its two classes' codes, so the order within a pair does not change
-    it, and a pair met twice adds its value twice: the parity count of the
-    group depends only on the unordered pairs it holds an odd number of
-    times.  That set is kept, as k1 K + k2 with k1 <= k2, and identical
-    sets once, as a shape; a group whose set is empty, such as two
-    rectangles taken in either order, is left out.
-
-    Returns (first, second, bounds, two, ends, reach): shape s holds the
-    pairs (first[i], second[i]) for i in range(bounds[s], bounds[s + 1]),
-    the shapes below `two` hold two pairs each, and the groups of shape s
-    are the ends x len(rows) + z in ends[reach[s]:reach[s + 1]].
-    """
-    count, KK = len(rows), K * K
-    kind = "H" if K <= 1 << 16 else "I"
-    pair_kind, end_kind = ("I" if m <= 1 << 32 else "q" for m in (KK, count * count))
-    parts = [(array(kind), array(kind), []) for _ in range(2)]  # shapes of two pairs, then the rest
-    shape_of: dict[bytes, int] = {}  # shape s of two pairs is s, any other ~s, until they are joined
-    group_end, group_shape = array(end_kind), array("i")
-    for x in range(count):
-        paths = Counter(
-            z * KK + (k1 * K + k2 if k1 <= k2 else k2 * K + k1)
-            for y, k1 in zip(*rows[x])
-            for z, k2 in zip(*rows[y])
-        )
-        odd = sorted(compress(paths, map(and_, paths.values(), repeat(1))))
-        for z, run in groupby(odd, KK.__rfloordiv__):  # the group of (x, z)
-            pairs = array(pair_kind, map((-z * KK).__add__, run))
-            s = shape_of.get(key := pairs.tobytes())
-            if s is None:
-                first, second, sizes = parts[len(pairs) != 2]
-                first.extend(map(K.__rfloordiv__, pairs))
-                second.extend(map(K.__rmod__, pairs))
-                sizes.append(len(pairs))
-                s = shape_of[key] = len(sizes) - 1 if len(pairs) == 2 else ~(len(sizes) - 1)
-            group_end.append(x * count + z)
-            group_shape.append(s)
-    del shape_of
-    (first, second, sizes), (rest_first, rest_second, rest_sizes) = parts
-    two = len(sizes)
-    first.extend(rest_first)
-    second.extend(rest_second)
-    bounds = array("I", accumulate(sizes + rest_sizes, initial=0))
-    at = [0] * (len(bounds) - 1)  # the groups by shape: a counting sort
-    for i, s in enumerate(group_shape):
-        group_shape[i] = s = s if s >= 0 else two + ~s
-        at[s] += 1
-    reach = array("I", accumulate(at, initial=0))
-    at[:] = reach[:-1]
-    ends = array(end_kind, [0]) * len(group_end)
-    for e, s in zip(group_end, group_shape):
-        ends[at[s]] = e
-        at[s] += 1
-    return first, second, bounds, two, ends, reach
-
-
 def _odd_values(groups: tuple, codes: list[int], S: int):
     """(shape, values) for each shape of `groups` whose pairs (k1, k2) give
     some value codes[k1] + codes[k2] < 2^S an odd number of times, with
@@ -314,7 +252,7 @@ def _grouped_square(c: MonomialComplex) -> dict:
         raise BrokenInvariant(
             f"{len(c.masks)} masks for {classes} classes of rectangles on {c.marking_count} markings"
         )
-    labels, groups = sorted(c.basis.labels()), _path_groups(n)  # the pattern's state order
+    labels, groups = enumerate_states(n, n), _path_groups(n)  # the pattern's state order
     count, (ends, reach) = len(labels), groups[4:]
     out: dict = {}
     shared: dict[frozenset, frozenset] = {}  # equal entries, such as every diagonal one, share one
@@ -339,7 +277,7 @@ def _mask_boundary(c: MonomialComplex) -> dict:
     """The label-keyed boundary of a complex from `build_complex`: a
     rectangle of the pattern of its size is the code of its class's mask,
     one frozenset shared per mask, and a twin the F2 sum of two."""
-    states, masks = sorted(c.basis.labels()), c.masks  # the pattern's state order
+    states, masks = enumerate_states(c.grid.n, c.grid.n), c.masks  # the pattern's state order
     _, offsets, targets, classes, twins = _rectangle_pattern(c.grid.n)
     single = {m: frozenset((_code(m),)) for m in set(masks)}
     entry = [single[m] for m in masks]
@@ -358,15 +296,70 @@ def _mask_boundary(c: MonomialComplex) -> dict:
 
 @functools.cache
 def _path_groups(n: int) -> tuple:
-    """The two-step paths of every n x n grid grouped by their ends, as
-    `_group_paths` returns them for the pattern's rectangles by source
-    state, (targets, classes), a twin as two rectangles to one target."""
+    """The two-step paths of every n x n grid, grouped by their ends.
+
+    The terms of the boundary at a source x are the pattern's rectangles
+    from x, each a target y and a class k < K, a twin as two rectangles to
+    one target.  The paths x -> y -> z that share one pair (x, z) form a
+    group, a multiset of class pairs (k1, k2).  A path's value is the sum
+    of its two classes' codes, so the order within a pair does not change
+    it, and a pair met twice adds its value twice: the parity count of the
+    group depends only on the unordered pairs it holds an odd number of
+    times.  That set is kept, as k1 K + k2 with k1 <= k2, and identical
+    sets once, as a shape; a group whose set is empty, such as two
+    rectangles taken in either order, is left out.
+
+    Returns (first, second, bounds, two, ends, reach): shape s holds the
+    pairs (first[i], second[i]) for i in range(bounds[s], bounds[s + 1]),
+    the shapes below `two` hold two pairs each, and the groups of shape s
+    are the ends x n! + z in ends[reach[s]:reach[s + 1]].
+    """
     corners, offsets, targets, classes, twins = _rectangle_pattern(n)
     rows = [(targets[lo:hi], classes[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
     for x, y, k, other in zip(*[iter(twins)] * 4):
         rows[x][0].extend((y, y))
         rows[x][1].extend((k, other))
-    return _group_paths(rows, len(corners[0]))
+    count, K = len(rows), len(corners[0])
+    KK = K * K
+    pair_kind, end_kind = ("I" if m <= 1 << 32 else "q" for m in (KK, count * count))
+    shape_of: dict[bytes, int] = {}  # the shapes, numbered in the order first met
+    group_end, group_shape = array(end_kind), array("i")
+    for x in range(count):
+        paths = Counter(
+            z * KK + (k1 * K + k2 if k1 <= k2 else k2 * K + k1)
+            for y, k1 in zip(*rows[x])
+            for z, k2 in zip(*rows[y])
+        )
+        odd = sorted(compress(paths, map(and_, paths.values(), repeat(1))))
+        for z, run in groupby(odd, KK.__rfloordiv__):  # the group of (x, z)
+            key = array(pair_kind, map((-z * KK).__add__, run)).tobytes()
+            group_end.append(x * count + z)
+            group_shape.append(shape_of.setdefault(key, len(shape_of)))
+    width = array(pair_kind).itemsize
+    shapes = sorted(shape_of, key=lambda key: len(key) != 2 * width)  # two pairs first; stable
+    rank = array("i", [0]) * len(shapes)  # old number -> new
+    for s, key in enumerate(shapes):
+        rank[shape_of[key]] = s
+    del shape_of
+    kind = "H" if K <= 1 << 16 else "I"
+    first, second = array(kind), array(kind)
+    for key in shapes:
+        pairs = array(pair_kind, key)
+        first.extend(map(K.__rfloordiv__, pairs))
+        second.extend(map(K.__rmod__, pairs))
+    two = sum(len(key) == 2 * width for key in shapes)
+    bounds = array("I", accumulate((len(key) // width for key in shapes), initial=0))
+    at = [0] * len(rank)  # the groups by shape: a counting sort
+    for i, s in enumerate(group_shape):
+        group_shape[i] = s = rank[s]
+        at[s] += 1
+    reach = array("I", accumulate(at, initial=0))
+    at[:] = reach[:-1]
+    ends = array(end_kind, [0]) * len(group_end)
+    for e, s in zip(group_end, group_shape):
+        ends[at[s]] = e
+        at[s] += 1
+    return first, second, bounds, two, ends, reach
 
 
 # The single-variable complexes alive in this process, by grid.  The values

@@ -98,7 +98,7 @@ class TestSettings:
         assert main(["--cap", cap, "verify", "grading"]) == EXIT_FAIL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: state_cap must be at least 2, got {cap}\n"
+        assert captured.err == f"error: --cap must be at least 2, got {cap}\n"
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_cap_reaches_every_suite(self, capsys, suite):
@@ -258,6 +258,26 @@ class TestExitCodes:
         assert main(argv) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not UTF-8: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("grid", "n = 2\nO = 1 2\nX = 2 1\n"),
+            ("json", '{"n": 2, "o": [0, 1], "x": [1, 0]}'),
+            ("movie", "diskstab\ndiskdestab\n"),
+        ],
+        ids=["grid", "json", "movie"],
+    )
+    def test_leading_byte_order_mark_is_read_past(self, tmp_path, grid_file, capsys, kind, text):
+        # an editor that saves UTF-8 with a byte-order mark changes no field
+        bom, plain = tmp_path / "bom.txt", tmp_path / "plain.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain.write_text(text)
+        head = ["movie", grid_file("unknot2")] if kind == "movie" else ["homology"]
+        assert main([*head, str(plain)]) == EXIT_OK
+        want = capsys.readouterr()
+        assert main([*head, str(bom)]) == EXIT_OK
+        assert capsys.readouterr() == want
 
     def test_unknown_movie_field(self, grid_file, movie_file, capsys):
         script = "quasistab anchor=O1 sid=alpha\n"
@@ -471,6 +491,33 @@ class TestVerifySuites:
             "grid:\n" + serialize_grid(corpus_grid("fig8_6")) + "movie:\n"
             "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
             "switch col=1 row=1 letter=O flavor=nu dir=inv\n"
+        )
+        if flags:
+            data = json.loads(captured.out)
+            assert data["passed"] is False
+            assert data["failed_check"] == check
+            assert data["reproducer"] == reproducer
+        else:
+            assert captured.out == f"FAIL {check}\n" + reproducer
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_commutation_band_map_violation_is_a_failed_check(self, flags, monkeypatch, capsys):
+        # a band map that is not a chain map fails its pair's check, which
+        # carries the grid and the order composed first as its reproducer
+        real = cobordism.band_map_raw
+
+        def nu_tilde(c, choice):
+            return real(c, dataclasses.replace(choice, flavor="nu_tilde"))
+
+        monkeypatch.setattr(cobordism, "band_map_raw", nu_tilde)
+        assert main([*flags, "verify", "commutation"]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        check = "disjoint switches commute on split2x2_2x2 (2,2)O vs (4,4)O"
+        reproducer = (
+            "grid:\n" + serialize_grid(corpus_grid("split2x2_2x2")) + "movie:\n"
+            "switch col=2 row=2 letter=O flavor=nu dir=fwd\n"
+            "switch col=4 row=4 letter=O flavor=nu dir=fwd\n"
         )
         if flags:
             data = json.loads(captured.out)

@@ -11,8 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridfloer"
 
-# module-level functions that no command reaches, each kept for a reason;
-# a complex built by hand in a test is made in tests/oracles.py, not here
+# module-level functions, methods and properties that no command reaches,
+# each kept for a reason; a complex built by hand in a test is made in
+# tests/oracles.py, not here
 UNREACHED = {
     # the movie half of a failing check's reproducer, which no check in
     # the bundled suites fails
@@ -31,6 +32,28 @@ UNREACHED = {
     # names the failing path when `_reduce`'s certificate finds d^2 != 0,
     # which no bundled grid triggers
     ("algebra.py", "_check_squares_to_zero"),
+    # compares two maps on homology: the oracle of `verify_commutation`'s
+    # tests, and the comparison that ROADMAP item 10's movie relations use
+    ("algebra.py", "maps_equal_on_homology"),
+    # read by perfbench's tracer, which counts boundary entries and pivots,
+    # and by tests; the oracles read `boundary` too
+    ("algebra.py", "MonomialComplex.boundary"),
+    ("algebra.py", "GradedModuleSummary.total_free"),
+    # the polynomial arithmetic, label-keyed map entries and basis gradings
+    # that tests/oracles.py computes with
+    ("algebra.py", "PolyF2U.__bool__"),
+    ("algebra.py", "PolyF2U.__mul__"),
+    ("algebra.py", "PolyF2U.shifted"),
+    ("algebra.py", "PolyF2U.is_monomial"),
+    ("algebra.py", "PolyF2U.degree"),
+    ("algebra.py", "GradedBasis.to_dict"),
+    ("algebra.py", "ChainMap.entries"),
+    # read by tests only: polynomials and summaries written and compared
+    # by hand, and a complex's entries listed by label
+    ("algebra.py", "PolyF2U.from_terms"),
+    ("algebra.py", "GradedModuleSummary.to_dict"),
+    ("algebra.py", "GradedModuleSummary.torsion_multiset"),
+    ("algebra.py", "MonomialComplex.entries"),
 }
 
 SWITCH = "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
@@ -67,15 +90,19 @@ def test_no_assert_statements():
 
 
 def _module_functions() -> dict:
-    """(file, first line) -> (file name, function name) for every
-    module-level function of the package.  A code object's first line is
-    its first decorator's line, so that is the line taken."""
+    """(file, first line) -> (file name, name) for every module-level
+    function of the package and every method and property of its classes,
+    named `Class.method`.  A code object's first line is its first
+    decorator's line, so that is the line taken."""
     out = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                out[str(path.resolve()), first] = (path.name, node.name)
+            in_class = isinstance(node, ast.ClassDef)
+            prefix = f"{node.name}." if in_class else ""
+            for d in node.body if in_class else [node]:
+                if isinstance(d, ast.FunctionDef):
+                    first = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
+                    out[str(path.resolve()), first] = (path.name, prefix + d.name)
     return out
 
 

@@ -151,7 +151,8 @@ def _assert_induced_matches_the_materialized(movie, name):
     res = compose_movie(movie)
     plain_src, plain_tgt = oracles.materialize(res.total.src)[0], oracles.materialize(res.total.tgt)[0]
     src_pres, tgt_pres = present_homology(plain_src), present_homology(plain_tgt)
-    assert (res.src_summary, res.tgt_summary) == (src_pres.summary, tgt_pres.summary), name
+    assert res.src_presentation.summary == src_pres.summary, name
+    assert res.tgt_presentation.summary == tgt_pres.summary, name
     want = induced_map(oracles.materialize_map(res.total), src_pres, tgt_pres)
     assert res.induced == want, name
     return res
