@@ -207,7 +207,8 @@ def _suite_grading(args: argparse.Namespace):
     grids = list(corpus_grids().items())
     grids += [(f"random5-seed{args.seed}-{i}", random_grid(5, rng)) for i in range(5)]
     for name, g in grids:
-        # the build checks every entry against the gradings
+        # the build checks the gradings once per class of rectangles, which
+        # holds exactly when every entry fits them
         try:
             build_gc_prime(g, args.cap)
         except NotHomogeneous:

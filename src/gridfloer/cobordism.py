@@ -338,16 +338,22 @@ def move_map(c: MonomialComplex, move) -> ChainMap:
     raise MoveSequenceInvalid(f"unknown move {move!r}")
 
 
-def compose_movie(movie: Movie, cap: int = DEFAULT_STATE_CAP) -> MovieResult:
-    """Compose the moves in order and compute the induced map on homology."""
-    src = build_gc_prime(movie.start, cap)
-    total = identity_chain_map(src)
+def _composed(movie: Movie, cap: int) -> tuple[ChainMap, int | None]:
+    """The moves composed in order, from the start grid's complex, and the
+    degree of `MovieResult`."""
+    total = identity_chain_map(build_gc_prime(movie.start, cap))
     degrees = []
     for move in movie.moves:
         f = move_map(total.tgt, move)
         degrees.append(chain_map_degree(f))
         total = compose_chain_maps(f, total)
-    degree = chain_map_degree(total) if None in degrees else sum(degrees)
+    return total, chain_map_degree(total) if None in degrees else sum(degrees)
+
+
+def compose_movie(movie: Movie, cap: int = DEFAULT_STATE_CAP) -> MovieResult:
+    """Compose the moves in order and compute the induced map on homology."""
+    total, degree = _composed(movie, cap)
+    src = total.src
     src_pres = present_homology(src)
     tgt_pres = src_pres if _ends(total.tgt) == _ends(src) else present_homology(total.tgt)
     matrix = induced_map(total, src_pres, tgt_pres)
@@ -363,8 +369,9 @@ def verify_commutation(
     """True iff the band maps of two disjoint sites commute on homology:
     the two orders, composed as movies, induce one matrix.  Both start on
     g's complex, and the second order's last band map finds the first's
-    target build alive, so both matrices index one generator order.  A
-    band map that is not a chain map raises, the first order's first."""
+    target build alive, so the second order's matrix is read on the
+    first movie's presentations of both ends.  A band map that is not a
+    chain map raises, the first order's first."""
     n = g.n
     rows1 = {site1.row, (site1.row + 1) % n}
     cols1 = {site1.col, (site1.col + 1) % n}
@@ -376,10 +383,10 @@ def verify_commutation(
             "share a row or column"
         )
     a = compose_movie(Movie(g, (BandMapChoice(site1), BandMapChoice(site2))), cap)
-    b = compose_movie(Movie(g, (BandMapChoice(site2), BandMapChoice(site1))), cap)
-    if a.total.tgt.grid != b.total.tgt.grid:
+    b, _ = _composed(Movie(g, (BandMapChoice(site2), BandMapChoice(site1))), cap)
+    if a.total.tgt.grid != b.tgt.grid:
         raise BrokenInvariant("disjoint switches led to different grids")
-    return a.induced == b.induced
+    return a.induced == induced_map(b, a.src_presentation, a.tgt_presentation)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ cut out by bands, and the curvature sums the width-one bands.
 `build_complex` keeps the masks, and its label-keyed boundary is made only
 when read (`_mask_boundary`): a rectangle is the code of its mask
 (`_code`) and a twin the F2 sum of two.
-`build_gc_prime` cancels twins of equal weight, checks U^(bit count)
-against the gradings, and sets one bit of a column over the graded basis.
-The gradings read 2 I(x, x) from a table made once per size (`_pair_counts`),
-and `algebra._reduce` certifies d^2 = 0 once per size (`_SQUARE_FREE`).
+`build_gc_prime` sets one bit of a column over the graded basis per entry
+and checks U^(bit count) against the gradings once per class: 2 I(x, x),
+read from a table made once per size (`_pair_counts`), less 2 I(y, y) is
+one number over a class's entries x -> y (`_class_gaps`, certified once
+per pattern).  `algebra._reduce` certifies d^2 = 0 once per size
+(`_SQUARE_FREE`).
 
 The square of the multivariable boundary (`_grouped_square`, for
 `algebra.boundary_squared`) reads the pattern's two-step paths grouped by
@@ -45,7 +47,7 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, and_, getitem, lt, ne, or_, rshift, sub
 
 from .algebra import GradedBasis, MonomialComplex
-from .errors import BrokenInvariant, CapExceeded, NotHomogeneous
+from .errors import BrokenInvariant, CapExceeded, NonPermutation, NotHomogeneous
 from .grids import GridDiagram, link_topology
 
 DEFAULT_STATE_CAP = 8
@@ -127,7 +129,15 @@ def delta_grading(g: GridDiagram, state: State, grid_part=None) -> int:
     2 I(x, x) is read from a table made once per size (`_pair_counts`).
     """
     table, const = grid_part or _grid_grading_part(g)
-    pairs = _pair_counts(g.n)[tuple(state)] if g.n <= DEFAULT_STATE_CAP else 2 * _ascents(state)
+    if g.n > DEFAULT_STATE_CAP:
+        if sorted(state) != list(range(g.n)):
+            raise NonPermutation(f"state {tuple(state)} is not a permutation of 0..{g.n - 1}")
+        pairs = 2 * _ascents(state)
+    else:
+        try:
+            pairs = _pair_counts(g.n)[tuple(state)]
+        except KeyError:  # the table holds exactly the states of size n
+            raise NonPermutation(f"state {tuple(state)} is not a permutation of 0..{g.n - 1}") from None
     return pairs - sum(map(getitem, table, state)) + const
 
 
@@ -148,9 +158,10 @@ def _pair_counts(n: int) -> dict[State, int]:
     return dict(zip(itertools.permutations(range(n)), counts))
 
 
-def _graded_basis(g: GridDiagram, states: list[State]) -> tuple[list[int], GradedBasis]:
-    """The states' gradings, in the order given, and their graded basis."""
-    part = _grid_grading_part(g)
+def _graded_basis(g: GridDiagram, states: list[State], part=None) -> tuple[list[int], GradedBasis]:
+    """The states' gradings, in the order given, and their graded basis;
+    `part` is g's `_grid_grading_part`, made here when not given."""
+    part = part or _grid_grading_part(g)
     grading = [delta_grading(g, s, part) for s in states]
     return grading, GradedBasis(tuple(zip(states, grading)))
 
@@ -213,6 +224,34 @@ def _rectangle_pattern(n: int) -> tuple:
 
 # size -> the rectangle pattern whose d^2 = 0 `algebra._reduce` certified
 _SQUARE_FREE: dict[int, tuple] = {}
+
+# size -> (rectangle pattern, its `_class_gaps`), certified on that pattern
+_CLASS_GAPS: dict[int, tuple] = {}
+
+
+def _class_gaps(n: int, pattern: tuple) -> tuple[array, array, array]:
+    """(in use, gaps, twin classes) of `pattern`, the rectangle pattern of
+    size n: the classes with an entry, gaps[i] = 2 I(x, x) - 2 I(y, y) for
+    the entries x -> y of class in_use[i], one number over the class, which
+    this checks on every entry, and the class pairs (k, other) of the twins,
+    flat.  All depend on the states alone, so they serve every grid of the
+    size: made once per pattern, and kept only once the check passes."""
+    held = _CLASS_GAPS.get(n)
+    if held is not None and held[0] is pattern:
+        return held[1]
+    _, offsets, targets, classes, twins = pattern
+    two_i = bytes(_pair_counts(n).values())  # by state, in the pattern's order; each below n^2
+    sources = chain.from_iterable(map(repeat, two_i, map(sub, offsets[1:], offsets)))
+    seen = set(zip(classes, map(sub, sources, map(two_i.__getitem__, targets))))
+    gaps = dict(seen)
+    if len(gaps) != len(seen):
+        k = next(k for k, count in Counter(k for k, _ in seen).items() if count > 1)
+        varied = sorted(d for c, d in seen if c == k)
+        raise BrokenInvariant(f"class {k} of the size-{n} rectangle pattern has gaps {varied}")
+    twin_classes = chain.from_iterable(set(zip(twins[2::4], twins[3::4])))
+    record = array("H", gaps), array("h", gaps.values()), array("H", twin_classes)
+    _CLASS_GAPS[n] = pattern, record
+    return record
 
 
 def _class_masks(g: GridDiagram, corners) -> list[int]:
@@ -397,33 +436,49 @@ def _on_pattern(c: MonomialComplex) -> bool:
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
-    """The single-variable complex as the columns `_columns` returns, each
-    entry checked against the gradings; sources go in the basis order."""
+    """The single-variable complex as the columns `_columns` returns, with
+    sources in the basis order.  An entry x -> y of class k (columns a, b,
+    rows s, t) has delta(x) - delta(y) = 2 I(x, x) - 2 I(y, y) - (table[a][s]
+    + table[b][t] - table[a][t] - table[b][s]), one number for the class
+    (`_class_gaps`), so U^weight[k] fits the gradings on every entry of k
+    exactly when it fits on one.  A failure names the first entry, in
+    basis order, of a failing class, or the first twin of mixed weights."""
     states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
-    grading, basis = _graded_basis(g, states)
+    part = _grid_grading_part(g)
+    grading, basis = _graded_basis(g, states, part)
     order = array("I", sorted(range(len(states)), key=grading.__getitem__, reverse=True))  # stable
     position = array("I", sorted(range(len(states)), key=order.__getitem__))
-    corners, offsets, targets, classes, twins = _rectangle_pattern(g.n)
+    corners, offsets, targets, classes, twins = pattern = _rectangle_pattern(g.n)
+    in_use, gaps, twin_classes = _class_gaps(g.n, pattern)
     weight = [mask.bit_count() for mask in _class_masks(g, corners)]
-    for x, y, k, other in zip(*[iter(twins)] * 4):  # U^k + U^k cancels
-        if weight[k] != weight[other]:
-            weights = sorted((weight[k], weight[other]))
-            raise NotHomogeneous(
-                f"surviving rectangles {states[x]} -> {states[y]} have mixed weights {weights}"
-            )
+    pairs = zip(twin_classes[::2], twin_classes[1::2])
+    mixed = {pair for pair in pairs if weight[pair[0]] != weight[pair[1]]}  # U^k + U^k cancels
+    if mixed:
+        x, y, k, other = next(q for q in zip(*[iter(twins)] * 4) if q[2:] in mixed)
+        weights = sorted((weight[k], weight[other]))
+        raise NotHomogeneous(
+            f"surviving rectangles {states[x]} -> {states[y]} have mixed weights {weights}"
+        )
+    n, table, broken = g.n, part[0], set()
+    for k, gap in zip(in_use, gaps):  # the columns a, b and rows s, t of class k
+        a, b, s, h = (corner[k] for corner in corners)
+        b, t = b % n, (s + h) % n
+        if gap - (table[a][s] + table[b][t] - table[a][t] - table[b][s]) != 2 - 2 * weight[k]:
+            broken.add(k)
+    if broken:
+        entries = ((j, i) for j in order for i in range(offsets[j], offsets[j + 1]))
+        j, i = next((j, i) for j, i in entries if classes[i] in broken)
+        t, k = targets[i], weight[classes[i]]
+        raise NotHomogeneous(
+            f"entry {states[j]}->{states[t]} = U^{k} breaks grading: "
+            f"{grading[j]} - {grading[t]} != {2 - 2 * k}"
+        )
+    byte, bit = [i >> 3 for i in position], [1 << (i & 7) for i in position]
     cols, width = [], (len(states) >> 3) + 1
     for j in order:
-        lo, hi = offsets[j], offsets[j + 1]
-        low = grading[j] - 2  # U^k reaches grading[j] - 2 + 2k
         col = bytearray(width)  # little-endian: bit i is basis element i
-        for t, k in zip(targets[lo:hi], map(weight.__getitem__, classes[lo:hi])):
-            if grading[t] - 2 * k != low:
-                raise NotHomogeneous(
-                    f"entry {states[j]}->{states[t]} = U^{k} breaks grading: "
-                    f"{grading[j]} - {grading[t]} != {2 - 2 * k}"
-                )
-            i = position[t]
-            col[i >> 3] |= 1 << (i & 7)
+        for t in targets[offsets[j] : offsets[j + 1]]:
+            col[byte[t]] |= bit[t]
         cols.append(int.from_bytes(col, "little"))
     return MonomialComplex(basis, 2 * g.n, g, columns=cols)
 

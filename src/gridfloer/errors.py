@@ -8,7 +8,8 @@ class GridFloerError(Exception):
 # -- grid construction -------------------------------------------------------
 
 class NonPermutation(GridFloerError):
-    """A marking sequence is not a permutation of 0..n-1."""
+    """A marking sequence, or a state of an n x n grid, is not a
+    permutation of 0..n-1."""
 
 
 class MarkingCollision(GridFloerError):

@@ -31,8 +31,9 @@ The package computes each result one way; the second ways live here:
 - `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, which
   reads marking masks off its own prefix sums (`marking_prefix`), not the
   package's line masks, and `back_substituted_rows`, the projection rows one
-  row at a time: replaced fast paths kept as oracles for the ones that
-  replaced them;
+  row at a time, and `per_entry_gc_prime`, the package's build with each
+  entry checked against the gradings on its own: replaced fast paths kept
+  as oracles for the ones that replaced them;
 - `chain_defect` and `entry_degree`, the chain condition and the degree of
   a map read off its label-keyed entries, for the parts form of maps, and
   `chain_map`, which splits hand-built label-keyed entries into parts;
@@ -1410,6 +1411,41 @@ def label_row_gc_prime(g):
         if row:
             boundary[x] = row
     return complex_from_rows(_graded_basis(g, states)[1], boundary, 2 * n, g)
+
+
+def per_entry_gc_prime(g):
+    """The single-variable complex of g from the package's rectangle
+    pattern, each entry checked against the gradings one at a time: the
+    check that the class-by-class one replaced.  It raises the builder's
+    `NotHomogeneous` messages: a twin of mixed weights, checked over all
+    twins first, then the first entry, in basis order, that breaks the
+    gradings."""
+    from gridfloer import complexes
+
+    states = complexes.enumerate_states(g.n, g.n)
+    grading, basis = complexes._graded_basis(g, states)
+    order = sorted(range(len(states)), key=grading.__getitem__, reverse=True)  # stable
+    position = sorted(range(len(states)), key=order.__getitem__)
+    corners, offsets, targets, classes, twins = complexes._rectangle_pattern(g.n)
+    weight = [mask.bit_count() for mask in complexes._class_masks(g, corners)]
+    for x, y, k, other in zip(*[iter(twins)] * 4):  # U^k + U^k cancels
+        if weight[k] != weight[other]:
+            weights = sorted((weight[k], weight[other]))
+            raise NotHomogeneous(
+                f"surviving rectangles {states[x]} -> {states[y]} have mixed weights {weights}"
+            )
+    cols = []
+    for j in order:
+        col, lo, hi = 0, offsets[j], offsets[j + 1]
+        for t, k in zip(targets[lo:hi], map(weight.__getitem__, classes[lo:hi])):
+            if grading[j] - grading[t] != 2 - 2 * k:
+                raise NotHomogeneous(
+                    f"entry {states[j]}->{states[t]} = U^{k} breaks grading: "
+                    f"{grading[j]} - {grading[t]} != {2 - 2 * k}"
+                )
+            col |= 1 << position[t]
+        cols.append(col)
+    return MonomialComplex(basis, 2 * g.n, g, columns=cols)
 
 
 def _open_quadrant_pairs(P, Q) -> int:

@@ -459,12 +459,14 @@ class TestVerifySuites:
         # the build raises NotHomogeneous; the suite reports it with the grid
         g = corpus_grid("trefoil5")
         x0 = next(x for x, _, _ in complexes._build_gc_prime(g).entries())
-        graded = complexes.delta_grading
+        grading_part = complexes._grid_grading_part
 
-        def off_at_x0(grid, state, grid_part=None):
-            return graded(grid, state, grid_part) + (2 if (grid, state) == (g, x0) else 0)
+        def off_at_x0(grid):  # the states through x0's point in column 0 graded 2 higher
+            table, const = grading_part(grid)
+            table[0][x0[0]] -= 2 if grid == g else 0
+            return table, const
 
-        monkeypatch.setattr(complexes, "delta_grading", off_at_x0)
+        monkeypatch.setattr(complexes, "_grid_grading_part", off_at_x0)
         monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
         assert main(["verify", "grading"]) == EXIT_FAIL
         captured = capsys.readouterr()

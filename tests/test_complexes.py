@@ -43,7 +43,7 @@ from gridfloer import (
 from gridfloer import complexes
 from gridfloer.algebra import _columns
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
-from gridfloer.errors import BrokenInvariant, NotHomogeneous
+from gridfloer.errors import BrokenInvariant, NonPermutation, NotHomogeneous
 from oracles import candidate_rectangles, marking_position, rectangles, specialize
 
 # doubled delta gradings of the 5x5 trefoil states, as a multiset
@@ -161,6 +161,34 @@ class TestGrading:
         for _ in range(3):
             state = tuple(rng.sample(range(g.n), g.n))
             assert delta_grading(g, state) == oracles.delta_grading_pairs(g, state)
+
+    @pytest.mark.parametrize(
+        "state", [(0, 0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5), [1, 1, 2, 3, 4]]
+    )
+    def test_a_non_state_is_refused(self, state):
+        g = corpus_grid("trefoil5")
+        with pytest.raises(NonPermutation, match=rf"state \({', '.join(map(str, state))}\) is not"):
+            delta_grading(g, state)
+
+    def test_a_non_state_above_the_cap_is_refused(self, rng):
+        g = random_grid(DEFAULT_STATE_CAP + 1, rng)
+        for state in [(0,) * g.n, tuple(range(g.n - 1)), tuple(range(1, g.n + 1))]:
+            with pytest.raises(NonPermutation, match=f"is not a permutation of 0..{g.n - 1}"):
+                delta_grading(g, state)
+
+
+def _table_fault(monkeypatch, grid, c, r, by):
+    """Let every build of `grid` read its grading table off by `by` at the
+    lattice point (c, r); other grids read theirs unchanged."""
+    real = complexes._grid_grading_part
+
+    def faulty(g):
+        table, const = real(g)
+        if g == grid:
+            table[c][r] += by
+        return table, const
+
+    monkeypatch.setattr(complexes, "_grid_grading_part", faulty)
 
 
 def _brute_weight(g, rect):
@@ -353,14 +381,10 @@ class TestBuilders:
         assert homology(c) == first
 
     def test_grading_off_by_two_breaks_grading(self, monkeypatch):
+        # the states through x0's point in column 0 graded 2 higher
         g = corpus_grid("trefoil5")
         x0 = next(x for x, _, _ in _build_gc_prime(g).entries())
-        graded = complexes.delta_grading
-
-        def off_at_x0(g, state, grid_part=None):
-            return graded(g, state, grid_part) + (2 if state == x0 else 0)
-
-        monkeypatch.setattr(complexes, "delta_grading", off_at_x0)
+        _table_fault(monkeypatch, g, 0, x0[0], -2)
         with pytest.raises(NotHomogeneous, match="breaks grading"):
             _build_gc_prime(g)
 
@@ -510,12 +534,7 @@ class TestRectanglePattern:
         _build_gc_prime(first)
         x0 = next(x for x, _, _ in _build_gc_prime(second).entries())
         misses = complexes._rectangle_pattern.cache_info().misses
-        graded = complexes.delta_grading
-
-        def off_at_x0(g, state, grid_part=None):
-            return graded(g, state, grid_part) + (2 if state == x0 else 0)
-
-        monkeypatch.setattr(complexes, "delta_grading", off_at_x0)
+        _table_fault(monkeypatch, second, 0, x0[0], -2)
         with pytest.raises(NotHomogeneous, match="breaks grading"):
             _build_gc_prime(second)
         assert complexes._rectangle_pattern.cache_info().misses == misses
@@ -531,6 +550,99 @@ class TestRectanglePattern:
         _build_gc_prime(corpus_grid("trefoil5"))
         build_complex(random_grid(5, random.Random(3)))
         assert len(read) == 2 and read[0] is read[1]
+
+
+def _outcome(build, g):
+    """The basis and columns a build of g returns, or the message of the
+    NotHomogeneous it raises."""
+    try:
+        c = build(g)
+    except NotHomogeneous as exc:
+        return str(exc)
+    return c.basis.elements, c.columns
+
+
+class TestPerEntryOracle:
+    """The class-by-class check against the per-entry one it replaced: the
+    same verdict, and the same message, on sound and faulty gradings."""
+
+    def test_corpus_and_seeded_grids(self, corpus):
+        rng = random.Random(20261020)
+        grids = list(corpus.items())
+        grids += [((n, i), random_grid(n, rng)) for n in range(3, 8) for i in range(10)]
+        for name, g in grids:
+            want = _outcome(oracles.per_entry_gc_prime, g)
+            assert not isinstance(want, str), name
+            assert _outcome(_build_gc_prime, g) == want, name
+
+    @pytest.mark.parametrize("name", sorted(corpus_grids()))
+    def test_single_point_table_faults(self, monkeypatch, name):
+        g, failed = corpus_grid(name), 0
+        for c, r, by in itertools.product(range(g.n), range(g.n), (2, -1)):
+            with monkeypatch.context() as m:
+                _table_fault(m, g, c, r, by)
+                want = _outcome(oracles.per_entry_gc_prime, g)
+                assert _outcome(_build_gc_prime, g) == want, (c, r, by)
+            failed += isinstance(want, str)
+        # every fault is seen, except at n = 2, where every rectangle is a twin
+        assert failed == (2 * g.n * g.n if g.n > 2 else 0)
+
+    def test_twin_of_mixed_weights(self, monkeypatch):
+        g = corpus_grid("trefoil5")
+        x0, y0 = _one_rectangle_entry(_build_gc_prime(g))
+        corners = complexes._rectangle_pattern(g.n)[0]
+        weights = [m.bit_count() for m in complexes._class_masks(g, corners)]
+        _entry_made_twin(monkeypatch, g, x0, y0, lambda k: weights.index(weights[k] + 1))
+        want = _outcome(oracles.per_entry_gc_prime, g)
+        assert "mixed weights" in want
+        assert _outcome(_build_gc_prime, g) == want
+
+
+class TestClassGapRecord:
+    """The gap of each class in use and the class pairs of the twins,
+    certified on every entry once per rectangle pattern, whatever size
+    was recorded before."""
+
+    @pytest.fixture(autouse=True)
+    def unrecorded(self, monkeypatch):
+        monkeypatch.setattr(complexes, "_CLASS_GAPS", {})
+
+    def test_made_once_per_pattern(self):
+        rng = random.Random(5)
+        first = _build_gc_prime(random_grid(5, rng))
+        record = complexes._CLASS_GAPS[5]
+        assert record[0] is complexes._rectangle_pattern(5)
+        second = _build_gc_prime(random_grid(5, rng))
+        assert first.columns != second.columns
+        assert complexes._CLASS_GAPS == {5: record} and complexes._CLASS_GAPS[5] is record
+        in_use, gaps, twin_classes = record[1]
+        _, _, _, classes, twins = record[0]
+        assert set(in_use) == set(classes) and len(gaps) == len(in_use)
+        pairs = list(zip(twin_classes[::2], twin_classes[1::2]))
+        assert len(pairs) == len(set(pairs)) and set(pairs) == set(zip(twins[2::4], twins[3::4]))
+
+    def test_a_varying_gap_raises_and_records_nothing(self, monkeypatch):
+        g = corpus_grid("trefoil5")
+        corners, offsets, targets, classes, twins = complexes._rectangle_pattern(5)
+        _build_gc_prime(g)
+        gaps = dict(zip(*complexes._CLASS_GAPS.pop(5)[1][:2]))
+        # the first entry's class moved to a class in use of another gap
+        k = next(k for k, gap in gaps.items() if gap != gaps[classes[0]])
+        edited = (corners, offsets, targets, array(classes.typecode, [k]) + classes[1:], twins)
+        monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: edited)
+        low, high = sorted((gaps[k], gaps[classes[0]]))
+        with pytest.raises(BrokenInvariant, match=rf"class {k} of the size-5 .* gaps \[{low}, {high}\]"):
+            _build_gc_prime(g)
+        assert complexes._CLASS_GAPS == {}
+
+    def test_a_swapped_pattern_gets_its_own_record(self, monkeypatch):
+        g = corpus_grid("trefoil5")
+        want = _build_gc_prime(g).columns
+        first = complexes._CLASS_GAPS[5]
+        copy = tuple([*complexes._rectangle_pattern(5)])  # equal, but another object
+        monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: copy)
+        assert _build_gc_prime(g).columns == want
+        assert complexes._CLASS_GAPS[5][0] is copy and complexes._CLASS_GAPS[5] is not first
 
 
 def _seeded_grids(sizes, count):
