@@ -5,9 +5,12 @@ Complexes carry doubled integer gradings so that half-integer gradings of
 multi-component links stay exact.  A complex stores one form.  A
 single-variable complex is its bitset columns: homogeneity forces every
 entry to be a monomial whose exponent matches the grading gap, so the
-columns and the gradings fix the boundary.  A multivariable complex, one
+columns and the gradings fix the boundary.  A built one
+(`complexes.build_gc_prime`) is its pattern order instead, the rectangle
+pattern of its size read through its grid's state order, and makes its
+columns only when they are read.  A multivariable complex, one
 variable per marking, is the masks of its grid's classes of rectangles
-(`complexes.build_complex`).  Either one's label-keyed `boundary` is made
+(`complexes.build_complex`).  Any one's label-keyed `boundary` is made
 when first read: an entry is a PolyF2U, or a frozenset of multivariable
 monomials.  A multivariable monomial is an int code with two bits per
 variable, bits 2i and 2i + 1 holding the exponent of variable i
@@ -23,6 +26,9 @@ coefficient from the gradings, so the reduction is F2 work on the
 boundary's pattern.  It certifies d^2 = 0 after reducing, once per size
 on built complexes, with one product per nonzero reduced column;
 `boundary_squares_to_zero` is the direct check, one product per column.
+A built complex of a certified size is reduced from its pattern order,
+each column made as the reduction reaches it, so the columns that
+clearing skips, about half, are never made.
 
 A chain map is likewise its homogeneous parts (`ChainMap.parts`): for
 each degree it has, one bitset column per source generator, with
@@ -32,11 +38,12 @@ each generator's representative and projection row as the bitsets
 every exponent, and parts of different degrees never meet at one
 exponent, so the chain-map check (`chain_defect`), sums, compositions,
 equality and the matrix a map induces on homology (`induced_map`) are F2
-work on the parts' columns.  The check does no product at all for a map of
-one part that keeps every state between two complexes built from the
-rectangle pattern, such as a band map of flavor nu or a closed movie's
-composite: both boundaries are the pattern's, in two orders of one set of
-states, so the map commutes with them.
+work on the parts' columns.  The check does no product at all, and
+makes no column, for a map of one part that keeps every state between
+two complexes built from the rectangle pattern, such as a band map of
+flavor nu or a closed movie's composite: both boundaries are the
+pattern's, in two orders of one set of states, so the map commutes with
+them.
 
 A stabilized complex is its base plus its `tensor_stack`, one rank-2 free
 module with zero differential per move: its generators are x (x) w for x
@@ -192,33 +199,58 @@ class GradedBasis:
         return len(self.elements)
 
 
-@dataclass(eq=False)
 class MonomialComplex:
-    """A free graded complex, stored as exactly one of two forms:
+    """A free graded complex, given as exactly one of three forms:
     `columns`, one int per basis element whose bit i is set when the i-th
     basis element is a target, the entry being the monomial U^k that the
-    gradings fix (single-variable); or `masks`, the markings each class of
-    rectangle covers on `grid` (`complexes._class_masks`, multivariable).
-    `boundary` is their label-keyed view, column-sparse: boundary[src][tgt]
+    gradings fix (single-variable); `order`, the rectangle pattern of its
+    size read through its grid's state order (`complexes.PatternOrder`,
+    single-variable, from `complexes.build_gc_prime`); or `masks`, the
+    markings each class of rectangle covers on `grid`
+    (`complexes._class_masks`, multivariable).  A complex of an `order`
+    has no columns until they are read: the first read of `columns` makes
+    them, one `complexes._column_maker` call per column, and they are kept.
+    `boundary` is the label-keyed view, column-sparse: boundary[src][tgt]
     is a PolyF2U, or a frozenset of monomial codes.
     With a `tensor_stack`, `basis`, `boundary` and `columns` are the base's,
     and x (x) w sits at g(x) minus the shift of the word w.  A restacked
     copy holds the complex it was made from in `base`, so the built base
-    stays alive (and reusable) as long as any stack of it is.
+    stays alive (and reusable) as long as any stack of it is, and its
+    columns are made on, and kept by, that base.
     Instances are treated as immutable after construction.
     """
 
-    basis: GradedBasis
-    marking_count: int
-    grid: object = None          # originating GridDiagram, when applicable
-    tensor_stack: tuple = ()     # stabilization moves, newest last
-    columns: list[int] | None = None
-    base: MonomialComplex | None = field(default=None, repr=False)
-    masks: list[int] | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        basis: GradedBasis,
+        marking_count: int,
+        grid=None,                # originating GridDiagram, when applicable
+        tensor_stack: tuple = (),  # stabilization moves, newest last
+        columns: list[int] | None = None,
+        base: MonomialComplex | None = None,
+        masks: list[int] | None = None,
+        order=None,
+    ):
+        if (columns is None) + (order is None) + (masks is None) != 2:
+            raise BrokenInvariant(
+                "a complex is stored as exactly one of its columns, its pattern order and its masks"
+            )
+        self.basis, self.marking_count, self.grid = basis, marking_count, grid
+        self.tensor_stack, self.base, self.masks, self.order = tensor_stack, base, masks, order
+        if columns is not None:
+            self.columns = columns
 
-    def __post_init__(self):
-        if (self.columns is None) == (self.masks is None):
-            raise BrokenInvariant("a complex is stored as exactly one of its columns and its masks")
+    @cached_property
+    def columns(self) -> list[int] | None:
+        """Given, or made from `order` when first read, on the base of a
+        stack; None on a multivariable complex."""
+        if self.order is None:
+            return None
+        if self.base is not None:
+            return self.base.columns
+        from .complexes import _column_maker
+
+        return list(map(_column_maker(self.order), range(len(self.basis))))
 
     @cached_property
     def boundary(self) -> dict:
@@ -320,7 +352,8 @@ def _columns(c: MonomialComplex) -> list[int]:
     """The boundary of c as int bitset columns: bit i of column j is set
     when basis element i is a target of j.  Every entry is the monomial U^k
     with 2d(src) - 2d(tgt) = 2 - 2k, which the build checks, so columns and
-    gradings determine the boundary."""
+    gradings determine the boundary.  A built complex makes them here, on
+    the first read (`MonomialComplex.columns`)."""
     if c.columns is None:
         raise NotHomogeneous("complex is not single-variable")
     return c.columns
@@ -399,21 +432,34 @@ def _reduce(c: MonomialComplex):
     P^2 = 0: once one passes, the pattern is recorded (`complexes._SQUARE_FREE`),
     and later builds from it, not copies of their columns, skip the check.
 
+    A complex that skips the check, and whose columns no earlier read has
+    made, is reduced from its pattern order: each column is made
+    (`complexes._column_maker`) when the reduction reaches it, and none is
+    kept.  A cleared column is never made; the argument above is
+    unchanged, as it never reads one.  A complex that runs the check has
+    all its columns read first (`_columns`), once, as the check applies D
+    to the reduced columns.
+
     Returns the free indices j, the torsion summands as (k, t) sorted by k,
     and that basis as bitset columns: V e_j at a non-low j, the pattern of
-    y_t at a low t.  The columns of c are copied, not changed.
+    y_t at a low t.  The columns of c are not changed.
     """
-    from .complexes import _SQUARE_FREE, _on_pattern, _rectangle_pattern
+    from .complexes import _SQUARE_FREE, _column_maker, _on_pattern
 
-    D, gradings = _columns(c), c.basis.gradings()
-    R = list(D)
-    V = [0] * len(R)
+    pattern = _on_pattern(c) and c.order.pattern
+    certify = not pattern or _SQUARE_FREE.get(c.grid.n) is not pattern
+    if certify or "columns" in vars(c.base or c):  # given, or made by an earlier read
+        D = _columns(c)
+        column = D.__getitem__
+    else:
+        column = _column_maker(c.order)
+    gradings = c.basis.gradings()
+    R, V = [0] * len(gradings), [0] * len(gradings)
     column_of_low: dict[int, int] = {}
     for j in range(len(R)):
         if j in column_of_low:
-            R[j] = 0
             continue
-        r, v = R[j], 1 << j
+        r, v = column(j), 1 << j
         while r:
             t = r.bit_length() - 1
             i = column_of_low.get(t)
@@ -423,8 +469,7 @@ def _reduce(c: MonomialComplex):
             r ^= R[i]
             v ^= V[i]
         R[j], V[j] = r, v
-    pattern = _on_pattern(c) and _rectangle_pattern(c.grid.n)
-    if not pattern or _SQUARE_FREE.get(c.grid.n) is not pattern:
+    if certify:
         if any(_apply_bits(D, r) for r in R if r):
             _check_squares_to_zero(c.basis, D)
             raise BrokenInvariant("a reduced column is not a cycle, yet d^2 = 0 column by column")
@@ -628,9 +673,11 @@ def chain_defect(f: ChainMap):
     different exponents, so no term of one part cancels a term of another.
     Only the failing generator's two sides are built as label-keyed vectors.
 
-    One kind of map needs no product: a map of one part that keeps every
-    state (each column one bit, at its source's own label) between two
-    complexes built from the rectangle pattern (`complexes._on_pattern`).
+    One kind of map needs no product, and reads no boundary column: a map
+    of one part that keeps every state (each column one bit, at its
+    source's own label) between two complexes that hold the pattern
+    orders of live builds (`complexes._on_pattern`), whatever columns
+    they have made.
     Whether a rectangle is empty depends on the states alone
     (Manolescu-Ozsvath-Szabo-Thurston, On combinatorial link Floer
     homology, 2007), so in lexicographic state order both boundaries are

@@ -14,7 +14,8 @@ minus, the move's `gap` below it).  A band map is its base map, built and
 checked on the base, with the identity on words; a stabilization sends w
 to w plus, a destabilization w keep to w; renumbering is the identity.
 A move's target gets its stack as a copy of a complex that shares its
-basis and columns (`_restacked`), so only a switch builds a complex.
+basis and form (`_restacked`), so only a switch builds a complex, and no
+move makes a column: a built complex's columns are made when read.
 
 A movie move is plain data: the switch move is its `BandMapChoice`, a
 quasi-(de)stabilization carries its anchor marking, and the disk moves
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import (
     ChainMap,
@@ -165,12 +166,15 @@ def derived_stab_offsets() -> tuple[int, int]:
 
 def _restacked(c: MonomialComplex, stack: tuple) -> MonomialComplex:
     """c's base under `stack`: c itself when that is its stack, else a copy
-    that shares c's basis and columns and holds the base it came from."""
+    that shares c's basis and form and holds the base it came from.  A
+    built complex's form is its pattern order, so the copy makes no column:
+    its columns are the base's, made on the first read through either."""
     if stack == c.tensor_stack:
         return c
     grown = len(stack) - len(c.tensor_stack)
-    return replace(
-        c, marking_count=c.marking_count + 2 * grown, tensor_stack=stack, base=c.base or c
+    columns = c.columns if c.order is None else None  # given columns, or None for masks
+    return MonomialComplex(
+        c.basis, c.marking_count + 2 * grown, c.grid, stack, columns, c.base or c, c.masks, c.order
     )
 
 
@@ -180,7 +184,7 @@ def _restacked(c: MonomialComplex, stack: tuple) -> MonomialComplex:
 
 def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     """The U-placement map of a switch, without the chain-map assertion."""
-    if c.columns is None or c.grid is None:
+    if c.masks is not None or c.grid is None:
         raise InvalidSite("band maps act on single-variable grid complexes")
     g, site = c.grid, choice.site
     # U multiplies the generators containing the distinguished point exactly
@@ -285,7 +289,7 @@ def disk_destab_map(c: MonomialComplex) -> ChainMap:
 def renumber_map(c: MonomialComplex, perm) -> ChainMap:
     """Relabel marking variables: on a single-variable complex every marking
     is already U, so this is the identity onto the same complex."""
-    if c.columns is None:
+    if c.masks is not None:
         raise MoveSequenceInvalid("renumbering acts on single-variable complexes")
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(c.marking_count)):

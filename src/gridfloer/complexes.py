@@ -20,12 +20,15 @@ cut out by bands, and the curvature sums the width-one bands.
 `build_complex` keeps the masks, and its label-keyed boundary is made only
 when read (`_mask_boundary`): a rectangle is the code of its mask
 (`_code`) and a twin the F2 sum of two.
-`build_gc_prime` sets one bit of a column over the graded basis per entry
-and checks U^(bit count) against the gradings once per class: 2 I(x, x),
-read from a table made once per size (`_pair_counts`), less 2 I(y, y) is
-one number over a class's entries x -> y (`_class_gaps`, certified once
-per pattern).  `algebra._reduce` certifies d^2 = 0 once per size
-(`_SQUARE_FREE`).
+`build_gc_prime` checks U^(bit count) against the gradings once per
+class: 2 I(x, x), read from a table made once per size (`_pair_counts`),
+less 2 I(y, y) is one number over a class's entries x -> y
+(`_class_gaps`, certified once per pattern).  It returns the pattern
+read through the grid's state order (`PatternOrder`) and makes no
+column: `_column_maker` sets one bit per entry of a column over the
+graded basis, when `columns` is first read or when `algebra._reduce`
+reaches the column.  `_reduce` certifies d^2 = 0 once per size
+(`_SQUARE_FREE`), reading every column of that first complex.
 
 The square of the multivariable boundary (`_grouped_square`, for
 `algebra.boundary_squared`) reads the pattern's two-step paths grouped by
@@ -45,6 +48,7 @@ from array import array
 from collections import Counter
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, and_, getitem, lt, ne, or_, rshift, sub
+from typing import NamedTuple
 
 from .algebra import GradedBasis, MonomialComplex
 from .errors import BrokenInvariant, CapExceeded, NonPermutation, NotHomogeneous
@@ -426,28 +430,58 @@ def build_gc_prime(g: GridDiagram, cap: int = DEFAULT_STATE_CAP) -> MonomialComp
     return c
 
 
+class PatternOrder(NamedTuple):
+    """A single-variable complex as its rectangle pattern read through its
+    grid's state order: basis index j holds the state of lexicographic
+    rank ranks[j], and positions[r] is the basis index of rank r."""
+
+    pattern: tuple
+    ranks: array
+    positions: array
+
+
+def _column_maker(order: PatternOrder):
+    """The maker of the bitset columns of the complex of `order`: column j
+    has bit positions[y] for each target y of the state of rank ranks[j]
+    in the pattern less its twins.  Every column of a built complex is
+    made by one; the byte and bit of each position are tabled per maker."""
+    _, offsets, targets, _, _ = order.pattern
+    ranks, width = order.ranks, (len(order.ranks) >> 3) + 1
+    byte, bit = [i >> 3 for i in order.positions], [1 << (i & 7) for i in order.positions]
+
+    def column(j: int) -> int:
+        x, col = ranks[j], bytearray(width)  # little-endian: bit i is basis element i
+        for y in targets[offsets[x] : offsets[x + 1]]:
+            col[byte[y]] |= bit[y]
+        return int.from_bytes(col, "little")
+
+    return column
+
+
 def _on_pattern(c: MonomialComplex) -> bool:
-    """True when c's basis and columns are those of the build of its grid
-    alive in this process (c itself, or the base of a stack), so that its
-    boundary, read in lexicographic state order, is the rectangle pattern
-    of its size less its twins.  Reads the cache only; never builds."""
+    """True when c holds the pattern order of the build of its grid alive
+    in this process (c itself, or a stack of it), so that its boundary,
+    read in lexicographic state order, is that order's rectangle pattern
+    less its twins.  A complex given its columns holds no order, so it
+    never is.  Reads the cache only; never builds, and makes no column."""
     built = _GC_PRIME_ALIVE.get(c.grid)
-    return built is not None and built.basis is c.basis and built.columns is c.columns
+    return built is not None and built.order is c.order
 
 
 def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
-    """The single-variable complex as the columns `_columns` returns, with
-    sources in the basis order.  An entry x -> y of class k (columns a, b,
-    rows s, t) has delta(x) - delta(y) = 2 I(x, x) - 2 I(y, y) - (table[a][s]
-    + table[b][t] - table[a][t] - table[b][s]), one number for the class
-    (`_class_gaps`), so U^weight[k] fits the gradings on every entry of k
-    exactly when it fits on one.  A failure names the first entry, in
-    basis order, of a failing class, or the first twin of mixed weights."""
+    """The single-variable complex as its `PatternOrder`: its columns, with
+    sources in the basis order, are made only when read.  An entry x -> y
+    of class k (columns a, b, rows s, t) has delta(x) - delta(y) =
+    2 I(x, x) - 2 I(y, y) - (table[a][s] + table[b][t] - table[a][t] -
+    table[b][s]), one number for the class (`_class_gaps`), so U^weight[k]
+    fits the gradings on every entry of k exactly when it fits on one.  A
+    failure names the first entry, in basis order, of a failing class, or
+    the first twin of mixed weights."""
     states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
     part = _grid_grading_part(g)
     grading, basis = _graded_basis(g, states, part)
-    order = array("I", sorted(range(len(states)), key=grading.__getitem__, reverse=True))  # stable
-    position = array("I", sorted(range(len(states)), key=order.__getitem__))
+    ranks = array("I", sorted(range(len(states)), key=grading.__getitem__, reverse=True))  # stable
+    positions = array("I", sorted(range(len(states)), key=ranks.__getitem__))
     corners, offsets, targets, classes, twins = pattern = _rectangle_pattern(g.n)
     in_use, gaps, twin_classes = _class_gaps(g.n, pattern)
     weight = [mask.bit_count() for mask in _class_masks(g, corners)]
@@ -466,21 +500,14 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
         if gap - (table[a][s] + table[b][t] - table[a][t] - table[b][s]) != 2 - 2 * weight[k]:
             broken.add(k)
     if broken:
-        entries = ((j, i) for j in order for i in range(offsets[j], offsets[j + 1]))
+        entries = ((j, i) for j in ranks for i in range(offsets[j], offsets[j + 1]))
         j, i = next((j, i) for j, i in entries if classes[i] in broken)
         t, k = targets[i], weight[classes[i]]
         raise NotHomogeneous(
             f"entry {states[j]}->{states[t]} = U^{k} breaks grading: "
             f"{grading[j]} - {grading[t]} != {2 - 2 * k}"
         )
-    byte, bit = [i >> 3 for i in position], [1 << (i & 7) for i in position]
-    cols, width = [], (len(states) >> 3) + 1
-    for j in order:
-        col = bytearray(width)  # little-endian: bit i is basis element i
-        for t in targets[offsets[j] : offsets[j + 1]]:
-            col[byte[t]] |= bit[t]
-        cols.append(int.from_bytes(col, "little"))
-    return MonomialComplex(basis, 2 * g.n, g, columns=cols)
+    return MonomialComplex(basis, 2 * g.n, g, order=PatternOrder(pattern, ranks, positions))
 
 
 def expected_curvature(g: GridDiagram) -> frozenset[int]:

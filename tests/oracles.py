@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from gridfloer import (
@@ -991,7 +991,8 @@ def materialize(c) -> tuple:
     key = (c.grid, c.basis, c.tensor_stack)
     made = _MATERIALIZED.get(key)
     if made is None or c.grid is None and made[0] is not c.columns:
-        plain = replace(c, marking_count=c.marking_count - 2 * len(c.tensor_stack), tensor_stack=())
+        count = c.marking_count - 2 * len(c.tensor_stack)
+        plain = MonomialComplex(c.basis, count, c.grid, columns=c.columns)
         at = {(): range(len(c.basis))}
         for depth, stab in enumerate(c.tensor_stack):
             plain, where = tensor_rank2(plain, stab, depth)

@@ -17,6 +17,7 @@ from gridfloer import (
     ZERO,
     BrokenInvariant,
     ChainMap,
+    DiskStab,
     GradedBasis,
     GradedModuleSummary,
     HomologyGenerator,
@@ -27,6 +28,7 @@ from gridfloer import (
     NotChainMap,
     NotHomogeneous,
     PolyF2U,
+    QuasiStab,
     BandMapChoice,
     band_map,
     band_map_raw,
@@ -58,13 +60,14 @@ from gridfloer import (
     scale_chain_map,
     u_power,
 )
-from gridfloer import algebra, complexes
+from gridfloer import algebra, cli, complexes
 from gridfloer.algebra import (
     _check_squares_to_zero,
     _columns,
     _inverse_rows,
     _reduce,
 )
+from gridfloer.cobordism import _restacked
 from gridfloer.complexes import _build_gc_prime
 from oracles import (
     COMMON_VARIABLE,
@@ -320,11 +323,20 @@ class TestComplexChecks:
             band_map_raw(c, BandMapChoice(site))
 
     def test_broken_invariant_unless_one_stored_form(self, gc_primes, multi_complexes):
-        # a complex is its columns or its masks, never neither or both
+        # a complex is one of its forms, never none of them or two
         c, multi = gc_primes["trefoil5"], multi_complexes["trefoil5"]
-        for columns, masks in ((None, None), (c.columns, multi.masks)):
-            with pytest.raises(BrokenInvariant, match="exactly one of its columns and its masks"):
-                MonomialComplex(c.basis, c.marking_count, c.grid, columns=columns, masks=masks)
+        one_form = "exactly one of its columns, its pattern order and its masks"
+        forms = (
+            (None, None, None),
+            (c.columns, multi.masks, None),
+            (c.columns, None, c.order),
+            (None, multi.masks, c.order),
+        )
+        for columns, masks, order in forms:
+            with pytest.raises(BrokenInvariant, match=one_form):
+                MonomialComplex(
+                    c.basis, c.marking_count, c.grid, columns=columns, masks=masks, order=order
+                )
 
     def test_packed_square_matches_the_oracle(self, multi_complexes):
         for name, c in multi_complexes.items():
@@ -593,6 +605,97 @@ class TestSizeRecord:
         assert complexes._on_pattern(c)
         with pytest.raises(NotAComplex, match="odd path count"):
             homology(c)
+
+
+class TestColumnsOnRead:
+    """A built complex is its pattern order: its columns are made, one
+    `complexes._column_maker` call each, on the first read of `columns`,
+    or one by one by a reduction that skips the d^2 certificate, which
+    never makes a cleared column.  Nothing else makes one."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        # no size certified and no complex alive, whatever ran before;
+        # returns the indices of the columns made, in order
+        derived_stab_offsets()  # the stabilization gaps, made once per process
+        monkeypatch.setattr(complexes, "_SQUARE_FREE", {})
+        monkeypatch.setattr(complexes, "_GC_PRIME_ALIVE", weakref.WeakValueDictionary())
+        made, maker = [], complexes._column_maker
+
+        def counted(order):
+            column = maker(order)
+
+            def recorded(j):
+                made.append(j)
+                return column(j)
+
+            return recorded
+
+        monkeypatch.setattr(complexes, "_column_maker", counted)
+        return made
+
+    @pytest.mark.parametrize("suite", ["band-relations", "grading", "stab-relations"])
+    def test_suites_make_no_column(self, made, suite, capsys):
+        assert cli.main(["verify", suite]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert made == []
+
+    def test_moves_make_no_column(self, made):
+        c = build_gc_prime(corpus_grid("trefoil5"))
+        site = find_switch_sites(c.grid)[0]
+        stacked = quasi_stab_map(c, 0).tgt
+        assert _restacked(stacked, (DiskStab(),)).order is c.order
+        f = band_map(stacked, BandMapChoice(site))
+        band_map(f.tgt, BandMapChoice(site, direction="inverse"))
+        assert made == []
+
+    def test_a_cold_reduction_reads_every_column_once(self, made):
+        for n in (5, 6, 7):
+            c = build_gc_prime(random_grid(n, random.Random(n)))
+            homology(c)
+            assert made == list(range(len(c.basis))), n
+            made.clear()
+
+    def test_a_warm_reduction_makes_only_the_columns_it_reduces(self, made):
+        for n in (5, 6, 7):
+            rng = random.Random(n)
+            homology(build_gc_prime(random_grid(n, rng)))
+            made.clear()
+            c = build_gc_prime(random_grid(n, rng))
+            got = homology(c)
+            reduced = list(made)
+            made.clear()
+            cols = c.columns  # not kept by the reduction: made here, all of them
+            assert made == list(range(len(cols))), n
+            made.clear()
+            assert homology(c) == got and made == [], n  # read, not made again
+            lows = {r.bit_length() - 1 for r in _plain_reduction(cols) if r}
+            assert len(lows) == (len(cols) - 2 ** (n - 1)) // 2, n
+            assert reduced == sorted(set(range(len(cols))) - lows), n
+            copy = MonomialComplex(c.basis, c.marking_count, c.grid, columns=list(cols))
+            assert homology(copy) == got, n
+
+    def test_columns_are_made_once_and_kept_on_the_base(self, made):
+        rng = random.Random(3)
+        c = build_gc_prime(random_grid(6, rng))
+        stacked = quasi_stab_map(c, 0).tgt
+        cols = c.columns
+        assert made == list(range(720))
+        made.clear()
+        assert c.columns is cols and stacked.columns is cols and _columns(c) is cols
+        assert _restacked(stacked, (DiskStab(),)).columns is cols
+        other = build_gc_prime(random_grid(6, rng))  # first read through a stack
+        via = _restacked(other, (QuasiStab(0), DiskStab())).columns
+        assert made == list(range(720)) and other.columns is via and via != cols
+
+    def test_a_build_fills_from_its_own_pattern_after_a_swap(self, made, monkeypatch):
+        g = random_grid(5, random.Random(4))
+        want, c = _build_gc_prime(g).columns, build_gc_prime(g)
+        TestSizeRecord._keep_a_twin(monkeypatch)
+        assert _build_gc_prime(g).columns != want
+        assert c.columns == want
+        copy = MonomialComplex(c.basis, c.marking_count, c.grid, columns=want)
+        assert _reduce(c) == _reduce(copy)
 
 
 class TestHomology:

@@ -10,7 +10,6 @@ import tracemalloc
 import weakref
 from array import array
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -21,8 +20,10 @@ import oracles
 from gridfloer import (
     DEFAULT_STATE_CAP,
     CapExceeded,
+    DiskStab,
     GradedBasis,
     GridDiagram,
+    MonomialComplex,
     U,
     boundary_squared,
     boundary_squares_to_zero,
@@ -42,6 +43,7 @@ from gridfloer import (
 )
 from gridfloer import complexes
 from gridfloer.algebra import _columns
+from gridfloer.cobordism import _restacked
 from gridfloer.complexes import _GC_PRIME_ALIVE, _build_gc_prime
 from gridfloer.errors import BrokenInvariant, NonPermutation, NotHomogeneous
 from oracles import candidate_rectangles, marking_position, rectangles, specialize
@@ -562,6 +564,15 @@ def _outcome(build, g):
     return c.basis.elements, c.columns
 
 
+def _read_through_a_stack(g):
+    """A build of g whose columns are made by a first read through a stack
+    of it, and kept by the build."""
+    c = _build_gc_prime(g)
+    cols = _restacked(c, (DiskStab(),)).columns
+    assert c.columns is cols
+    return c
+
+
 class TestPerEntryOracle:
     """The class-by-class check against the per-entry one it replaced: the
     same verdict, and the same message, on sound and faulty gradings."""
@@ -574,6 +585,7 @@ class TestPerEntryOracle:
             want = _outcome(oracles.per_entry_gc_prime, g)
             assert not isinstance(want, str), name
             assert _outcome(_build_gc_prime, g) == want, name
+            assert _outcome(_read_through_a_stack, g) == want, name
 
     @pytest.mark.parametrize("name", sorted(corpus_grids()))
     def test_single_point_table_faults(self, monkeypatch, name):
@@ -804,7 +816,7 @@ class TestGroupedCurvature:
         c = build_complex(g)
         masks = list(c.masks)
         masks[1] ^= 1 << 1
-        broken = replace(c, masks=masks)
+        broken = MonomialComplex(c.basis, c.marking_count, c.grid, masks=masks)
         sq = boundary_squared(broken)
         assert sq == oracles.coded(oracles.boundary_squared_multi(broken))
         position = {x: i for i, x in enumerate(sorted(c.basis.labels()))}
@@ -858,7 +870,7 @@ class TestGroupedCurvature:
         g = corpus_grid("trefoil5")
         c = build_complex(g)
         for masks in (c.masks[:-1], c.masks + [0], [m | 1 << 10 for m in c.masks]):
-            broken = replace(c, masks=masks)
+            broken = MonomialComplex(c.basis, c.marking_count, c.grid, masks=masks)
             with pytest.raises(BrokenInvariant, match="masks for 500 classes"):
                 boundary_squared(broken)
 
