@@ -22,13 +22,13 @@ when read (`_mask_boundary`): a rectangle is the code of its mask
 (`_code`) and a twin the F2 sum of two.
 `build_gc_prime` checks U^(bit count) against the gradings once per
 class: 2 I(x, x), read from a table made once per size (`_pair_counts`),
-less 2 I(y, y) is one number over a class's entries x -> y
-(`_class_gaps`, certified once per pattern).  It returns the pattern
-read through the grid's state order (`PatternOrder`) and makes no
-column: `_column_maker` sets one bit per entry of a column over the
-graded basis, when `columns` is first read or when `algebra._reduce`
-reaches the column.  `_reduce` certifies d^2 = 0 once per size
-(`_SQUARE_FREE`), reading every column of that first complex.
+less 2 I(y, y) is one number over a class's entries x -> y, given by a
+closed form in the class alone (`_gaps_in_use`, which argues it).  It
+returns the pattern read through the grid's state order (`PatternOrder`)
+and makes no column: `_column_maker` sets one bit per entry of a column
+over the graded basis, when `columns` is first read or when
+`algebra._reduce` reaches the column.  `_reduce` certifies d^2 = 0 once
+per size (`_SQUARE_FREE`), reading every column of that first complex.
 
 The square of the multivariable boundary (`_grouped_square`, for
 `algebra.boundary_squared`) reads the pattern's two-step paths grouped by
@@ -229,33 +229,38 @@ def _rectangle_pattern(n: int) -> tuple:
 # size -> the rectangle pattern whose d^2 = 0 `algebra._reduce` certified
 _SQUARE_FREE: dict[int, tuple] = {}
 
-# size -> (rectangle pattern, its `_class_gaps`), certified on that pattern
-_CLASS_GAPS: dict[int, tuple] = {}
 
+@functools.cache
+def _gaps_in_use(n: int) -> tuple[tuple[int, ...], ...]:
+    """(k, a, b mod n, s, t, gap) for each class k = (a, b, s, t) of size n,
+    numbered as in `_rectangle_pattern`, that holds an entry of the pattern
+    less its twins; gap = 2 I(x, x) - 2 I(y, y) on each entry x -> y of k.  Let
+    w = b - a, h = (t - s) mod n, and c0 < c1 the columns a and b mod n.
 
-def _class_gaps(n: int, pattern: tuple) -> tuple[array, array, array]:
-    """(in use, gaps, twin classes) of `pattern`, the rectangle pattern of
-    size n: the classes with an entry, gaps[i] = 2 I(x, x) - 2 I(y, y) for
-    the entries x -> y of class in_use[i], one number over the class, which
-    this checks on every entry, and the class pairs (k, other) of the twins,
-    flat.  All depend on the states alone, so they serve every grid of the
-    size: made once per pattern, and kept only once the check passes."""
-    held = _CLASS_GAPS.get(n)
-    if held is not None and held[0] is pattern:
-        return held[1]
-    _, offsets, targets, classes, twins = pattern
-    two_i = bytes(_pair_counts(n).values())  # by state, in the pattern's order; each below n^2
-    sources = chain.from_iterable(map(repeat, two_i, map(sub, offsets[1:], offsets)))
-    seen = set(zip(classes, map(sub, sources, map(two_i.__getitem__, targets))))
-    gaps = dict(seen)
-    if len(gaps) != len(seen):
-        k = next(k for k, count in Counter(k for k, _ in seen).items() if count > 1)
-        varied = sorted(d for c, d in seen if c == k)
-        raise BrokenInvariant(f"class {k} of the size-{n} rectangle pattern has gaps {varied}")
-    twin_classes = chain.from_iterable(set(zip(twins[2::4], twins[3::4])))
-    record = array("H", gaps), array("h", gaps.values()), array("H", twin_classes)
-    _CLASS_GAPS[n] = pattern, record
-    return record
+    - Gap.  y swaps x's rows s and t at c0 and c1.  The pair (c0, c1) is an
+      ascent of one of x and y, a column between with a row between s and
+      t is two ascents of that one and none of the other, and other pairs
+      keep their count: gap = +-2 (1 + 2m), m the columns between with a
+      row between, + when x[c0] < x[c1], that is when (s < t) = (b < n).
+      Emptiness fixes m.  With b < n the w - 1 columns between are
+      inside it, their rows outside: m = 0 if s < t, else w - 1.  With
+      b >= n the n - w - 1 between are outside it and hold its h - 1 inner
+      rows: m = h - 1 if s < t, else n - w - h.
+    - In use.  So w + h <= n.  With w + h = n the rectangle and its
+      complement (columns b to a + n, rows t to s + n) are each empty just
+      when the columns outside the first hold its inner rows: a twin.  With
+      h >= 1 and w + h < n the other rectangle is never empty, and the
+      class holds one: rows outside it in its inner columns.
+    - Twin weights.  With C, R the markings in columns a to b, rows s to t,
+      one O and one X per line, a twin covers |C n R| and 2n - |C u R| =
+      |C n R| + 2n - 2w - 2h markings, equal on every grid."""
+    out, pairs = [], [(a, b) for a in range(n) for b in range(a + 1, a + n)]
+    for k, ((a, b), s, t) in enumerate(itertools.product(pairs, range(n), range(n))):
+        w, h = b - a, (t - s) % n
+        if h and w + h < n:
+            m = (0 if s < t else w - 1) if b < n else (h - 1 if s < t else n - w - h)
+            out.append((k, a, b % n, s, t, (2 if (s < t) == (b < n) else -2) * (1 + 2 * m)))
+    return tuple(out)
 
 
 def _class_masks(g: GridDiagram, corners) -> list[int]:
@@ -473,32 +478,23 @@ def _build_gc_prime(g: GridDiagram) -> MonomialComplex:
     sources in the basis order, are made only when read.  An entry x -> y
     of class k (columns a, b, rows s, t) has delta(x) - delta(y) =
     2 I(x, x) - 2 I(y, y) - (table[a][s] + table[b][t] - table[a][t] -
-    table[b][s]), one number for the class (`_class_gaps`), so U^weight[k]
+    table[b][s]), one number for the class (`_gaps_in_use`), so U^weight[k]
     fits the gradings on every entry of k exactly when it fits on one.  A
-    failure names the first entry, in basis order, of a failing class, or
-    the first twin of mixed weights."""
+    failure names the first entry, in basis order, of a failing class.  No
+    twin is read: its two classes' weights agree on every grid."""
     states = enumerate_states(g.n, g.n)  # build_gc_prime checked the cap
     part = _grid_grading_part(g)
     grading, basis = _graded_basis(g, states, part)
     ranks = array("I", sorted(range(len(states)), key=grading.__getitem__, reverse=True))  # stable
     positions = array("I", sorted(range(len(states)), key=ranks.__getitem__))
-    corners, offsets, targets, classes, twins = pattern = _rectangle_pattern(g.n)
-    in_use, gaps, twin_classes = _class_gaps(g.n, pattern)
+    corners, offsets, targets, classes, _ = pattern = _rectangle_pattern(g.n)
     weight = [mask.bit_count() for mask in _class_masks(g, corners)]
-    pairs = zip(twin_classes[::2], twin_classes[1::2])
-    mixed = {pair for pair in pairs if weight[pair[0]] != weight[pair[1]]}  # U^k + U^k cancels
-    if mixed:
-        x, y, k, other = next(q for q in zip(*[iter(twins)] * 4) if q[2:] in mixed)
-        weights = sorted((weight[k], weight[other]))
-        raise NotHomogeneous(
-            f"surviving rectangles {states[x]} -> {states[y]} have mixed weights {weights}"
-        )
-    n, table, broken = g.n, part[0], set()
-    for k, gap in zip(in_use, gaps):  # the columns a, b and rows s, t of class k
-        a, b, s, h = (corner[k] for corner in corners)
-        b, t = b % n, (s + h) % n
-        if gap - (table[a][s] + table[b][t] - table[a][t] - table[b][s]) != 2 - 2 * weight[k]:
-            broken.add(k)
+    table = part[0]
+    broken = {  # the classes k, of columns a, b and rows s, t, that U^weight[k] does not fit
+        k
+        for k, a, b, s, t, gap in _gaps_in_use(g.n)
+        if gap - (table[a][s] + table[b][t] - table[a][t] - table[b][s]) != 2 - 2 * weight[k]
+    }
     if broken:
         entries = ((j, i) for j in ranks for i in range(offsets[j], offsets[j + 1]))
         j, i = next((j, i) for j, i in entries if classes[i] in broken)

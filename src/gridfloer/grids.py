@@ -31,6 +31,9 @@ class GridDiagram:
     o_col: tuple[int, ...]
     x_col: tuple[int, ...]
 
+    def __post_init__(self):
+        _check(self.n, self.o_col, self.x_col, 1)
+
     def marking_name(self, marking: int) -> str:
         """Human-readable 1-indexed name, O<row> or X<row>."""
         if marking < self.n:
@@ -67,18 +70,16 @@ class BandClass:
 def validate(o_seq, x_seq) -> GridDiagram:
     """Build a GridDiagram from two column sequences, checking all invariants.
     The messages count rows and columns from 1, as grid files do."""
-    return _validate(o_seq, x_seq, 1)
+    o, x = tuple(int(c) for c in o_seq), tuple(int(c) for c in x_seq)
+    return GridDiagram(len(o), o, x)
 
 
-def _validate(o_seq, x_seq, base: int) -> GridDiagram:
-    """`validate`, its messages counting rows and columns from `base`."""
-    o = tuple(int(c) for c in o_seq)
-    x = tuple(int(c) for c in x_seq)
+def _check(n: int, o, x, base: int) -> None:
+    """Raise unless o, x are the O, X columns of an n x n grid, counting from `base`."""
     if len(o) != len(x):
-        raise NonPermutation(
-            f"marking sequences have different lengths {len(o)} and {len(x)}"
-        )
-    n = len(o)
+        raise NonPermutation(f"marking sequences have different lengths {len(o)} and {len(x)}")
+    if n != len(o):
+        raise NonPermutation(f"grid size {n} does not match the {len(o)} marking columns")
     if n < MIN_GRID_SIZE:
         raise SizeTooSmall(f"grid size {n} is below the minimum of {MIN_GRID_SIZE}")
     for name, seq in (("O", o), ("X", x)):
@@ -90,7 +91,6 @@ def _validate(o_seq, x_seq, base: int) -> GridDiagram:
     for r in range(n):
         if o[r] == x[r]:
             raise MarkingCollision(f"row {r + base} holds O and X in the same column {o[r] + base}")
-    return GridDiagram(n, o, x)
 
 
 def link_topology(g: GridDiagram) -> LinkTopology:
@@ -305,7 +305,8 @@ def _parse_grid_json(text: str) -> GridDiagram:
         if type(seq) is not list or any(type(v) is not int for v in seq):
             raise ParseError(f'JSON "{key}" must be a list of integers, got {seq!r:.40}')
     try:
-        g = _validate(obj["o"], obj["x"], 0)  # the file's own 0-based numbers
+        _check(len(obj["o"]), obj["o"], obj["x"], 0)  # the file's own 0-based numbers
+        g = validate(obj["o"], obj["x"])
     except (NonPermutation, MarkingCollision, SizeTooSmall) as exc:
         raise ParseError(f"invalid grid: {exc}") from exc
     if g.n != obj["n"]:

@@ -31,9 +31,10 @@ The package computes each result one way; the second ways live here:
 - `label_row_gc_prime`, the builder of label-keyed `PolyF2U` rows, which
   reads marking masks off its own prefix sums (`marking_prefix`), not the
   package's line masks, and `back_substituted_rows`, the projection rows one
-  row at a time, and `per_entry_gc_prime`, the package's build with each
-  entry checked against the gradings on its own: replaced fast paths kept
-  as oracles for the ones that replaced them;
+  row at a time, `per_entry_gc_prime`, the package's build with each
+  entry checked against the gradings on its own, and `_class_gaps`, each
+  class's grading gap read off every entry of the pattern: replaced fast
+  paths kept as oracles for the ones that replaced them;
 - `chain_defect` and `entry_degree`, the chain condition and the degree of
   a map read off its label-keyed entries, for the parts form of maps, and
   `chain_map`, which splits hand-built label-keyed entries into parts;
@@ -55,7 +56,9 @@ The package computes each result one way; the second ways live here:
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -1447,6 +1450,30 @@ def per_entry_gc_prime(g):
             col |= 1 << position[t]
         cols.append(col)
     return MonomialComplex(basis, 2 * g.n, g, columns=cols)
+
+
+def _class_gaps(n: int, pattern: tuple) -> tuple[array, array, array]:
+    """(in use, gaps, twin classes) of `pattern`, a rectangle pattern of
+    size n, read off its entries: the classes with an entry, gaps[i] =
+    2 I(x, x) - 2 I(y, y) for the entries x -> y of class in_use[i], one
+    number over the class, which this checks on every entry, and the class
+    pairs (k, other) of the twins, flat.  The pass over the pattern that
+    `complexes._gaps_in_use`'s closed form replaced."""
+    from gridfloer.complexes import _pair_counts
+
+    _, offsets, targets, classes, twins = pattern
+    two_i = bytes(_pair_counts(n).values())  # by state, in the pattern's order; each below n^2
+    sources = itertools.chain.from_iterable(
+        itertools.repeat(two_i[x], hi - lo) for x, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+    )
+    seen = {(k, d - two_i[y]) for k, d, y in zip(classes, sources, targets)}
+    gaps = dict(seen)
+    if len(gaps) != len(seen):
+        k = next(k for k, count in Counter(k for k, _ in seen).items() if count > 1)
+        varied = sorted(d for c, d in seen if c == k)
+        raise BrokenInvariant(f"class {k} of the size-{n} rectangle pattern has gaps {varied}")
+    twin_classes = itertools.chain.from_iterable(set(zip(twins[2::4], twins[3::4])))
+    return array("H", gaps), array("h", gaps.values()), array("H", twin_classes)
 
 
 def _open_quadrant_pairs(P, Q) -> int:

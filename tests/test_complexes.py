@@ -502,21 +502,6 @@ class TestOnePassRows:
         want[x0] = {y: e for y, e in want[x0].items() if y != y0}
         assert got == {x: row for x, row in want.items() if row}
 
-    def test_mixed_weights_raise(self, monkeypatch):
-        g = corpus_grid("trefoil5")
-        c = _build_gc_prime(g)
-        x0, y0 = _one_rectangle_entry(c)
-        (k,) = c.boundary[x0][y0].terms
-        corners = complexes._rectangle_pattern(g.n)[0]
-        weights = [m.bit_count() for m in complexes._class_masks(g, corners)]
-
-        def heavier(cls):  # a class whose rectangle covers one more marking
-            return weights.index(weights[cls] + 1)
-
-        _entry_made_twin(monkeypatch, g, x0, y0, heavier)
-        with pytest.raises(NotHomogeneous, match=rf"mixed weights \[{k}, {k + 1}\]"):
-            _build_gc_prime(g)
-
 
 class TestRectanglePattern:
     """One rectangle pattern per grid size, made on the first build of
@@ -600,61 +585,70 @@ class TestPerEntryOracle:
         assert failed == (2 * g.n * g.n if g.n > 2 else 0)
 
     def test_twin_of_mixed_weights(self, monkeypatch):
+        # the oracle checks every twin's weights; the build reads no twin,
+        # whose weights agree on every grid (TestClassGapForm)
         g = corpus_grid("trefoil5")
         x0, y0 = _one_rectangle_entry(_build_gc_prime(g))
         corners = complexes._rectangle_pattern(g.n)[0]
         weights = [m.bit_count() for m in complexes._class_masks(g, corners)]
+        with monkeypatch.context() as m:
+            _entry_made_twin(m, g, x0, y0, lambda k: k)
+            want = _outcome(_build_gc_prime, g)
         _entry_made_twin(monkeypatch, g, x0, y0, lambda k: weights.index(weights[k] + 1))
-        want = _outcome(oracles.per_entry_gc_prime, g)
-        assert "mixed weights" in want
+        assert "mixed weights" in _outcome(oracles.per_entry_gc_prime, g)
         assert _outcome(_build_gc_prime, g) == want
 
 
-class TestClassGapRecord:
-    """The gap of each class in use and the class pairs of the twins,
-    certified on every entry once per rectangle pattern, whatever size
-    was recorded before."""
+def _class_number(n):
+    """(a, b, s, t) -> the pattern's number of that class of size n."""
+    corners = complexes._rectangle_pattern(n)[0]
+    return {(a, b, s, (s + h) % n): k for k, (a, b, s, h) in enumerate(zip(*corners))}
 
-    @pytest.fixture(autouse=True)
-    def unrecorded(self, monkeypatch):
-        monkeypatch.setattr(complexes, "_CLASS_GAPS", {})
 
-    def test_made_once_per_pattern(self):
-        rng = random.Random(5)
-        first = _build_gc_prime(random_grid(5, rng))
-        record = complexes._CLASS_GAPS[5]
-        assert record[0] is complexes._rectangle_pattern(5)
-        second = _build_gc_prime(random_grid(5, rng))
-        assert first.columns != second.columns
-        assert complexes._CLASS_GAPS == {5: record} and complexes._CLASS_GAPS[5] is record
-        in_use, gaps, twin_classes = record[1]
-        _, _, _, classes, twins = record[0]
-        assert set(in_use) == set(classes) and len(gaps) == len(in_use)
-        pairs = list(zip(twin_classes[::2], twin_classes[1::2]))
-        assert len(pairs) == len(set(pairs)) and set(pairs) == set(zip(twins[2::4], twins[3::4]))
+class TestClassGapForm:
+    """The classes in use and their gaps in closed form, and the twin
+    class pairs, against the pattern's own entries, at every size the
+    default cap allows."""
 
-    def test_a_varying_gap_raises_and_records_nothing(self, monkeypatch):
-        g = corpus_grid("trefoil5")
+    @pytest.mark.parametrize("n", range(2, DEFAULT_STATE_CAP + 1))
+    def test_gaps_match_the_pattern(self, n):
+        in_use, gaps, _ = oracles._class_gaps(n, complexes._rectangle_pattern(n))
+        form = complexes._gaps_in_use(n)
+        assert [(k, gap) for k, *_, gap in form] == sorted(zip(in_use, gaps))
+        number = _class_number(n)
+        assert all(number[a, b + n * (b <= a), s, t] == k for k, a, b, s, t, _ in form)
+        assert len(in_use) == n * n * (n - 1) * (n - 2) // 2
+
+    @pytest.mark.parametrize("n", range(2, DEFAULT_STATE_CAP + 1))
+    def test_twin_pairs_are_each_class_and_its_complement(self, n):
+        # b < n and w + h = n, paired with columns b to a + n and rows t to s + n
+        number = _class_number(n)
+        want = {
+            (k, number[b, a + n, t, s])
+            for (a, b, s, t), k in number.items()
+            if b < n and b - a + (t - s) % n == n
+        }
+        twins = complexes._rectangle_pattern(n)[4]
+        assert set(zip(twins[2::4], twins[3::4])) == want
+        assert len(want) == n * n * (n - 1) // 2
+
+    def test_twin_classes_cover_equal_marking_counts(self, corpus):
+        grids = list(corpus.items()) + _seeded_grids(range(2, DEFAULT_STATE_CAP + 1), 10)
+        for name, g in grids:
+            corners, *_, twins = complexes._rectangle_pattern(g.n)
+            weight = [mask.bit_count() for mask in complexes._class_masks(g, corners)]
+            pairs = set(zip(twins[2::4], twins[3::4]))
+            assert all(weight[k] == weight[other] for k, other in pairs), name
+
+    def test_a_varying_gap_raises(self):
         corners, offsets, targets, classes, twins = complexes._rectangle_pattern(5)
-        _build_gc_prime(g)
-        gaps = dict(zip(*complexes._CLASS_GAPS.pop(5)[1][:2]))
+        gaps = {k: gap for k, *_, gap in complexes._gaps_in_use(5)}
         # the first entry's class moved to a class in use of another gap
         k = next(k for k, gap in gaps.items() if gap != gaps[classes[0]])
         edited = (corners, offsets, targets, array(classes.typecode, [k]) + classes[1:], twins)
-        monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: edited)
         low, high = sorted((gaps[k], gaps[classes[0]]))
         with pytest.raises(BrokenInvariant, match=rf"class {k} of the size-5 .* gaps \[{low}, {high}\]"):
-            _build_gc_prime(g)
-        assert complexes._CLASS_GAPS == {}
-
-    def test_a_swapped_pattern_gets_its_own_record(self, monkeypatch):
-        g = corpus_grid("trefoil5")
-        want = _build_gc_prime(g).columns
-        first = complexes._CLASS_GAPS[5]
-        copy = tuple([*complexes._rectangle_pattern(5)])  # equal, but another object
-        monkeypatch.setattr(complexes, "_rectangle_pattern", lambda n: copy)
-        assert _build_gc_prime(g).columns == want
-        assert complexes._CLASS_GAPS[5][0] is copy and complexes._CLASS_GAPS[5] is not first
+            oracles._class_gaps(5, edited)
 
 
 def _seeded_grids(sizes, count):

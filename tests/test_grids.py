@@ -1,6 +1,7 @@
 """Grid diagram layer: validation, link tracing, switch sites, file formats."""
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridfloer import (
     GridDiagram,
+    GridFloerError,
     InvalidSite,
     MarkingCollision,
     NonPermutation,
@@ -107,6 +109,24 @@ class TestValidate:
     def test_too_small(self):
         with pytest.raises(SizeTooSmall):
             validate((0,), (0,))
+
+    def test_the_constructor_refuses_a_non_grid(self):
+        # link_topology never returns on this one, so it is refused here
+        with pytest.raises(NonPermutation, match=r"^O columns \[1, 1, 2\] are not a permutation of 1..3$"):
+            GridDiagram(3, (0, 0, 1), (1, 2, 0))
+
+    @pytest.mark.parametrize(
+        "o, x", [((0, 1, 2), (1, 0)), ((0,), (0,)), ((1, 2, 0), (1, 0, 2)), ((0, 1), (0, 1))]
+    )
+    def test_the_constructor_checks_as_validate_does(self, o, x):
+        with pytest.raises(GridFloerError) as want:
+            validate(o, x)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            GridDiagram(len(o), o, x)
+
+    def test_the_size_must_match_the_columns(self):
+        with pytest.raises(NonPermutation, match="grid size 4 does not match the 3 marking columns"):
+            GridDiagram(4, (0, 1, 2), (1, 2, 0))
 
     def test_marking_positions_and_names(self):
         g = corpus_grid("hopf4")
