@@ -40,10 +40,9 @@ exponent, so the chain-map check (`chain_defect`), sums, compositions,
 equality and the matrix a map induces on homology (`induced_map`) are F2
 work on the parts' columns.  The check does no product at all, and
 makes no column, for a map of one part that keeps every state between
-two complexes built from the rectangle pattern, such as a band map of
-flavor nu or a closed movie's composite: both boundaries are the
-pattern's, in two orders of one set of states, so the map commutes with
-them.
+two complexes built from the rectangle pattern, such as a band map or
+a closed movie's composite: both boundaries are the pattern's, in two
+orders of one set of states, so the map commutes with them.
 
 A stabilized complex is its base plus its `tensor_stack`, one rank-2 free
 module with zero differential per move: its generators are x (x) w for x
@@ -685,8 +684,8 @@ def chain_defect(f: ChainMap):
     cancel in every build that succeeds.  With S and T the orders of the
     two bases, D_src = S P S^-1, D_tgt = T P T^-1 and F = T S^-1, so
     D_tgt F = T P S^-1 = F D_src, and the one degree fixes every exponent
-    as above.  Such a map is a chain map, as the band maps of flavor nu
-    (the switch keeps the states) and the composites of closed movies are.
+    as above.  Such a map is a chain map, as the band maps (the switch
+    keeps the states) and the composites of closed movies are.
     Any other map, such as one with a hand-built end, runs the products.
     """
     from .complexes import _on_pattern

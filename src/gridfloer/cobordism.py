@@ -72,22 +72,19 @@ from .grids import (
 
 @dataclass(frozen=True)
 class BandMapChoice:
-    """The switch move: a site with the flavor and direction of its band map.
+    """The switch move: a site and the direction of its band map.
 
-    flavor selects which generators pick up the factor U: `nu` uses the
-    distinguished-point rule, `nu_tilde` its complement.  direction is
-    bookkeeping for movie scripts; the reverse move is simply the switch
-    performed on the switched grid, whose flipped diagonal supplies the
-    complementary U-placement on its own.
+    The map multiplies by U the generators that the distinguished-point
+    rule selects (`band_map_raw`).  direction is bookkeeping for movie
+    scripts; the reverse move is simply the switch performed on the
+    switched grid, whose flipped diagonal supplies the complementary
+    U-placement on its own.
     """
 
     site: SwitchSite
-    flavor: str = "nu"           # "nu" | "nu_tilde"
     direction: str = "forward"   # "forward" | "inverse"
 
     def __post_init__(self):
-        if self.flavor not in ("nu", "nu_tilde"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.direction not in ("forward", "inverse"):
             raise ValueError(f"unknown direction {self.direction!r}")
 
@@ -188,8 +185,8 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
         raise InvalidSite("band maps act on single-variable grid complexes")
     g, site = c.grid, choice.site
     # U multiplies the generators containing the distinguished point exactly
-    # when the markings sit on the main diagonal (flavor nu); nu_tilde flips.
-    u_when_contains = (site_diagonal(g, site) == "main") == (choice.flavor == "nu")
+    # when the markings sit on the main diagonal
+    u_when_contains = site_diagonal(g, site) == "main"
     p_col, p_row = (site.col + 1) % g.n, (site.row + 1) % g.n
     tgt = _restacked(build_gc_prime(apply_switch(g, site), g.n), c.tensor_stack)
     labels, gradings, tgt_gradings = c.basis.labels(), c.basis.gradings(), tgt.basis.gradings()
@@ -201,7 +198,7 @@ def band_map_raw(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     return ChainMap(c, tgt, parts)
 
 
-def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
+def _require_band_chain_map(f: ChainMap, site: SwitchSite) -> None:
     """Raise ChainMapViolation naming the site and the first generator, by
     state, where f does not commute with the boundaries.  Both sides list
     their terms by label, so a message does not depend on how boundary
@@ -210,7 +207,7 @@ def _require_band_chain_map(f: ChainMap, flavor: str, site: SwitchSite) -> None:
     if defect is not None:
         x, lhs, rhs = defect
         raise ChainMapViolation(
-            f"flavor {flavor} at col={site.col + 1} row={site.row + 1} "
+            f"band map at col={site.col + 1} row={site.row + 1} "
             f"letter={site.letter}: boundaries disagree at generator {x}: "
             f"d(f(x))={dict(sorted(lhs.items()))} but f(d(x))={dict(sorted(rhs.items()))}"
         )
@@ -220,7 +217,7 @@ def band_map(c: MonomialComplex, choice: BandMapChoice) -> ChainMap:
     """Chain map of a band move (switch); fails loudly if the U-placement
     rule does not commute with the boundaries."""
     f = band_map_raw(c, choice)
-    _require_band_chain_map(f, choice.flavor, choice.site)
+    _require_band_chain_map(f, choice.site)
     return f
 
 
@@ -445,7 +442,7 @@ def _kv_fields(kind: str, tokens: list[str], lineno: int) -> dict[str, str]:
 
 
 def _move(kind: str, fields: dict[str, str], n: int, lineno: int):
-    """The move of a `kind` line; BandMapChoice checks the flavor."""
+    """The move of a `kind` line; a switch names its one flavor, nu."""
     if kind == "switch":
         try:
             col, row = int(fields["col"]) - 1, int(fields["row"]) - 1
@@ -457,8 +454,10 @@ def _move(kind: str, fields: dict[str, str], n: int, lineno: int):
             raise ParseError(f"line {lineno}: letter must be O or X")
         if fields["dir"] not in _DIRECTIONS:
             raise ParseError(f"line {lineno}: dir must be fwd or inv")
+        if fields["flavor"] != "nu":
+            raise ParseError(f"line {lineno}: flavor must be nu")
         site = SwitchSite(col, row, fields["letter"])
-        return BandMapChoice(site, fields["flavor"], _DIRECTIONS[fields["dir"]])
+        return BandMapChoice(site, _DIRECTIONS[fields["dir"]])
     if kind == "quasistab":
         return QuasiStab(_parse_anchor(fields["anchor"], n, lineno))
     if kind == "quasidestab":
@@ -487,11 +486,7 @@ def parse_movie(text: str, start: GridDiagram) -> Movie:
                 raise ParseError(f"line {lineno}: renumber is not a permutation")
             moves.append(Renumber(perm))
         elif kind in _FIELDS:
-            fields = _kv_fields(kind, args, lineno)
-            try:
-                moves.append(_move(kind, fields, n, lineno))
-            except ValueError as exc:  # a flavor the move refuses
-                raise ParseError(f"line {lineno}: {exc}") from exc
+            moves.append(_move(kind, _kv_fields(kind, args, lineno), n, lineno))
         else:
             raise ParseError(f"line {lineno}: unknown move {kind!r}")
     return Movie(start, tuple(moves))
@@ -505,7 +500,7 @@ def serialize_movie(movie: Movie) -> str:
             d = "fwd" if move.direction == "forward" else "inv"
             lines.append(
                 f"switch col={move.site.col + 1} row={move.site.row + 1} "
-                f"letter={move.site.letter} flavor={move.flavor} dir={d}"
+                f"letter={move.site.letter} flavor=nu dir={d}"
             )
         elif isinstance(move, QuasiStab):
             lines.append(f"quasistab anchor={name(move.anchor)}")

@@ -1158,7 +1158,7 @@ class TestMapColumns:
             maps = [identity_chain_map(c), renumber_map(c, range(c.marking_count))]
             for site in find_switch_sites(g):
                 maps.append(band_map(c, BandMapChoice(site)))
-                maps.append(band_map_raw(c, BandMapChoice(site, "nu_tilde")))
+                maps.append(oracles.complement_band_map(c, site))
             for anchor in range(2 * g.n):
                 stab = quasi_stab_map(c, anchor)
                 for near in (anchor, same_letter_neighbors(g, anchor)[0]):
@@ -1173,7 +1173,7 @@ class TestMapColumns:
     def test_mixed_and_zero_maps_have_no_degree(self, gc_primes):
         c = gc_primes["trefoil5"]
         site = find_switch_sites(c.grid)[0]
-        assert chain_map_degree(band_map_raw(c, BandMapChoice(site, "nu_tilde"))) is None
+        assert chain_map_degree(oracles.complement_band_map(c, site)) is None
         stab = quasi_stab_map(c, 0)  # anchor O1
         assert chain_map_degree(compose_chain_maps(quasi_destab_map(stab.tgt, 0), stab)) is None
 
@@ -1188,18 +1188,18 @@ class TestMapColumns:
         assert oracles.chain_defect(f) == ("q", {"c": ONE}, {})
 
     def test_multi_part_maps_match_label_products(self, gc_primes):
-        # nu_tilde and the flavor sum are not homogeneous: each is the sum of
-        # two or more parts, and every product below mixes parts; on the
-        # stack, the entries are those of the materialized maps
+        # the complement and the flavor sum are not homogeneous: each is the
+        # sum of two or more parts, and every product below mixes parts; on
+        # the stack, the entries are those of the materialized maps
         c = gc_primes["trefoil5"]
         site = find_switch_sites(c.grid)[0]
         entries = oracles.entries
         for base in (c, quasi_stab_map(c, 0).tgt):
             nu = band_map_raw(base, BandMapChoice(site))
-            tilde = band_map_raw(base, BandMapChoice(site, "nu_tilde"))
+            tilde = oracles.complement_band_map(base, site)
             flavor_sum = add_chain_maps(nu, tilde)
             back = band_map_raw(tilde.tgt, BandMapChoice(site))
-            back_tilde = band_map_raw(tilde.tgt, BandMapChoice(site, "nu_tilde"))
+            back_tilde = oracles.complement_band_map(tilde.tgt, site)
             assert len(tilde.parts) == 2 and len(flavor_sum.parts) == 3
             assert entries(flavor_sum) == _label_sum(entries(nu), entries(tilde))
             assert not add_chain_maps(tilde, tilde).parts
@@ -1213,7 +1213,7 @@ class TestMapColumns:
                 assert entries(scale_chain_map(f, ONE + U)) == want
                 plain = oracles.materialize_map(f)
                 assert chain_maps_equal(plain, oracles.chain_map(plain.src, plain.tgt, plain.entries))
-            assert chain_maps_equal(tilde, band_map_raw(base, BandMapChoice(site, "nu_tilde")))
+            assert chain_maps_equal(tilde, oracles.complement_band_map(base, site))
             assert chain_maps_equal(add_chain_maps(flavor_sum, tilde), nu)
             assert not chain_maps_equal(tilde, nu)
             assert not chain_maps_equal(flavor_sum, scale_chain_map(nu, ONE + U))

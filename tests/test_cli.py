@@ -1,7 +1,6 @@
 """Command-line behavior: outputs, flags, exit codes, verify suites."""
 import ast
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -21,7 +20,6 @@ from gridfloer import (
     SitesNotDisjoint,
     SwitchSite,
     cli,
-    cobordism,
     complexes,
     corpus_grid,
     corpus_grids,
@@ -330,8 +328,8 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["homology", str(tmp_path / "absent.grid")]) == EXIT_FAIL
 
-    def test_chain_violation_is_check_failure(self, grid_file, movie_file):
-        script = "switch col=1 row=1 letter=O flavor=nu_tilde dir=fwd\n"
+    def test_chain_violation_is_check_failure(self, grid_file, movie_file, complement_band_maps):
+        script = "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
         assert (
             main(["movie", grid_file("unknot4_sites"), movie_file(script)])
             == EXIT_FAIL
@@ -341,9 +339,9 @@ class TestExitCodes:
         "stack", ["", "quasistab anchor=O1\n"], ids=["states", "stacked"]
     )
     def test_chain_violation_lists_terms_in_label_order(
-        self, grid_file, movie_file, capsys, stack
+        self, grid_file, movie_file, capsys, stack, complement_band_maps
     ):
-        script = stack + "switch col=1 row=1 letter=O flavor=nu_tilde dir=fwd\n"
+        script = stack + "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
         assert main(["movie", grid_file("trefoil5"), movie_file(script)]) == EXIT_FAIL
         err = capsys.readouterr().err.strip()
         sides = re.search(r"d\(f\(x\)\)=\{(.*)\} but f\(d\(x\)\)=\{(.*)\}$", err).groups()
@@ -379,9 +377,17 @@ class TestExitCodes:
                 corpus_text("trefoil5"), "renumber 2 1\n", EXIT_MOVE,
                 "(2, 1) is not a permutation of 1..10",
             ),
+            *(
+                (
+                    corpus_text("trefoil5"),
+                    f"diskstab\nswitch col=1 row=1 letter=O flavor={v} dir=fwd\n",
+                    EXIT_PARSE, "line 2: flavor must be nu",
+                )
+                for v in ("nu_tilde", "NU", "")
+            ),
         ],
         ids=["non-permutation", "marking-collision", "switch-collision", "no-diagonal-pair",
-             "renumber"],
+             "renumber", "flavor-nu_tilde", "flavor-NU", "flavor-empty"],
     )
     def test_positions_in_messages_count_from_one(self, tmp_path, capsys, grid, script, code, message):
         # grid files and movie scripts count from 1, so the messages that
@@ -476,15 +482,9 @@ class TestVerifySuites:
         assert captured.err == ""
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_band_map_violation_is_a_failed_check(self, flags, monkeypatch, capsys):
+    def test_band_map_violation_is_a_failed_check(self, flags, capsys, complement_band_maps):
         # a band map that is not a chain map fails its site's check, which
         # carries the grid and the round-trip movie as its reproducer
-        real = cobordism.band_map_raw
-
-        def nu_tilde(c, choice):
-            return real(c, dataclasses.replace(choice, flavor="nu_tilde"))
-
-        monkeypatch.setattr(cobordism, "band_map_raw", nu_tilde)
         assert main([*flags, "verify", "band-relations"]) == EXIT_FAIL
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -503,15 +503,11 @@ class TestVerifySuites:
             assert captured.out == f"FAIL {check}\n" + reproducer
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_commutation_band_map_violation_is_a_failed_check(self, flags, monkeypatch, capsys):
+    def test_commutation_band_map_violation_is_a_failed_check(
+        self, flags, capsys, complement_band_maps
+    ):
         # a band map that is not a chain map fails its pair's check, which
         # carries the grid and the order composed first as its reproducer
-        real = cobordism.band_map_raw
-
-        def nu_tilde(c, choice):
-            return real(c, dataclasses.replace(choice, flavor="nu_tilde"))
-
-        monkeypatch.setattr(cobordism, "band_map_raw", nu_tilde)
         assert main([*flags, "verify", "commutation"]) == EXIT_FAIL
         captured = capsys.readouterr()
         assert captured.err == ""

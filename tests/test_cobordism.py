@@ -111,10 +111,11 @@ class TestStabOffsets:
 class TestMoveValidation:
     def test_band_choice_fields(self):
         site = SwitchSite(0, 0, "O")
-        with pytest.raises(ValueError):
-            BandMapChoice(site, flavor="mu")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
             BandMapChoice(site, direction="sideways")
+        # the old positional form, site then flavor, names a direction
+        with pytest.raises(ValueError, match="unknown direction 'nu'"):
+            BandMapChoice(site, "nu")
 
     def test_stab_model_fields(self):
         for move in (QuasiStab, QuasiDestab):
@@ -134,7 +135,7 @@ class TestBandMaps:
     def test_nu_is_chain_map_everywhere(self, corpus, gc_primes):
         for name, g in corpus.items():
             for site in find_switch_sites(g):
-                f = band_map(gc_primes[name], BandMapChoice(site, "nu"))
+                f = band_map(gc_primes[name], BandMapChoice(site))
                 assert is_chain_map(f), (name, site)
                 assert f.tgt.grid == apply_switch(g, site)
 
@@ -142,7 +143,7 @@ class TestBandMaps:
         # a split drops the doubled grading by 2, a merge preserves it
         for name, g in corpus.items():
             for site in find_switch_sites(g):
-                f = band_map(gc_primes[name], BandMapChoice(site, "nu"))
+                f = band_map(gc_primes[name], BandMapChoice(site))
                 want = -2 if classify_band(g, site).band_type == "I" else 0
                 assert chain_map_degree(f) == want, (name, site)
 
@@ -150,7 +151,7 @@ class TestBandMaps:
         for name, g in corpus.items():
             n = g.n
             for site in find_switch_sites(g):
-                f = band_map(gc_primes[name], BandMapChoice(site, "nu"))
+                f = band_map(gc_primes[name], BandMapChoice(site))
                 exps = []
                 for lab in f.src.basis.labels():
                     row = f.entries[lab]
@@ -164,20 +165,22 @@ class TestBandMaps:
                 ), (name, site)
 
     def test_flavors_complement_each_other(self, corpus, gc_primes):
+        # the package's U-placement against the oracle's complementary one
         for name, g in corpus.items():
             for site in find_switch_sites(g):
-                f = band_map_raw(gc_primes[name], BandMapChoice(site, "nu"))
-                t = band_map_raw(gc_primes[name], BandMapChoice(site, "nu_tilde"))
+                f = band_map_raw(gc_primes[name], BandMapChoice(site))
+                t = oracles.complement_band_map(gc_primes[name], site)
                 for lab in f.src.basis.labels():
                     ks = {next(iter(f.entries[lab][lab].terms)),
                           next(iter(t.entries[lab][lab].terms))}
                     assert ks == {0, 1}, (name, site)
 
-    def test_nu_tilde_never_commutes(self, corpus, gc_primes):
+    def test_nu_tilde_never_commutes(self, corpus, gc_primes, complement_band_maps):
+        # patched in, the complement fails band_map's check at every site
         for name, g in corpus.items():
             for site in find_switch_sites(g):
-                with pytest.raises(ChainMapViolation, match="generator"):
-                    band_map(gc_primes[name], BandMapChoice(site, "nu_tilde"))
+                with pytest.raises(ChainMapViolation, match="^band map at col=.* generator"):
+                    band_map(gc_primes[name], BandMapChoice(site))
 
     def test_flavor_sum_is_not_a_chain_map(self, corpus, gc_primes):
         for name, g in corpus.items():
@@ -192,8 +195,8 @@ class TestBandMaps:
             if g.n > 5:
                 continue
             for site in find_switch_sites(g):
-                f = band_map_raw(gc_primes[name], BandMapChoice(site, "nu"))
-                t = band_map_raw(gc_primes[name], BandMapChoice(site, "nu_tilde"))
+                f = band_map_raw(gc_primes[name], BandMapChoice(site))
+                t = oracles.complement_band_map(gc_primes[name], site)
                 s = add_chain_maps(f, t)
                 for lab in s.src.basis.labels():
                     assert s.entries[lab] == {lab: ONE + U}, (name, site)
@@ -204,8 +207,8 @@ class TestBandMaps:
             if g.n > 5:
                 continue
             for site in find_switch_sites(g):
-                f = band_map(gc_primes[name], BandMapChoice(site, "nu"))
-                back = band_map(f.tgt, BandMapChoice(site, "nu", "inverse"))
+                f = band_map(gc_primes[name], BandMapChoice(site))
+                back = band_map(f.tgt, BandMapChoice(site, direction="inverse"))
                 assert chain_maps_equal(
                     compose_chain_maps(back, f), _u_id(gc_primes[name])
                 ), (name, site)
@@ -230,16 +233,16 @@ class TestChainDefect:
     def test_both_flavors_on_every_corpus_site(self, corpus, gc_primes):
         for name, g in corpus.items():
             for site in find_switch_sites(g):
-                nu = band_map_raw(gc_primes[name], BandMapChoice(site, "nu"))
+                nu = band_map_raw(gc_primes[name], BandMapChoice(site))
                 assert _same_defect(nu) is None, (name, site)
-                tilde = band_map_raw(gc_primes[name], BandMapChoice(site, "nu_tilde"))
+                tilde = oracles.complement_band_map(gc_primes[name], site)
                 assert _same_defect(tilde) is not None, (name, site)
 
     def test_flavor_sum(self, gc_primes):
         c = gc_primes["trefoil5"]
         for site in find_switch_sites(c.grid):
-            nu = band_map_raw(c, BandMapChoice(site, "nu"))
-            tilde = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
+            nu = band_map_raw(c, BandMapChoice(site))
+            tilde = oracles.complement_band_map(c, site)
             assert _same_defect(add_chain_maps(nu, tilde)) is not None, site
 
     def test_quasi_stabilized_complex(self, gc_primes):
@@ -247,13 +250,12 @@ class TestChainDefect:
         stab = quasi_stab_map(c, 0)
         assert _same_defect(stab) is None
         for site in find_switch_sites(c.grid):
-            for flavor in ("nu", "nu_tilde"):
-                f = band_map_raw(stab.tgt, BandMapChoice(site, flavor))
-                assert (_same_defect(f) is None) == (flavor == "nu"), (site, flavor)
+            assert _same_defect(band_map_raw(stab.tgt, BandMapChoice(site))) is None, site
+            assert _same_defect(oracles.complement_band_map(stab.tgt, site)) is not None, site
 
     def _band(self, gc_primes):
         c = gc_primes["trefoil5"]
-        return band_map_raw(c, BandMapChoice(find_switch_sites(c.grid)[0], "nu"))
+        return band_map_raw(c, BandMapChoice(find_switch_sites(c.grid)[0]))
 
     def test_one_flipped_u_placement(self, gc_primes):
         band = self._band(gc_primes)
@@ -279,19 +281,19 @@ class TestChainDefect:
         stacks = (quasi, disk_stab_map(c).tgt, disk_stab_map(quasi).tgt)
         for stacked in stacks:
             for site in find_switch_sites(c.grid):
-                for flavor in ("nu", "nu_tilde"):
-                    f = band_map_raw(stacked, BandMapChoice(site, flavor))
-                    want = flavor == "nu"
-                    assert (_same_defect(f) is None) == want, (stacked.tensor_stack, site)
+                nu = band_map_raw(stacked, BandMapChoice(site))
+                assert _same_defect(nu) is None, (stacked.tensor_stack, site)
+                tilde = oracles.complement_band_map(stacked, site)
+                assert _same_defect(tilde) is not None, (stacked.tensor_stack, site)
 
     def test_both_flavors_on_seeded_grids(self):
         rng = random.Random(20260814)
         for _ in range(2):
             c = build_gc_prime(random_grid(6, rng))
             for site in find_switch_sites(c.grid):
-                for flavor in ("nu", "nu_tilde"):
-                    f = band_map_raw(c, BandMapChoice(site, flavor))
-                    assert (_same_defect(f) is None) == (flavor == "nu"), (c.grid, site)
+                assert _same_defect(band_map_raw(c, BandMapChoice(site))) is None, (c.grid, site)
+                tilde = oracles.complement_band_map(c, site)
+                assert _same_defect(tilde) is not None, (c.grid, site)
 
     def test_one_stored_column_bit_flipped(self, gc_primes):
         # clear column j of f, where j is in d(x) for some x: then f(d(x))
@@ -366,7 +368,7 @@ class TestChainDefectShortcut:
         for name, g in corpus.items():
             for site in find_switch_sites(g):
                 per_bit_calls.clear()
-                band_map(gc_primes[name], BandMapChoice(site, "nu"))
+                band_map(gc_primes[name], BandMapChoice(site))
                 assert not per_bit_calls, (name, site)
 
     def test_closed_movie_composites_skip_the_loop(self, per_bit_calls):
@@ -384,7 +386,7 @@ class TestChainDefectShortcut:
     def test_nu_tilde_runs_the_loop(self, gc_primes, per_bit_calls):
         c = gc_primes["trefoil5"]
         for site in find_switch_sites(c.grid):
-            f = band_map_raw(c, BandMapChoice(site, "nu_tilde"))
+            f = oracles.complement_band_map(c, site)
             per_bit_calls.clear()
             assert chain_defect(f) is not None
             assert per_bit_calls, site
@@ -392,7 +394,7 @@ class TestChainDefectShortcut:
     def test_an_end_built_by_hand_runs_the_loop(self, gc_primes, per_bit_calls):
         c = gc_primes["trefoil5"]
         for site in find_switch_sites(c.grid):
-            f = band_map(c, BandMapChoice(site, "nu"))
+            f = band_map(c, BandMapChoice(site))
             for src, tgt in ((f.src, _by_hand(f.tgt)), (_by_hand(f.src), f.tgt)):
                 g = ChainMap(src, tgt, f.parts)
                 per_bit_calls.clear()
@@ -517,9 +519,9 @@ class TestBandOnStabilizedComplex:
         c = gc_primes["unknot4_sites"]
         stab = quasi_stab_map(c, 0)
         site = find_switch_sites(c.grid)[0]
-        f = band_map(stab.tgt, BandMapChoice(site, "nu"))
+        f = band_map(stab.tgt, BandMapChoice(site))
         assert f.tgt.tensor_stack == stab.tgt.tensor_stack
-        back = band_map(f.tgt, BandMapChoice(site, "nu", "inverse"))
+        back = band_map(f.tgt, BandMapChoice(site, direction="inverse"))
         assert chain_maps_equal(compose_chain_maps(back, f), _u_id(stab.tgt))
 
     def test_disk_stacks_keep_the_band_map(self, gc_primes):
@@ -527,16 +529,16 @@ class TestBandOnStabilizedComplex:
         # must bring back the disk gap, not the quasi one
         c = gc_primes["unknot4_sites"]
         site = find_switch_sites(c.grid)[0]
-        plain = band_map(c, BandMapChoice(site, "nu"))
+        plain = band_map(c, BandMapChoice(site))
         assert chain_map_degree(plain) == -2
         disk = disk_stab_map(c).tgt
         disk_then_quasi = quasi_stab_map(disk, 0).tgt
         assert disk_then_quasi.tensor_stack == (DiskStab(), QuasiStab(0))
         for stacked in (disk, disk_then_quasi):
-            f = band_map(stacked, BandMapChoice(site, "nu"))
+            f = band_map(stacked, BandMapChoice(site))
             assert chain_map_degree(f) == chain_map_degree(plain)
             assert f.tgt.tensor_stack == stacked.tensor_stack
-            back = band_map(f.tgt, BandMapChoice(site, "nu", "inverse"))
+            back = band_map(f.tgt, BandMapChoice(site, direction="inverse"))
             assert chain_maps_equal(compose_chain_maps(back, f), _u_id(stacked))
 
 
@@ -633,8 +635,8 @@ class TestMovies:
         movie = Movie(
             g,
             (
-                BandMapChoice(site, "nu", "forward"),
-                BandMapChoice(site, "nu", "inverse"),
+                BandMapChoice(site),
+                BandMapChoice(site, direction="inverse"),
             ),
         )
         res = compose_movie(movie)
@@ -678,7 +680,7 @@ class TestMovies:
         site = find_switch_sites(g)[0]
         moves = (
             QuasiStab(2),
-            BandMapChoice(site, "nu"),
+            BandMapChoice(site),
             QuasiDestab(2),
         )
         res = compose_movie(Movie(g, moves))
@@ -689,18 +691,11 @@ class TestMovies:
         manual = compose_chain_maps(f3, compose_chain_maps(f2, f1))
         assert chain_maps_equal(res.total, manual)
 
-    def test_movie_rejects_bad_sequences(self, corpus):
+    def test_movie_rejects_bad_sequences(self, corpus, complement_band_maps):
         with pytest.raises(MoveSequenceInvalid):
             compose_movie(Movie(corpus["unknot2"], (DiskDestab(),)))
         with pytest.raises(ChainMapViolation):
-            compose_movie(
-                Movie(
-                    corpus["trefoil5"],
-                    (
-                        BandMapChoice(SwitchSite(0, 0, "O"), "nu_tilde"),
-                    ),
-                )
-            )
+            compose_movie(Movie(corpus["trefoil5"], (BandMapChoice(SwitchSite(0, 0, "O")),)))
 
 
 def _closed_movie(g, rng):
@@ -717,9 +712,9 @@ def _closed_movie(g, rng):
     return Movie(
         g,
         (
-            BandMapChoice(site, "nu", "forward"),
+            BandMapChoice(site),
             QuasiStab(a),
-            BandMapChoice(site, "nu", "inverse"),
+            BandMapChoice(site, direction="inverse"),
             QuasiDestab(b),
         ),
     )
@@ -794,9 +789,9 @@ class TestPresentationReuse:
         movie = Movie(
             g,
             (
-                BandMapChoice(site, "nu", "forward"),
+                BandMapChoice(site),
                 QuasiStab(a),
-                BandMapChoice(site, "nu", "inverse"),
+                BandMapChoice(site, direction="inverse"),
                 QuasiDestab(b),
             ),
         )
@@ -814,7 +809,7 @@ class TestPresentationReuse:
         calls = _count_presentations(monkeypatch, cobordism)
         # a stabilized end keeps the start grid but is another complex
         for move, final_grid in (
-            (BandMapChoice(site, "nu"), apply_switch(g, site)),
+            (BandMapChoice(site), apply_switch(g, site)),
             (QuasiStab(0), g),
         ):
             calls.clear()
@@ -957,6 +952,10 @@ class TestMovieScripts:
             ("switch col=1 row=9 letter=O flavor=nu dir=fwd", "outside"),
             ("switch col=1 row=1 letter=Z flavor=nu dir=fwd", "letter"),
             ("switch col=1 row=1 letter=O flavor=zeta dir=fwd", "flavor"),
+            ("switch col=1 row=1 letter=O flavor=nu_tilde dir=fwd", "line 1: flavor must be nu$"),
+            ("switch col=1 row=1 letter=O flavor=NU dir=fwd", "line 1: flavor must be nu$"),
+            ("switch col=1 row=1 letter=O flavor= dir=fwd", "line 1: flavor must be nu$"),
+            ("switch col=1 row=1 letter=O dir=fwd", r"line 1: switch is missing \['flavor'\]"),
             ("switch col=1 row=1 letter=O flavor=nu dir=up", "dir"),
             ("switch col=a row=1 letter=O flavor=nu dir=fwd", "non-integer"),
             ("switch col=1 col=2 row=1 letter=O flavor=nu dir=fwd", "duplicate"),
@@ -997,7 +996,7 @@ class TestMovieScripts:
     @pytest.mark.parametrize(
         "line, fragment",
         [
-            ("switch col=1 row=1 letter=O flavor=zeta dir=fwd", "unknown flavor 'zeta'"),
+            ("switch col=1 row=1 letter=O flavor=zeta dir=fwd", "flavor must be nu"),
             ("quasistab anchor=O1 side=left", "quasistab has no field 'side'"),
         ],
     )

@@ -526,17 +526,17 @@ class TestRectanglePattern:
             _build_gc_prime(second)
         assert complexes._rectangle_pattern.cache_info().misses == misses
 
-    def test_two_grids_of_one_size_read_one_pattern(self, monkeypatch):
-        read, pattern = [], complexes._rectangle_pattern
-
-        def recorded(n):
-            read.append(pattern(n))
-            return read[-1]
-
-        monkeypatch.setattr(complexes, "_rectangle_pattern", recorded)
-        _build_gc_prime(corpus_grid("trefoil5"))
-        build_complex(random_grid(5, random.Random(3)))
-        assert len(read) == 2 and read[0] is read[1]
+    def test_two_grids_of_one_size_read_one_pattern(self):
+        # whatever earlier builds cached: the builds of one size hold one
+        # pattern object, made at most once, and the multivariable build
+        # makes none of its own
+        made = complexes._rectangle_pattern.cache_info().misses
+        first = _build_gc_prime(corpus_grid("trefoil5"))
+        second = _build_gc_prime(random_grid(5, random.Random(3)))
+        build_complex(random_grid(5, random.Random(4)))
+        assert first.grid != second.grid
+        assert first.order.pattern is second.order.pattern
+        assert complexes._rectangle_pattern.cache_info().misses - made <= 1
 
 
 def _outcome(build, g):

@@ -118,7 +118,11 @@ class TestArbitraryInput:
     @FUZZ
     @given(_lines(movie_tokens))
     def test_movie_text(self, text):
-        _parses_or_refuses(parse_movie, text, corpus_grid("unknot4_sites"))
+        movie = _parses_or_refuses(parse_movie, text, corpus_grid("unknot4_sites"))
+        if movie is not None:
+            # a switch names the one flavor, nu; any other is refused
+            lines = [line for line in text.splitlines() if not line.strip().startswith("#")]
+            assert not any("flavor=nu_tilde" in line.split() for line in lines), text
 
     def test_overlong_input(self):
         digits = "1" * 5000  # more digits than int() converts
@@ -150,9 +154,8 @@ def legal_movies(draw):
         kind = draw(st.sampled_from(kinds))
         if kind == "switch":
             site = draw(st.sampled_from(find_switch_sites(grid)))
-            flavor = draw(st.sampled_from(["nu", "nu_tilde"]))
             direction = draw(st.sampled_from(["forward", "inverse"]))
-            moves.append(BandMapChoice(site, flavor, direction))
+            moves.append(BandMapChoice(site, direction))
             grid = apply_switch(grid, site)
         elif kind == "quasistab":
             anchor = draw(st.integers(min_value=0, max_value=2 * n - 1))

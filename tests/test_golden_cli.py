@@ -5,22 +5,25 @@ where a band map fails the chain condition, so they pin the order of
 generators of equal grading and the generator a `ChainMapViolation` names.
 Each case's output is stored in `tests/golden/<case>.json`.  Regenerate
 them with `PYTHONPATH=src python tests/test_golden_cli.py` only for an
-intended output change, and say which outputs changed and why.
+intended output change, and say which outputs changed and why.  The
+`violation-*` cases run with every band map replaced by the test-only
+`oracles.complement_band_map`, which is never a chain map.
 """
 import contextlib
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from gridfloer import corpus_text
+import oracles
+from gridfloer import cobordism, corpus_text
 from gridfloer.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SWITCH = "switch col=1 row=1 letter=O flavor=nu dir=fwd\n"
-NU_TILDE = "switch col=1 row=1 letter=O flavor=nu_tilde dir=fwd\n"
 SPLIT_SWITCH = "switch col=2 row=2 letter=O flavor=nu dir=fwd\n"
 
 # a closed movie in the benchmark's shape on a 6 x 6 grid
@@ -59,9 +62,9 @@ CASES = {
         "split2x2_2x2",
         SPLIT_SWITCH + "diskstab\nquasistab anchor=O1\n" + SPLIT_SWITCH,
     ),
-    "violation-trefoil5": ([], "trefoil5", NU_TILDE),
-    "violation-trefoil5-quasi": ([], "trefoil5", "quasistab anchor=O1\n" + NU_TILDE),
-    "violation-unknot4-disk-disk": ([], "unknot4_sites", "diskstab\ndiskstab\n" + NU_TILDE),
+    "violation-trefoil5": ([], "trefoil5", SWITCH),
+    "violation-trefoil5-quasi": ([], "trefoil5", "quasistab anchor=O1\n" + SWITCH),
+    "violation-unknot4-disk-disk": ([], "unknot4_sites", "diskstab\ndiskstab\n" + SWITCH),
     "closed-n6-table": ([], CLOSED_GRID, CLOSED_MOVIE),
     "trefoil5-quasi-disk-switch": (["--json"], "trefoil5", TREFOIL_STACK),
     "trefoil5-quasi-disk-switch-table": ([], "trefoil5", TREFOIL_STACK),
@@ -73,13 +76,22 @@ CASES = {
 }
 
 
+def _complement(c, choice):
+    """The fault map under `band_map_raw`'s signature."""
+    return oracles.complement_band_map(c, choice.site)
+
+
 def run_case(case: str, workdir: Path) -> dict:
     flags, grid, script = CASES[case]
     grid_path, movie_path = workdir / f"{case}.grid", workdir / f"{case}.movie"
     grid_path.write_text(grid if "\n" in grid else corpus_text(grid))
     movie_path.write_text(script)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.ExitStack() as stack:
+        if case.startswith("violation-"):
+            stack.enter_context(mock.patch.object(cobordism, "band_map_raw", _complement))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
         code = main(flags + ["movie", str(grid_path), str(movie_path)])
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit_code": code}
 

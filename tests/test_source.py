@@ -35,6 +35,14 @@ UNREACHED = {
     # compares two maps on homology: the oracle of `verify_commutation`'s
     # tests, and the comparison that ROADMAP item 10's movie relations use
     ("algebra.py", "maps_equal_on_homology"),
+    # the label-keyed terms that `chain_defect` lists at the first failing
+    # generator, also read by `ChainMap.entries` and
+    # `MonomialComplex.boundary`: no bundled command makes a map that is
+    # not a chain map, and the tests make one with the fault map
+    # `oracles.complement_band_map`
+    ("algebra.py", "ChainMap.shift"),
+    ("algebra.py", "_label_rows"),
+    ("algebra.py", "_label_view"),
     # read by perfbench's tracer, which counts boundary entries and pivots,
     # and by tests; the oracles read `boundary` too
     ("algebra.py", "MonomialComplex.boundary"),
@@ -62,7 +70,7 @@ MOVIES = [
     ([], "unknot4_sites", SWITCH + "quasistab anchor=O2\nquasidestab anchor=O2\n"
      "diskstab\ndiskdestab\nrenumber 2 3 1 4 5 6 7 8\n", 0),
     (["--json"], "trefoil5", "quasistab anchor=O1\n" + SWITCH + "quasidestab anchor=O1\n", 0),
-    ([], "trefoil5", SWITCH.replace("flavor=nu", "flavor=nu_tilde"), 1),  # ChainMapViolation
+    ([], "trefoil5", SWITCH.replace("flavor=nu", "flavor=nu_tilde"), 2),  # ParseError: one flavor
     ([], "trefoil5", "switch col=2 row=1 letter=O flavor=nu dir=fwd\n", 1),  # InvalidSite
     ([], "trefoil5", "quasidestab anchor=O1\n", 4),  # AnchorMismatch
     ([], "trefoil5", "diskdestab\n", 4),  # MoveSequenceInvalid
